@@ -7,7 +7,7 @@ The public surface mirrors the module layout:
 * :mod:`specgap.bounds`     the bound registry and solver kernels;
 * :mod:`specgap.abstract`   commutator inequality verification on matrices;
 * :mod:`specgap.operators`  box spectra and finite-difference operators;
-* :mod:`specgap.eigensolve` dense and Lanczos symmetric eigensolvers;
+* :mod:`specgap.eigensolve` dense and ARPACK symmetric eigensolvers;
 * :mod:`specgap.cli`        the batch command line front end.
 """
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import abstract, bounds, couples, operators
-from .errors import InapplicableBoundError, SpecgapError, UnknownBoundError
+from .errors import SpecgapError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -84,8 +84,12 @@ class _Output:
         if self._fh:
             self._fh.close()
 
+    @property
+    def stream(self):
+        return self._fh or sys.stdout
+
     def line(self, text: str) -> None:
-        (self._fh or sys.stdout).write(text + "\n")
+        self.stream.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +176,11 @@ def cmd_spectrum(args) -> int:
             op = operators.fd_laplacian(dims, grid)
         elif problem == "clamped":
             op = operators.fd_clamped_plate(dims, grid)
-            if power not in (None, 1):
-                raise SpecgapError("the clamped operator is already the l = 2 problem; "
-                                   "--power applies to laplacian and kohn spectra")
         elif problem == "kohn":
             op = operators.kohn_fd(1, dims, grid)
         else:
             raise SpecgapError(f"unknown fd problem {problem!r} (laplacian|clamped|kohn)")
-        if problem == "clamped":
-            eig = (
-                operators.smallest_eigs(op, count)
-                if count <= op.dim // 4
-                else operators.dense_symmetric_eig(op.matrix, want_vectors=False)
-            )
-            values = np.sort(eig.eigenvalues)[:count]
-            prefix = bounds.SpectrumPrefix(values, n=len(grid), l=2, problem=bounds.EUCLIDEAN)
-        else:
-            prefix = operators.operator_power_spectrum(op, power, count)
+        prefix = operators.operator_power_spectrum(op, power, count)
         meta.update(
             {
                 "problem": prefix.problem,
@@ -201,13 +193,7 @@ def cmd_spectrum(args) -> int:
         if problem == "laplacian" and power > 1:
             meta["spectrum-type"] = "navier-power"
     with _Output(args.out) as out:
-        buf = []
-        for key, val in meta.items():
-            buf.append(f"# {key}: {val}")
-        for v in prefix.values:
-            buf.append(format(float(v), ".17g"))
-        for line in buf:
-            out.line(line)
+        operators.write_spectrum_csv(out.stream, prefix.values, meta)
     return EXIT_OK
 
 
@@ -450,6 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# namespace entries the parser sets that are not flags of a subcommand
+_NOT_FLAGS = frozenset({"config", "command", "verify_what", "kind", "action", "func"})
+
+
 def _apply_config(args: argparse.Namespace) -> None:
     if not args.config:
         return
@@ -460,6 +450,10 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise SpecgapError(f"cannot load config {args.config!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise SpecgapError("config must be a JSON object mirroring the flags")
+    flags = vars(args).keys() - _NOT_FLAGS
+    unknown = [key for key in cfg if key.replace("-", "_") not in flags]
+    if unknown:
+        raise SpecgapError(f"config keys {unknown} are not flags of this subcommand")
     for key, value in cfg.items():
         attr = key.replace("-", "_")
         if getattr(args, attr, None) is None:
@@ -472,9 +466,6 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         return args.func(args)
-    except (UnknownBoundError, InapplicableBoundError) as exc:
-        print(f"specgap: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SpecgapError as exc:
         print(f"specgap: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -71,4 +71,4 @@ class EmptyFeasibleSetError(SolverError):
 
 
 class ConvergenceError(SpecgapError):
-    """Iterative eigensolver did not converge within its iteration budget."""
+    """Iterative eigensolver did not converge, or its residuals exceed tolerance."""

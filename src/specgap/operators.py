@@ -203,26 +203,30 @@ def kohn_fd(n: int = 1, sides=(1.0, 1.0, 1.0), grids=(12, 12, 12)) -> KohnOperat
     )
 
 
-def operator_power_spectrum(op: DiscreteOperator, l: int, count: int, method: str = "auto") -> SpectrumPrefix:
+def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> SpectrumPrefix:
     """First ``count`` eigenvalues of op^l: eigenvalues of op are computed
     once and raised to the l-th power (the matrix power shares eigenvectors).
 
     For a Dirichlet Laplacian base this realizes Navier-type conditions, not
-    clamped ones; CSV metadata written by the CLI says so.
+    clamped ones; CSV metadata written by the CLI says so.  The clamped plate
+    is already the l = 2 problem: it takes only l = 1 and is labeled l = 2.
     """
     if not (isinstance(l, (int, np.integer)) and l >= 1):
         raise InputError(f"l must be a positive integer, got {l}")
+    clamped = op.stencil == "clamped-plate"
+    if clamped and l != 1:
+        raise InputError("the clamped operator is already the l = 2 problem; "
+                         "powers apply to laplacian and kohn spectra")
     if not 1 <= count <= op.dim:
         raise SpectrumError(f"count must satisfy 1 <= count <= {op.dim}, got {count}")
-    if count <= op.dim // 4 and method != "dense":
-        eig = smallest_eigs(op, count, method=method)
-        vals = eig.eigenvalues
+    if count <= op.dim // 4:
+        vals = smallest_eigs(op, count).eigenvalues
     else:
         vals = dense_symmetric_eig(op.matrix, want_vectors=False).eigenvalues[:count]
     vals = np.sort(vals) ** l
     if isinstance(op, KohnOperator):
         return SpectrumPrefix(vals, n=op.heisenberg_n, l=int(l), problem=HEISENBERG)
-    return SpectrumPrefix(vals, n=len(op.npoints), l=int(l), problem=EUCLIDEAN)
+    return SpectrumPrefix(vals, n=len(op.npoints), l=2 if clamped else int(l), problem=EUCLIDEAN)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from scipy.sparse.linalg import ArpackNoConvergence
+
 from specgap import cli
 from specgap.operators import read_spectrum_csv
 
@@ -71,6 +73,33 @@ def test_spectrum_fd_power_metadata(tmp_path, capsys):
     _, meta = read_spectrum_csv(out.read_text())
     assert meta["spectrum-type"] == "navier-power"
     assert meta["l"] == "3"
+
+
+FD_46 = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1,1", "--grid", "46,46"]
+
+
+def test_spectrum_fd_above_dense_fallback_dim(capsys):
+    # dim 2116 >= DENSE_FALLBACK_DIM: the ARPACK route
+    code, first, _ = run_cli(FD_46 + ["--count", "30"], capsys)
+    assert code == 0
+    values, meta = read_spectrum_csv(first)
+    h = 1.0 / 47
+    axis = (4 / h**2) * np.sin(np.arange(1, 47) * np.pi * h / 2) ** 2
+    exact = np.sort((axis[:, None] + axis[None, :]).ravel())[:30]
+    assert np.max(np.abs(values / exact - 1.0)) <= 1e-10
+    assert meta["grid"] == "46,46"
+    _, second, _ = run_cli(FD_46 + ["--count", "30"], capsys)
+    assert second == first
+
+
+def test_spectrum_fd_unconverged_exit_2(monkeypatch, capsys):
+    def fails(A, k, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((A.shape[0], 0)))
+
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", fails)
+    code, out, err = run_cli(FD_46 + ["--count", "5"], capsys)
+    assert code == 2
+    assert out == "" and "did not converge" in err
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +303,17 @@ def test_explicit_flags_override_config(tmp_path, capsys):
     code, out, _ = run_cli(["--config", str(cfg), "bound", "--ineq", "ppw-laplacian"], capsys)
     assert code == 0
     assert json.loads(out)["name"] == "ppw-laplacian"
+
+
+@pytest.mark.parametrize("key", ["worker", "grid", "kind"])
+def test_config_rejects_keys_that_are_not_flags(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 2, "trials": 2}))
+    code, out, err = run_cli(
+        ["--config", str(cfg), "verify", "abstract", "--dim", "5", "--nops", "1"], capsys
+    )
+    assert code == 2
+    assert out == "" and repr(key) in err
 
 
 # ---------------------------------------------------------------------------

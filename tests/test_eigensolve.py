@@ -1,11 +1,15 @@
-"""Dense and Lanczos eigensolvers: examples, invariants, cross-agreement."""
+"""Dense and ARPACK (Lanczos) eigensolvers: examples, invariants, cross-agreement."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from scipy.sparse.linalg import ArpackNoConvergence
+
 from specgap.eigensolve import dense_symmetric_eig, smallest_eigs
-from specgap.errors import InputError
+from specgap.errors import ConvergenceError, InputError
 from specgap.operators import fd_clamped_plate, fd_laplacian, kohn_fd
 
 
@@ -14,6 +18,15 @@ def fd1d_eigenvalues(side, N):
     h = side / (N + 1)
     j = np.arange(1, N + 1)
     return np.sort((4.0 / h**2) * np.sin(j * np.pi * h / (2.0 * side)) ** 2)
+
+
+def free_path_laplacian(n):
+    """Graph Laplacian of a path: PSD, with a zero eigenvalue that Gaussian
+    elimination hits exactly (the last pivot is 1 - 1)."""
+    main = np.full(n, 2.0)
+    main[0] = main[-1] = 1.0
+    off = np.full(n - 1, -1.0)
+    return SimpleNamespace(matrix=sp.diags([off, main, off], [-1, 0, 1], format="csr"))
 
 
 def fd2d_eigenvalues(sides, grids):
@@ -127,6 +140,21 @@ def test_lanczos_deterministic_restarts():
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
 
+def _arpack_fails(A, k, **kwargs):
+    raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((A.shape[0], 0)))
+
+
+def _arpack_returns_wrong_pairs(A, k, **kwargs):
+    return np.arange(1.0, k + 1.0), np.eye(A.shape[0], k)
+
+
+@pytest.mark.parametrize("fake_eigsh", [_arpack_fails, _arpack_returns_wrong_pairs])
+def test_lanczos_refuses_unconverged_pairs(monkeypatch, fake_eigsh):
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", fake_eigsh)
+    with pytest.raises(ConvergenceError):
+        smallest_eigs(fd_laplacian([1.0, 1.0], [15, 15]), 6, method="lanczos")
+
+
 # ---------------------------------------------------------------------------
 # cross-agreement on the operator corpus (dimensions <= 2000)
 # ---------------------------------------------------------------------------
@@ -139,6 +167,9 @@ def test_lanczos_deterministic_restarts():
         (lambda: fd_clamped_plate([1.0], [120]), 6),  # dim 120
         (lambda: fd_clamped_plate([1.0, 1.0], [18, 18]), 6),  # dim 324
         (lambda: kohn_fd(1, (1.0, 1.0, 1.0), (8, 8, 8)), 8),  # dim 512
+        # singular PSD operators: the shift must sit strictly below 0
+        (lambda: kohn_fd(1, (1.0, 1.0, 1.0), (9, 9, 9)), 12),  # dim 729, all-odd grid
+        (lambda: free_path_laplacian(64), 5),
     ],
 )
 def test_dense_and_lanczos_agree(make_op, m):
@@ -146,4 +177,8 @@ def test_dense_and_lanczos_agree(make_op, m):
     dense = dense_symmetric_eig(op.matrix, want_vectors=False)
     lz = smallest_eigs(op, m, method="lanczos")
     assert lz.converged
-    assert np.max(np.abs(lz.eigenvalues / dense.eigenvalues[:m] - 1.0)) <= 1e-8
+    scale = np.abs(op.matrix.data).max()
+    if dense.eigenvalues[0] > 1e-10 * scale:
+        assert np.max(np.abs(lz.eigenvalues / dense.eigenvalues[:m] - 1.0)) <= 1e-8
+    else:  # a relative error means nothing at a zero eigenvalue
+        assert np.max(np.abs(lz.eigenvalues - dense.eigenvalues[:m])) <= 1e-12 * scale
