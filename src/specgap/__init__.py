@@ -27,7 +27,6 @@ from .bounds import (
     registry_names,
     solve_largest_root_bound,
     solve_monotone_bound,
-    solve_quadratic_bound,
     verify_margins,
 )
 from .couples import (

@@ -174,16 +174,14 @@ def _verdict(lhs: float, rhs: float, quad: float, quad_scale: float) -> tuple[bo
     return (lhs <= rhs + tau) and (quad >= -tau_q), slack
 
 
-def verify_theorem(triple: OperatorTriple, k: int, couple, z: Optional[float] = None) -> TheoremReport:
-    """Evaluate the main inequality for the first k eigenpairs of the triple.
-
-    Requires lambda_{k+1} > lambda_k.  ``z`` defaults to lambda_{k+1}; any
-    z in (lambda_k, lambda_{k+1}] is admissible, and couple.lam must equal z.
-    """
-    sd = triple.spectral
-    if not 1 <= k < triple.d:
-        raise InputError(f"need 1 <= k < d = {triple.d}, got k = {k}")
+def _evaluate(
+    sd: SpectralData, k: int, couple, z: Optional[float], left: np.ndarray, factor: float
+) -> TheoremReport:
+    """Check the hypotheses shared by the theorem and its corollary, then
+    compare ( sum f(lambda_i) left[p, i] )^2 with factor * quad * second."""
     lam = sd.lam
+    if not 1 <= k < lam.size:
+        raise InputError(f"need 1 <= k < d = {lam.size}, got k = {k}")
     gap = float(lam[k] - lam[k - 1])
     if not gap > 0:
         raise GapHypothesisError(f"lambda_{k + 1} > lambda_{k} required, gap = {gap}")
@@ -195,39 +193,39 @@ def verify_theorem(triple: OperatorTriple, k: int, couple, z: Optional[float] = 
         raise InputError("couple weights need a positive eigenvalue prefix")
 
     f, g = _require_couple(couple, lam[:k], z)
-    lhs = float(np.sum(f[None, :] * sd.tb[:, :k])) ** 2
+    lhs = float(np.sum(f[None, :] * left[:, :k])) ** 2
     quad = float(np.sum(g[None, :] * sd.ab[:, :k]))
     quad_scale = float(np.sum(np.abs(g[None, :] * sd.ab[:, :k])))
     second = float(np.sum((f**2 / (g * (z - lam[:k])))[None, :] * sd.tn[:, :k]))
-    rhs = 4.0 * quad * second
+    rhs = factor * quad * second
     passed, slack = _verdict(lhs, rhs, quad, quad_scale)
     return TheoremReport(k, lhs, rhs, quad, gap, passed, z, slack)
+
+
+def verify_theorem(triple: OperatorTriple, k: int, couple, z: Optional[float] = None) -> TheoremReport:
+    """Evaluate the main inequality for the first k eigenpairs of the triple.
+
+    Requires lambda_{k+1} > lambda_k.  ``z`` defaults to lambda_{k+1}; any
+    z in (lambda_k, lambda_{k+1}] is admissible, and couple.lam must equal z.
+    """
+    sd = triple.spectral
+    return _evaluate(sd, k, couple, z, sd.tb, 4.0)
 
 
 def verify_corollary(A, Bs, k: int, couple, z: Optional[float] = None) -> TheoremReport:
     """Evaluate the one-family corollary with T_p = [A, B_p].
 
     The squared left side uses <[A,B_p] u_i, B_p u_i> directly and the right
-    side carries no factor 4.  Also checks the identity
+    side carries no factor 4; the hypotheses on k, z and the couple are those
+    of :func:`verify_theorem`.  Also checks the identity
     <[A,B_p] u_i, B_p u_i> = -1/2 <[[A,B_p],B_p] u_i, u_i> and reports its
     largest residual.
     """
     A = np.asarray(A, dtype=complex)
     Bs = tuple(np.asarray(B, dtype=complex) for B in Bs)
     Ts = tuple(commutator(A, B) for B in Bs)
-    triple = OperatorTriple(A, Bs, Ts)
-    sd = triple.spectral
-    if not 1 <= k < triple.d:
-        raise InputError(f"need 1 <= k < d = {triple.d}, got k = {k}")
-    lam = sd.lam
-    gap = float(lam[k] - lam[k - 1])
-    if not gap > 0:
-        raise GapHypothesisError(f"lambda_{k + 1} > lambda_{k} required, gap = {gap}")
-    if z is None:
-        z = float(lam[k])
-    if np.any(lam[:k] <= 0):
-        raise InputError("couple weights need a positive eigenvalue prefix")
-    f, g = _require_couple(couple, lam[:k], z)
+    sd = OperatorTriple(A, Bs, Ts).spectral
+    report = _evaluate(sd, k, couple, z, sd.ab, 1.0)
 
     # identity residual: ab[p, i] vs -1/2 <[[A,B_p],B_p] u_i, u_i>
     U = sd.U
@@ -238,15 +236,8 @@ def verify_corollary(A, Bs, k: int, couple, z: Optional[float] = None) -> Theore
         half = -0.5 * np.real(np.sum(np.conj(U) * (ddc @ U), axis=0))
         worst = max(worst, float(np.abs(half - sd.ab[p]).max()))
         scale = max(scale, float(np.abs(sd.ab[p]).max()))
-    identity_residual = worst / max(scale, 1.0)
-
-    lhs = float(np.sum(f[None, :] * sd.ab[:, :k])) ** 2
-    quad = float(np.sum(g[None, :] * sd.ab[:, :k]))
-    quad_scale = float(np.sum(np.abs(g[None, :] * sd.ab[:, :k])))
-    second = float(np.sum((f**2 / (g * (z - lam[:k])))[None, :] * sd.tn[:, :k]))
-    rhs = quad * second
-    passed, slack = _verdict(lhs, rhs, quad, quad_scale)
-    return TheoremReport(k, lhs, rhs, quad, gap, passed, z, slack, identity_residual)
+    report.identity_residual = worst / max(scale, 1.0)
+    return report
 
 
 def moment_inequality_check(Q, u, r: int, q: int) -> float:

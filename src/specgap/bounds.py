@@ -2,7 +2,7 @@
 
 Every entry of the registry reads one published inequality as a constraint on
 z = lambda_{k+1} given the prefix lambda_1 <= ... <= lambda_k, and reports the
-supremum of admissible z.  Three solver kernels cover all entries:
+supremum of admissible z.  Four solver forms cover the bound entries:
 
 * closed        -- gap or average bounds evaluated directly;
 * quadratic     -- larger real root of  k z^2 - B z + C <= 0;
@@ -11,6 +11,11 @@ supremum of admissible z.  Three solver kernels cover all entries:
 * largest-root  -- supremum of  {z >= lambda_k : H(z) <= 0}  for mixed forms
                    H(z) -> +inf, located by a geometric scan for the last
                    sign change followed by bisection.
+
+One further entry is verify-only: it reports the slack of its inequality at a
+candidate z instead of a bound.  Each entry is declared once, as one row of
+the registry table holding its form and its recipe; only this module tells
+the forms apart.
 
 Descriptor names double as the stable CLI vocabulary.  The registry spans the
 Dirichlet Laplacian (l = 1), the clamped plate (l = 2), the general
@@ -50,6 +55,8 @@ PROBLEMS = (EUCLIDEAN, HEISENBERG)
 MAX_PREFIX_LEN = 10**5
 ROOT_TOL = 1e-12
 MAX_BISECT = 200
+MAX_DOUBLINGS = 200
+MAX_CAP_DOUBLINGS = 60
 SCAN_PER_DECADE = 512
 
 
@@ -140,30 +147,14 @@ def _larger_root(a: float, b: float, c: float) -> float:
     return (b + math.sqrt(disc)) / (2.0 * a)
 
 
-def solve_quadratic_bound(k: int, S1: float, S2: float, C: float) -> float:
-    """Larger root of  k z^2 - (2+C) S1 z + (1+C) S2 = 0.
-
-    This is the normal form of every "sum of squared gaps vs weighted gap"
-    inequality with constant C: S1 and S2 are the first and second power sums
-    of the prefix.
-    """
-    if not (k >= 1 and S1 > 0 and S2 > 0 and C > 0):
-        raise InputError(f"need k >= 1, S1, S2, C > 0; got k={k}, S1={S1}, S2={S2}, C={C}")
-    return _larger_root(float(k), (2.0 + C) * S1, (1.0 + C) * S2)
-
-
 def solve_monotone_bound(
-    G: Callable[[float], float],
-    z_low: float,
-    target: float,
-    tol: float = ROOT_TOL,
-    max_doublings: int = 200,
+    G: Callable[[float], float], z_low: float, target: float
 ) -> tuple[float, int, float]:
     """Unique root of G(z) = target for G strictly decreasing on (z_low, inf)
     with G(z_low+) = +inf and limit below target.
 
     Brackets by doubling an offset from z_low, then bisects to relative width
-    tol.  Returns (root, iterations, |G(root) - target|).
+    ROOT_TOL.  Returns (root, iterations, |G(root) - target|).
     """
     if not target > 0:
         raise InputError(f"target must be positive, got {target}")
@@ -176,13 +167,13 @@ def solve_monotone_bound(
         d *= 2.0
         hi = z_low + d
         iterations += 1
-        if iterations > max_doublings:
+        if iterations > MAX_DOUBLINGS:
             raise BracketFailureError(
-                f"no upper bracket after {max_doublings} doublings from {z_low:g}"
+                f"no upper bracket after {MAX_DOUBLINGS} doublings from {z_low:g}"
             )
     lo = z_low + d / 2.0 if iterations else np.nextafter(z_low, np.inf)
     # invariant: G(lo) >= target > G(hi)
-    while hi - lo > 0.5 * tol * hi and iterations < max_doublings + MAX_BISECT:
+    while hi - lo > 0.5 * ROOT_TOL * hi and iterations < MAX_DOUBLINGS + MAX_BISECT:
         mid = 0.5 * (lo + hi)
         if G(mid) >= target:
             lo = mid
@@ -194,18 +185,14 @@ def solve_monotone_bound(
 
 
 def solve_largest_root_bound(
-    H: Callable[[np.ndarray], np.ndarray],
-    z_low: float,
-    z_hint: float,
-    tol: float = ROOT_TOL,
-    per_decade: int = SCAN_PER_DECADE,
-    max_cap_doublings: int = 60,
+    H: Callable[[np.ndarray], np.ndarray], z_low: float, z_hint: float
 ) -> tuple[float, int, float]:
     """Supremum of {z >= z_low : H(z) <= 0} for H(z) -> +inf as z -> inf.
 
     H must accept numpy arrays.  Scans a geometric grid from just above z_low
     to a cap seeded at z_hint (doubling the cap until H(cap) > 0), takes the
-    last sign change, and bisects.  Returns (root, iterations, |H(root)|).
+    last sign change (SCAN_PER_DECADE points per decade), and bisects to
+    relative width ROOT_TOL.  Returns (root, iterations, |H(root)|).
     """
     if not z_low > 0:
         raise InputError(f"z_low must be positive, got {z_low}")
@@ -215,10 +202,10 @@ def solve_largest_root_bound(
     while float(H(np.asarray([cap]))[0]) <= 0.0:
         cap *= 2.0
         iterations += 1
-        if iterations > max_cap_doublings:
+        if iterations > MAX_CAP_DOUBLINGS:
             raise BracketFailureError("H stayed nonpositive out to the cap doubling budget")
     n_decades = math.log10(cap / lo)
-    npts = max(8, int(math.ceil(per_decade * n_decades)) + 1)
+    npts = max(8, int(math.ceil(SCAN_PER_DECADE * n_decades)) + 1)
     zs = np.geomspace(lo, cap, npts)
     hs = np.asarray(H(zs), dtype=float)
     feasible = hs <= 0.0
@@ -229,7 +216,7 @@ def solve_largest_root_bound(
     last = int(np.nonzero(feasible)[0][-1])
     a, b = float(zs[last]), float(zs[last + 1])
     steps = 0
-    while b - a > 0.5 * tol * b and steps < MAX_BISECT:
+    while b - a > 0.5 * ROOT_TOL * b and steps < MAX_BISECT:
         mid = 0.5 * (a + b)
         if float(H(np.asarray([mid]))[0]) <= 0.0:
             a = mid
@@ -312,12 +299,13 @@ def _even_ge4(l: int) -> bool:
 
 @dataclass(frozen=True)
 class BoundDescriptor:
-    """Registry entry: applicability plus the recipe for one solver form.
+    """Registry entry: applicability plus the one recipe of its solver form.
 
-    Exactly one of the recipe fields is used, matching ``form``:
-    closed_fn(lam, n, l, k) -> value; quad_fn(...) -> (B, C) of
-    k z^2 - B z + C <= 0; mono_fn(...) -> (weights, target) of
-    sum w_i/(z - lambda_i) = target; root_fn(...) -> vectorized H.
+    ``recipe(lam, n, l, k)`` returns what ``form`` needs: the bound value
+    (closed); (B, C) of k z^2 - B z + C <= 0 (quadratic); (weights, target)
+    of sum w_i/(z - lambda_i) = target (monotone); a vectorized H
+    (largest-root).  A verify-only entry extracts no bound: its
+    ``recipe(lam, n, l, k, z)`` is the slack of the inequality at z.
     ``cap_names`` lists closed-form entries seeding the largest-root cap.
     """
 
@@ -325,11 +313,14 @@ class BoundDescriptor:
     problem: str
     form: str
     applies_l: Callable[[int], bool]
-    closed_fn: Optional[Callable] = None
-    quad_fn: Optional[Callable] = None
-    mono_fn: Optional[Callable] = None
-    root_fn: Optional[Callable] = None
+    recipe: Callable
     cap_names: tuple = ()
+
+    @property
+    def extracts_bound(self) -> bool:
+        """False for the verify-only entries, whose margin is an inequality
+        slack in units of z^2 rather than bound - z."""
+        return self.form != "verify-only"
 
     def applicable(self, problem: str, l: int) -> bool:
         return problem == self.problem and self.applies_l(l)
@@ -406,37 +397,35 @@ def _quad_kohn_yang_odd(lam, n, l, k):
     return 2.0 * _S(lam, 1) + float(np.sum(w)), _S(lam, 2) + float(np.sum(w * lam))
 
 
+def _c_kohn_even(n, l):
+    return (2.0 * l * n + 4.0 * (l - 1) + kohn_constant_c2(n, l)) / (n * n)
+
+
 # --- monotone forms:  sum w_i / (z - lam_i) = target  -----------------------
 
 
-def _mono(weight_pow: Callable, target: Callable):
-    def fn(lam, n, l, k):
-        return lam ** weight_pow(n, l), target(lam, n, l, k)
-
-    return fn
+def _hp_laplacian(lam, n, l, k):
+    return lam**1.0, n * k / 4.0
 
 
-_MONO_RECIPES = {
-    "hp-laplacian": _mono(lambda n, l: 1.0, lambda lam, n, l, k: n * k / 4.0),
-    "hp-weak-clamped": _mono(
-        lambda n, l: 1.0, lambda lam, n, l, k: n * n * k / (8.0 * (n + 2))
-    ),
-    "hp-weak-poly": _mono(
-        lambda n, l: 1.0, lambda lam, n, l, k: n * n * k / (4.0 * l * (2 * l + n - 2))
-    ),
-    "hileyeh-clamped": _mono(
-        lambda n, l: 0.5,
-        lambda lam, n, l, k: n * n * k**1.5 / (8.0 * (n + 2) * math.sqrt(_S(lam, 1))),
-    ),
-    "hook-chenqian-clamped": _mono(
-        lambda n, l: 0.5,
-        lambda lam, n, l, k: n * n * k * k / (8.0 * (n + 2) * _S(lam, 0.5)),
-    ),
-    "hp-poly": _mono(
-        lambda n, l: 1.0 / l,
-        lambda lam, n, l, k: n * n * k * k / (4.0 * l * (2 * l + n - 2) * _S(lam, (l - 1.0) / l)),
-    ),
-}
+def _hp_weak_clamped(lam, n, l, k):
+    return lam**1.0, n * n * k / (8.0 * (n + 2))
+
+
+def _hileyeh_clamped(lam, n, l, k):
+    return lam**0.5, n * n * k**1.5 / (8.0 * (n + 2) * math.sqrt(_S(lam, 1)))
+
+
+def _hook_chenqian_clamped(lam, n, l, k):
+    return lam**0.5, n * n * k * k / (8.0 * (n + 2) * _S(lam, 0.5))
+
+
+def _hp_poly(lam, n, l, k):
+    return lam ** (1.0 / l), n * n * k * k / (4.0 * l * (2 * l + n - 2) * _S(lam, (l - 1.0) / l))
+
+
+def _hp_weak_poly(lam, n, l, k):
+    return lam**1.0, n * n * k / (4.0 * l * (2 * l + n - 2))
 
 
 # --- largest-root forms -----------------------------------------------------
@@ -513,88 +502,58 @@ def _bracket_odd_homog(lam, n, l):
     return (2.0 * l * (n + l - 1) + c1) * lam ** ((l - 1.0) / l)
 
 
-_CLOSED_RECIPES = {
-    "ppw-laplacian": _ppw_laplacian,
-    "yang2-laplacian": _yang2_laplacian,
-    "ppw-clamped": _ppw_clamped,
-    "ppw-clamped-sharp": _ppw_clamped_sharp,
-    "ppw-poly": _ppw_poly,
-    "niuzhang-l1": _niuzhang_l1,
-    "niuzhang-l2": _niuzhang_l2,
-    "niuzhang-odd": _niuzhang_odd,
-    "niuzhang-even": _niuzhang_even,
-}
-
-_QUAD_RECIPES = {
-    "yang1-laplacian": _quad_constant(lambda n, l: 4.0 / n),
-    "cim-yang-poly": _quad_constant(lambda n, l: 4.0 * l * (2 * l + n - 2) / (n * n)),
-    "kohn-yang-l1": _quad_constant(lambda n, l: 2.0 / n),
-    "kohn-yang-l2": _quad_constant(lambda n, l: 4.0 * (n + 1.0) / (n * n)),
-    "kohn-yang-even-l": _quad_constant(
-        lambda n, l: (2.0 * l * n + 4.0 * (l - 1) + kohn_constant_c2(n, l)) / (n * n)
-    ),
-    "kohn-yang-odd-l": _quad_kohn_yang_odd,
-}
-
-_ROOT_RECIPES = {
-    "chengyang-clamped": _H_chengyang_clamped,
-    "wucao-poly": _H_wucao_poly,
-    "kohn-chengyang-l2": _H_kohn_chengyang_l2,
-    "kohn-odd-l": _H_kohn_mixed(_bracket_odd),
-    "kohn-even-l": _H_kohn_mixed(_bracket_even),
-    "kohn-odd-l-homog": _H_kohn_mixed(_bracket_odd_homog),
-}
+# --- verify-only forms ------------------------------------------------------
 
 
-def _make_registry() -> dict[str, BoundDescriptor]:
-    entries = [
-        # name, problem, form, l-rule, cap seeds for largest-root entries
-        ("ppw-laplacian", EUCLIDEAN, "closed", _l_is(1), ()),
-        ("hp-laplacian", EUCLIDEAN, "monotone", _l_is(1), ()),
-        ("yang1-laplacian", EUCLIDEAN, "quadratic", _l_is(1), ()),
-        ("yang2-laplacian", EUCLIDEAN, "closed", _l_is(1), ()),
-        ("ppw-clamped", EUCLIDEAN, "closed", _l_is(2), ()),
-        ("ppw-clamped-sharp", EUCLIDEAN, "closed", _l_is(2), ()),
-        ("hileyeh-clamped", EUCLIDEAN, "monotone", _l_is(2), ()),
-        ("hook-chenqian-clamped", EUCLIDEAN, "monotone", _l_is(2), ()),
-        ("hp-weak-clamped", EUCLIDEAN, "monotone", _l_is(2), ()),
-        ("chengyang-clamped", EUCLIDEAN, "largest-root", _l_is(2), ("ppw-clamped", "ppw-clamped-sharp")),
-        ("ppw-poly", EUCLIDEAN, "closed", _any_l, ()),
-        ("hp-poly", EUCLIDEAN, "monotone", _any_l, ()),
-        ("hp-weak-poly", EUCLIDEAN, "monotone", _any_l, ()),
-        ("wucao-poly", EUCLIDEAN, "largest-root", _any_l, ("ppw-poly",)),
-        ("cim-yang-poly", EUCLIDEAN, "quadratic", _any_l, ()),
-        ("cim-squared-poly", EUCLIDEAN, "verify-only", _any_l, ()),
-        ("kohn-yang-l1", HEISENBERG, "quadratic", _l_is(1), ()),
-        ("kohn-chengyang-l2", HEISENBERG, "largest-root", _l_is(2), ("niuzhang-l2",)),
-        ("kohn-yang-l2", HEISENBERG, "quadratic", _l_is(2), ()),
-        ("kohn-odd-l", HEISENBERG, "largest-root", _odd_ge3, ("niuzhang-odd",)),
-        ("kohn-even-l", HEISENBERG, "largest-root", _even_ge4, ("niuzhang-even",)),
-        ("kohn-odd-l-homog", HEISENBERG, "largest-root", _odd_ge3, ("niuzhang-odd",)),
-        ("kohn-yang-odd-l", HEISENBERG, "quadratic", _odd_ge3, ()),
-        ("kohn-yang-even-l", HEISENBERG, "quadratic", _even_ge4, ()),
-        ("niuzhang-l1", HEISENBERG, "closed", _l_is(1), ()),
-        ("niuzhang-l2", HEISENBERG, "closed", _l_is(2), ()),
-        ("niuzhang-odd", HEISENBERG, "closed", _odd_ge3, ()),
-        ("niuzhang-even", HEISENBERG, "closed", _even_ge4, ()),
-    ]
-    reg: dict[str, BoundDescriptor] = {}
-    for name, problem, form, rule, caps in entries:
-        reg[name] = BoundDescriptor(
-            name=name,
-            problem=problem,
-            form=form,
-            applies_l=rule,
-            closed_fn=_CLOSED_RECIPES.get(name),
-            quad_fn=_QUAD_RECIPES.get(name),
-            mono_fn=_MONO_RECIPES.get(name),
-            root_fn=_ROOT_RECIPES.get(name),
-            cap_names=caps,
-        )
-    return reg
+def _cim_squared_slack(lam, n, l, k, z):
+    """Slack of the squared-weight polyharmonic inequality at z, in the
+    square-root normal form so that it matches check_general_poly with
+    f = g = (z - x)^2 exactly."""
+    d = z - lam
+    lhs = float(np.sum(d**2))
+    rhs = (2.0 / n) * math.sqrt(l * (2.0 * l + n - 2)) * math.sqrt(
+        float(np.sum(d**2 * lam ** ((l - 1.0) / l))) * float(np.sum(d * lam ** (1.0 / l)))
+    )
+    return rhs - lhs
 
 
-REGISTRY: dict[str, BoundDescriptor] = _make_registry()
+# name, problem, form, l-rule, recipe, cap seeds of the largest-root entries
+_TABLE = [
+    ("ppw-laplacian", EUCLIDEAN, "closed", _l_is(1), _ppw_laplacian, ()),
+    ("hp-laplacian", EUCLIDEAN, "monotone", _l_is(1), _hp_laplacian, ()),
+    ("yang1-laplacian", EUCLIDEAN, "quadratic", _l_is(1), _quad_constant(lambda n, l: 4.0 / n), ()),
+    ("yang2-laplacian", EUCLIDEAN, "closed", _l_is(1), _yang2_laplacian, ()),
+    ("ppw-clamped", EUCLIDEAN, "closed", _l_is(2), _ppw_clamped, ()),
+    ("ppw-clamped-sharp", EUCLIDEAN, "closed", _l_is(2), _ppw_clamped_sharp, ()),
+    ("hileyeh-clamped", EUCLIDEAN, "monotone", _l_is(2), _hileyeh_clamped, ()),
+    ("hook-chenqian-clamped", EUCLIDEAN, "monotone", _l_is(2), _hook_chenqian_clamped, ()),
+    ("hp-weak-clamped", EUCLIDEAN, "monotone", _l_is(2), _hp_weak_clamped, ()),
+    ("chengyang-clamped", EUCLIDEAN, "largest-root", _l_is(2), _H_chengyang_clamped,
+     ("ppw-clamped", "ppw-clamped-sharp")),
+    ("ppw-poly", EUCLIDEAN, "closed", _any_l, _ppw_poly, ()),
+    ("hp-poly", EUCLIDEAN, "monotone", _any_l, _hp_poly, ()),
+    ("hp-weak-poly", EUCLIDEAN, "monotone", _any_l, _hp_weak_poly, ()),
+    ("wucao-poly", EUCLIDEAN, "largest-root", _any_l, _H_wucao_poly, ("ppw-poly",)),
+    ("cim-yang-poly", EUCLIDEAN, "quadratic", _any_l,
+     _quad_constant(lambda n, l: 4.0 * l * (2 * l + n - 2) / (n * n)), ()),
+    ("cim-squared-poly", EUCLIDEAN, "verify-only", _any_l, _cim_squared_slack, ()),
+    ("kohn-yang-l1", HEISENBERG, "quadratic", _l_is(1), _quad_constant(lambda n, l: 2.0 / n), ()),
+    ("kohn-chengyang-l2", HEISENBERG, "largest-root", _l_is(2), _H_kohn_chengyang_l2, ("niuzhang-l2",)),
+    ("kohn-yang-l2", HEISENBERG, "quadratic", _l_is(2),
+     _quad_constant(lambda n, l: 4.0 * (n + 1.0) / (n * n)), ()),
+    ("kohn-odd-l", HEISENBERG, "largest-root", _odd_ge3, _H_kohn_mixed(_bracket_odd), ("niuzhang-odd",)),
+    ("kohn-even-l", HEISENBERG, "largest-root", _even_ge4, _H_kohn_mixed(_bracket_even), ("niuzhang-even",)),
+    ("kohn-odd-l-homog", HEISENBERG, "largest-root", _odd_ge3, _H_kohn_mixed(_bracket_odd_homog),
+     ("niuzhang-odd",)),
+    ("kohn-yang-odd-l", HEISENBERG, "quadratic", _odd_ge3, _quad_kohn_yang_odd, ()),
+    ("kohn-yang-even-l", HEISENBERG, "quadratic", _even_ge4, _quad_constant(_c_kohn_even), ()),
+    ("niuzhang-l1", HEISENBERG, "closed", _l_is(1), _niuzhang_l1, ()),
+    ("niuzhang-l2", HEISENBERG, "closed", _l_is(2), _niuzhang_l2, ()),
+    ("niuzhang-odd", HEISENBERG, "closed", _odd_ge3, _niuzhang_odd, ()),
+    ("niuzhang-even", HEISENBERG, "closed", _even_ge4, _niuzhang_even, ()),
+]
+
+REGISTRY: dict[str, BoundDescriptor] = {row[0]: BoundDescriptor(*row) for row in _TABLE}
 
 CHAIN = ("yang1-laplacian", "yang2-laplacian", "hp-laplacian", "ppw-laplacian")
 
@@ -634,7 +593,7 @@ def compute_bound(name: str, prefix: SpectrumPrefix, k: Optional[int] = None) ->
     """
     desc = _descriptor(name)
     _check_applicable(desc, prefix)
-    if desc.form == "verify-only":
+    if not desc.extracts_bound:
         raise InapplicableBoundError(
             f"{name} is verification-only; it does not extract a bound "
             "(evaluate its margin via margin_at or verify_margins)"
@@ -646,14 +605,14 @@ def compute_bound(name: str, prefix: SpectrumPrefix, k: Optional[int] = None) ->
 
     try:
         if desc.form == "closed":
-            return BoundResult(name, float(desc.closed_fn(lam, n, l, k)), "closed", 0, 0.0, True)
+            return BoundResult(name, float(desc.recipe(lam, n, l, k)), "closed", 0, 0.0, True)
         if desc.form == "quadratic":
-            B, C = desc.quad_fn(lam, n, l, k)
+            B, C = desc.recipe(lam, n, l, k)
             root = _larger_root(float(k), B, C)
             valid = root >= lam_k * (1.0 - 1e-12)
             return BoundResult(name, root, "quadratic", 0, 0.0, valid)
         if desc.form == "monotone":
-            w, target = desc.mono_fn(lam, n, l, k)
+            w, target = desc.recipe(lam, n, l, k)
 
             def G(z):
                 return float(np.sum(w / (z - lam)))
@@ -661,7 +620,7 @@ def compute_bound(name: str, prefix: SpectrumPrefix, k: Optional[int] = None) ->
             root, iters, resid = solve_monotone_bound(G, lam_k, target)
             return BoundResult(name, root, "implicit", iters, resid, True)
         if desc.form == "largest-root":
-            H = desc.root_fn(lam, n, l, k)
+            H = desc.recipe(lam, n, l, k)
             cap = 2.0 * max(
                 compute_bound(c, prefix, k).value for c in desc.cap_names
             )
@@ -677,27 +636,14 @@ def compute_bound(name: str, prefix: SpectrumPrefix, k: Optional[int] = None) ->
 # ---------------------------------------------------------------------------
 
 
-def _cim_squared_margin(prefix: SpectrumPrefix, k: int, z: float) -> float:
-    """Slack of the squared-weight polyharmonic inequality at z, in the
-    square-root normal form so that it matches check_general_poly with
-    f = g = (z - x)^2 exactly."""
-    lam = prefix.head(k)
-    n, l = prefix.n, prefix.l
-    d = z - lam
-    lhs = float(np.sum(d**2))
-    rhs = (2.0 / n) * math.sqrt(l * (2.0 * l + n - 2)) * math.sqrt(
-        float(np.sum(d**2 * lam ** ((l - 1.0) / l))) * float(np.sum(d * lam ** (1.0 / l)))
-    )
-    return rhs - lhs
-
-
 @dataclass
 class MarginEntry:
     """Per-descriptor slack of the inequality at a candidate lambda_{k+1}.
 
     For bound-extracting descriptors, margin = bound - candidate.  For
     verification-only descriptors, margin is the inequality slack itself
-    (note field says so).  Negative margin flags a violation.
+    (note field says so), in units of candidate^2.  Negative margin flags a
+    violation; :meth:`violated` applies a relative tolerance in the right unit.
     """
 
     name: str
@@ -715,12 +661,21 @@ class MarginEntry:
             "note": self.note,
         }
 
+    def violated(self, z: float, rel_slack: float) -> bool:
+        """Whether the margin falls below -rel_slack times its unit: z for a
+        bound, z^2 for the inequality slack of a verify-only entry.  Invalid
+        and inapplicable entries are never violations."""
+        if not self.valid or math.isnan(self.margin):
+            return False
+        unit = z if _descriptor(self.name).extracts_bound else z**2
+        return self.margin < -rel_slack * unit
+
 
 def margin_at(name: str, prefix: SpectrumPrefix, k: int, z: float) -> MarginEntry:
     desc = _descriptor(name)
     _check_applicable(desc, prefix)
-    if desc.form == "verify-only":
-        m = _cim_squared_margin(prefix, k, z)
+    if not desc.extracts_bound:
+        m = desc.recipe(prefix.head(k), prefix.n, prefix.l, k, z)
         return MarginEntry(name, m, float("nan"), True, "inequality slack (no bound form)")
     res = compute_bound(name, prefix, k)
     if not res.valid:
@@ -803,21 +758,3 @@ def check_general_poly(prefix: SpectrumPrefix, next_value: float, couple) -> flo
     )
     return rhs - lhs
 
-
-def chebyshev_sum_margin(A, B, C) -> float:
-    """Margin of the ordered-sequence product inequality
-
-        sum A_i^2 B_i * sum A_i C_i  <=  sum A_i^2 * sum A_i B_i C_i
-
-    for A nonincreasing >= 0 and B, C nondecreasing >= 0.  Used as an internal
-    predicate by the property suites, not exposed as a bound."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if not (A.size and A.size == B.size == C.size):
-        raise InputError("A, B, C must be nonempty and of equal length")
-    if np.any(A < 0) or np.any(B < 0) or np.any(C < 0):
-        raise InputError("sequences must be nonnegative")
-    if np.any(np.diff(A) > 0) or np.any(np.diff(B) < 0) or np.any(np.diff(C) < 0):
-        raise InputError("need A nonincreasing and B, C nondecreasing")
-    return float(np.sum(A**2) * np.sum(A * B * C) - np.sum(A**2 * B) * np.sum(A * C))

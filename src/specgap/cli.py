@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -138,10 +139,11 @@ def _load_couple_table(path: str):
     return raw[:, 0], raw[:, 1], raw[:, 2]
 
 
-def _bind_couple(text: str, lam=None):
+def _parse_couple(text: str):
+    """A couple spec and its table (None unless tabulated), ready to bind."""
     spec = couples.parse_couple_spec(text)
     table = _load_couple_table(spec.table_path) if spec.family == couples.TABULATED else None
-    return spec.bind(lam=lam, table=table)
+    return spec, table
 
 
 @dataclass
@@ -216,10 +218,9 @@ def cmd_bound(args) -> int:
     with _Output(args.out) as out:
         if name == "all":
             for reg_name in bounds.registry_names(prefix.problem, prefix.l):
-                if bounds.REGISTRY[reg_name].form == "verify-only":
-                    continue
-                res = bounds.compute_bound(reg_name, prefix, k)
-                out.line(json_line(res.as_dict()))
+                if bounds.REGISTRY[reg_name].extracts_bound:
+                    res = bounds.compute_bound(reg_name, prefix, k)
+                    out.line(json_line(res.as_dict()))
         else:
             res = bounds.compute_bound(name, prefix, k)
             out.line(json_line(res.as_dict()))
@@ -227,14 +228,14 @@ def cmd_bound(args) -> int:
 
 
 def _abstract_trial_worker(payload) -> list[dict]:
-    (t, seed, dim, nops, ensemble, couple_texts, min_gap) = payload
+    (t, seed, dim, nops, ensemble, parsed_couples, min_gap) = payload
     triple = abstract.random_instance(dim, nops, seed + t, ensemble)
     lam = triple.spectral.lam
     rows: list[dict] = []
     for k in abstract.admissible_ks(triple, min_gap):
         z = float(lam[k])
-        for text in couple_texts:
-            couple = _bind_couple(text, lam=z)
+        for spec, table in parsed_couples:
+            couple = spec.bind(lam=z, table=table)
             rep = abstract.verify_theorem(triple, k, couple, z)
             row = {"trial": t, "couple": couple.describe()}
             row.update(rep.as_dict())
@@ -249,10 +250,14 @@ def cmd_verify_abstract(args) -> int:
     seed = int(args.seed if args.seed is not None else 0)
     ensemble = args.ensemble or "dense-gaussian"
     workers = int(args.workers if args.workers is not None else 1)
+    if workers < 1:
+        raise SpecgapError(f"--workers must be at least 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     min_gap = float(args.min_gap if args.min_gap is not None else 1e-6)
     couple_texts = args.couple or ["equal-power:2"]
+    parsed_couples = tuple(_parse_couple(text) for text in couple_texts)
 
-    payloads = [(t, seed, dim, nops, ensemble, tuple(couple_texts), min_gap) for t in range(trials)]
+    payloads = [(t, seed, dim, nops, ensemble, parsed_couples, min_gap) for t in range(trials)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             all_rows = list(pool.map(_abstract_trial_worker, payloads, chunksize=8))
@@ -321,12 +326,7 @@ def cmd_verify_spectrum(args) -> int:
             for entry in bounds.verify_margins(prefix, candidate, which):
                 row = {"k": k, "candidate": candidate}
                 row.update(entry.as_dict())
-                if entry.valid and not math.isnan(entry.margin):
-                    # verification-only entries quantify slack in squared units
-                    scale = candidate**2 if "slack" in entry.note else candidate
-                    violated = entry.margin < -slack * scale
-                else:
-                    violated = False
+                violated = entry.violated(candidate, slack)
                 row["violation"] = violated
                 violations += violated
                 out.line(json_line(row))
@@ -345,9 +345,9 @@ def cmd_verify_spectrum(args) -> int:
 
 def cmd_couple(args) -> int:
     text = _need(args, "spec")
-    spec = couples.parse_couple_spec(text)
+    spec, table = _parse_couple(text)
     lam = spec.lam if spec.lam is not None else 1.0
-    couple = _bind_couple(text, lam=lam)
+    couple = spec.bind(lam=lam, table=table)
     if couple.family == couples.TABULATED:
         samples = couple.table[0]
     else:
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_va.add_argument("--couple", action="append", help="couple spec (repeatable)")
     p_va.add_argument("--seed", type=int)
     p_va.add_argument("--ensemble", choices=abstract.ENSEMBLES)
-    p_va.add_argument("--workers", type=int)
+    p_va.add_argument("--workers", type=int, help="worker processes, >= 1; capped at the CPU count")
     p_va.add_argument("--min-gap", dest="min_gap", type=float)
     p_va.add_argument("--out")
     p_va.set_defaults(func=cmd_verify_abstract)

@@ -62,6 +62,21 @@ def _symmetry_defect(M) -> float:
     return float(np.abs(M - M.conj().T).max()) if M.size else 0.0
 
 
+def _inf_norm(A) -> float:
+    """||A||_inf, the largest absolute row sum: an upper bound on the spectral
+    radius, floored away from zero."""
+    return max(float(abs(A).sum(axis=1).max()), 1e-300)
+
+
+def _check_residuals(res: np.ndarray, scale: float) -> None:
+    """Refuse eigenpairs unless every residual is within RESIDUAL_REL_TOL * scale."""
+    if not np.all(res <= RESIDUAL_REL_TOL * scale):
+        raise ConvergenceError(
+            f"eigenpair residual {float(res.max()):.3g} exceeds {RESIDUAL_REL_TOL:g} * ||A||_inf = "
+            f"{RESIDUAL_REL_TOL * scale:.3g}"
+        )
+
+
 def dense_symmetric_eig(M, want_vectors: bool = True) -> EigResult:
     """Full spectrum of a symmetric or Hermitian matrix, ascending.
 
@@ -103,7 +118,7 @@ def _lanczos_smallest(A, m: int) -> EigResult:
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     dim = A.shape[0]
-    scale = max(float(abs(A).sum(axis=1).max()), 1e-300)
+    scale = _inf_norm(A)
     ncv = min(dim, max(2 * m + 1, 20))  # scipy's default, passed so it can be reported
     v0 = np.random.default_rng(V0_SEED).standard_normal(dim)
     try:
@@ -113,11 +128,7 @@ def _lanczos_smallest(A, m: int) -> EigResult:
     order = np.argsort(w)
     w, V = w[order], V[:, order]
     res = np.linalg.norm(A @ V - V * w[None, :], axis=0)
-    if not np.all(res <= RESIDUAL_REL_TOL * scale):
-        raise ConvergenceError(
-            f"eigenpair residual {float(res.max()):.3g} exceeds {RESIDUAL_REL_TOL:g} * ||A||_inf = "
-            f"{RESIDUAL_REL_TOL * scale:.3g}"
-        )
+    _check_residuals(res, scale)
     return EigResult(w, V, res, "lanczos", iterations=ncv)
 
 
@@ -126,9 +137,9 @@ def smallest_eigs(op, m: int, method: str = "auto") -> EigResult:
 
     ``op`` may be a DiscreteOperator (its ``matrix`` is used), a scipy sparse
     matrix, or a dense array.  ``method`` is "auto" (dense below dimension
-    2048, ARPACK otherwise), "dense", or "lanczos" (ARPACK).  The ARPACK
-    route raises ConvergenceError rather than return pairs that did not
-    converge or whose residuals exceed 1e-10 * ||A||_inf.
+    2048, ARPACK otherwise), "dense", or "lanczos" (ARPACK).  Both routes
+    raise ConvergenceError rather than return pairs that did not converge or
+    whose residuals exceed 1e-10 * ||A||_inf.
     """
     M = getattr(op, "matrix", op)
     M = _as_array(M)
@@ -145,10 +156,7 @@ def smallest_eigs(op, m: int, method: str = "auto") -> EigResult:
 
     if method == "dense":
         full = dense_symmetric_eig(M, want_vectors=True)
-        return EigResult(
-            full.eigenvalues[:m],
-            full.eigenvectors[:, :m],
-            full.residuals[:m],
-            "dense-fallback",
-        )
+        res = full.residuals[:m]
+        _check_residuals(res, _inf_norm(M))
+        return EigResult(full.eigenvalues[:m], full.eigenvectors[:, :m], res, "dense-fallback")
     return _lanczos_smallest(M.tocsr() if sp.issparse(M) else M, m)

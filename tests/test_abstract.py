@@ -171,6 +171,12 @@ def test_corollary_2x2():
     assert rep.identity_residual <= 1e-12
 
 
+def test_corollary_rejects_z_beyond_next_eigenvalue():
+    A, B, _ = two_by_two()
+    with pytest.raises(InputError):
+        verify_corollary(A, (B,), 1, const_couple(2.5), z=2.5)
+
+
 def test_corollary_identity_operator_trivial():
     A = np.diag([1.0, 2.0, 3.0]).astype(complex)
     rep = verify_corollary(A, (np.eye(3, dtype=complex),), 1, const_couple(2.0))

@@ -15,7 +15,6 @@ from specgap.bounds import (
     REGISTRY,
     SpectrumPrefix,
     chain_compare,
-    chebyshev_sum_margin,
     check_general_poly,
     compute_bound,
     kohn_constant_c1,
@@ -24,7 +23,6 @@ from specgap.bounds import (
     registry_names,
     solve_largest_root_bound,
     solve_monotone_bound,
-    solve_quadratic_bound,
     verify_margins,
 )
 from specgap.couples import FunctionCouple
@@ -71,19 +69,29 @@ def test_prefix_rejects_bad_input():
 # ---------------------------------------------------------------------------
 
 
+# the constant-C entries share the normal form  k z^2 - (2+C) S1 z + (1+C) S2,
+# whose larger root is _larger_root(k, (2+C) S1, (1+C) S2)
+
+
 def test_quadratic_trivial_roots():
-    assert solve_quadratic_bound(1, 1.0, 1.0, 2.0) == pytest.approx(3.0, rel=1e-15)
+    # k = 1, S1 = S2 = 1, C = 2
+    root = bounds._larger_root(1.0, (2.0 + 2.0) * 1.0, (1.0 + 2.0) * 1.0)
+    assert root == pytest.approx(3.0, rel=1e-15)
 
 
 def test_quadratic_derived_root():
     # oracle: larger root of 2 z^2 - 12 z + 15 by the quadratic formula
     oracle = max(np.roots([2.0, -12.0, 15.0]))
     assert oracle == pytest.approx((12 + math.sqrt(24)) / 4, rel=1e-15)
-    assert solve_quadratic_bound(2, 3.0, 5.0, 2.0) == pytest.approx(oracle, rel=1e-14)
+    # k = 2, S1 = 3, S2 = 5, C = 2
+    root = bounds._larger_root(2.0, (2.0 + 2.0) * 3.0, (1.0 + 2.0) * 5.0)
+    assert root == pytest.approx(oracle, rel=1e-14)
 
 
 def test_quadratic_equality_case():
-    assert solve_quadratic_bound(2, 2.0, 2.0, 1.0) == pytest.approx(2.0, rel=1e-14)
+    # k = 2, S1 = S2 = 2, C = 1
+    root = bounds._larger_root(2.0, (2.0 + 1.0) * 2.0, (1.0 + 1.0) * 2.0)
+    assert root == pytest.approx(2.0, rel=1e-14)
 
 
 def test_quadratic_negative_discriminant():
@@ -477,6 +485,24 @@ def test_solver_diagnostics_recorded():
 # ---------------------------------------------------------------------------
 # ordered-sequence product inequality (internal predicate)
 # ---------------------------------------------------------------------------
+
+
+def chebyshev_sum_margin(A, B, C) -> float:
+    """Margin of the ordered-sequence product inequality
+
+        sum A_i^2 B_i * sum A_i C_i  <=  sum A_i^2 * sum A_i B_i C_i
+
+    for A nonincreasing >= 0 and B, C nondecreasing >= 0."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    C = np.asarray(C, dtype=float)
+    if not (A.size and A.size == B.size == C.size):
+        raise InputError("A, B, C must be nonempty and of equal length")
+    if np.any(A < 0) or np.any(B < 0) or np.any(C < 0):
+        raise InputError("sequences must be nonnegative")
+    if np.any(np.diff(A) > 0) or np.any(np.diff(B) < 0) or np.any(np.diff(C) < 0):
+        raise InputError("need A nonincreasing and B, C nondecreasing")
+    return float(np.sum(A**2) * np.sum(A * B * C) - np.sum(A**2 * B) * np.sum(A * C))
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from specgap import cli
+from specgap import cli, couples
 from specgap.operators import read_spectrum_csv
 
 PI2 = math.pi**2
@@ -100,6 +100,21 @@ def test_spectrum_fd_unconverged_exit_2(monkeypatch, capsys):
     code, out, err = run_cli(FD_46 + ["--count", "5"], capsys)
     assert code == 2
     assert out == "" and "did not converge" in err
+
+
+def test_spectrum_fd_inaccurate_dense_pairs_exit_2(monkeypatch, capsys):
+    real_eigh = np.linalg.eigh
+
+    def perturbed(M):
+        w, V = real_eigh(M)
+        return w + 1e-6 * abs(w[-1]), V
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    # dimension 64 takes the dense route
+    argv = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1,1", "--grid", "8,8", "--count", "4"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == "" and "residual" in err
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +254,64 @@ def test_verify_abstract_multiple_couples(capsys):
         json.loads(line)["couple"].split("@")[0] for line in out.strip().splitlines()[:-1]
     }
     assert descs == {"const-power:0", "linear-power:1"}
+
+
+def test_verify_abstract_parses_each_couple_once(monkeypatch, capsys):
+    calls = []
+    real_parse = couples.parse_couple_spec
+
+    def counting_parse(text):
+        calls.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(couples, "parse_couple_spec", counting_parse)
+    code, out, _ = run_cli(
+        ["verify", "abstract", "--trials", "4", "--dim", "5", "--nops", "1",
+         "--couple", "const-power:0", "--couple", "linear-power:1", "--seed", "1"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[-1])["checks"] > 2
+    assert calls == ["const-power:0", "linear-power:1"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_abstract_workers_below_one_exit_2(capsys, workers):
+    code, out, err = run_cli(
+        ["verify", "abstract", "--trials", "2", "--dim", "4", "--nops", "1", "--workers", workers],
+        capsys,
+    )
+    assert code == 2
+    assert out == "" and "--workers" in err
+
+
+def test_verify_abstract_workers_capped_at_cpu_count(monkeypatch, capsys):
+    pools = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records the pool size and maps
+        in this process, so no worker process is started."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    argv = ["verify", "abstract", "--trials", "3", "--dim", "4", "--nops", "1", "--seed", "2"]
+    _, serial, _ = run_cli(argv, capsys)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code, pooled, _ = run_cli(argv + ["--workers", "3"], capsys)
+    assert code == 0
+    assert pools == [2]
+    assert pooled == serial
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,18 @@ def test_lanczos_refuses_unconverged_pairs(monkeypatch, fake_eigsh):
         smallest_eigs(fd_laplacian([1.0, 1.0], [15, 15]), 6, method="lanczos")
 
 
+def test_dense_refuses_inaccurate_pairs(monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def perturbed(M):  # eigenvalues off by 1e-6 of the largest one
+        w, V = real_eigh(M)
+        return w + 1e-6 * abs(w[-1]), V
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(ConvergenceError):
+        smallest_eigs(fd_laplacian([1.0, 1.0], [8, 8]), 4, method="dense")
+
+
 # ---------------------------------------------------------------------------
 # cross-agreement on the operator corpus (dimensions <= 2000)
 # ---------------------------------------------------------------------------
