@@ -10,12 +10,12 @@ family.
 import numpy as np
 
 from specgap import box_spectrum, fd_clamped_plate, fd_laplacian
-from specgap.eigensolve import dense_symmetric_eig
+from specgap.eigensolve import dense_symmetric_eig, smallest_eigs
 
 # --- 1D: closed-form stencil spectrum ---------------------------------------
 N = 50
 op = fd_laplacian([1.0], [N])
-w = dense_symmetric_eig(op.matrix, want_vectors=False).eigenvalues
+w = dense_symmetric_eig(op.matrix).eigenvalues
 h = 1.0 / (N + 1)
 exact = np.sort((4.0 / h**2) * np.sin(np.arange(1, N + 1) * np.pi * h / 2.0) ** 2)
 print(f"1D Dirichlet, N = {N}: max relative deviation from the stencil formula"
@@ -28,7 +28,7 @@ print("2D convergence to the exact box eigenvalues (first five):")
 errs = []
 for N in (10, 20, 40):
     op = fd_laplacian([1.0, 1.0], [N, N])
-    w = dense_symmetric_eig(op.matrix, want_vectors=False).eigenvalues[:5]
+    w = smallest_eigs(op, 5).eigenvalues
     err = np.abs(w - exact5).sum()
     errs.append(err)
     print(f"  N = {N:3d}: summed error {err:10.5f}")
@@ -41,7 +41,7 @@ print("clamped beam, smallest eigenvalue by grid doubling:")
 vals = {}
 for N in (40, 80, 160):
     op = fd_clamped_plate([1.0], [N])
-    vals[N] = dense_symmetric_eig(op.matrix, want_vectors=False).eigenvalues[0]
+    vals[N] = smallest_eigs(op, 1).eigenvalues[0]
     print(f"  N = {N:3d}: lambda_1 = {vals[N]:.6f}")
 rich1 = (4 * vals[80] - vals[40]) / 3.0
 rich2 = (4 * vals[160] - vals[80]) / 3.0

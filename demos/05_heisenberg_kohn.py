@@ -12,7 +12,7 @@ import numpy as np
 
 from specgap import SpectrumPrefix, compute_bound, kohn_fd
 from specgap.bounds import HEISENBERG
-from specgap.eigensolve import dense_symmetric_eig
+from specgap.eigensolve import smallest_eigs
 
 op = kohn_fd(1, (1.0, 1.0, 1.0), (12, 12, 12))
 print(f"grid 12^3, dimension {op.dim}")
@@ -23,7 +23,7 @@ skew = max(
 print(f"skewness defect of X, Y: {skew}")
 print(f"symmetry defect of L:    {op.symmetry_defect()}")
 
-w = dense_symmetric_eig(op.matrix, want_vectors=False).eigenvalues
+w = smallest_eigs(op, 21).eigenvalues
 print(f"smallest eigenvalue:     {w[0]:.6f} (PSD by the Gram construction)")
 print()
 

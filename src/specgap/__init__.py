@@ -23,7 +23,6 @@ from .bounds import (
     compute_bound,
     kohn_constant_c1,
     kohn_constant_c2,
-    margin_at,
     registry_names,
     solve_largest_root_bound,
     solve_monotone_bound,
@@ -34,7 +33,6 @@ from .couples import (
     MembershipReport,
     check_membership,
     check_necessary_differentiable,
-    evaluate,
     parse_couple_spec,
 )
 from .abstract import (

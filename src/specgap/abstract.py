@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import couples as _couples
-from .errors import GapHypothesisError, InputError, MembershipError
+from .errors import GapHypothesisError, InputError
 from .eigensolve import dense_symmetric_eig
 
 HERMITICITY_TOL = 1e-13
@@ -57,7 +57,8 @@ class OperatorTriple:
     """A finite-dimensional instance (A, {B_p}, {T_p}).
 
     A and every B_p Hermitian, every T_p anti-self-adjoint, all d x d.  The
-    spectral data used by the verifiers is computed once and cached.
+    spectral data used by the verifiers is computed once, from residual-checked
+    eigenpairs of A, and cached.
     """
 
     A: np.ndarray
@@ -95,7 +96,7 @@ class OperatorTriple:
 
     @cached_property
     def spectral(self) -> "SpectralData":
-        eig = dense_symmetric_eig(self.A, want_vectors=True)
+        eig = dense_symmetric_eig(self.A)
         lam, U = eig.eigenvalues, eig.eigenvectors
         n, d = self.n, self.d
         tb = np.empty((n, d))
@@ -155,18 +156,6 @@ class TheoremReport:
         return out
 
 
-def _require_couple(couple, lam_head: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
-    if abs(couple.lam - z) > 1e-12 * max(1.0, abs(z)):
-        raise InputError(f"couple.lam = {couple.lam} must equal z = {z}")
-    report = _couples.certify_on_samples(couple, lam_head)
-    if not report.passed:
-        raise MembershipError(
-            f"couple {couple.describe()} fails admissibility on the eigenvalue prefix "
-            f"(worst pair value {report.worst:g})"
-        )
-    return couple.evaluate_batch(lam_head)
-
-
 def _verdict(lhs: float, rhs: float, quad: float, quad_scale: float) -> tuple[bool, float]:
     tau = 1e-9 * (1.0 + abs(rhs))
     tau_q = 1e-9 * (1.0 + quad_scale)
@@ -192,7 +181,7 @@ def _evaluate(
     if np.any(lam[:k] <= 0):
         raise InputError("couple weights need a positive eigenvalue prefix")
 
-    f, g = _require_couple(couple, lam[:k], z)
+    f, g = _couples.admissible_weights(couple, lam[:k], z)
     lhs = float(np.sum(f[None, :] * left[:, :k])) ** 2
     quad = float(np.sum(g[None, :] * sd.ab[:, :k]))
     quad_scale = float(np.sum(np.abs(g[None, :] * sd.ab[:, :k])))
@@ -300,6 +289,7 @@ def random_instance(d: int, n: int, seed: int, ensemble: str = "dense-gaussian")
     if ensemble == "sparse":
         M = M * (rng.uniform(size=(d, d)) < 0.3)
     A = (M + M.conj().T) / 2.0
+    # only a shift: the verifiers read A's eigenpairs from the checked `spectral`
     lam_min = float(np.linalg.eigvalsh(A)[0])
     A = A + (1.0 - lam_min) * np.eye(d)
 

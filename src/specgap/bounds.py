@@ -41,7 +41,6 @@ from .errors import (
     EmptyFeasibleSetError,
     InapplicableBoundError,
     InputError,
-    MembershipError,
     NegativeDiscriminantError,
     SolverError,
     SpectrumError,
@@ -171,7 +170,7 @@ def solve_monotone_bound(
             raise BracketFailureError(
                 f"no upper bracket after {MAX_DOUBLINGS} doublings from {z_low:g}"
             )
-    lo = z_low + d / 2.0 if iterations else np.nextafter(z_low, np.inf)
+    lo = z_low + d / 2.0 if iterations else math.nextafter(z_low, math.inf)
     # invariant: G(lo) >= target > G(hi)
     while hi - lo > 0.5 * ROOT_TOL * hi and iterations < MAX_DOUBLINGS + MAX_BISECT:
         mid = 0.5 * (lo + hi)
@@ -596,7 +595,7 @@ def compute_bound(name: str, prefix: SpectrumPrefix, k: Optional[int] = None) ->
     if not desc.extracts_bound:
         raise InapplicableBoundError(
             f"{name} is verification-only; it does not extract a bound "
-            "(evaluate its margin via margin_at or verify_margins)"
+            "(evaluate its margin via verify_margins)"
         )
     k = len(prefix) if k is None else int(k)
     lam = prefix.head(k)
@@ -671,22 +670,11 @@ class MarginEntry:
         return self.margin < -rel_slack * unit
 
 
-def margin_at(name: str, prefix: SpectrumPrefix, k: int, z: float) -> MarginEntry:
-    desc = _descriptor(name)
-    _check_applicable(desc, prefix)
-    if not desc.extracts_bound:
-        m = desc.recipe(prefix.head(k), prefix.n, prefix.l, k, z)
-        return MarginEntry(name, m, float("nan"), True, "inequality slack (no bound form)")
-    res = compute_bound(name, prefix, k)
-    if not res.valid:
-        return MarginEntry(name, float("nan"), res.value, False, "no admissible bound value")
-    return MarginEntry(name, res.value - z, res.value, True)
-
-
 def verify_margins(prefix: SpectrumPrefix, candidate: float, which=None) -> list[MarginEntry]:
     """Margins of every requested descriptor at z = candidate, using the whole
-    prefix (k = len(prefix)).  Inapplicable descriptors are reported with a
-    notice, not an error."""
+    prefix (k = len(prefix)): bound - candidate, or the inequality slack of a
+    verify-only entry.  Inapplicable descriptors and invalid bounds are
+    reported with a notice, not an error."""
     k = len(prefix)
     lam_k = float(prefix.values[-1])
     if not candidate >= lam_k * (1.0 - 1e-12):
@@ -697,8 +685,15 @@ def verify_margins(prefix: SpectrumPrefix, candidate: float, which=None) -> list
         desc = _descriptor(name)
         if not desc.applicable(prefix.problem, prefix.l):
             out.append(MarginEntry(name, float("nan"), float("nan"), False, "inapplicable: skipped"))
-            continue
-        out.append(margin_at(name, prefix, k, candidate))
+        elif not desc.extracts_bound:
+            slack = desc.recipe(prefix.head(k), prefix.n, prefix.l, k, candidate)
+            out.append(MarginEntry(name, slack, float("nan"), True, "inequality slack (no bound form)"))
+        else:
+            res = compute_bound(name, prefix, k)
+            if res.valid:
+                out.append(MarginEntry(name, res.value - candidate, res.value, True))
+            else:
+                out.append(MarginEntry(name, float("nan"), res.value, False, "no admissible bound value"))
     return out
 
 
@@ -742,15 +737,7 @@ def check_general_poly(prefix: SpectrumPrefix, next_value: float, couple) -> flo
     n, l = prefix.n, prefix.l
     if not next_value > float(lam[-1]):
         raise SpectrumError(f"next value {next_value} must exceed lambda_k = {lam[-1]}")
-    if abs(couple.lam - next_value) > 1e-12 * max(1.0, abs(next_value)):
-        raise InputError(f"couple.lam = {couple.lam} must equal the candidate {next_value}")
-    report = _couples.certify_on_samples(couple, lam)
-    if not report.passed:
-        raise MembershipError(
-            f"couple {couple.describe()} fails the admissibility condition on the prefix "
-            f"(worst pair value {report.worst:g} at {report.witness})"
-        )
-    f, g = couple.evaluate_batch(lam)
+    f, g = _couples.admissible_weights(couple, lam, next_value)
     lhs = float(np.sum(f))
     rhs = (2.0 / n) * math.sqrt(l * (2.0 * l + n - 2)) * math.sqrt(
         float(np.sum(g * lam ** ((l - 1.0) / l)))

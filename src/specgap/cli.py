@@ -26,7 +26,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,17 +145,6 @@ def _parse_couple(text: str):
     return spec, table
 
 
-@dataclass
-class RunConfig:
-    """Resolved flag set of one run; serialized into summary lines."""
-
-    command: str
-    options: dict
-
-    def as_dict(self) -> dict:
-        return {"command": self.command, **self.options}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -266,18 +254,16 @@ def cmd_verify_abstract(args) -> int:
 
     # workers is an execution knob, not part of the mathematical run: output
     # is identical for any worker count, so it is not echoed in the summary
-    config = RunConfig(
-        "verify abstract",
-        {
-            "trials": trials,
-            "dim": dim,
-            "nops": nops,
-            "couple": list(couple_texts),
-            "seed": seed,
-            "ensemble": ensemble,
-            "min_gap": min_gap,
-        },
-    )
+    config = {
+        "command": "verify abstract",
+        "trials": trials,
+        "dim": dim,
+        "nops": nops,
+        "couple": list(couple_texts),
+        "seed": seed,
+        "ensemble": ensemble,
+        "min_gap": min_gap,
+    }
     checks = passes = 0
     worst = -math.inf
     with _Output(args.out) as out:
@@ -294,7 +280,7 @@ def cmd_verify_abstract(args) -> int:
             "passes": passes,
             "failures": checks - passes,
             "worst_relative_slack": worst if checks else None,
-            "config": config.as_dict(),
+            "config": config,
         }
         out.line(json_line(summary))
     return EXIT_OK if passes == checks else EXIT_VIOLATION
@@ -308,17 +294,15 @@ def cmd_verify_spectrum(args) -> int:
     if len(full) < 2:
         raise SpecgapError("need at least two eigenvalues to verify anything")
     violations = 0
-    config = RunConfig(
-        "verify spectrum",
-        {
-            "eigs": args.eigs,
-            "n": full.n,
-            "l": full.l,
-            "problem": full.problem,
-            "slack": slack,
-            "which": which,
-        },
-    )
+    config = {
+        "command": "verify spectrum",
+        "eigs": args.eigs,
+        "n": full.n,
+        "l": full.l,
+        "problem": full.problem,
+        "slack": slack,
+        "which": which,
+    }
     with _Output(args.out) as out:
         for k in range(1, len(full)):
             prefix = bounds.SpectrumPrefix(full.values[:k], full.n, full.l, full.problem)
@@ -336,7 +320,7 @@ def cmd_verify_spectrum(args) -> int:
                     "summary": True,
                     "ks": len(full) - 1,
                     "violations": violations,
-                    "config": config.as_dict(),
+                    "config": config,
                 }
             )
         )
@@ -436,11 +420,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the positionals that name a subcommand after its first word
+_SUBCOMMAND_WORDS = ("verify_what", "kind", "action")
 # namespace entries the parser sets that are not flags of a subcommand
-_NOT_FLAGS = frozenset({"config", "command", "verify_what", "kind", "action", "func"})
+_NOT_FLAGS = frozenset({"config", "command", "func", *_SUBCOMMAND_WORDS})
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Fill each flag left unset on the command line from the --config file.
+
+    A value is parsed as the flag's command-line text would be, so it passes
+    the flag's type and choices; a list is repeated flags.  Anything else
+    raises SpecgapError naming the key.
+    """
     if not args.config:
         return
     try:
@@ -454,17 +446,27 @@ def _apply_config(args: argparse.Namespace) -> None:
     unknown = [key for key in cfg if key.replace("-", "_") not in flags]
     if unknown:
         raise SpecgapError(f"config keys {unknown} are not flags of this subcommand")
+    words = [args.command] + [getattr(args, w) for w in _SUBCOMMAND_WORDS if hasattr(args, w)]
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
+        if value is None or getattr(args, attr) is not None:
+            continue
+        flag = "--" + attr.replace("_", "-")
+        items = value if isinstance(value, list) else [value]
+        try:  # argparse reports the bad value on stderr, then exits
+            parsed = getattr(parser.parse_args(words + [f"{flag}={item}" for item in items]), attr)
+        except SystemExit:
+            raise SpecgapError(f"config key {key!r}: {flag} refuses {value!r}") from None
+        if isinstance(value, list) and not isinstance(parsed, list):
+            raise SpecgapError(f"config key {key!r}: {flag} takes one value, not a list")
+        setattr(args, attr, parsed)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(parser, args)
         return args.func(args)
     except SpecgapError as exc:
         print(f"specgap: {exc}", file=sys.stderr)

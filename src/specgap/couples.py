@@ -31,6 +31,7 @@ from .errors import (
     CoupleSpecError,
     DegenerateSamplesError,
     InputError,
+    MembershipError,
     TabulatedLookupError,
     UnsupportedFamilyError,
 )
@@ -153,12 +154,6 @@ class FunctionCouple:
         return f"{self.family}:{','.join(f'{p:g}' for p in self.params)}@{self.lam:g}"
 
 
-def evaluate(couple: FunctionCouple, x: float) -> tuple[float, float]:
-    """(f(x), g(x)) for a single point x in (0, lambda)."""
-    f, g = couple.evaluate_batch(np.asarray([x]))
-    return float(f[0]), float(g[0])
-
-
 @dataclass(frozen=True)
 class MembershipReport:
     """Outcome of a certification run.
@@ -261,6 +256,24 @@ def certify_on_samples(couple: FunctionCouple, samples) -> MembershipReport:
         ok = bool(np.all(fs > 0) and np.all(gs > 0))
         return MembershipReport(ok, "pairwise", -np.inf, None, 0, 0, True)
     return _pairwise_report(couple, xs)
+
+
+def admissible_weights(couple: FunctionCouple, lam: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """(f, g) at the eigenvalue prefix ``lam``, as weights of an inequality at
+    z = lambda_{k+1}.
+
+    Raises InputError unless couple.lam equals z, and MembershipError unless
+    the couple is certified admissible on ``lam`` (:func:`certify_on_samples`).
+    """
+    if abs(couple.lam - z) > 1e-12 * max(1.0, abs(z)):
+        raise InputError(f"couple.lam = {couple.lam} must equal z = {z}")
+    report = certify_on_samples(couple, lam)
+    if not report.passed:
+        raise MembershipError(
+            f"couple {couple.describe()} fails admissibility on the eigenvalue prefix "
+            f"(worst pair value {report.worst:g} at {report.witness})"
+        )
+    return couple.evaluate_batch(lam)
 
 
 def check_necessary_differentiable(couple, samples) -> MembershipReport:

@@ -5,12 +5,15 @@ matrices (LAPACK via numpy behind the contract below) and, for the smallest
 eigenpairs of large sparse operators, scipy's ARPACK (an implicitly restarted
 Lanczos method) in shift-invert mode.  The dense route is the reference the
 test suite checks the ARPACK route against.
+
+Each route checks the eigenpairs it computes: it raises ConvergenceError
+unless every residual ||A v - w v|| is within RESIDUAL_REL_TOL * ||A||_inf, so
+no caller can receive an eigenvalue whose residual was not checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,16 +30,16 @@ V0_SEED = 20240901
 
 @dataclass
 class EigResult:
-    """Ascending eigenvalues with optional orthonormal eigenvectors.
+    """Ascending eigenvalues with orthonormal eigenvectors (as columns).
 
-    residuals[i] = ||A v_i - w_i v_i|| when vectors were requested.
-    ``iterations`` is the Lanczos basis size of the ARPACK route.  No route
-    returns a partial result, so ``converged`` is always True.
+    residuals[i] = ||A v_i - w_i v_i||, each within RESIDUAL_REL_TOL *
+    ||A||_inf.  ``iterations`` is the Lanczos basis size of the ARPACK route.
+    No route returns a partial result, so ``converged`` is always True.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: Optional[np.ndarray]
-    residuals: Optional[np.ndarray]
+    eigenvectors: np.ndarray
+    residuals: np.ndarray
     method: str
     converged: bool = True
     iterations: int = 0
@@ -62,6 +65,11 @@ def _symmetry_defect(M) -> float:
     return float(np.abs(M - M.conj().T).max()) if M.size else 0.0
 
 
+def _require_symmetric(M) -> None:
+    if _symmetry_defect(M) > SYMMETRY_DEFECT_REL * max(_matnorm(M), 1e-300):
+        raise InputError("matrix is not symmetric/Hermitian within 1e-12 * max|M|")
+
+
 def _inf_norm(A) -> float:
     """||A||_inf, the largest absolute row sum: an upper bound on the spectral
     radius, floored away from zero."""
@@ -77,11 +85,13 @@ def _check_residuals(res: np.ndarray, scale: float) -> None:
         )
 
 
-def dense_symmetric_eig(M, want_vectors: bool = True) -> EigResult:
-    """Full spectrum of a symmetric or Hermitian matrix, ascending.
+def dense_symmetric_eig(M) -> EigResult:
+    """Full spectrum of a symmetric or Hermitian matrix, ascending, with its
+    eigenvectors.
 
     Rejects matrices with symmetry defect above 1e-12 * max|M| and dimensions
-    above 4096.
+    above 4096, and raises ConvergenceError if any residual exceeds
+    RESIDUAL_REL_TOL * ||M||_inf.
     """
     M = _as_array(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -89,17 +99,12 @@ def dense_symmetric_eig(M, want_vectors: bool = True) -> EigResult:
     dim = M.shape[0]
     if dim > DENSE_DIM_CAP:
         raise InputError(f"dimension {dim} exceeds the dense cap {DENSE_DIM_CAP}")
-    norm = _matnorm(M)
-    if _symmetry_defect(M) > SYMMETRY_DEFECT_REL * max(norm, 1e-300):
-        raise InputError("matrix is not symmetric/Hermitian within 1e-12 * max|M|")
+    _require_symmetric(M)
     Md = M.toarray() if sp.issparse(M) else M
-    if want_vectors:
-        w, V = np.linalg.eigh(Md)
-        R = Md @ V - V * w[None, :]
-        res = np.linalg.norm(R, axis=0)
-        return EigResult(w, V, res, "dense")
-    w = np.linalg.eigvalsh(Md)
-    return EigResult(w, None, None, "dense")
+    w, V = np.linalg.eigh(Md)
+    res = np.linalg.norm(Md @ V - V * w[None, :], axis=0)
+    _check_residuals(res, _inf_norm(M))
+    return EigResult(w, V, res, "dense")
 
 
 def _lanczos_smallest(A, m: int) -> EigResult:
@@ -112,11 +117,13 @@ def _lanczos_smallest(A, m: int) -> EigResult:
     vector is seeded, so reruns are identical.  Raises ConvergenceError
     unless ARPACK converged and every residual ||A v - theta v|| is within
     RESIDUAL_REL_TOL * ||A||_inf, an upper bound on the spectral radius.
+    Rejects operators with symmetry defect above 1e-12 * max|A|.
     """
     # scipy.sparse.linalg is imported here: it would roughly double the
     # package's import time, and only this route needs it
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
+    _require_symmetric(A)
     dim = A.shape[0]
     scale = _inf_norm(A)
     ncv = min(dim, max(2 * m + 1, 20))  # scipy's default, passed so it can be reported
@@ -132,31 +139,23 @@ def _lanczos_smallest(A, m: int) -> EigResult:
     return EigResult(w, V, res, "lanczos", iterations=ncv)
 
 
-def smallest_eigs(op, m: int, method: str = "auto") -> EigResult:
-    """The m smallest eigenpairs of a symmetric PSD operator.
+def smallest_eigs(op, m: int) -> EigResult:
+    """The m smallest eigenpairs of a symmetric PSD operator, 1 <= m <= dim/4.
 
     ``op`` may be a DiscreteOperator (its ``matrix`` is used), a scipy sparse
-    matrix, or a dense array.  ``method`` is "auto" (dense below dimension
-    2048, ARPACK otherwise), "dense", or "lanczos" (ARPACK).  Both routes
-    raise ConvergenceError rather than return pairs that did not converge or
-    whose residuals exceed 1e-10 * ||A||_inf.
+    matrix, or a dense array.  Below dimension DENSE_FALLBACK_DIM the first m
+    pairs of the dense route are returned (route name "dense-fallback"),
+    otherwise those of ARPACK.  Either route raises ConvergenceError rather
+    than return pairs that did not converge or whose residuals exceed
+    RESIDUAL_REL_TOL * ||A||_inf.
     """
-    M = getattr(op, "matrix", op)
-    M = _as_array(M)
+    M = _as_array(getattr(op, "matrix", op))
     dim = M.shape[0]
     if not 1 <= m <= dim // 4:
         raise InputError(f"need 1 <= m <= dim/4 = {dim // 4}, got m = {m}")
-    norm = _matnorm(M)
-    if _symmetry_defect(M) > SYMMETRY_DEFECT_REL * max(norm, 1e-300):
-        raise InputError("operator is not symmetric within 1e-12 * max|M|")
-    if method not in ("auto", "dense", "lanczos"):
-        raise InputError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "dense" if dim < DENSE_FALLBACK_DIM else "lanczos"
-
-    if method == "dense":
-        full = dense_symmetric_eig(M, want_vectors=True)
-        res = full.residuals[:m]
-        _check_residuals(res, _inf_norm(M))
-        return EigResult(full.eigenvalues[:m], full.eigenvectors[:, :m], res, "dense-fallback")
+    if dim < DENSE_FALLBACK_DIM:
+        full = dense_symmetric_eig(M)
+        return EigResult(
+            full.eigenvalues[:m], full.eigenvectors[:, :m], full.residuals[:m], "dense-fallback"
+        )
     return _lanczos_smallest(M.tocsr() if sp.issparse(M) else M, m)

@@ -207,6 +207,10 @@ def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> Spectru
     """First ``count`` eigenvalues of op^l: eigenvalues of op are computed
     once and raised to the l-th power (the matrix power shares eigenvectors).
 
+    Up to dim/4 eigenvalues come from ``smallest_eigs``, more from the full
+    dense spectrum; either way every eigenpair's residual is checked, and
+    ConvergenceError is raised rather than an unchecked value returned.
+
     For a Dirichlet Laplacian base this realizes Navier-type conditions, not
     clamped ones; CSV metadata written by the CLI says so.  The clamped plate
     is already the l = 2 problem: it takes only l = 1 and is labeled l = 2.
@@ -222,7 +226,7 @@ def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> Spectru
     if count <= op.dim // 4:
         vals = smallest_eigs(op, count).eigenvalues
     else:
-        vals = dense_symmetric_eig(op.matrix, want_vectors=False).eigenvalues[:count]
+        vals = dense_symmetric_eig(op.matrix).eigenvalues[:count]
     vals = np.sort(vals) ** l
     if isinstance(op, KohnOperator):
         return SpectrumPrefix(vals, n=op.heisenberg_n, l=int(l), problem=HEISENBERG)

@@ -19,7 +19,6 @@ from specgap.bounds import (
     compute_bound,
     kohn_constant_c1,
     kohn_constant_c2,
-    margin_at,
     registry_names,
     solve_largest_root_bound,
     solve_monotone_bound,
@@ -330,7 +329,7 @@ def test_margin_unit_square_k1_yang2():
 def test_margin_zero_at_bound():
     prefix = euclid([1.0, 1.5], 2)
     b = compute_bound("ppw-laplacian", prefix, 2).value
-    entry = margin_at("ppw-laplacian", prefix, 2, b)
+    (entry,) = verify_margins(prefix, b, which=["ppw-laplacian"])
     assert entry.margin == pytest.approx(0.0, abs=1e-12)
 
 
@@ -373,7 +372,8 @@ def test_general_poly_matches_cim_squared_margin():
         z = 4.1
         couple = FunctionCouple("equal-power", z, (2.0,))
         via_couple = check_general_poly(prefix, z, couple)
-        via_registry = margin_at("cim-squared-poly", prefix, len(values), z).margin
+        (entry,) = verify_margins(prefix, z, which=["cim-squared-poly"])
+        via_registry = entry.margin
         assert via_couple == pytest.approx(via_registry, rel=1e-12)
 
 

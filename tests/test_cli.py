@@ -22,6 +22,17 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def perturb_eigh(monkeypatch):
+    """Make np.linalg.eigh return eigenvalues off by 1e-6 of the largest one."""
+    real_eigh = np.linalg.eigh
+
+    def perturbed(M):
+        w, V = real_eigh(M)
+        return w + 1e-6 * abs(w[-1]), V
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+
+
 def write_eigs(path, values, meta=""):
     lines = [meta] if meta else []
     lines += [format(float(v), ".17g") for v in values]
@@ -113,6 +124,26 @@ def test_spectrum_fd_inaccurate_dense_pairs_exit_2(monkeypatch, capsys):
     # dimension 64 takes the dense route
     argv = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1,1", "--grid", "8,8", "--count", "4"]
     code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == "" and "residual" in err
+
+
+# count 12 > dim/4: the whole spectrum of the dense route is written
+FD_FULL_1D = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1", "--grid", "12", "--count", "12"]
+
+
+def test_spectrum_fd_full_spectrum_matches_stencil(capsys):
+    code, out, _ = run_cli(FD_FULL_1D, capsys)
+    assert code == 0
+    values, _ = read_spectrum_csv(out)
+    h = 1.0 / 13
+    exact = (4 / h**2) * np.sin(np.arange(1, 13) * np.pi * h / 2) ** 2
+    np.testing.assert_allclose(values, exact, rtol=1e-12, atol=0)
+
+
+def test_spectrum_fd_full_spectrum_inaccurate_pairs_exit_2(monkeypatch, capsys):
+    perturb_eigh(monkeypatch)
+    code, out, err = run_cli(FD_FULL_1D, capsys)
     assert code == 2
     assert out == "" and "residual" in err
 
@@ -223,6 +254,22 @@ def test_verify_spectrum_violation_exit_1(tmp_path, capsys):
     assert any(r.get("violation") for r in rows if "name" in r)
 
 
+def test_verify_spectrum_monotone_root_without_bracket_doubling(tmp_path, capsys):
+    # at this n the monotone root lies within 1e-9 lambda_k of lambda_k, so
+    # the solver bisects from its first bracket
+    eigs = tmp_path / "s.csv"
+    write_eigs(eigs, [1.0, 2.0, 3.0, 4.0])
+    code, text, _ = run_cli(
+        ["verify", "spectrum", "--eigs", str(eigs), "--n", "100000000000", "--l", "2",
+         "--which", "hp-weak-clamped"],
+        capsys,
+    )
+    assert code in (0, 1)
+    rows = [json.loads(line) for line in text.strip().splitlines()]
+    assert [r["k"] for r in rows[:-1]] == [1, 2, 3]
+    assert rows[-1]["summary"] is True
+
+
 # ---------------------------------------------------------------------------
 # verify abstract
 # ---------------------------------------------------------------------------
@@ -254,6 +301,15 @@ def test_verify_abstract_multiple_couples(capsys):
         json.loads(line)["couple"].split("@")[0] for line in out.strip().splitlines()[:-1]
     }
     assert descs == {"const-power:0", "linear-power:1"}
+
+
+def test_verify_abstract_refuses_inaccurate_eigenpairs(monkeypatch, capsys):
+    perturb_eigh(monkeypatch)
+    code, out, err = run_cli(
+        ["verify", "abstract", "--trials", "2", "--dim", "6", "--nops", "2", "--seed", "7"], capsys
+    )
+    assert code == 2
+    assert out == "" and "residual" in err
 
 
 def test_verify_abstract_parses_each_couple_once(monkeypatch, capsys):
@@ -387,6 +443,36 @@ def test_config_rejects_keys_that_are_not_flags(tmp_path, capsys, key):
     )
     assert code == 2
     assert out == "" and repr(key) in err
+
+
+@pytest.mark.parametrize("count", ["x", [3, 4]], ids=["text", "list"])
+def test_config_values_are_checked_like_their_flags(tmp_path, capsys, count):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"count": count, "dims": "1,1"}))
+    code, out, err = run_cli(["--config", str(cfg), "spectrum", "box"], capsys)
+    assert code == 2
+    assert out == "" and "config key 'count'" in err
+
+
+@pytest.mark.parametrize(
+    "value,flags",
+    [
+        ("const-power:0", ["--couple", "const-power:0"]),
+        (["const-power:0", "linear-power:1"], ["--couple", "const-power:0", "--couple", "linear-power:1"]),
+    ],
+    ids=["text", "list"],
+)
+def test_config_value_of_a_repeatable_flag(tmp_path, capsys, value, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"couple": value, "trials": 2}))
+    code, out_cfg, _ = run_cli(
+        ["--config", str(cfg), "verify", "abstract", "--dim", "5", "--nops", "1"], capsys
+    )
+    assert code == 0
+    _, out_flags, _ = run_cli(
+        ["verify", "abstract", *flags, "--trials", "2", "--dim", "5", "--nops", "1"], capsys
+    )
+    assert out_cfg == out_flags
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from specgap.couples import (
     certify_on_samples,
     check_membership,
     check_necessary_differentiable,
-    evaluate,
     parse_couple_spec,
 )
 from specgap.errors import (
@@ -35,17 +34,19 @@ def tabulated(lam, xs, fs, gs):
 
 def test_evaluate_const_power_alpha_zero():
     c = FunctionCouple("const-power", 10.0, (0.0,))
-    assert evaluate(c, 3.0) == (1.0, 1.0)
+    (f,), (g,) = c.evaluate_batch([3.0])
+    assert (f, g) == (1.0, 1.0)
 
 
 def test_evaluate_equal_power():
     c = FunctionCouple("equal-power", 10.0, (2.0,))
-    assert evaluate(c, 4.0) == (36.0, 36.0)
+    (f,), (g,) = c.evaluate_batch([4.0])
+    assert (f, g) == (36.0, 36.0)
 
 
 def test_evaluate_linear_power_half():
     c = FunctionCouple("linear-power", 1.0, (0.5,))
-    f, g = evaluate(c, 0.75)
+    (f,), (g,) = c.evaluate_batch([0.75])
     assert f == pytest.approx(0.25, rel=1e-15)
     assert g == pytest.approx(0.5, rel=1e-15)
 
@@ -53,16 +54,17 @@ def test_evaluate_linear_power_half():
 def test_evaluate_domain_error():
     c = FunctionCouple("equal-power", 1.0, (1.0,))
     with pytest.raises(CoupleDomainError):
-        evaluate(c, 1.5)
+        c.evaluate_batch([1.5])
     with pytest.raises(CoupleDomainError):
-        evaluate(c, 0.0)
+        c.evaluate_batch([0.0])
 
 
 def test_tabulated_lookup():
     c = tabulated(1.0, [0.2, 0.8], [0.8, 0.2], [1.0, 1.0])
-    assert evaluate(c, 0.2) == (0.8, 1.0)
+    (f,), (g,) = c.evaluate_batch([0.2])
+    assert (f, g) == (0.8, 1.0)
     with pytest.raises(TabulatedLookupError):
-        evaluate(c, 0.5)
+        c.evaluate_batch([0.5])
 
 
 def test_parameter_ranges_enforced():
