@@ -12,11 +12,9 @@ The public surface mirrors the module layout:
 """
 
 from .bounds import (
-    CHAIN,
     EUCLIDEAN,
     HEISENBERG,
     REGISTRY,
-    BoundResult,
     SpectrumPrefix,
     chain_compare,
     check_general_poly,
@@ -24,20 +22,16 @@ from .bounds import (
     kohn_constant_c1,
     kohn_constant_c2,
     registry_names,
-    solve_largest_root_bound,
-    solve_monotone_bound,
     verify_margins,
 )
 from .couples import (
     FunctionCouple,
-    MembershipReport,
     check_membership,
     check_necessary_differentiable,
     parse_couple_spec,
 )
 from .abstract import (
     OperatorTriple,
-    TheoremReport,
     commutator,
     moment_inequality_check,
     random_instance,
@@ -45,14 +39,12 @@ from .abstract import (
     verify_theorem,
 )
 from .operators import (
-    DiscreteOperator,
-    KohnOperator,
     box_spectrum,
     fd_clamped_plate,
     fd_laplacian,
     kohn_fd,
     operator_power_spectrum,
 )
-from .eigensolve import EigResult, dense_symmetric_eig, smallest_eigs
+from .eigensolve import dense_symmetric_eig, smallest_eigs
 
 __version__ = "0.1.0"

@@ -28,8 +28,8 @@ from typing import Optional
 import numpy as np
 
 from . import couples as _couples
-from .errors import GapHypothesisError, InputError
-from .eigensolve import dense_symmetric_eig
+from .errors import InputError
+from .eigensolve import DENSE_DIM_CAP, dense_symmetric_eig
 
 HERMITICITY_TOL = 1e-13
 ENSEMBLES = ("dense-gaussian", "sparse", "commuting-diagnostic")
@@ -173,7 +173,7 @@ def _evaluate(
         raise InputError(f"need 1 <= k < d = {lam.size}, got k = {k}")
     gap = float(lam[k] - lam[k - 1])
     if not gap > 0:
-        raise GapHypothesisError(f"lambda_{k + 1} > lambda_{k} required, gap = {gap}")
+        raise InputError(f"lambda_{k + 1} > lambda_{k} required, gap = {gap}")
     if z is None:
         z = float(lam[k])
     if not (lam[k - 1] < z <= lam[k] * (1.0 + 1e-12)):
@@ -215,17 +215,9 @@ def verify_corollary(A, Bs, k: int, couple, z: Optional[float] = None) -> Theore
     Ts = tuple(commutator(A, B) for B in Bs)
     sd = OperatorTriple(A, Bs, Ts).spectral
     report = _evaluate(sd, k, couple, z, sd.ab, 1.0)
-
-    # identity residual: ab[p, i] vs -1/2 <[[A,B_p],B_p] u_i, u_i>
-    U = sd.U
-    worst = 0.0
-    scale = 1e-300
-    for p, B in enumerate(Bs):
-        ddc = commutator(commutator(A, B), B)
-        half = -0.5 * np.real(np.sum(np.conj(U) * (ddc @ U), axis=0))
-        worst = max(worst, float(np.abs(half - sd.ab[p]).max()))
-        scale = max(scale, float(np.abs(sd.ab[p]).max()))
-    report.identity_residual = worst / max(scale, 1.0)
+    # with T_p = [A,B_p], tb[p, i] is <[[A,B_p],B_p] u_i, u_i>
+    worst = float(np.abs(-0.5 * sd.tb - sd.ab).max())
+    report.identity_residual = worst / max(float(np.abs(sd.ab).max()), 1.0)
     return report
 
 
@@ -267,6 +259,8 @@ def random_instance(d: int, n: int, seed: int, ensemble: str = "dense-gaussian")
     """
     if not (d >= 2 and n >= 1):
         raise InputError(f"need d >= 2 and n >= 1, got d={d}, n={n}")
+    if d > DENSE_DIM_CAP:
+        raise InputError(f"dimension {d} exceeds the dense cap {DENSE_DIM_CAP}")
     if ensemble not in ENSEMBLES:
         raise InputError(f"unknown ensemble {ensemble!r}; known: {ENSEMBLES}")
     rng = np.random.default_rng(

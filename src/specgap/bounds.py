@@ -36,16 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import couples as _couples
-from .errors import (
-    BracketFailureError,
-    EmptyFeasibleSetError,
-    InapplicableBoundError,
-    InputError,
-    NegativeDiscriminantError,
-    SolverError,
-    SpectrumError,
-    UnknownBoundError,
-)
+from .errors import InputError, SolverError
 
 EUCLIDEAN = "euclidean-polyharmonic"
 HEISENBERG = "heisenberg-kohn"
@@ -75,30 +66,30 @@ class SpectrumPrefix:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float).ravel().copy()
         if vals.size == 0:
-            raise SpectrumError("eigenvalue prefix is empty")
+            raise InputError("eigenvalue prefix is empty")
         if vals.size > MAX_PREFIX_LEN:
-            raise SpectrumError(f"prefix longer than {MAX_PREFIX_LEN} entries")
+            raise InputError(f"prefix longer than {MAX_PREFIX_LEN} entries")
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
-            raise SpectrumError("eigenvalues must be finite and strictly positive")
+            raise InputError("eigenvalues must be finite and strictly positive")
         if np.any(np.diff(vals) < 0):
-            raise SpectrumError("eigenvalues must be nondecreasing")
+            raise InputError("eigenvalues must be nondecreasing")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise SpectrumError(f"n must be a positive integer, got {self.n}")
+            raise InputError(f"n must be a positive integer, got {self.n}")
         if not (isinstance(self.l, (int, np.integer)) and self.l >= 1):
-            raise SpectrumError(f"l must be a positive integer, got {self.l}")
+            raise InputError(f"l must be a positive integer, got {self.l}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "l", int(self.l))
         if self.problem not in PROBLEMS:
-            raise SpectrumError(f"unknown problem {self.problem!r}; known: {PROBLEMS}")
+            raise InputError(f"unknown problem {self.problem!r}; known: {PROBLEMS}")
 
     def __len__(self) -> int:
         return int(self.values.size)
 
     def head(self, k: int) -> np.ndarray:
         if not 1 <= k <= len(self):
-            raise SpectrumError(f"k must satisfy 1 <= k <= {len(self)}, got {k}")
+            raise InputError(f"k must satisfy 1 <= k <= {len(self)}, got {k}")
         return self.values[:k]
 
 
@@ -140,7 +131,7 @@ def _larger_root(a: float, b: float, c: float) -> float:
         if disc >= -1e-13 * b * b:
             disc = 0.0
         else:
-            raise NegativeDiscriminantError(
+            raise SolverError(
                 f"no real root: discriminant {disc:g} for a={a:g}, b={b:g}, c={c:g}"
             )
     return (b + math.sqrt(disc)) / (2.0 * a)
@@ -167,7 +158,7 @@ def solve_monotone_bound(
         hi = z_low + d
         iterations += 1
         if iterations > MAX_DOUBLINGS:
-            raise BracketFailureError(
+            raise SolverError(
                 f"no upper bracket after {MAX_DOUBLINGS} doublings from {z_low:g}"
             )
     lo = z_low + d / 2.0 if iterations else math.nextafter(z_low, math.inf)
@@ -202,14 +193,14 @@ def solve_largest_root_bound(
         cap *= 2.0
         iterations += 1
         if iterations > MAX_CAP_DOUBLINGS:
-            raise BracketFailureError("H stayed nonpositive out to the cap doubling budget")
+            raise SolverError("H stayed nonpositive out to the cap doubling budget")
     n_decades = math.log10(cap / lo)
     npts = max(8, int(math.ceil(SCAN_PER_DECADE * n_decades)) + 1)
     zs = np.geomspace(lo, cap, npts)
     hs = np.asarray(H(zs), dtype=float)
     feasible = hs <= 0.0
     if not feasible.any():
-        raise EmptyFeasibleSetError(
+        raise SolverError(
             f"H > 0 on the whole scan ({npts} points in [{lo:g}, {cap:g}])"
         )
     last = int(np.nonzero(feasible)[0][-1])
@@ -573,12 +564,12 @@ def _descriptor(name: str) -> BoundDescriptor:
     try:
         return REGISTRY[name]
     except KeyError:
-        raise UnknownBoundError(f"unknown bound {name!r}; known: {sorted(REGISTRY)}") from None
+        raise InputError(f"unknown bound {name!r}; known: {sorted(REGISTRY)}") from None
 
 
 def _check_applicable(desc: BoundDescriptor, prefix: SpectrumPrefix) -> None:
     if not desc.applicable(prefix.problem, prefix.l):
-        raise InapplicableBoundError(
+        raise InputError(
             f"{desc.name} does not apply to problem={prefix.problem!r}, l={prefix.l}"
         )
 
@@ -593,7 +584,7 @@ def compute_bound(name: str, prefix: SpectrumPrefix, k: Optional[int] = None) ->
     desc = _descriptor(name)
     _check_applicable(desc, prefix)
     if not desc.extracts_bound:
-        raise InapplicableBoundError(
+        raise InputError(
             f"{name} is verification-only; it does not extract a bound "
             "(evaluate its margin via verify_margins)"
         )
@@ -678,7 +669,7 @@ def verify_margins(prefix: SpectrumPrefix, candidate: float, which=None) -> list
     k = len(prefix)
     lam_k = float(prefix.values[-1])
     if not candidate >= lam_k * (1.0 - 1e-12):
-        raise SpectrumError(f"candidate {candidate} is below lambda_k = {lam_k}")
+        raise InputError(f"candidate {candidate} is below lambda_k = {lam_k}")
     names = list(which) if which is not None else registry_names()
     out: list[MarginEntry] = []
     for name in names:
@@ -713,7 +704,7 @@ def chain_compare(prefix: SpectrumPrefix, k: Optional[int] = None, rel_slack: fl
     """Compute the four l = 1 bounds and check the expected ordering
     yang1 <= yang2 <= hp <= ppw up to relative slack."""
     if prefix.problem != EUCLIDEAN or prefix.l != 1:
-        raise InapplicableBoundError("chain comparison is defined for the l=1 Euclidean problem")
+        raise InputError("chain comparison is defined for the l=1 Euclidean problem")
     results = {name: compute_bound(name, prefix, k) for name in CHAIN}
     violations = []
     vals = [results[name].value for name in CHAIN]
@@ -736,7 +727,7 @@ def check_general_poly(prefix: SpectrumPrefix, next_value: float, couple) -> flo
     lam = prefix.head(k)
     n, l = prefix.n, prefix.l
     if not next_value > float(lam[-1]):
-        raise SpectrumError(f"next value {next_value} must exceed lambda_k = {lam[-1]}")
+        raise InputError(f"next value {next_value} must exceed lambda_k = {lam[-1]}")
     f, g = _couples.admissible_weights(couple, lam, next_value)
     lhs = float(np.sum(f))
     rhs = (2.0 / n) * math.sqrt(l * (2.0 * l + n - 2)) * math.sqrt(

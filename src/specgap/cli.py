@@ -21,6 +21,8 @@ independently of --workers.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -122,7 +124,7 @@ def _load_eigs(path: str) -> tuple[np.ndarray, dict]:
     try:
         with open(path) as fh:
             return operators.read_spectrum_csv(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecgapError(f"cannot read eigenvalue file {path!r}: {exc}") from exc
 
 
@@ -338,6 +340,8 @@ def cmd_couple(args) -> int:
         m = int(args.samples if args.samples is not None else 32)
         if m < 2:
             raise SpecgapError("need at least 2 samples")
+        if m > couples.MAX_MEMBERSHIP_SAMPLES:  # refused before the draw allocates m floats
+            raise SpecgapError(f"{m} samples exceed the cap of {couples.MAX_MEMBERSHIP_SAMPLES}")
         rng = np.random.default_rng(int(args.seed if args.seed is not None else 0))
         samples = lam * rng.uniform(1e-6, 1.0 - 1e-6, size=m)
     report = couples.check_membership(couple, samples)
@@ -438,7 +442,7 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecgapError(f"cannot load config {args.config!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise SpecgapError("config must be a JSON object mirroring the flags")
@@ -453,10 +457,13 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
             continue
         flag = "--" + attr.replace("_", "-")
         items = value if isinstance(value, list) else [value]
-        try:  # argparse reports the bad value on stderr, then exits
-            parsed = getattr(parser.parse_args(words + [f"{flag}={item}" for item in items]), attr)
+        argparse_err = io.StringIO()
+        try:  # argparse writes usage and its reason to stderr, then exits
+            with contextlib.redirect_stderr(argparse_err):
+                parsed = getattr(parser.parse_args(words + [f"{flag}={item}" for item in items]), attr)
         except SystemExit:
-            raise SpecgapError(f"config key {key!r}: {flag} refuses {value!r}") from None
+            reason = argparse_err.getvalue().rsplit("error: ", 1)[-1].strip()
+            raise SpecgapError(f"config key {key!r}: {reason}") from None
         if isinstance(value, list) and not isinstance(parsed, list):
             raise SpecgapError(f"config key {key!r}: {flag} takes one value, not a list")
         setattr(args, attr, parsed)

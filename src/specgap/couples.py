@@ -26,15 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    CoupleDomainError,
-    CoupleSpecError,
-    DegenerateSamplesError,
-    InputError,
-    MembershipError,
-    TabulatedLookupError,
-    UnsupportedFamilyError,
-)
+from .errors import InputError
 
 CONST_POWER = "const-power"
 LINEAR_POWER = "linear-power"
@@ -52,6 +44,10 @@ PAIR_SKIP_REL = 1e-14
 # (e.g. the equal-power family at delta = 2) must not fail from round-off.
 COND_TOL_REL = 1e-12
 
+# check_membership holds a few float arrays per sample pair, about 8.4e6
+# pairs at this cap; more samples are refused before anything is allocated.
+MAX_MEMBERSHIP_SAMPLES = 4096
+
 
 def _power_exponents(family: str, params: tuple) -> tuple[float, float]:
     """(exponent of f, exponent of g) for f,g = (lambda-x)^e."""
@@ -63,7 +59,7 @@ def _power_exponents(family: str, params: tuple) -> tuple[float, float]:
         return params[0], params[0]
     if family == NEG_POWER:
         return params[0], params[1]
-    raise UnsupportedFamilyError(f"family {family!r} has no power form")
+    raise InputError(f"family {family!r} has no power form")
 
 
 def _validate_params(family: str, params: tuple) -> None:
@@ -114,7 +110,7 @@ class FunctionCouple:
             if not (xs.size and xs.size == fs.size == gs.size):
                 raise InputError("table arrays must be nonempty and of equal length")
             if np.any(xs <= 0) or np.any(xs >= self.lam):
-                raise CoupleDomainError("table points must lie in (0, lambda)")
+                raise InputError("table points must lie in (0, lambda)")
             if np.any(fs <= 0) or np.any(gs <= 0):
                 raise InputError("tabulated f and g must be strictly positive")
             for a in (xs, fs, gs):
@@ -131,7 +127,7 @@ class FunctionCouple:
         """Vectorized (f(x), g(x)); raises on points outside (0, lambda)."""
         xs = np.asarray(xs, dtype=float)
         if np.any(xs <= 0) or np.any(xs >= self.lam):
-            raise CoupleDomainError(
+            raise InputError(
                 f"evaluation points must lie in (0, {self.lam}), got range "
                 f"[{xs.min() if xs.size else 'nan'}, {xs.max() if xs.size else 'nan'}]"
             )
@@ -141,7 +137,7 @@ class FunctionCouple:
             for pos, x in np.ndenumerate(xs):
                 hits = np.nonzero(np.isclose(tx, x, rtol=1e-12, atol=0.0))[0]
                 if hits.size == 0:
-                    raise TabulatedLookupError(f"x = {x} is not a tabulated sample point")
+                    raise InputError(f"x = {x} is not a tabulated sample point")
                 idx[pos] = hits[0]
             return tf[idx], tg[idx]
         ef, eg = self.power_exponents()
@@ -232,13 +228,15 @@ def _pairwise_report(couple, xs: np.ndarray) -> MembershipReport:
 def check_membership(couple: FunctionCouple, samples) -> MembershipReport:
     """Certify the pairwise admissibility condition on a finite sample set.
 
-    Requires at least two distinct samples in (0, lambda).  Pairs closer than
-    PAIR_SKIP_REL * lambda are skipped.  The result is independent of sample
-    order.
+    Requires at least two distinct samples in (0, lambda), and at most
+    MAX_MEMBERSHIP_SAMPLES of them.  Pairs closer than PAIR_SKIP_REL * lambda
+    are skipped.  The result is independent of sample order.
     """
     xs = np.asarray(samples, dtype=float).ravel()
+    if xs.size > MAX_MEMBERSHIP_SAMPLES:
+        raise InputError(f"{xs.size} samples exceed the cap of {MAX_MEMBERSHIP_SAMPLES}")
     if np.unique(xs).size < 2:
-        raise DegenerateSamplesError("need at least 2 distinct sample points")
+        raise InputError("need at least 2 distinct sample points")
     return _pairwise_report(couple, xs)
 
 
@@ -250,7 +248,7 @@ def certify_on_samples(couple: FunctionCouple, samples) -> MembershipReport:
     """
     xs = np.asarray(samples, dtype=float).ravel()
     if xs.size == 0:
-        raise DegenerateSamplesError("empty sample set")
+        raise InputError("empty sample set")
     if np.unique(xs).size < 2:
         fs, gs = couple.evaluate_batch(xs)
         ok = bool(np.all(fs > 0) and np.all(gs > 0))
@@ -262,14 +260,14 @@ def admissible_weights(couple: FunctionCouple, lam: np.ndarray, z: float) -> tup
     """(f, g) at the eigenvalue prefix ``lam``, as weights of an inequality at
     z = lambda_{k+1}.
 
-    Raises InputError unless couple.lam equals z, and MembershipError unless
-    the couple is certified admissible on ``lam`` (:func:`certify_on_samples`).
+    Raises InputError unless couple.lam equals z and the couple is certified
+    admissible on ``lam`` (:func:`certify_on_samples`).
     """
     if abs(couple.lam - z) > 1e-12 * max(1.0, abs(z)):
         raise InputError(f"couple.lam = {couple.lam} must equal z = {z}")
     report = certify_on_samples(couple, lam)
     if not report.passed:
-        raise MembershipError(
+        raise InputError(
             f"couple {couple.describe()} fails admissibility on the eigenvalue prefix "
             f"(worst pair value {report.worst:g} at {report.witness})"
         )
@@ -286,9 +284,9 @@ def check_necessary_differentiable(couple, samples) -> MembershipReport:
     ef, eg = couple.power_exponents()
     xs = np.asarray(samples, dtype=float).ravel()
     if xs.size == 0:
-        raise DegenerateSamplesError("empty sample set")
+        raise InputError("empty sample set")
     if np.any(xs <= 0) or np.any(xs >= couple.lam):
-        raise CoupleDomainError("samples must lie in (0, lambda)")
+        raise InputError("samples must lie in (0, lambda)")
     u = couple.lam - xs
     lhs = (ef / u) ** 2
     rhs = 2.0 * eg / u**2
@@ -323,10 +321,10 @@ class CoupleSpec:
     def bind(self, lam: Optional[float] = None, table=None) -> FunctionCouple:
         lam = self.lam if lam is None else lam
         if lam is None:
-            raise CoupleSpecError("couple spec has no lambda and none was supplied")
+            raise InputError("couple spec has no lambda and none was supplied")
         if self.family == TABULATED:
             if table is None:
-                raise CoupleSpecError(f"tabulated couple needs its table ({self.table_path!r})")
+                raise InputError(f"tabulated couple needs its table ({self.table_path!r})")
             return FunctionCouple(TABULATED, lam, (), table)
         return FunctionCouple(self.family, lam, self.params)
 
@@ -334,31 +332,31 @@ class CoupleSpec:
 def parse_couple_spec(text: str) -> CoupleSpec:
     """Parse ``family:param[,param][@lambda]``, e.g. ``equal-power:2@10``."""
     if not isinstance(text, str) or not text.strip():
-        raise CoupleSpecError(f"empty couple spec {text!r}")
+        raise InputError(f"empty couple spec {text!r}")
     body, lam = text, None
     if "@" in text:
         body, lam_text = text.rsplit("@", 1)
         try:
             lam = float(lam_text)
         except ValueError as exc:
-            raise CoupleSpecError(f"bad lambda in couple spec {text!r}") from exc
+            raise InputError(f"bad lambda in couple spec {text!r}") from exc
         if not lam > 0:
-            raise CoupleSpecError(f"lambda must be positive in couple spec {text!r}")
+            raise InputError(f"lambda must be positive in couple spec {text!r}")
     if ":" not in body:
-        raise CoupleSpecError(f"couple spec {text!r} needs 'family:params'")
+        raise InputError(f"couple spec {text!r} needs 'family:params'")
     family, param_text = body.split(":", 1)
     family = family.strip()
     if family not in FAMILIES:
-        raise CoupleSpecError(f"unknown family {family!r}; known: {FAMILIES}")
+        raise InputError(f"unknown family {family!r}; known: {FAMILIES}")
     if family == TABULATED:
         if not param_text:
-            raise CoupleSpecError("tabulated spec needs a table path")
+            raise InputError("tabulated spec needs a table path")
         return CoupleSpec(TABULATED, (), lam, table_path=param_text)
     try:
         params = tuple(float(p) for p in param_text.split(",") if p != "")
     except ValueError as exc:
-        raise CoupleSpecError(f"bad parameters in couple spec {text!r}") from exc
+        raise InputError(f"bad parameters in couple spec {text!r}") from exc
     if not params:
-        raise CoupleSpecError(f"couple spec {text!r} has no parameters")
+        raise InputError(f"couple spec {text!r} has no parameters")
     _validate_params(family, params)
     return CoupleSpec(family, params, lam)

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bounds import EUCLIDEAN, HEISENBERG, SpectrumPrefix
-from .errors import InputError, SpectrumError
+from .errors import InputError
 from .eigensolve import dense_symmetric_eig, smallest_eigs
 
 
@@ -37,9 +37,7 @@ class DiscreteOperator:
     """Sparse symmetric operator with its tensor-grid metadata."""
 
     matrix: sp.csr_matrix
-    extents: tuple
     npoints: tuple
-    spacings: tuple
     stencil: str
 
     @property
@@ -148,7 +146,7 @@ def fd_laplacian(sides, grids) -> DiscreteOperator:
     total = _axis_operator(_second_difference(grids[0], h[0]), 0, grids)
     for ax in range(1, len(grids)):
         total = total + _axis_operator(_second_difference(grids[ax], h[ax]), ax, grids)
-    return DiscreteOperator(total.tocsr(), sides, grids, h, "dirichlet-laplacian")
+    return DiscreteOperator(total.tocsr(), grids, "dirichlet-laplacian")
 
 
 def fd_clamped_plate(sides, grids) -> DiscreteOperator:
@@ -166,7 +164,7 @@ def fd_clamped_plate(sides, grids) -> DiscreteOperator:
             mats[ax1] = _second_difference(grids[ax1], h[ax1])
             mats[ax2] = _second_difference(grids[ax2], h[ax2])
             total = total + 2.0 * _kron_chain(mats)
-    return DiscreteOperator(total.tocsr(), sides, grids, h, "clamped-plate")
+    return DiscreteOperator(total.tocsr(), grids, "clamped-plate")
 
 
 def kohn_fd(n: int = 1, sides=(1.0, 1.0, 1.0), grids=(12, 12, 12)) -> KohnOperator:
@@ -198,9 +196,7 @@ def kohn_fd(n: int = 1, sides=(1.0, 1.0, 1.0), grids=(12, 12, 12)) -> KohnOperat
     Y = (Dy - 0.5 * (Dt @ Mx + Mx @ Dt)).tocsr()
     L = (X.T @ X + Y.T @ Y).tocsr()
     L = (0.5 * (L + L.T)).tocsr()  # exact bitwise symmetry of the Gram sum
-    return KohnOperator(
-        L, sides, grids, h, "kohn-heisenberg", x_field=X, y_field=Y, t_field=Dt, heisenberg_n=n
-    )
+    return KohnOperator(L, grids, "kohn-heisenberg", x_field=X, y_field=Y, t_field=Dt, heisenberg_n=n)
 
 
 def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> SpectrumPrefix:
@@ -222,7 +218,7 @@ def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> Spectru
         raise InputError("the clamped operator is already the l = 2 problem; "
                          "powers apply to laplacian and kohn spectra")
     if not 1 <= count <= op.dim:
-        raise SpectrumError(f"count must satisfy 1 <= count <= {op.dim}, got {count}")
+        raise InputError(f"count must satisfy 1 <= count <= {op.dim}, got {count}")
     if count <= op.dim // 4:
         vals = smallest_eigs(op, count).eigenvalues
     else:
@@ -266,5 +262,5 @@ def read_spectrum_csv(stream) -> tuple[np.ndarray, dict]:
         try:
             vals.append(float(line))
         except ValueError as exc:
-            raise SpectrumError(f"bad eigenvalue line {line!r}") from exc
+            raise InputError(f"bad eigenvalue line {line!r}") from exc
     return np.asarray(vals, dtype=float), meta

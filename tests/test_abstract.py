@@ -13,7 +13,7 @@ from specgap.abstract import (
     verify_theorem,
 )
 from specgap.couples import FunctionCouple
-from specgap.errors import GapHypothesisError, InputError
+from specgap.errors import InputError
 
 
 def two_by_two():
@@ -86,7 +86,7 @@ def test_theorem_gap_hypothesis():
     B = np.eye(3, dtype=complex)
     T = np.zeros((3, 3), dtype=complex)
     triple = OperatorTriple(A, (B,), (T,))
-    with pytest.raises(GapHypothesisError):
+    with pytest.raises(InputError, match="lambda_2 > lambda_1 required"):
         verify_theorem(triple, 1, const_couple(1.0))
 
 

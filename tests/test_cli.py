@@ -242,6 +242,14 @@ def test_verify_spectrum_decreasing_exit_2(tmp_path, capsys):
     assert "nondecreasing" in err
 
 
+def test_eigs_file_not_utf8_exit_2(tmp_path, capsys):
+    eigs = tmp_path / "bin.csv"
+    eigs.write_bytes(b"\xff\xfe\x00bad\n")
+    code, out, err = run_cli(["bound", "--ineq", "all", "--eigs", str(eigs), "--n", "2"], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("specgap: cannot read eigenvalue file") and err.count("\n") == 1
+
+
 def test_verify_spectrum_violation_exit_1(tmp_path, capsys):
     # lambda_2 far above every l=1 bound for this prefix
     eigs = tmp_path / "viol.csv"
@@ -370,6 +378,14 @@ def test_verify_abstract_workers_capped_at_cpu_count(monkeypatch, capsys):
     assert pooled == serial
 
 
+def test_verify_abstract_refuses_dim_above_dense_cap(capsys):
+    # refused before the 10^6 x 10^6 matrices of the instance are allocated
+    argv = ["verify", "abstract", "--trials", "1", "--dim", "1000000", "--nops", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == "" and err == "specgap: dimension 1000000 exceeds the dense cap 4096\n"
+
+
 # ---------------------------------------------------------------------------
 # couple check
 # ---------------------------------------------------------------------------
@@ -403,6 +419,14 @@ def test_couple_check_tabulated_fail_with_witness(tmp_path, capsys):
 def test_couple_check_malformed_exit_2(capsys):
     code, _, _ = run_cli(["couple", "check", "--spec", "foo:@"], capsys)
     assert code == 2
+
+
+def test_couple_check_refuses_too_many_samples(capsys):
+    # refused before the ~5 * 10^13 sample pairs are allocated
+    argv = ["couple", "check", "--spec", "equal-power:2@5", "--samples", "10000000"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == "" and err == "specgap: 10000000 samples exceed the cap of 4096\n"
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +476,23 @@ def test_config_values_are_checked_like_their_flags(tmp_path, capsys, count):
     code, out, err = run_cli(["--config", str(cfg), "spectrum", "box"], capsys)
     assert code == 2
     assert out == "" and "config key 'count'" in err
+
+
+def test_config_bad_value_is_one_line_without_usage(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"count": "x", "dims": "1,1"}))
+    code, out, err = run_cli(["--config", str(cfg), "spectrum", "box"], capsys)
+    assert code == 2
+    assert out == "" and "usage:" not in err
+    assert err == "specgap: config key 'count': argument --count: invalid int value: 'x'\n"
+
+
+def test_config_not_utf8_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "bin.csv"
+    cfg.write_bytes(b"\xff\xfe\x00bad\n")
+    code, out, err = run_cli(["--config", str(cfg), "spectrum", "box", "--dims", "1", "--count", "2"], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("specgap: cannot load config") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -13,14 +13,7 @@ from specgap.couples import (
     check_necessary_differentiable,
     parse_couple_spec,
 )
-from specgap.errors import (
-    CoupleDomainError,
-    CoupleSpecError,
-    DegenerateSamplesError,
-    InputError,
-    TabulatedLookupError,
-    UnsupportedFamilyError,
-)
+from specgap.errors import InputError
 
 
 def tabulated(lam, xs, fs, gs):
@@ -53,9 +46,9 @@ def test_evaluate_linear_power_half():
 
 def test_evaluate_domain_error():
     c = FunctionCouple("equal-power", 1.0, (1.0,))
-    with pytest.raises(CoupleDomainError):
+    with pytest.raises(InputError, match="evaluation points must lie in"):
         c.evaluate_batch([1.5])
-    with pytest.raises(CoupleDomainError):
+    with pytest.raises(InputError, match="evaluation points must lie in"):
         c.evaluate_batch([0.0])
 
 
@@ -63,7 +56,7 @@ def test_tabulated_lookup():
     c = tabulated(1.0, [0.2, 0.8], [0.8, 0.2], [1.0, 1.0])
     (f,), (g,) = c.evaluate_batch([0.2])
     assert (f, g) == (0.8, 1.0)
-    with pytest.raises(TabulatedLookupError):
+    with pytest.raises(InputError, match="is not a tabulated sample point"):
         c.evaluate_batch([0.5])
 
 
@@ -112,16 +105,23 @@ def test_membership_equal_power_delta_two_passes_at_equality():
 
 def test_membership_needs_two_distinct_samples():
     c = FunctionCouple("const-power", 1.0, (1.0,))
-    with pytest.raises(DegenerateSamplesError):
+    with pytest.raises(InputError, match="need at least 2 distinct sample points"):
         check_membership(c, [0.4])
-    with pytest.raises(DegenerateSamplesError):
+    with pytest.raises(InputError, match="need at least 2 distinct sample points"):
         check_membership(c, [0.4, 0.4, 0.4])
 
 
 def test_membership_domain_error():
     c = FunctionCouple("const-power", 1.0, (1.0,))
-    with pytest.raises(CoupleDomainError):
+    with pytest.raises(InputError, match="evaluation points must lie in"):
         check_membership(c, [0.2, 1.2])
+
+
+def test_membership_refuses_more_samples_than_the_cap():
+    c = FunctionCouple("const-power", 1.0, (1.0,))
+    xs = np.linspace(0.1, 0.9, couples.MAX_MEMBERSHIP_SAMPLES + 1)
+    with pytest.raises(InputError, match="samples exceed the cap of 4096"):
+        check_membership(c, xs)
 
 
 def test_certify_on_samples_single_point_vacuous():
@@ -224,7 +224,7 @@ def test_necessary_neg_power_strict_pass():
 
 def test_necessary_tabulated_unsupported():
     c = tabulated(1.0, [0.2, 0.8], [1.0, 1.0], [1.0, 1.0])
-    with pytest.raises(UnsupportedFamilyError):
+    with pytest.raises(InputError, match="has no power form"):
         check_necessary_differentiable(c, [0.2])
 
 
@@ -280,7 +280,7 @@ def test_parse_couple_spec_without_lambda_binds_later():
     assert spec.lam is None
     c = spec.bind(lam=3.0)
     assert c.lam == 3.0
-    with pytest.raises(CoupleSpecError):
+    with pytest.raises(InputError, match="has no lambda and none was supplied"):
         spec.bind()
 
 
@@ -289,9 +289,19 @@ def test_parse_couple_spec_tabulated_path():
     assert spec.table_path == "table.csv"
 
 
-@pytest.mark.parametrize("bad", ["foo:@", "equal-power:", "equal-power:2@-1", "", "nofamily"])
+# each malformed spec and a fragment of the message that refuses it
+MALFORMED_SPECS = {
+    "foo:@": "bad lambda in couple spec",
+    "equal-power:": "has no parameters",
+    "equal-power:2@-1": "lambda must be positive",
+    "": "empty couple spec",
+    "nofamily": "needs 'family:params'",
+}
+
+
+@pytest.mark.parametrize("bad", list(MALFORMED_SPECS))
 def test_parse_couple_spec_malformed(bad):
-    with pytest.raises(CoupleSpecError):
+    with pytest.raises(InputError, match=MALFORMED_SPECS[bad]):
         parse_couple_spec(bad)
 
 

@@ -1,5 +1,7 @@
 """Dense and ARPACK (Lanczos) eigensolvers: examples, invariants, cross-agreement."""
 
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -165,6 +167,14 @@ def test_dense_refuses_inaccurate_pairs(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
     with pytest.raises(ConvergenceError):
         smallest_eigs(fd_laplacian([1.0, 1.0], [8, 8]), 4)
+
+
+def test_import_specgap_defers_scipy_sparse_linalg():
+    # only the ARPACK route needs it; every process pays for the package import
+    code = "import sys, specgap; print('scipy.sparse.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------
