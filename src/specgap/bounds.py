@@ -2,15 +2,43 @@
 
 Every entry of the registry reads one published inequality as a constraint on
 z = lambda_{k+1} given the prefix lambda_1 <= ... <= lambda_k, and reports the
-supremum of admissible z.  Four solver forms cover the bound entries:
+supremum of admissible z.  Each solver form has one kernel, which takes the
+spectrum and an array of prefix lengths k and returns value, iterations,
+residual and validity for all of them at once; ``compute_bound`` (one k) and
+``verify_margins`` (one candidate, or every k of a spectrum) are views of
+these kernels.  Four solver forms cover the bound entries:
 
-* closed        -- gap or average bounds evaluated directly;
-* quadratic     -- larger real root of  k z^2 - B z + C <= 0;
-* monotone      -- unique root of  G(z) = sum_i lambda_i^a / (z - lambda_i)
-                   = target,  G strictly decreasing on (lambda_k, inf);
-* largest-root  -- supremum of  {z >= lambda_k : H(z) <= 0}  for mixed forms
-                   H(z) -> +inf, located by a geometric scan for the last
-                   sign change followed by bisection.
+* closed        -- gap or average bounds, from prefix sums of lambda_i^r;
+* quadratic     -- larger real root of  k z^2 - B z + C <= 0, with B and C
+                   from prefix sums;
+* monotone      -- root of  G(z) = sum_i w_i / (z - lambda_i) = T.  1/G is a
+                   weighted harmonic mean of the z - lambda_i over
+                   W = sum_i w_i, so psi = 1/G - 1/T is increasing and
+                   concave, and W/(z - lambda_1) <= G <= W/(z - lambda_k)
+                   puts the root in [max(lambda_k, lambda_1 + W/T),
+                   lambda_k + W/T].  Newton on psi from the left end rises
+                   monotonically to the root;
+* largest-root  -- supremum of {z >= lambda_k (1 + LOWER_END_REL) : H(z) <= 0}
+                   for a mixed form H, with d_i = z - lambda_i:
+                   - degree 1 (Cheng-Yang, Wu-Cao):
+                     H = sum d - c sqrt(sum sqrt(d) wa * sum sqrt(d) wb) is
+                     linear minus a concave term, hence convex.  Newton from
+                     a cap where H > 0 falls monotonically to the right end
+                     of {H <= 0}; a tangent that stays positive down to the
+                     lower end proves the set empty;
+                   - degree 2 (Kohn):
+                     H = sum d^2 - c sqrt(sum d wa * sum d^2 wb) <= 0 exactly
+                     where the quartic P(t) = S^2 - c^2 X Y <= 0, in
+                     t = z - lambda_k with S = sum d^2, X = sum d wa and
+                     Y = sum d^2 wb.  Its coefficients come from seven
+                     moments of e_i = lambda_k - lambda_i >= 0 and the
+                     weights, and the answer is its largest real root,
+                     polished by Newton.
+
+Certificate: an implicit root r is reported valid only if the original G - T
+or H changes sign across [r (1 - ROOT_TOL), r (1 + ROOT_TOL)].  Sums over the
+eigenvalues run in chunks of prefix lengths, so that no block holds more than
+CHUNK_FLOATS floats and memory stays bounded up to MAX_PREFIX_LEN.
 
 One further entry is verify-only: it reports the slack of its inequality at a
 candidate z instead of a bound.  Each entry is declared once, as one row of
@@ -31,12 +59,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import couples as _couples
-from .errors import InputError, SolverError
+from .errors import InputError
 
 EUCLIDEAN = "euclidean-polyharmonic"
 HEISENBERG = "heisenberg-kohn"
@@ -44,10 +72,12 @@ PROBLEMS = (EUCLIDEAN, HEISENBERG)
 
 MAX_PREFIX_LEN = 10**5
 ROOT_TOL = 1e-12
-MAX_BISECT = 200
-MAX_DOUBLINGS = 200
 MAX_CAP_DOUBLINGS = 60
-SCAN_PER_DECADE = 512
+MAX_NEWTON = 100
+NEWTON_TOL = 1e-14  # a Newton step below NEWTON_TOL * z ends the iteration
+LOWER_END_REL = 1e-9  # largest-root forms look at z >= lambda_k (1 + LOWER_END_REL)
+CHUNK_FLOATS = 2**20  # entries of the largest (prefix lengths x eigenvalues) block
+CHUNK_ROWS = 64  # prefix lengths per block, so that short prefixes pad little
 
 
 @dataclass(frozen=True)
@@ -116,105 +146,234 @@ class BoundResult:
 
 
 # ---------------------------------------------------------------------------
-# solver kernels
+# solver kernels: every prefix length at once
 # ---------------------------------------------------------------------------
 
 
-def _larger_root(a: float, b: float, c: float) -> float:
-    """Larger real root of a z^2 - b z + c = 0 with a, b > 0.
+class _Prefixes:
+    """The prefixes lambda_1 .. lambda_k of one spectrum, for every k in ``ks``."""
+
+    def __init__(self, values, ks):
+        self.ks = np.asarray(ks, dtype=np.intp)
+        self.lam = np.asarray(values, dtype=float)[: int(self.ks.max())]
+        self.k = self.ks.astype(float)
+        self.last = self.lam[self.ks - 1]
+
+    def cum(self, x: np.ndarray) -> np.ndarray:
+        """sum_{i <= k} x_i for every k."""
+        return np.cumsum(x)[self.ks - 1]
+
+    def S(self, r: float) -> np.ndarray:
+        """sum_{i <= k} lambda_i^r for every k."""
+        return self.cum(self.lam**r)
+
+
+def _gaps(lam: np.ndarray, ks: np.ndarray, z: np.ndarray):
+    """Yield (rows, d) in chunks of at most CHUNK_FLOATS entries:
+    d[j, i] = z[rows][j] - lam[i] for i < ks[rows][j], and 0 beyond."""
+    step = min(CHUNK_ROWS, max(1, CHUNK_FLOATS // int(ks.max()))) if len(ks) else 1
+    for start in range(0, len(ks), step):
+        rows = slice(start, start + step)
+        width = int(ks[rows].max())
+        d = z[rows, None] - lam[:width]
+        d[np.arange(width) >= ks[rows, None]] = 0.0
+        yield rows, d
+
+
+def _larger_root(a, b, c) -> np.ndarray:
+    """Larger real root of a z^2 - b z + c = 0 with a, b > 0, elementwise;
+    NaN where there is no real root.
 
     Discriminants in [-1e-13 b^2, 0) are treated as round-off from an
     equality configuration and clamped to zero.
     """
+    a, b, c = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c)))
     disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        if disc >= -1e-13 * b * b:
-            disc = 0.0
-        else:
-            raise SolverError(
-                f"no real root: discriminant {disc:g} for a={a:g}, b={b:g}, c={c:g}"
-            )
-    return (b + math.sqrt(disc)) / (2.0 * a)
+    disc = np.where((disc < 0.0) & (disc >= -1e-13 * b * b), 0.0, disc)
+    with np.errstate(invalid="ignore"):
+        return (b + np.sqrt(disc)) / (2.0 * a)
 
 
-def solve_monotone_bound(
-    G: Callable[[float], float], z_low: float, target: float
-) -> tuple[float, int, float]:
-    """Unique root of G(z) = target for G strictly decreasing on (z_low, inf)
-    with G(z_low+) = +inf and limit below target.
+def _G(lam, ks, z, w, slope: bool = False):
+    """G(z) = sum_{i<k} w_i / (z - lambda_i) for z > lambda_k, and with
+    ``slope`` also -G'(z) = sum_{i<k} w_i / (z - lambda_i)^2."""
+    G, Q = np.empty(len(ks)), np.empty(len(ks))
+    for rows, d in _gaps(lam, ks, z):
+        inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
+        G[rows] = inv @ w[: d.shape[1]]
+        if slope:
+            Q[rows] = (inv * inv) @ w[: d.shape[1]]
+    return (G, Q) if slope else G
 
-    Brackets by doubling an offset from z_low, then bisects to relative width
-    ROOT_TOL.  Returns (root, iterations, |G(root) - target|).
+
+def _certify(f, lo, z):
+    """(valid, |f(z)|) for a root z of f, where f <= 0 marks the admissible
+    points: f <= 0 at max(lo, z (1 - ROOT_TOL)) and f > 0 at z (1 + ROOT_TOL)."""
+    valid = (f(np.maximum(z * (1.0 - ROOT_TOL), lo)) <= 0.0) & (f(z * (1.0 + ROOT_TOL)) > 0.0)
+    return valid, np.abs(f(z))
+
+
+def _monotone_roots(p: _Prefixes, w: np.ndarray, target: np.ndarray):
+    """Root of G(z) = target for every prefix length: Newton on
+    psi = 1/G - 1/target from the left end of its bracket (module docstring),
+    each step clipped to the bracket.  Returns (value, iterations, residual
+    |G - target|, valid)."""
+    lam, ks, last = p.lam, p.ks, p.last
+    above = np.nextafter(last, np.inf)
+    spread = p.cum(w) / target
+    lo = np.maximum(above, lam[0] + spread)
+    hi = np.maximum(last + spread, lo)
+    z = lo.copy()
+    iterations = np.zeros(len(ks), dtype=int)
+    active = np.arange(len(ks))
+    for _ in range(MAX_NEWTON):
+        G, Q = _G(lam, ks[active], z[active], w, slope=True)
+        step = G / Q * (G / target[active] - 1.0)  # -psi / psi'
+        z[active] = np.clip(z[active] + step, lo[active], hi[active])
+        iterations[active] += 1
+        active = active[np.abs(step) > NEWTON_TOL * z[active]]
+        if not active.size:
+            break
+    # G(lambda_k+) = +inf, so the left end need not go below lambda_k+
+    valid, residual = _certify(lambda x: target - _G(lam, ks, x, w), above, z)
+    return z, iterations, residual, valid
+
+
+class _Mixed(NamedTuple):
+    """A largest-root form H with d_i = z - lambda_i (module docstring):
+
+    degree 1:  H = sum d   - c sqrt(sum sqrt(d) wa * sum sqrt(d) wb);
+    degree 2:  H = sum d^2 - c sqrt(sum d wa       * sum d^2 wb).
     """
-    if not target > 0:
-        raise InputError(f"target must be positive, got {target}")
-    if not z_low > 0:
-        raise InputError(f"z_low must be positive, got {z_low}")
-    iterations = 0
-    d = 1e-9 * z_low
-    hi = z_low + d
-    while G(hi) >= target:
-        d *= 2.0
-        hi = z_low + d
-        iterations += 1
-        if iterations > MAX_DOUBLINGS:
-            raise SolverError(
-                f"no upper bracket after {MAX_DOUBLINGS} doublings from {z_low:g}"
-            )
-    lo = z_low + d / 2.0 if iterations else math.nextafter(z_low, math.inf)
-    # invariant: G(lo) >= target > G(hi)
-    while hi - lo > 0.5 * ROOT_TOL * hi and iterations < MAX_DOUBLINGS + MAX_BISECT:
-        mid = 0.5 * (lo + hi)
-        if G(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    root = 0.5 * (lo + hi)
-    return root, iterations, abs(G(root) - target)
+
+    degree: int
+    c: float
+    wa: np.ndarray
+    wb: np.ndarray
 
 
-def solve_largest_root_bound(
-    H: Callable[[np.ndarray], np.ndarray], z_low: float, z_hint: float
-) -> tuple[float, int, float]:
-    """Supremum of {z >= z_low : H(z) <= 0} for H(z) -> +inf as z -> inf.
+def _convex_H(form: _Mixed, lam, ks, z, slope: bool = False):
+    """The degree-1 H at z > lambda_k, and with ``slope`` also H'(z)."""
+    H, H1 = np.empty(len(ks)), np.empty(len(ks))
+    for rows, d in _gaps(lam, ks, z):
+        wa, wb = form.wa[: d.shape[1]], form.wb[: d.shape[1]]
+        s = np.sqrt(d)
+        A, B = s @ wa, s @ wb
+        g = np.sqrt(A * B)
+        H[rows] = d.sum(axis=1) - form.c * g
+        if slope:
+            half_inv = np.divide(0.5, s, out=np.zeros_like(s), where=s > 0.0)
+            H1[rows] = ks[rows] - form.c * ((half_inv @ wa) * B + A * (half_inv @ wb)) / (2.0 * g)
+    return (H, H1) if slope else H
 
-    H must accept numpy arrays.  Scans a geometric grid from just above z_low
-    to a cap seeded at z_hint (doubling the cap until H(cap) > 0), takes the
-    last sign change (SCAN_PER_DECADE points per decade), and bisects to
-    relative width ROOT_TOL.  Returns (root, iterations, |H(root)|).
-    """
-    if not z_low > 0:
-        raise InputError(f"z_low must be positive, got {z_low}")
-    lo = z_low * (1.0 + 1e-9)
-    cap = max(z_hint, 2.0 * lo)
-    iterations = 0
-    while float(H(np.asarray([cap]))[0]) <= 0.0:
-        cap *= 2.0
-        iterations += 1
-        if iterations > MAX_CAP_DOUBLINGS:
-            raise SolverError("H stayed nonpositive out to the cap doubling budget")
-    n_decades = math.log10(cap / lo)
-    npts = max(8, int(math.ceil(SCAN_PER_DECADE * n_decades)) + 1)
-    zs = np.geomspace(lo, cap, npts)
-    hs = np.asarray(H(zs), dtype=float)
-    feasible = hs <= 0.0
-    if not feasible.any():
-        raise SolverError(
-            f"H > 0 on the whole scan ({npts} points in [{lo:g}, {cap:g}])"
-        )
-    last = int(np.nonzero(feasible)[0][-1])
-    a, b = float(zs[last]), float(zs[last + 1])
-    steps = 0
-    while b - a > 0.5 * ROOT_TOL * b and steps < MAX_BISECT:
-        mid = 0.5 * (a + b)
-        if float(H(np.asarray([mid]))[0]) <= 0.0:
-            a = mid
-        else:
-            b = mid
-        steps += 1
-    root = 0.5 * (a + b)
-    return root, iterations + steps, abs(float(H(np.asarray([root]))[0]))
+
+def _H(form: _Mixed, lam, ks, z) -> np.ndarray:
+    """The original H of ``form`` at z >= lambda_k, for every row."""
+    if form.degree == 1:
+        return _convex_H(form, lam, ks, z)
+    H = np.empty(len(ks))
+    for rows, d in _gaps(lam, ks, z):
+        d2 = d * d
+        wa, wb = form.wa[: d.shape[1]], form.wb[: d.shape[1]]
+        H[rows] = d2.sum(axis=1) - form.c * np.sqrt((d @ wa) * (d2 @ wb))
+    return H
+
+
+def _convex_roots(p: _Prefixes, form: _Mixed, cap: np.ndarray):
+    """Right end of {z >= lo : H(z) <= 0} for the convex degree-1 form, for
+    every prefix length.  The cap doubles until H(cap) > 0; Newton from there
+    falls monotonically to the root.  A row is empty once a tangent of H, a
+    lower bound of the convex H, is positive on [lo, z]."""
+    lam, ks = p.lam, p.ks
+    lo = p.last * (1.0 + LOWER_END_REL)
+    z = np.maximum(cap, 2.0 * lo)
+    iterations = np.zeros(len(ks), dtype=int)
+    H = _convex_H(form, lam, ks, z)
+    for _ in range(MAX_CAP_DOUBLINGS):
+        low = np.nonzero(H <= 0.0)[0]
+        if not low.size:
+            break
+        z[low] *= 2.0
+        iterations[low] += 1
+        H[low] = _convex_H(form, lam, ks[low], z[low])
+    capped = H > 0.0
+    empty = np.zeros(len(ks), dtype=bool)
+    active = np.nonzero(capped)[0]
+    for _ in range(MAX_NEWTON):
+        H, H1 = _convex_H(form, lam, ks[active], z[active], slope=True)
+        za = z[active]
+        above = H > 0.0
+        gone = above & ((H1 <= 0.0) | (H + H1 * (lo[active] - za) > 0.0))
+        empty[active[gone]] = True
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(above & ~gone, H / H1, 0.0)
+        z[active] = za - step
+        iterations[active] += 1
+        active = active[step > NEWTON_TOL * za]
+        if not active.size:
+            break
+    valid, residual = _certify(lambda x: _H(form, lam, ks, x), lo, z)
+    return z, iterations, residual, valid & capped & ~empty
+
+
+def _quartic_roots(p: _Prefixes, form: _Mixed):
+    """Largest real root z >= lo of the degree-2 form for every prefix
+    length, through the quartic P(t) = S^2 - c^2 X Y in t = z - lambda_k
+    (module docstring).  Eigenvalues of the companion matrices, in units of
+    lambda_k, give the candidates; each is polished by Newton on P and kept
+    only if H changes sign across it, largest candidate first."""
+    lam, ks, last = p.lam, p.ks, p.last
+    m1, m2, a1, b1, b2 = (np.empty(len(ks)) for _ in range(5))
+    for rows, e in _gaps(lam, ks, last):  # e_i = lambda_k - lambda_i >= 0
+        wa, wb = form.wa[: e.shape[1]], form.wb[: e.shape[1]]
+        e2 = e * e
+        m1[rows], m2[rows] = e.sum(axis=1), e2.sum(axis=1)
+        a1[rows], b1[rows], b2[rows] = e @ wa, e @ wb, e2 @ wb
+    k, a0, b0, c2 = p.k, p.cum(form.wa), p.cum(form.wb), form.c**2
+    # S = k t^2 + 2 m1 t + m2,  X = a0 t + a1,  Y = b0 t^2 + 2 b1 t + b2
+    coef = np.stack(
+        [
+            k * k,
+            4.0 * k * m1 - c2 * a0 * b0,
+            4.0 * m1 * m1 + 2.0 * k * m2 - c2 * (2.0 * a0 * b1 + a1 * b0),
+            4.0 * m1 * m2 - c2 * (a0 * b2 + 2.0 * a1 * b1),
+            m2 * m2 - c2 * a1 * b2,
+        ],
+        axis=1,
+    )
+    q = coef[:, 1:] / (coef[:, :1] * last[:, None] ** np.arange(1, 5))  # monic, in u = t / lambda_k
+    companion = np.zeros((len(ks), 4, 4))
+    companion[:, 0, :] = -q
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    roots = np.linalg.eigvals(companion)
+    lo = last * (1.0 + LOWER_END_REL)
+    # near-real roots at or (by round-off) just below lo; _certify decides
+    near_real = np.abs(roots.imag) <= 1e-6 * np.abs(roots.real)
+    above_lo = near_real & (roots.real >= LOWER_END_REL * (1.0 - 1e-6))
+    candidates = -np.sort(-np.where(above_lo, roots.real, -np.inf), axis=1)  # largest first
+
+    value, residual = np.full(len(ks), np.nan), np.full(len(ks), np.nan)
+    iterations, valid = np.zeros(len(ks), dtype=int), np.zeros(len(ks), dtype=bool)
+    for slot in range(4):
+        rows = np.nonzero(~valid & np.isfinite(candidates[:, slot]))[0]
+        if not rows.size:
+            break
+        u, active = candidates[rows, slot], np.arange(rows.size)
+        for _ in range(MAX_NEWTON):
+            ua, qa = u[active], q[rows[active]].T
+            P = (((ua + qa[0]) * ua + qa[1]) * ua + qa[2]) * ua + qa[3]
+            dP = ((4.0 * ua + 3.0 * qa[0]) * ua + 2.0 * qa[1]) * ua + qa[2]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(dP != 0.0, P / dP, 0.0)
+            u[active] = ua - step
+            iterations[rows[active]] += 1
+            active = active[np.abs(step) > NEWTON_TOL * np.abs(ua)]
+            if not active.size:
+                break
+        z = last[rows] * (1.0 + u)
+        ok, res = _certify(lambda x: _H(form, lam, ks[rows], x), lo[rows], z)
+        value[rows[ok]], residual[rows[ok]], valid[rows[ok]] = z[ok], res[ok], True
+    return value, iterations, residual, valid
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +450,15 @@ def _even_ge4(l: int) -> bool:
 class BoundDescriptor:
     """Registry entry: applicability plus the one recipe of its solver form.
 
-    ``recipe(lam, n, l, k)`` returns what ``form`` needs: the bound value
-    (closed); (B, C) of k z^2 - B z + C <= 0 (quadratic); (weights, target)
-    of sum w_i/(z - lambda_i) = target (monotone); a vectorized H
-    (largest-root).  A verify-only entry extracts no bound: its
-    ``recipe(lam, n, l, k, z)`` is the slack of the inequality at z.
-    ``cap_names`` lists closed-form entries seeding the largest-root cap.
+    ``recipe(p, n, l)`` gets the prefixes ``p`` (every requested prefix
+    length k at once) and returns what ``form``'s kernel needs, per k: the
+    bound values (closed); (B, C) of k z^2 - B z + C <= 0 (quadratic);
+    per-eigenvalue weights w and the targets T of sum w_i/(z - lambda_i) = T
+    (monotone); the mixed form H as a ``_Mixed`` (largest-root).  A
+    verify-only entry extracts no bound: its recipe returns a ``_Mixed``
+    whose -H(z) is the slack of its inequality at z.  ``cap_names`` lists
+    the closed-form entries whose doubled maximum starts the Newton descent
+    of a degree-1 largest-root form.
     """
 
     name: str
@@ -316,54 +478,48 @@ class BoundDescriptor:
         return problem == self.problem and self.applies_l(l)
 
 
-def _S(lam: np.ndarray, r: float) -> float:
-    return float(np.sum(lam**r))
-
-
 # --- closed forms -----------------------------------------------------------
 
 
-def _ppw_laplacian(lam, n, l, k):
-    return lam[-1] + 4.0 * _S(lam, 1) / (n * k)
+def _ppw_laplacian(p, n, l):
+    return p.last + 4.0 * p.S(1) / (n * p.k)
 
 
-def _yang2_laplacian(lam, n, l, k):
-    return (1.0 + 4.0 / n) * _S(lam, 1) / k
+def _yang2_laplacian(p, n, l):
+    return (1.0 + 4.0 / n) * p.S(1) / p.k
 
 
-def _ppw_clamped(lam, n, l, k):
-    return lam[-1] + 8.0 * (n + 2) * _S(lam, 1) / (n * n * k)
+def _ppw_clamped(p, n, l):
+    return p.last + 8.0 * (n + 2) * p.S(1) / (n * n * p.k)
 
 
-def _ppw_clamped_sharp(lam, n, l, k):
-    return lam[-1] + 8.0 * (n + 2) * _S(lam, 0.5) ** 2 / (n * n * k * k)
+def _ppw_clamped_sharp(p, n, l):
+    return p.last + 8.0 * (n + 2) * p.S(0.5) ** 2 / (n * n * p.k * p.k)
 
 
-def _ppw_poly(lam, n, l, k):
-    coef = 4.0 * l * (2 * l + n - 2) / (n * n * k * k)
-    return lam[-1] + coef * _S(lam, 1.0 / l) * _S(lam, (l - 1.0) / l)
+def _ppw_poly(p, n, l):
+    coef = 4.0 * l * (2 * l + n - 2) / (n * n * p.k * p.k)
+    return p.last + coef * p.S(1.0 / l) * p.S((l - 1.0) / l)
 
 
-def _niuzhang_l1(lam, n, l, k):
-    return lam[-1] + 2.0 * _S(lam, 1) / (n * k)
+def _niuzhang_l1(p, n, l):
+    return p.last + 2.0 * p.S(1) / (n * p.k)
 
 
-def _niuzhang_l2(lam, n, l, k):
-    return lam[-1] + 4.0 * (n + 1) * _S(lam, 0.5) ** 2 / (n * n * k * k)
+def _niuzhang_l2(p, n, l):
+    return p.last + 4.0 * (n + 1) * p.S(0.5) ** 2 / (n * n * p.k * p.k)
 
 
-def _niuzhang_odd(lam, n, l, k):
+def _niuzhang_odd(p, n, l):
     c1 = kohn_constant_c1(n, l)
-    bracket = 2.0 * l * (n + l - 1) * _S(lam, (l - 1.0) / l) + c1 * (
-        _S(lam, 1) + _S(lam, (l - 2.0) / l)
-    )
-    return lam[-1] + _S(lam, 1.0 / l) * bracket / (n * n * k * k)
+    bracket = 2.0 * l * (n + l - 1) * p.S((l - 1.0) / l) + c1 * (p.S(1) + p.S((l - 2.0) / l))
+    return p.last + p.S(1.0 / l) * bracket / (n * n * p.k * p.k)
 
 
-def _niuzhang_even(lam, n, l, k):
+def _niuzhang_even(p, n, l):
     c2 = kohn_constant_c2(n, l)
-    bracket = (2.0 * l * n + 4.0 * (l - 1) + c2) * _S(lam, (l - 1.0) / l)
-    return lam[-1] + _S(lam, 1.0 / l) * bracket / (n * n * k * k)
+    bracket = (2.0 * l * n + 4.0 * (l - 1) + c2) * p.S((l - 1.0) / l)
+    return p.last + p.S(1.0 / l) * bracket / (n * n * p.k * p.k)
 
 
 # --- quadratic forms:  sum (z-lam)^2 <= sum w_i (z-lam_i)  ------------------
@@ -372,19 +528,18 @@ def _niuzhang_even(lam, n, l, k):
 
 
 def _quad_constant(C_of):
-    def fn(lam, n, l, k):
+    def fn(p, n, l):
         C = C_of(n, l)
-        return (2.0 + C) * _S(lam, 1), (1.0 + C) * _S(lam, 2)
+        return (2.0 + C) * p.S(1), (1.0 + C) * p.S(2)
 
     return fn
 
 
-def _quad_kohn_yang_odd(lam, n, l, k):
+def _quad_kohn_yang_odd(p, n, l):
     c1 = kohn_constant_c1(n, l)
-    w = (2.0 * l * (n + l - 1) * lam + c1 * (lam ** ((l + 1.0) / l) + lam ** ((l - 1.0) / l))) / (
-        n * n
-    )
-    return 2.0 * _S(lam, 1) + float(np.sum(w)), _S(lam, 2) + float(np.sum(w * lam))
+    lam = p.lam
+    w = (2.0 * l * (n + l - 1) * lam + c1 * (lam ** ((l + 1.0) / l) + lam ** ((l - 1.0) / l))) / (n * n)
+    return 2.0 * p.S(1) + p.cum(w), p.S(2) + p.cum(w * lam)
 
 
 def _c_kohn_even(n, l):
@@ -394,85 +549,54 @@ def _c_kohn_even(n, l):
 # --- monotone forms:  sum w_i / (z - lam_i) = target  -----------------------
 
 
-def _hp_laplacian(lam, n, l, k):
-    return lam**1.0, n * k / 4.0
+def _hp_laplacian(p, n, l):
+    return p.lam**1.0, n * p.k / 4.0
 
 
-def _hp_weak_clamped(lam, n, l, k):
-    return lam**1.0, n * n * k / (8.0 * (n + 2))
+def _hp_weak_clamped(p, n, l):
+    return p.lam**1.0, n * n * p.k / (8.0 * (n + 2))
 
 
-def _hileyeh_clamped(lam, n, l, k):
-    return lam**0.5, n * n * k**1.5 / (8.0 * (n + 2) * math.sqrt(_S(lam, 1)))
+def _hileyeh_clamped(p, n, l):
+    return p.lam**0.5, n * n * p.k**1.5 / (8.0 * (n + 2) * np.sqrt(p.S(1)))
 
 
-def _hook_chenqian_clamped(lam, n, l, k):
-    return lam**0.5, n * n * k * k / (8.0 * (n + 2) * _S(lam, 0.5))
+def _hook_chenqian_clamped(p, n, l):
+    return p.lam**0.5, n * n * p.k * p.k / (8.0 * (n + 2) * p.S(0.5))
 
 
-def _hp_poly(lam, n, l, k):
-    return lam ** (1.0 / l), n * n * k * k / (4.0 * l * (2 * l + n - 2) * _S(lam, (l - 1.0) / l))
+def _hp_poly(p, n, l):
+    return p.lam ** (1.0 / l), n * n * p.k * p.k / (4.0 * l * (2 * l + n - 2) * p.S((l - 1.0) / l))
 
 
-def _hp_weak_poly(lam, n, l, k):
-    return lam**1.0, n * n * k / (4.0 * l * (2 * l + n - 2))
+def _hp_weak_poly(p, n, l):
+    return p.lam**1.0, n * n * p.k / (4.0 * l * (2 * l + n - 2))
 
 
 # --- largest-root forms -----------------------------------------------------
 
 
-def _H_chengyang_clamped(lam, n, l, k):
-    c = math.sqrt(8.0 * (n + 2)) / n
-
-    def H(z):
-        d = z[:, None] - lam[None, :]
-        return d.sum(axis=1) - c * np.sqrt(lam[None, :] * d).sum(axis=1)
-
-    return H
+def _chengyang_clamped(p, n, l):
+    """sum (z-lam) <= c sum sqrt(lam (z-lam))."""
+    root = np.sqrt(p.lam)
+    return _Mixed(1, math.sqrt(8.0 * (n + 2)) / n, root, root)
 
 
-def _H_wucao_poly(lam, n, l, k):
-    c = math.sqrt(4.0 * l * (n + 2 * l - 2)) / n
-    wa = lam ** ((l - 1.0) / l)
-    wb = lam ** (1.0 / l)
-
-    def H(z):
-        s = np.sqrt(z[:, None] - lam[None, :])
-        return (z[:, None] - lam[None, :]).sum(axis=1) - c * np.sqrt(
-            (s * wa[None, :]).sum(axis=1) * (s * wb[None, :]).sum(axis=1)
-        )
-
-    return H
+def _wucao_poly(p, n, l):
+    return _Mixed(1, math.sqrt(4.0 * l * (n + 2 * l - 2)) / n, p.lam ** ((l - 1.0) / l), p.lam ** (1.0 / l))
 
 
-def _H_kohn_chengyang_l2(lam, n, l, k):
-    c = 2.0 * math.sqrt(n + 1.0) / n
-    w = np.sqrt(lam)
-
-    def H(z):
-        d = z[:, None] - lam[None, :]
-        return (d**2).sum(axis=1) - c * np.sqrt(
-            (d * w[None, :]).sum(axis=1) * (d**2 * w[None, :]).sum(axis=1)
-        )
-
-    return H
+def _kohn_chengyang_l2(p, n, l):
+    root = np.sqrt(p.lam)
+    return _Mixed(2, 2.0 * math.sqrt(n + 1.0) / n, root, root)
 
 
-def _H_kohn_mixed(bracket_of):
+def _kohn_mixed(bracket_of):
     """Kohn l >= 3 form: sum (z-lam)^2 <= (1/n) sqrt(sum (z-lam) lam^(1/l))
     * sqrt(sum (z-lam)^2 bracket_i)."""
 
-    def build(lam, n, l, k):
-        wa = lam ** (1.0 / l)
-        wb = bracket_of(lam, n, l)
-
-        def H(z):
-            d = z[:, None] - lam[None, :]
-            return (d**2).sum(axis=1) - np.sqrt(
-                (d * wa[None, :]).sum(axis=1) * (d**2 * wb[None, :]).sum(axis=1)
-            ) / n
-
-        return H
+    def build(p, n, l):
+        return _Mixed(2, 1.0 / n, p.lam ** (1.0 / l), bracket_of(p.lam, n, l))
 
     return build
 
@@ -495,19 +619,15 @@ def _bracket_odd_homog(lam, n, l):
 # --- verify-only forms ------------------------------------------------------
 
 
-def _cim_squared_slack(lam, n, l, k, z):
-    """Slack of the squared-weight polyharmonic inequality at z, in the
-    square-root normal form so that it matches check_general_poly with
-    f = g = (z - x)^2 exactly."""
-    d = z - lam
-    lhs = float(np.sum(d**2))
-    rhs = (2.0 / n) * math.sqrt(l * (2.0 * l + n - 2)) * math.sqrt(
-        float(np.sum(d**2 * lam ** ((l - 1.0) / l))) * float(np.sum(d * lam ** (1.0 / l)))
-    )
-    return rhs - lhs
+def _cim_squared(p, n, l):
+    """The squared-weight polyharmonic inequality
+    sum (z-lam)^2 <= (2/n) sqrt(l(2l+n-2)) sqrt(sum (z-lam) lam^(1/l) * sum (z-lam)^2 lam^((l-1)/l)),
+    in the square-root normal form of check_general_poly with f = g = (z - x)^2."""
+    c = (2.0 / n) * math.sqrt(l * (2.0 * l + n - 2))
+    return _Mixed(2, c, p.lam ** (1.0 / l), p.lam ** ((l - 1.0) / l))
 
 
-# name, problem, form, l-rule, recipe, cap seeds of the largest-root entries
+# name, problem, form, l-rule, recipe, cap seeds of the degree-1 largest-root entries
 _TABLE = [
     ("ppw-laplacian", EUCLIDEAN, "closed", _l_is(1), _ppw_laplacian, ()),
     ("hp-laplacian", EUCLIDEAN, "monotone", _l_is(1), _hp_laplacian, ()),
@@ -518,23 +638,22 @@ _TABLE = [
     ("hileyeh-clamped", EUCLIDEAN, "monotone", _l_is(2), _hileyeh_clamped, ()),
     ("hook-chenqian-clamped", EUCLIDEAN, "monotone", _l_is(2), _hook_chenqian_clamped, ()),
     ("hp-weak-clamped", EUCLIDEAN, "monotone", _l_is(2), _hp_weak_clamped, ()),
-    ("chengyang-clamped", EUCLIDEAN, "largest-root", _l_is(2), _H_chengyang_clamped,
+    ("chengyang-clamped", EUCLIDEAN, "largest-root", _l_is(2), _chengyang_clamped,
      ("ppw-clamped", "ppw-clamped-sharp")),
     ("ppw-poly", EUCLIDEAN, "closed", _any_l, _ppw_poly, ()),
     ("hp-poly", EUCLIDEAN, "monotone", _any_l, _hp_poly, ()),
     ("hp-weak-poly", EUCLIDEAN, "monotone", _any_l, _hp_weak_poly, ()),
-    ("wucao-poly", EUCLIDEAN, "largest-root", _any_l, _H_wucao_poly, ("ppw-poly",)),
+    ("wucao-poly", EUCLIDEAN, "largest-root", _any_l, _wucao_poly, ("ppw-poly",)),
     ("cim-yang-poly", EUCLIDEAN, "quadratic", _any_l,
      _quad_constant(lambda n, l: 4.0 * l * (2 * l + n - 2) / (n * n)), ()),
-    ("cim-squared-poly", EUCLIDEAN, "verify-only", _any_l, _cim_squared_slack, ()),
+    ("cim-squared-poly", EUCLIDEAN, "verify-only", _any_l, _cim_squared, ()),
     ("kohn-yang-l1", HEISENBERG, "quadratic", _l_is(1), _quad_constant(lambda n, l: 2.0 / n), ()),
-    ("kohn-chengyang-l2", HEISENBERG, "largest-root", _l_is(2), _H_kohn_chengyang_l2, ("niuzhang-l2",)),
+    ("kohn-chengyang-l2", HEISENBERG, "largest-root", _l_is(2), _kohn_chengyang_l2, ()),
     ("kohn-yang-l2", HEISENBERG, "quadratic", _l_is(2),
      _quad_constant(lambda n, l: 4.0 * (n + 1.0) / (n * n)), ()),
-    ("kohn-odd-l", HEISENBERG, "largest-root", _odd_ge3, _H_kohn_mixed(_bracket_odd), ("niuzhang-odd",)),
-    ("kohn-even-l", HEISENBERG, "largest-root", _even_ge4, _H_kohn_mixed(_bracket_even), ("niuzhang-even",)),
-    ("kohn-odd-l-homog", HEISENBERG, "largest-root", _odd_ge3, _H_kohn_mixed(_bracket_odd_homog),
-     ("niuzhang-odd",)),
+    ("kohn-odd-l", HEISENBERG, "largest-root", _odd_ge3, _kohn_mixed(_bracket_odd), ()),
+    ("kohn-even-l", HEISENBERG, "largest-root", _even_ge4, _kohn_mixed(_bracket_even), ()),
+    ("kohn-odd-l-homog", HEISENBERG, "largest-root", _odd_ge3, _kohn_mixed(_bracket_odd_homog), ()),
     ("kohn-yang-odd-l", HEISENBERG, "quadratic", _odd_ge3, _quad_kohn_yang_odd, ()),
     ("kohn-yang-even-l", HEISENBERG, "quadratic", _even_ge4, _quad_constant(_c_kohn_even), ()),
     ("niuzhang-l1", HEISENBERG, "closed", _l_is(1), _niuzhang_l1, ()),
@@ -574,12 +693,43 @@ def _check_applicable(desc: BoundDescriptor, prefix: SpectrumPrefix) -> None:
         )
 
 
+def _bound_table(desc: BoundDescriptor, prefix: SpectrumPrefix, ks, caps=None):
+    """(value, iterations, residual, valid) of a bound-extracting entry for
+    every prefix length in ``ks``.  ``caps`` seed a degree-1 largest-root
+    form; by default they are twice the largest of its cap entries.  Invalid
+    implicit rows report NaN value and residual and 0 iterations."""
+    p = _Prefixes(prefix.values, ks)
+    data = desc.recipe(p, prefix.n, prefix.l)
+    none = np.zeros(len(p.ks), dtype=int)
+    if desc.form == "closed":
+        return data, none, np.zeros(len(p.ks)), np.ones(len(p.ks), dtype=bool)
+    if desc.form == "quadratic":
+        root = _larger_root(p.k, *data)
+        real = ~np.isnan(root)
+        return root, none, np.where(real, 0.0, np.nan), real & (root >= p.last * (1.0 - 1e-12))
+    if desc.form == "monotone":
+        value, iterations, residual, valid = _monotone_roots(p, *data)
+    elif data.degree == 2:
+        value, iterations, residual, valid = _quartic_roots(p, data)
+    else:
+        if caps is None:
+            caps = 2.0 * np.max([_bound_table(REGISTRY[c], prefix, ks)[0] for c in desc.cap_names], axis=0)
+        value, iterations, residual, valid = _convex_roots(p, data, caps)
+    return (
+        np.where(valid, value, np.nan),
+        np.where(valid, iterations, 0),
+        np.where(valid, residual, np.nan),
+        valid,
+    )
+
+
 def compute_bound(name: str, prefix: SpectrumPrefix, k: Optional[int] = None) -> BoundResult:
     """The named upper bound for lambda_{k+1} from the first k prefix values.
 
     Reads the inequality as a constraint on z = lambda_{k+1} and returns the
-    supremum of admissible z.  Solver failures (negative discriminant, empty
-    feasible set) return valid=False rather than raising; bad input raises.
+    supremum of admissible z.  Solver failures (no real root, empty feasible
+    set, an uncertified root) return valid=False rather than raising; bad
+    input raises.
     """
     desc = _descriptor(name)
     _check_applicable(desc, prefix)
@@ -589,36 +739,14 @@ def compute_bound(name: str, prefix: SpectrumPrefix, k: Optional[int] = None) ->
             "(evaluate its margin via verify_margins)"
         )
     k = len(prefix) if k is None else int(k)
-    lam = prefix.head(k)
-    n, l = prefix.n, prefix.l
-    lam_k = float(lam[-1])
-
-    try:
-        if desc.form == "closed":
-            return BoundResult(name, float(desc.recipe(lam, n, l, k)), "closed", 0, 0.0, True)
-        if desc.form == "quadratic":
-            B, C = desc.recipe(lam, n, l, k)
-            root = _larger_root(float(k), B, C)
-            valid = root >= lam_k * (1.0 - 1e-12)
-            return BoundResult(name, root, "quadratic", 0, 0.0, valid)
-        if desc.form == "monotone":
-            w, target = desc.recipe(lam, n, l, k)
-
-            def G(z):
-                return float(np.sum(w / (z - lam)))
-
-            root, iters, resid = solve_monotone_bound(G, lam_k, target)
-            return BoundResult(name, root, "implicit", iters, resid, True)
-        if desc.form == "largest-root":
-            H = desc.recipe(lam, n, l, k)
-            cap = 2.0 * max(
-                compute_bound(c, prefix, k).value for c in desc.cap_names
-            )
-            root, iters, resid = solve_largest_root_bound(H, lam_k, cap)
-            return BoundResult(name, root, "implicit", iters, resid, True)
-    except SolverError:
-        return BoundResult(name, float("nan"), desc.form, 0, float("nan"), False)
-    raise AssertionError(f"unhandled form {desc.form!r}")
+    prefix.head(k)
+    caps = None
+    if desc.cap_names:  # one compute_bound call per cap entry
+        caps = np.array([2.0 * max(compute_bound(c, prefix, k).value for c in desc.cap_names)])
+    value, iterations, residual, valid = _bound_table(desc, prefix, [k], caps)
+    implicit = desc.form in ("monotone", "largest-root")
+    method = "implicit" if implicit and valid[0] else desc.form
+    return BoundResult(name, float(value[0]), method, int(iterations[0]), float(residual[0]), bool(valid[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +756,8 @@ def compute_bound(name: str, prefix: SpectrumPrefix, k: Optional[int] = None) ->
 
 @dataclass
 class MarginEntry:
-    """Per-descriptor slack of the inequality at a candidate lambda_{k+1}.
+    """Per-descriptor slack of the inequality at a candidate lambda_{k+1}
+    given the first k values.
 
     For bound-extracting descriptors, margin = bound - candidate.  For
     verification-only descriptors, margin is the inequality slack itself
@@ -636,6 +765,8 @@ class MarginEntry:
     violation; :meth:`violated` applies a relative tolerance in the right unit.
     """
 
+    k: int
+    candidate: float
     name: str
     margin: float
     bound: float
@@ -644,6 +775,8 @@ class MarginEntry:
 
     def as_dict(self) -> dict:
         return {
+            "k": self.k,
+            "candidate": self.candidate,
             "name": self.name,
             "margin": self.margin,
             "bound": self.bound,
@@ -651,41 +784,60 @@ class MarginEntry:
             "note": self.note,
         }
 
-    def violated(self, z: float, rel_slack: float) -> bool:
-        """Whether the margin falls below -rel_slack times its unit: z for a
-        bound, z^2 for the inequality slack of a verify-only entry.  Invalid
-        and inapplicable entries are never violations."""
+    def violated(self, rel_slack: float) -> bool:
+        """Whether the margin falls below -rel_slack times its unit: the
+        candidate z for a bound, z^2 for the inequality slack of a verify-only
+        entry.  Invalid and inapplicable entries are never violations."""
         if not self.valid or math.isnan(self.margin):
             return False
+        z = self.candidate
         unit = z if _descriptor(self.name).extracts_bound else z**2
         return self.margin < -rel_slack * unit
 
 
-def verify_margins(prefix: SpectrumPrefix, candidate: float, which=None) -> list[MarginEntry]:
-    """Margins of every requested descriptor at z = candidate, using the whole
-    prefix (k = len(prefix)): bound - candidate, or the inequality slack of a
-    verify-only entry.  Inapplicable descriptors and invalid bounds are
-    reported with a notice, not an error."""
-    k = len(prefix)
-    lam_k = float(prefix.values[-1])
-    if not candidate >= lam_k * (1.0 - 1e-12):
-        raise InputError(f"candidate {candidate} is below lambda_k = {lam_k}")
+def _margin_rows(desc: BoundDescriptor, prefix: SpectrumPrefix, ks, z) -> list[tuple]:
+    """(margin, bound, valid, note) of one descriptor for every prefix length."""
+    nan = float("nan")
+    if not desc.applicable(prefix.problem, prefix.l):
+        return [(nan, nan, False, "inapplicable: skipped")] * len(ks)
+    if not desc.extracts_bound:
+        p = _Prefixes(prefix.values, ks)
+        slack = -_H(desc.recipe(p, prefix.n, prefix.l), p.lam, p.ks, z)
+        return [(s, nan, True, "inequality slack (no bound form)") for s in slack.tolist()]
+    value, _, _, valid = _bound_table(desc, prefix, ks)
+    return [
+        (b - c, b, True, "") if ok else (nan, b, False, "no admissible bound value")
+        for b, c, ok in zip(value.tolist(), z.tolist(), valid.tolist())
+    ]
+
+
+def verify_margins(
+    prefix: SpectrumPrefix, candidate: Optional[float] = None, which=None
+) -> list[MarginEntry]:
+    """Margins of every requested descriptor: bound - candidate, or the
+    inequality slack of a verify-only entry.
+
+    With a candidate, at z = candidate from the whole prefix
+    (k = len(prefix)).  Without one, along the spectrum: at z = lambda_{k+1}
+    from the first k values, for every k = 1 .. len(prefix) - 1, ordered by
+    k and then by descriptor.  Inapplicable descriptors and invalid bounds
+    are reported with a notice, not an error."""
+    if candidate is None:
+        if len(prefix) < 2:
+            raise InputError("need at least two eigenvalues to verify anything")
+        ks, z = np.arange(1, len(prefix)), np.array(prefix.values[1:])
+    else:
+        lam_k = float(prefix.values[-1])
+        if not candidate >= lam_k * (1.0 - 1e-12):
+            raise InputError(f"candidate {candidate} is below lambda_k = {lam_k}")
+        ks, z = np.array([len(prefix)]), np.array([float(candidate)])
     names = list(which) if which is not None else registry_names()
-    out: list[MarginEntry] = []
-    for name in names:
-        desc = _descriptor(name)
-        if not desc.applicable(prefix.problem, prefix.l):
-            out.append(MarginEntry(name, float("nan"), float("nan"), False, "inapplicable: skipped"))
-        elif not desc.extracts_bound:
-            slack = desc.recipe(prefix.head(k), prefix.n, prefix.l, k, candidate)
-            out.append(MarginEntry(name, slack, float("nan"), True, "inequality slack (no bound form)"))
-        else:
-            res = compute_bound(name, prefix, k)
-            if res.valid:
-                out.append(MarginEntry(name, res.value - candidate, res.value, True))
-            else:
-                out.append(MarginEntry(name, float("nan"), res.value, False, "no admissible bound value"))
-    return out
+    columns = [_margin_rows(_descriptor(name), prefix, ks, z) for name in names]
+    return [
+        MarginEntry(k, c, name, *column[j])
+        for j, (k, c) in enumerate(zip(ks.tolist(), z.tolist()))
+        for name, column in zip(names, columns)
+    ]
 
 
 @dataclass
@@ -735,4 +887,3 @@ def check_general_poly(prefix: SpectrumPrefix, next_value: float, couple) -> flo
         * float(np.sum(f**2 / (g * (next_value - lam)) * lam ** (1.0 / l)))
     )
     return rhs - lhs
-

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -38,28 +40,35 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
+TRIAL_WINDOW = 256  # trials a process pool maps at once in verify abstract
+
 
 # ---------------------------------------------------------------------------
 # deterministic serialization: floats at 17 significant digits
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
+def _json_str(text: str) -> str:
+    """json.dumps of a string; keys, names and notes repeat on every row."""
+    return json.dumps(text)
+
+
 def _fmt_json(value) -> str:
+    if isinstance(value, float):  # first: most values are floats (np.float64 too)
+        return format(float(value), ".17g") if math.isfinite(value) else "null"
+    if isinstance(value, str):
+        return _json_str(value)
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v) or math.isinf(v):
-            return "null"
-        return format(v, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
+    if isinstance(value, np.floating):
+        return _fmt_json(float(value))
     if isinstance(value, dict):
-        items = ",".join(f"{json.dumps(str(k))}:{_fmt_json(v)}" for k, v in value.items())
+        items = ",".join(f"{_json_str(str(k))}:{_fmt_json(v)}" for k, v in value.items())
         return "{" + items + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ",".join(_fmt_json(v) for v in value) + "]"
@@ -233,6 +242,19 @@ def _abstract_trial_worker(payload) -> list[dict]:
     return rows
 
 
+def _trial_rows(payload: tuple, trials: int, workers: int):
+    """The rows of each trial, in trial order, computed as they are consumed:
+    in this process, or by a pool of ``workers`` processes mapping windows of
+    TRIAL_WINDOW trials, so memory stays bounded for any ``trials``."""
+    payloads = ((t, *payload) for t in range(trials))
+    if workers == 1:
+        yield from map(_abstract_trial_worker, payloads)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for _ in range(0, trials, TRIAL_WINDOW):
+            yield from pool.map(_abstract_trial_worker, itertools.islice(payloads, TRIAL_WINDOW), chunksize=8)
+
+
 def cmd_verify_abstract(args) -> int:
     trials = int(_need(args, "trials"))
     dim = int(_need(args, "dim"))
@@ -247,12 +269,7 @@ def cmd_verify_abstract(args) -> int:
     couple_texts = args.couple or ["equal-power:2"]
     parsed_couples = tuple(_parse_couple(text) for text in couple_texts)
 
-    payloads = [(t, seed, dim, nops, ensemble, parsed_couples, min_gap) for t in range(trials)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            all_rows = list(pool.map(_abstract_trial_worker, payloads, chunksize=8))
-    else:
-        all_rows = [_abstract_trial_worker(p) for p in payloads]
+    trial_rows = _trial_rows((seed, dim, nops, ensemble, parsed_couples, min_gap), trials, workers)
 
     # workers is an execution knob, not part of the mathematical run: output
     # is identical for any worker count, so it is not echoed in the summary
@@ -269,7 +286,7 @@ def cmd_verify_abstract(args) -> int:
     checks = passes = 0
     worst = -math.inf
     with _Output(args.out) as out:
-        for rows in all_rows:
+        for rows in trial_rows:
             for row in rows:
                 checks += 1
                 passes += bool(row["pass"])
@@ -293,8 +310,7 @@ def cmd_verify_spectrum(args) -> int:
     slack = float(args.slack if args.slack is not None else 1e-3)
     which = args.which.split(",") if args.which else None
     full = _prefix_from_args(args, values, meta)  # validates sortedness and positivity
-    if len(full) < 2:
-        raise SpecgapError("need at least two eigenvalues to verify anything")
+    entries = bounds.verify_margins(full, which=which)
     violations = 0
     config = {
         "command": "verify spectrum",
@@ -306,16 +322,12 @@ def cmd_verify_spectrum(args) -> int:
         "which": which,
     }
     with _Output(args.out) as out:
-        for k in range(1, len(full)):
-            prefix = bounds.SpectrumPrefix(full.values[:k], full.n, full.l, full.problem)
-            candidate = float(full.values[k])
-            for entry in bounds.verify_margins(prefix, candidate, which):
-                row = {"k": k, "candidate": candidate}
-                row.update(entry.as_dict())
-                violated = entry.violated(candidate, slack)
-                row["violation"] = violated
-                violations += violated
-                out.line(json_line(row))
+        for entry in entries:
+            row = entry.as_dict()
+            violated = entry.violated(slack)
+            row["violation"] = violated
+            violations += violated
+            out.line(json_line(row))
         out.line(
             json_line(
                 {

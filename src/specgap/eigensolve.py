@@ -13,10 +13,10 @@ no caller can receive an eigenvalue whose residual was not checked.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConvergenceError, InputError
 
@@ -45,21 +45,28 @@ class EigResult:
     iterations: int = 0
 
 
+def _issparse(M) -> bool:
+    """scipy.sparse.issparse without importing scipy.sparse, which is most of
+    the package's import time: no sparse matrix exists before it is loaded."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(M)
+
+
 def _as_array(M):
-    if sp.issparse(M):
+    if _issparse(M):
         return M
     return np.asarray(M)
 
 
 def _matnorm(M) -> float:
     """Max-abs entry norm, cheap for both dense and sparse."""
-    if sp.issparse(M):
+    if _issparse(M):
         return float(np.abs(M.data).max()) if M.nnz else 0.0
     return float(np.abs(M).max()) if M.size else 0.0
 
 
 def _symmetry_defect(M) -> float:
-    if sp.issparse(M):
+    if _issparse(M):
         d = M - M.conj().T if np.iscomplexobj(M.data if hasattr(M, "data") else M) else M - M.T
         return float(np.abs(d.data).max()) if d.nnz else 0.0
     return float(np.abs(M - M.conj().T).max()) if M.size else 0.0
@@ -100,7 +107,7 @@ def dense_symmetric_eig(M) -> EigResult:
     if dim > DENSE_DIM_CAP:
         raise InputError(f"dimension {dim} exceeds the dense cap {DENSE_DIM_CAP}")
     _require_symmetric(M)
-    Md = M.toarray() if sp.issparse(M) else M
+    Md = M.toarray() if _issparse(M) else M
     w, V = np.linalg.eigh(Md)
     res = np.linalg.norm(Md @ V - V * w[None, :], axis=0)
     _check_residuals(res, _inf_norm(M))
@@ -158,4 +165,4 @@ def smallest_eigs(op, m: int) -> EigResult:
         return EigResult(
             full.eigenvalues[:m], full.eigenvectors[:, :m], full.residuals[:m], "dense-fallback"
         )
-    return _lanczos_smallest(M.tocsr() if sp.issparse(M) else M, m)
+    return _lanczos_smallest(M.tocsr() if _issparse(M) else M, m)

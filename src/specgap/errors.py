@@ -1,4 +1,4 @@
-"""The four exception classes of the package, and what catches each one.
+"""The three exception classes of the package, and what catches each one.
 
 * SpecgapError: base of every error raised on purpose.  ``cli.main``
   catches it and exits with code 2, so a caller never has to catch bare
@@ -7,9 +7,6 @@
   precondition (domain, shape, range, a malformed spec or file, a couple
   that fails admissibility where it is required).  Nothing in the package
   catches it; it reaches the caller, or exit code 2.
-* SolverError: a bound kernel found no valid root (negative discriminant,
-  no bracket, empty feasible set).  ``bounds.compute_bound`` turns it into
-  a result with ``valid=False``.
 * ConvergenceError: an eigensolver route refused its eigenpairs (no
   convergence, or a residual above tolerance).  It reaches the caller, or
   exit code 2.
@@ -22,10 +19,6 @@ class SpecgapError(Exception):
 
 class InputError(SpecgapError, ValueError):
     """Inputs violate a documented precondition (domain, shape, range)."""
-
-
-class SolverError(SpecgapError):
-    """A solver kernel could not produce a valid root."""
 
 
 class ConvergenceError(SpecgapError):

@@ -16,20 +16,26 @@ and ``operator_power_spectrum`` raises computed eigenvalues to an integer
 power (the matrix power shares eigenvectors).  Note that powering the
 Dirichlet Laplacian realizes Navier-type, not clamped, conditions; outputs
 are labeled accordingly.
+
+The builders import scipy.sparse when they run, not when this module is
+imported: ``bound`` and ``verify`` never build a sparse matrix and need not
+pay for it.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bounds import EUCLIDEAN, HEISENBERG, SpectrumPrefix
 from .errors import InputError
 from .eigensolve import dense_symmetric_eig, smallest_eigs
+
+if TYPE_CHECKING:  # the builders import scipy.sparse when they run
+    import scipy.sparse as sp
 
 
 @dataclass(eq=False)
@@ -104,6 +110,8 @@ def box_spectrum(sides, count: int) -> SpectrumPrefix:
 
 def _second_difference(n: int, h: float) -> sp.csr_matrix:
     """Tridiagonal -d^2/dx^2 with Dirichlet ends, SPD."""
+    import scipy.sparse as sp
+
     main = np.full(n, 2.0 / h**2)
     off = np.full(n - 1, -1.0 / h**2)
     return sp.diags([off, main, off], [-1, 0, 1], format="csr")
@@ -111,6 +119,8 @@ def _second_difference(n: int, h: float) -> sp.csr_matrix:
 
 def _central_difference(n: int, h: float) -> sp.csr_matrix:
     """Tridiagonal skew d/dx with Dirichlet truncation, exactly antisymmetric."""
+    import scipy.sparse as sp
+
     off = np.full(n - 1, 1.0 / (2.0 * h))
     return sp.diags([off, -off], [1, -1], format="csr")
 
@@ -118,6 +128,8 @@ def _central_difference(n: int, h: float) -> sp.csr_matrix:
 def _clamped_fourth_difference(n: int, h: float) -> sp.csr_matrix:
     """Pentadiagonal d^4/dx^4 for a clamped end: boundary value zero and the
     ghost point mirroring the first interior point (zero normal derivative)."""
+    import scipy.sparse as sp
+
     if n < 4:
         raise InputError(f"clamped stencil needs at least 4 interior points, got {n}")
     main = np.full(n, 6.0)
@@ -128,6 +140,8 @@ def _clamped_fourth_difference(n: int, h: float) -> sp.csr_matrix:
 
 
 def _kron_chain(mats) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     out = mats[0]
     for m in mats[1:]:
         out = sp.kron(out, m, format="csr")
@@ -135,6 +149,8 @@ def _kron_chain(mats) -> sp.csr_matrix:
 
 
 def _axis_operator(op_1d, axis: int, grids) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     mats = [sp.identity(g, format="csr") for g in grids]
     mats[axis] = op_1d
     return _kron_chain(mats)
@@ -153,6 +169,8 @@ def fd_clamped_plate(sides, grids) -> DiscreteOperator:
     """Biharmonic operator with clamped conditions: per-axis fourth
     differences with ghost mirroring plus twice the mixed products of the
     per-axis second differences."""
+    import scipy.sparse as sp
+
     sides, grids, h = _validate_grid(sides, grids, min_pts=4)
     ndim = len(grids)
     total = _axis_operator(_clamped_fourth_difference(grids[0], h[0]), 0, grids)
@@ -176,6 +194,8 @@ def kohn_fd(n: int = 1, sides=(1.0, 1.0, 1.0), grids=(12, 12, 12)) -> KohnOperat
     product average (D_t M + M D_t)/2, which preserves skewness exactly.  The
     operator is the Gram form X^T X + Y^T Y, symmetric PSD by construction.
     """
+    import scipy.sparse as sp
+
     if n != 1:
         raise InputError("only the n = 1 Heisenberg group is supported at desk scale")
     sides, grids, h = _validate_grid(sides, grids, min_pts=4)

@@ -20,12 +20,10 @@ from specgap.bounds import (
     kohn_constant_c1,
     kohn_constant_c2,
     registry_names,
-    solve_largest_root_bound,
-    solve_monotone_bound,
     verify_margins,
 )
 from specgap.couples import FunctionCouple
-from specgap.errors import InputError, SolverError
+from specgap.errors import InputError
 
 PI2 = math.pi**2
 
@@ -88,70 +86,77 @@ def test_quadratic_equality_case():
 
 def test_quadratic_negative_discriminant():
     # k z^2 - (2+C) S1 z + (1+C) S2 with S2 huge has no real root
-    with pytest.raises(SolverError, match="no real root: discriminant"):
-        bounds._larger_root(1.0, 1.0, 100.0)
+    assert np.isnan(bounds._larger_root(1.0, 1.0, 100.0))
 
 
 # ---------------------------------------------------------------------------
-# monotone kernel
+# monotone kernel:  sum w_i / (z - lam_i) = target
 # ---------------------------------------------------------------------------
+
+
+def _whole(lam):
+    """The one prefix made of all of lam, as the kernels take it."""
+    return bounds._Prefixes(np.asarray(lam, dtype=float), [len(lam)])
+
+
+def _monotone(lam, w, target):
+    return bounds._monotone_roots(_whole(lam), np.asarray(w, dtype=float), np.array([target]))
 
 
 def test_monotone_closed_form_inversion():
-    root, iters, resid = solve_monotone_bound(lambda z: 2.0 / (z - 1.0), 1.0, 1.0)
-    assert root == pytest.approx(3.0, rel=1e-12)
-    assert resid <= 1e-12 * 1.0 * 10
-    assert iters > 0
+    root, iters, resid, _ = _monotone([1.0], [2.0], 1.0)
+    assert root[0] == pytest.approx(3.0, rel=1e-12)
+    assert resid[0] <= 1e-12 * 1.0 * 10
+    assert iters[0] > 0
 
 
 def test_monotone_single_term():
-    root, _, _ = solve_monotone_bound(lambda z: 1.0 / (z - 1.0), 1.0, 0.5)
-    assert root == pytest.approx(3.0, rel=1e-12)
+    root, _, _, _ = _monotone([1.0], [1.0], 0.5)
+    assert root[0] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_monotone_two_terms_equal_weights():
     # sum 1/(z - lam) = 1 over lam = (1, 4):  z^2 - 7z + 9 = 0
     oracle = max(np.roots([1.0, -7.0, 9.0]))
     assert oracle == pytest.approx((7 + math.sqrt(13)) / 2, rel=1e-15)
-    root, _, resid = solve_monotone_bound(lambda z: 1.0 / (z - 1.0) + 1.0 / (z - 4.0), 4.0, 1.0)
-    assert root == pytest.approx(oracle, rel=1e-12)
+    root, _, resid, _ = _monotone([1.0, 4.0], [1.0, 1.0], 1.0)
+    assert root[0] == pytest.approx(oracle, rel=1e-12)
 
 
 def test_monotone_sqrt_weights():
     # sum sqrt(lam)/(z - lam) = 1 over lam = (1, 4):  z^2 - 8z + 10 = 0
     oracle = max(np.roots([1.0, -8.0, 10.0]))
-    root, _, _ = solve_monotone_bound(lambda z: 1.0 / (z - 1.0) + 2.0 / (z - 4.0), 4.0, 1.0)
-    assert root == pytest.approx(oracle, rel=1e-12)
+    root, _, _, _ = _monotone([1.0, 4.0], [1.0, 2.0], 1.0)
+    assert root[0] == pytest.approx(oracle, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# largest-root kernel
+# largest-root kernel, degree 1:  sum d - c sqrt(sum sqrt(d) wa * sum sqrt(d) wb)
 # ---------------------------------------------------------------------------
+
+
+def _convex(lam, c, cap):
+    ones = np.ones(len(lam))
+    return bounds._convex_roots(_whole(lam), bounds._Mixed(1, c, ones, ones), np.array([cap]))
 
 
 def test_largest_root_trivial():
-    def H(z):
-        return (z - 1.0) - 2.0 * np.sqrt(z - 1.0)
-
-    root, _, resid = solve_largest_root_bound(H, 1.0, 20.0)
-    assert root == pytest.approx(5.0, rel=1e-11)
+    # H(z) = (z - 1) - 2 sqrt(z - 1)
+    root, _, resid, _ = _convex([1.0], 2.0, 20.0)
+    assert root[0] == pytest.approx(5.0, rel=1e-11)
 
 
 def test_largest_root_one_term_chengyang():
     # (z - 1) - c sqrt(z - 1) <= 0 iff z <= 1 + c^2, c^2 = 8(n+2)/n^2, n = 2
     c = math.sqrt(8.0 * 4.0 / 4.0)
-
-    def H(z):
-        return (z - 1.0) - c * np.sqrt(1.0 * (z - 1.0))
-
-    root, _, _ = solve_largest_root_bound(H, 1.0, 30.0)
-    assert root == pytest.approx(9.0, rel=1e-11)
+    root, _, _, _ = _convex([1.0], c, 30.0)
+    assert root[0] == pytest.approx(9.0, rel=1e-11)
 
 
 def test_largest_root_empty_feasible_set():
     # H(z) = z - lambda_k with lambda_k = 2: positive everywhere above 2
-    with pytest.raises(SolverError, match="H > 0 on the whole scan"):
-        solve_largest_root_bound(lambda z: np.asarray(z) - 2.0, 2.0, 10.0)
+    _, _, _, valid = _convex([2.0], 0.0, 10.0)
+    assert not valid[0]
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,24 @@ def test_verify_abstract_workers_capped_at_cpu_count(monkeypatch, capsys):
     assert pooled == serial
 
 
+def test_verify_abstract_streams_trials_in_bounded_memory():
+    # a cheap stub trial, 2*10^6 trials, 300 MB of address space: holding one
+    # payload tuple and one row list per trial takes about 400 MB more than
+    # importing the package does
+    code = (
+        "import resource, sys\n"
+        "from specgap import cli\n"
+        "cli._abstract_trial_worker = lambda payload: []\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, 300 * 2**20))\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["verify", "abstract", "--trials", "2000000", "--dim", "2", "--nops", "1"]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    summary = json.loads(proc.stdout)
+    assert summary["trials"] == 2000000 and summary["checks"] == 0
+
+
 def test_verify_abstract_refuses_dim_above_dense_cap(capsys):
     # refused before the 10^6 x 10^6 matrices of the instance are allocated
     argv = ["verify", "abstract", "--trials", "1", "--dim", "1000000", "--nops", "1"]

@@ -170,11 +170,12 @@ def test_dense_refuses_inaccurate_pairs(monkeypatch):
 
 
 def test_import_specgap_defers_scipy_sparse_linalg():
-    # only the ARPACK route needs it; every process pays for the package import
-    code = "import sys, specgap; print('scipy.sparse.linalg' in sys.modules)"
+    # only the ARPACK route needs scipy.sparse.linalg, and only the operator
+    # builders scipy.sparse; every process pays for the package import
+    code = "import sys, specgap; print('scipy.sparse.linalg' in sys.modules, 'scipy.sparse' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
 
 
 # ---------------------------------------------------------------------------
