@@ -12,8 +12,6 @@ The public surface mirrors the module layout:
 """
 
 from .bounds import (
-    EUCLIDEAN,
-    HEISENBERG,
     REGISTRY,
     SpectrumPrefix,
     chain_compare,
@@ -28,11 +26,9 @@ from .couples import (
     FunctionCouple,
     check_membership,
     check_necessary_differentiable,
-    parse_couple_spec,
 )
 from .abstract import (
     OperatorTriple,
-    commutator,
     moment_inequality_check,
     random_instance,
     verify_corollary,
@@ -43,8 +39,6 @@ from .operators import (
     fd_clamped_plate,
     fd_laplacian,
     kohn_fd,
-    operator_power_spectrum,
 )
-from .eigensolve import dense_symmetric_eig, smallest_eigs
 
 __version__ = "0.1.0"

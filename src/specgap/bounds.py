@@ -51,6 +51,24 @@ polyharmonic family (any l), and the Kohn Laplacian on a Heisenberg box
 (problem "heisenberg-kohn", powers l = 1, 2 and odd/even l >= 3, with the
 combinatorial constants c1(n, l) and c2(n, l) evaluated in exact rational
 arithmetic).
+
+Twelve l = 1 and l = 2 rows are general rows at that l, and share their
+recipe:
+
+* ppw-laplacian, ppw-clamped-sharp          -- ppw-poly at l = 1, 2;
+* hp-laplacian, hook-chenqian-clamped       -- hp-poly at l = 1, 2;
+* hp-weak-clamped                           -- hp-weak-poly at l = 2;
+* chengyang-clamped                         -- wucao-poly at l = 2 (with its
+                                               own cap entries);
+* yang1-laplacian                           -- cim-yang-poly at l = 1;
+* kohn-yang-l1, niuzhang-l1                 -- kohn-yang-odd-l, niuzhang-odd
+                                               at l = 1;
+* kohn-yang-l2, niuzhang-l2, kohn-chengyang-l2
+                                            -- kohn-yang-even-l, niuzhang-even,
+                                               kohn-even-l at l = 2.
+
+The Kohn ones rest on c1(n, 1) = c2(n, 2) = 0: the double sum defining both
+constants is empty for l <= 2.
 """
 
 from __future__ import annotations
@@ -394,6 +412,22 @@ def _c_inner_sum(n: int, m: int, even_from: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _kohn_c(n: int, l: int) -> float:
+    """c1(n, l) for odd l, c2(n, l) for even l: the double sum over q, r >= 1
+    with q + r < l of the inner sums at m = l - q - r, times 2 for odd l
+    (even part from s = 2) and 4 for even l (from s = 0); c1(n, 3) = 4
+    exactly.  For l <= 2 the double sum is empty, so 0: the Kohn recipes then
+    give the l = 1 and l = 2 bounds."""
+    if l == 3:
+        return 4.0
+    odd = l % 2 == 1
+    total = Fraction(0)
+    for q in range(1, l - 1):
+        for r in range(1, l - q):
+            total += _c_inner_sum(n, l - q - r, even_from=2 if odd else 0)
+    return float((2 if odd else 4) * total)
+
+
 def kohn_constant_c1(n: int, l: int) -> float:
     """c1(n, l) for odd l >= 3.  c1(n, 3) = 4 exactly; for odd l >= 5 the
     double sum over (q, r) of the inner binomial sums, times 2."""
@@ -401,16 +435,9 @@ def kohn_constant_c1(n: int, l: int) -> float:
         raise InputError(f"n must be a positive integer, got {n}")
     if not (isinstance(l, int) and l >= 3 and l % 2 == 1):
         raise InputError(f"c1 requires odd l >= 3, got {l}")
-    if l == 3:
-        return 4.0
-    total = Fraction(0)
-    for q in range(1, l - 1):
-        for r in range(1, l - q):
-            total += _c_inner_sum(n, l - q - r, even_from=2)
-    return float(2 * total)
+    return _kohn_c(n, l)
 
 
-@lru_cache(maxsize=None)
 def kohn_constant_c2(n: int, l: int) -> float:
     """c2(n, l) for even l >= 4: the analogous double sum with the even part
     of the inner sum starting at s = 0, times 4."""
@@ -418,11 +445,7 @@ def kohn_constant_c2(n: int, l: int) -> float:
         raise InputError(f"n must be a positive integer, got {n}")
     if not (isinstance(l, int) and l >= 4 and l % 2 == 0):
         raise InputError(f"c2 requires even l >= 4, got {l}")
-    total = Fraction(0)
-    for q in range(1, l - 1):
-        for r in range(1, l - q):
-            total += _c_inner_sum(n, l - q - r, even_from=0)
-    return float(4 * total)
+    return _kohn_c(n, l)
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +504,6 @@ class BoundDescriptor:
 # --- closed forms -----------------------------------------------------------
 
 
-def _ppw_laplacian(p, n, l):
-    return p.last + 4.0 * p.S(1) / (n * p.k)
-
-
 def _yang2_laplacian(p, n, l):
     return (1.0 + 4.0 / n) * p.S(1) / p.k
 
@@ -493,31 +512,19 @@ def _ppw_clamped(p, n, l):
     return p.last + 8.0 * (n + 2) * p.S(1) / (n * n * p.k)
 
 
-def _ppw_clamped_sharp(p, n, l):
-    return p.last + 8.0 * (n + 2) * p.S(0.5) ** 2 / (n * n * p.k * p.k)
-
-
 def _ppw_poly(p, n, l):
     coef = 4.0 * l * (2 * l + n - 2) / (n * n * p.k * p.k)
     return p.last + coef * p.S(1.0 / l) * p.S((l - 1.0) / l)
 
 
-def _niuzhang_l1(p, n, l):
-    return p.last + 2.0 * p.S(1) / (n * p.k)
-
-
-def _niuzhang_l2(p, n, l):
-    return p.last + 4.0 * (n + 1) * p.S(0.5) ** 2 / (n * n * p.k * p.k)
-
-
 def _niuzhang_odd(p, n, l):
-    c1 = kohn_constant_c1(n, l)
+    c1 = _kohn_c(n, l)
     bracket = 2.0 * l * (n + l - 1) * p.S((l - 1.0) / l) + c1 * (p.S(1) + p.S((l - 2.0) / l))
     return p.last + p.S(1.0 / l) * bracket / (n * n * p.k * p.k)
 
 
 def _niuzhang_even(p, n, l):
-    c2 = kohn_constant_c2(n, l)
+    c2 = _kohn_c(n, l)
     bracket = (2.0 * l * n + 4.0 * (l - 1) + c2) * p.S((l - 1.0) / l)
     return p.last + p.S(1.0 / l) * bracket / (n * n * p.k * p.k)
 
@@ -527,42 +534,30 @@ def _niuzhang_even(p, n, l):
 # C = S2 + sum w_i lam_i; for constant-C inequalities w_i = C_const * lam_i.
 
 
-def _quad_constant(C_of):
-    def fn(p, n, l):
-        C = C_of(n, l)
-        return (2.0 + C) * p.S(1), (1.0 + C) * p.S(2)
-
-    return fn
+def _quad_constant(p, C):
+    return (2.0 + C) * p.S(1), (1.0 + C) * p.S(2)
 
 
-def _quad_kohn_yang_odd(p, n, l):
-    c1 = kohn_constant_c1(n, l)
+def _cim_yang_poly(p, n, l):
+    return _quad_constant(p, 4.0 * l * (2 * l + n - 2) / (n * n))
+
+
+def _kohn_yang_odd(p, n, l):
+    c1 = _kohn_c(n, l)
     lam = p.lam
     w = (2.0 * l * (n + l - 1) * lam + c1 * (lam ** ((l + 1.0) / l) + lam ** ((l - 1.0) / l))) / (n * n)
     return 2.0 * p.S(1) + p.cum(w), p.S(2) + p.cum(w * lam)
 
 
-def _c_kohn_even(n, l):
-    return (2.0 * l * n + 4.0 * (l - 1) + kohn_constant_c2(n, l)) / (n * n)
+def _kohn_yang_even(p, n, l):
+    return _quad_constant(p, (2.0 * l * n + 4.0 * (l - 1) + _kohn_c(n, l)) / (n * n))
 
 
 # --- monotone forms:  sum w_i / (z - lam_i) = target  -----------------------
 
 
-def _hp_laplacian(p, n, l):
-    return p.lam**1.0, n * p.k / 4.0
-
-
-def _hp_weak_clamped(p, n, l):
-    return p.lam**1.0, n * n * p.k / (8.0 * (n + 2))
-
-
 def _hileyeh_clamped(p, n, l):
     return p.lam**0.5, n * n * p.k**1.5 / (8.0 * (n + 2) * np.sqrt(p.S(1)))
-
-
-def _hook_chenqian_clamped(p, n, l):
-    return p.lam**0.5, n * n * p.k * p.k / (8.0 * (n + 2) * p.S(0.5))
 
 
 def _hp_poly(p, n, l):
@@ -576,44 +571,28 @@ def _hp_weak_poly(p, n, l):
 # --- largest-root forms -----------------------------------------------------
 
 
-def _chengyang_clamped(p, n, l):
-    """sum (z-lam) <= c sum sqrt(lam (z-lam))."""
-    root = np.sqrt(p.lam)
-    return _Mixed(1, math.sqrt(8.0 * (n + 2)) / n, root, root)
-
-
 def _wucao_poly(p, n, l):
     return _Mixed(1, math.sqrt(4.0 * l * (n + 2 * l - 2)) / n, p.lam ** ((l - 1.0) / l), p.lam ** (1.0 / l))
 
 
-def _kohn_chengyang_l2(p, n, l):
-    root = np.sqrt(p.lam)
-    return _Mixed(2, 2.0 * math.sqrt(n + 1.0) / n, root, root)
-
-
-def _kohn_mixed(bracket_of):
-    """Kohn l >= 3 form: sum (z-lam)^2 <= (1/n) sqrt(sum (z-lam) lam^(1/l))
+def _kohn_form(p, n, l, bracket):
+    """Kohn form: sum (z-lam)^2 <= (1/n) sqrt(sum (z-lam) lam^(1/l))
     * sqrt(sum (z-lam)^2 bracket_i)."""
-
-    def build(p, n, l):
-        return _Mixed(2, 1.0 / n, p.lam ** (1.0 / l), bracket_of(p.lam, n, l))
-
-    return build
+    return _Mixed(2, 1.0 / n, p.lam ** (1.0 / l), bracket)
 
 
-def _bracket_odd(lam, n, l):
-    c1 = kohn_constant_c1(n, l)
-    return 2.0 * l * (n + l - 1) * lam ** ((l - 1.0) / l) + c1 * (lam + lam ** ((l - 2.0) / l))
+def _kohn_odd(p, n, l):
+    lam, c1 = p.lam, _kohn_c(n, l)
+    bracket = 2.0 * l * (n + l - 1) * lam ** ((l - 1.0) / l) + c1 * (lam + lam ** ((l - 2.0) / l))
+    return _kohn_form(p, n, l, bracket)
 
 
-def _bracket_even(lam, n, l):
-    c2 = kohn_constant_c2(n, l)
-    return (2.0 * l * n + 4.0 * (l - 1) + c2) * lam ** ((l - 1.0) / l)
+def _kohn_even(p, n, l):
+    return _kohn_form(p, n, l, (2.0 * l * n + 4.0 * (l - 1) + _kohn_c(n, l)) * p.lam ** ((l - 1.0) / l))
 
 
-def _bracket_odd_homog(lam, n, l):
-    c1 = kohn_constant_c1(n, l)
-    return (2.0 * l * (n + l - 1) + c1) * lam ** ((l - 1.0) / l)
+def _kohn_odd_homog(p, n, l):
+    return _kohn_form(p, n, l, (2.0 * l * (n + l - 1) + _kohn_c(n, l)) * p.lam ** ((l - 1.0) / l))
 
 
 # --- verify-only forms ------------------------------------------------------
@@ -627,37 +606,37 @@ def _cim_squared(p, n, l):
     return _Mixed(2, c, p.lam ** (1.0 / l), p.lam ** ((l - 1.0) / l))
 
 
-# name, problem, form, l-rule, recipe, cap seeds of the degree-1 largest-root entries
+# name, problem, form, l-rule, recipe, cap seeds of the degree-1 largest-root
+# entries.  A row at l = 1 or 2 that specialises a general-l row shares its
+# recipe (the Kohn ones through c1(n, 1) = c2(n, 2) = 0).
 _TABLE = [
-    ("ppw-laplacian", EUCLIDEAN, "closed", _l_is(1), _ppw_laplacian, ()),
-    ("hp-laplacian", EUCLIDEAN, "monotone", _l_is(1), _hp_laplacian, ()),
-    ("yang1-laplacian", EUCLIDEAN, "quadratic", _l_is(1), _quad_constant(lambda n, l: 4.0 / n), ()),
+    ("ppw-laplacian", EUCLIDEAN, "closed", _l_is(1), _ppw_poly, ()),
+    ("hp-laplacian", EUCLIDEAN, "monotone", _l_is(1), _hp_poly, ()),
+    ("yang1-laplacian", EUCLIDEAN, "quadratic", _l_is(1), _cim_yang_poly, ()),
     ("yang2-laplacian", EUCLIDEAN, "closed", _l_is(1), _yang2_laplacian, ()),
     ("ppw-clamped", EUCLIDEAN, "closed", _l_is(2), _ppw_clamped, ()),
-    ("ppw-clamped-sharp", EUCLIDEAN, "closed", _l_is(2), _ppw_clamped_sharp, ()),
+    ("ppw-clamped-sharp", EUCLIDEAN, "closed", _l_is(2), _ppw_poly, ()),
     ("hileyeh-clamped", EUCLIDEAN, "monotone", _l_is(2), _hileyeh_clamped, ()),
-    ("hook-chenqian-clamped", EUCLIDEAN, "monotone", _l_is(2), _hook_chenqian_clamped, ()),
-    ("hp-weak-clamped", EUCLIDEAN, "monotone", _l_is(2), _hp_weak_clamped, ()),
-    ("chengyang-clamped", EUCLIDEAN, "largest-root", _l_is(2), _chengyang_clamped,
+    ("hook-chenqian-clamped", EUCLIDEAN, "monotone", _l_is(2), _hp_poly, ()),
+    ("hp-weak-clamped", EUCLIDEAN, "monotone", _l_is(2), _hp_weak_poly, ()),
+    ("chengyang-clamped", EUCLIDEAN, "largest-root", _l_is(2), _wucao_poly,
      ("ppw-clamped", "ppw-clamped-sharp")),
     ("ppw-poly", EUCLIDEAN, "closed", _any_l, _ppw_poly, ()),
     ("hp-poly", EUCLIDEAN, "monotone", _any_l, _hp_poly, ()),
     ("hp-weak-poly", EUCLIDEAN, "monotone", _any_l, _hp_weak_poly, ()),
     ("wucao-poly", EUCLIDEAN, "largest-root", _any_l, _wucao_poly, ("ppw-poly",)),
-    ("cim-yang-poly", EUCLIDEAN, "quadratic", _any_l,
-     _quad_constant(lambda n, l: 4.0 * l * (2 * l + n - 2) / (n * n)), ()),
+    ("cim-yang-poly", EUCLIDEAN, "quadratic", _any_l, _cim_yang_poly, ()),
     ("cim-squared-poly", EUCLIDEAN, "verify-only", _any_l, _cim_squared, ()),
-    ("kohn-yang-l1", HEISENBERG, "quadratic", _l_is(1), _quad_constant(lambda n, l: 2.0 / n), ()),
-    ("kohn-chengyang-l2", HEISENBERG, "largest-root", _l_is(2), _kohn_chengyang_l2, ()),
-    ("kohn-yang-l2", HEISENBERG, "quadratic", _l_is(2),
-     _quad_constant(lambda n, l: 4.0 * (n + 1.0) / (n * n)), ()),
-    ("kohn-odd-l", HEISENBERG, "largest-root", _odd_ge3, _kohn_mixed(_bracket_odd), ()),
-    ("kohn-even-l", HEISENBERG, "largest-root", _even_ge4, _kohn_mixed(_bracket_even), ()),
-    ("kohn-odd-l-homog", HEISENBERG, "largest-root", _odd_ge3, _kohn_mixed(_bracket_odd_homog), ()),
-    ("kohn-yang-odd-l", HEISENBERG, "quadratic", _odd_ge3, _quad_kohn_yang_odd, ()),
-    ("kohn-yang-even-l", HEISENBERG, "quadratic", _even_ge4, _quad_constant(_c_kohn_even), ()),
-    ("niuzhang-l1", HEISENBERG, "closed", _l_is(1), _niuzhang_l1, ()),
-    ("niuzhang-l2", HEISENBERG, "closed", _l_is(2), _niuzhang_l2, ()),
+    ("kohn-yang-l1", HEISENBERG, "quadratic", _l_is(1), _kohn_yang_odd, ()),
+    ("kohn-chengyang-l2", HEISENBERG, "largest-root", _l_is(2), _kohn_even, ()),
+    ("kohn-yang-l2", HEISENBERG, "quadratic", _l_is(2), _kohn_yang_even, ()),
+    ("kohn-odd-l", HEISENBERG, "largest-root", _odd_ge3, _kohn_odd, ()),
+    ("kohn-even-l", HEISENBERG, "largest-root", _even_ge4, _kohn_even, ()),
+    ("kohn-odd-l-homog", HEISENBERG, "largest-root", _odd_ge3, _kohn_odd_homog, ()),
+    ("kohn-yang-odd-l", HEISENBERG, "quadratic", _odd_ge3, _kohn_yang_odd, ()),
+    ("kohn-yang-even-l", HEISENBERG, "quadratic", _even_ge4, _kohn_yang_even, ()),
+    ("niuzhang-l1", HEISENBERG, "closed", _l_is(1), _niuzhang_odd, ()),
+    ("niuzhang-l2", HEISENBERG, "closed", _l_is(2), _niuzhang_even, ()),
     ("niuzhang-odd", HEISENBERG, "closed", _odd_ge3, _niuzhang_odd, ()),
     ("niuzhang-even", HEISENBERG, "closed", _even_ge4, _niuzhang_even, ()),
 ]

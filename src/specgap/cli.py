@@ -129,6 +129,16 @@ def _need(args, name: str):
     return value
 
 
+def _finite_nonnegative(args, name: str, default: float) -> float:
+    """A float flag that must be finite and >= 0: NaN or infinity would
+    switch its check off."""
+    value = getattr(args, name.replace("-", "_"))
+    value = float(default if value is None else value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise SpecgapError(f"--{name} must be finite and >= 0, got {value}")
+    return value
+
+
 def _load_eigs(path: str) -> tuple[np.ndarray, dict]:
     try:
         with open(path) as fh:
@@ -257,6 +267,8 @@ def _trial_rows(payload: tuple, trials: int, workers: int):
 
 def cmd_verify_abstract(args) -> int:
     trials = int(_need(args, "trials"))
+    if trials < 1:
+        raise SpecgapError(f"--trials must be at least 1, got {trials}")
     dim = int(_need(args, "dim"))
     nops = int(_need(args, "nops"))
     seed = int(args.seed if args.seed is not None else 0)
@@ -265,7 +277,7 @@ def cmd_verify_abstract(args) -> int:
     if workers < 1:
         raise SpecgapError(f"--workers must be at least 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    min_gap = float(args.min_gap if args.min_gap is not None else 1e-6)
+    min_gap = _finite_nonnegative(args, "min-gap", 1e-6)
     couple_texts = args.couple or ["equal-power:2"]
     parsed_couples = tuple(_parse_couple(text) for text in couple_texts)
 
@@ -307,7 +319,7 @@ def cmd_verify_abstract(args) -> int:
 
 def cmd_verify_spectrum(args) -> int:
     values, meta = _load_eigs(_need(args, "eigs"))
-    slack = float(args.slack if args.slack is not None else 1e-3)
+    slack = _finite_nonnegative(args, "slack", 1e-3)
     which = args.which.split(",") if args.which else None
     full = _prefix_from_args(args, values, meta)  # validates sortedness and positivity
     entries = bounds.verify_margins(full, which=which)

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .bounds import EUCLIDEAN, HEISENBERG, SpectrumPrefix
+from .bounds import EUCLIDEAN, HEISENBERG, MAX_PREFIX_LEN, SpectrumPrefix
 from .errors import InputError
 from .eigensolve import dense_symmetric_eig, smallest_eigs
 
@@ -85,12 +85,12 @@ def box_spectrum(sides, count: int) -> SpectrumPrefix:
 
         pi^2 * sum_j (p_j / a_j)^2,   p_j >= 1 integers,
 
-    sorted with multiplicity."""
+    sorted with multiplicity; at most MAX_PREFIX_LEN of them."""
     sides = tuple(float(s) for s in np.atleast_1d(sides))
     if any(s <= 0 for s in sides):
         raise InputError(f"box sides must be positive, got {sides}")
-    if count < 1:
-        raise InputError(f"count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_PREFIX_LEN:  # refused before the enumeration allocates
+        raise InputError(f"count must satisfy 1 <= count <= {MAX_PREFIX_LEN}, got {count}")
     a = np.asarray(sides)
     a_max = float(a.max())
     M = max(2, int(np.ceil(count ** (1.0 / len(sides)))) + 1)

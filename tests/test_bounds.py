@@ -23,6 +23,7 @@ from specgap.bounds import (
     verify_margins,
 )
 from specgap.couples import FunctionCouple
+from specgap.operators import box_spectrum
 from specgap.errors import InputError
 
 PI2 = math.pi**2
@@ -282,6 +283,112 @@ def test_quadratic_collapse_matches_closed_forms_k1():
     lam1 = 2.31
     res = compute_bound("kohn-yang-l2", kohn([lam1], 3, 2), 1)
     assert res.value == pytest.approx((1 + 4 * 4 / 9) * lam1, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the l = 1 and l = 2 rows against their classical formulas, written out
+# ---------------------------------------------------------------------------
+
+
+def _yang_type_root(lam, C):
+    """Larger root of sum (z - lam_i)^2 = C sum lam_i (z - lam_i)."""
+    k, s1, s2 = lam.size, lam.sum(), (lam * lam).sum()
+    return max(np.roots([k, -(2.0 + C) * s1, (1.0 + C) * s2]).real)
+
+
+# name -> (problem, l, value of the classical bound from (lam, n))
+CLASSICAL_VALUES = {
+    "ppw-laplacian": (EUCLIDEAN, 1, lambda lam, n: lam[-1] + 4.0 / (n * lam.size) * lam.sum()),
+    "ppw-clamped-sharp": (
+        EUCLIDEAN, 2, lambda lam, n: lam[-1] + 8.0 * (n + 2) / (n * lam.size) ** 2 * np.sqrt(lam).sum() ** 2
+    ),
+    "yang1-laplacian": (EUCLIDEAN, 1, lambda lam, n: _yang_type_root(lam, 4.0 / n)),
+    "kohn-yang-l1": (HEISENBERG, 1, lambda lam, n: _yang_type_root(lam, 2.0 / n)),
+    "kohn-yang-l2": (HEISENBERG, 2, lambda lam, n: _yang_type_root(lam, 4.0 * (n + 1) / n**2)),
+    "niuzhang-l1": (HEISENBERG, 1, lambda lam, n: lam[-1] + 2.0 / (n * lam.size) * lam.sum()),
+    "niuzhang-l2": (
+        HEISENBERG, 2, lambda lam, n: lam[-1] + 4.0 * (n + 1) / (n * lam.size) ** 2 * np.sqrt(lam).sum() ** 2
+    ),
+}  # fmt: skip
+
+
+def _chengyang_H(lam, n, z):
+    d = z - lam
+    return d.sum() - math.sqrt(8.0 * (n + 2)) / n * np.sqrt(lam * d).sum()
+
+
+def _kohn_chengyang_H(lam, n, z):
+    d, root = z - lam, np.sqrt(lam)
+    return (d * d).sum() - 2.0 * math.sqrt(n + 1.0) / n * math.sqrt((d * root).sum() * (d * d * root).sum())
+
+
+# name -> (problem, l, H(lam, n, z)): admissible z have H <= 0, and the bound
+# is the right end of that set.  For hp-type rows H = T - sum w_i/(z - lam_i).
+CLASSICAL_FORMS = {
+    "hp-laplacian": (EUCLIDEAN, 1, lambda lam, n, z: n * lam.size / 4.0 - (lam / (z - lam)).sum()),
+    "hook-chenqian-clamped": (
+        EUCLIDEAN,
+        2,
+        lambda lam, n, z: n * n * lam.size**2 / (8.0 * (n + 2) * np.sqrt(lam).sum())
+        - (np.sqrt(lam) / (z - lam)).sum(),
+    ),
+    "hp-weak-clamped": (
+        EUCLIDEAN, 2, lambda lam, n, z: n * n * lam.size / (8.0 * (n + 2)) - (lam / (z - lam)).sum()
+    ),
+    "chengyang-clamped": (EUCLIDEAN, 2, _chengyang_H),
+    "kohn-chengyang-l2": (HEISENBERG, 2, _kohn_chengyang_H),
+}  # fmt: skip
+
+
+def _oracle_prefixes(problem, l):
+    """(lambda_1 .. lambda_k, n): Dirichlet spectra of random boxes of
+    dimension n (Euclidean) or 2n + 1 (Heisenberg), to the power l, cut at
+    random k.  Every row is valid on them."""
+    rng = np.random.default_rng([2010, l])
+    for _ in range(40):
+        n = int(rng.integers(1, 5 if problem == EUCLIDEAN else 4))
+        dim = n if problem == EUCLIDEAN else 2 * n + 1
+        spectrum = box_spectrum(rng.uniform(1.0, 2.0, dim), 60).values ** l
+        yield spectrum[: int(rng.integers(1, 61))], n
+
+
+# each l = 1 or l = 2 row and the general row it specialises
+GENERAL_ROW = {
+    "ppw-laplacian": "ppw-poly", "ppw-clamped-sharp": "ppw-poly", "hp-laplacian": "hp-poly",
+    "hook-chenqian-clamped": "hp-poly", "hp-weak-clamped": "hp-weak-poly",
+    "chengyang-clamped": "wucao-poly", "yang1-laplacian": "cim-yang-poly",
+    "kohn-yang-l1": "kohn-yang-odd-l", "niuzhang-l1": "niuzhang-odd",
+    "kohn-yang-l2": "kohn-yang-even-l", "niuzhang-l2": "niuzhang-even",
+    "kohn-chengyang-l2": "kohn-even-l",
+}  # fmt: skip
+
+
+def test_specialised_rows_are_the_general_rows_at_their_l():
+    assert set(CLASSICAL_VALUES) | set(CLASSICAL_FORMS) == set(GENERAL_ROW)
+    for name, general in GENERAL_ROW.items():
+        assert REGISTRY[name].recipe is REGISTRY[general].recipe, name
+        assert REGISTRY[name].form == REGISTRY[general].form, name
+
+
+@pytest.mark.parametrize("name", sorted(CLASSICAL_VALUES))
+def test_specialised_closed_and_quadratic_rows_match_classical_values(name):
+    problem, l, oracle = CLASSICAL_VALUES[name]
+    for lam, n in _oracle_prefixes(problem, l):
+        prefix = SpectrumPrefix(lam, n=n, l=l, problem=problem)
+        res = compute_bound(name, prefix)
+        assert res.valid
+        assert res.value == pytest.approx(oracle(lam, n), rel=1e-12), (name, lam.size, n)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSICAL_FORMS))
+def test_specialised_implicit_rows_are_sign_changes_of_classical_forms(name):
+    problem, l, H = CLASSICAL_FORMS[name]
+    for lam, n in _oracle_prefixes(problem, l):
+        prefix = SpectrumPrefix(lam, n=n, l=l, problem=problem)
+        res = compute_bound(name, prefix)
+        assert res.valid, (name, lam.size, n)
+        z = res.value
+        assert H(lam, n, z * (1.0 - 1e-9)) <= 0.0 < H(lam, n, z * (1.0 + 1e-9)), (name, lam.size, n)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,14 @@ def test_spectrum_fd_full_spectrum_inaccurate_pairs_exit_2(monkeypatch, capsys):
     assert out == "" and "residual" in err
 
 
+def test_spectrum_box_refuses_count_above_prefix_cap(capsys):
+    # refused before the enumeration allocates ~10^10 floats
+    argv = ["spectrum", "box", "--dims", "1,1", "--count", "10000000000"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == "" and err == "specgap: count must satisfy 1 <= count <= 100000, got 10000000000\n"
+
+
 # ---------------------------------------------------------------------------
 # bound
 # ---------------------------------------------------------------------------
@@ -278,6 +286,17 @@ def test_verify_spectrum_monotone_root_without_bracket_doubling(tmp_path, capsys
     assert rows[-1]["summary"] is True
 
 
+@pytest.mark.parametrize("slack", ["nan", "inf", "-1"])
+def test_verify_spectrum_refuses_slack_that_switches_the_check_off(tmp_path, capsys, slack):
+    eigs = tmp_path / "jump.csv"
+    write_eigs(eigs, [1.0, 2.0, 3.0, 100.0])
+    argv = ["verify", "spectrum", "--eigs", str(eigs), "--n", "2", "--which", "ppw-laplacian"]
+    assert run_cli([*argv, "--slack", "0"], capsys)[0] == 1  # lambda_4 = 100 breaks the bound
+    code, out, err = run_cli([*argv, f"--slack={slack}"], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("specgap: --slack must be finite and >= 0")
+
+
 # ---------------------------------------------------------------------------
 # verify abstract
 # ---------------------------------------------------------------------------
@@ -404,6 +423,21 @@ def test_verify_abstract_refuses_dim_above_dense_cap(capsys):
     assert out == "" and err == "specgap: dimension 1000000 exceeds the dense cap 4096\n"
 
 
+@pytest.mark.parametrize("min_gap", ["nan", "inf", "-1e-6"])
+def test_verify_abstract_refuses_min_gap_that_switches_the_checks_off(capsys, min_gap):
+    argv = ["verify", "abstract", "--trials", "2", "--dim", "4", "--nops", "1", f"--min-gap={min_gap}"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == "" and err.startswith("specgap: --min-gap must be finite and >= 0")
+
+
+@pytest.mark.parametrize("trials", ["-5", "0"])
+def test_verify_abstract_refuses_fewer_than_one_trial(capsys, trials):
+    code, out, err = run_cli(["verify", "abstract", "--trials", trials, "--dim", "4", "--nops", "1"], capsys)
+    assert code == 2
+    assert out == "" and err == f"specgap: --trials must be at least 1, got {trials}\n"
+
+
 # ---------------------------------------------------------------------------
 # couple check
 # ---------------------------------------------------------------------------
@@ -445,6 +479,17 @@ def test_couple_check_refuses_too_many_samples(capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == "" and err == "specgap: 10000000 samples exceed the cap of 4096\n"
+
+
+@pytest.mark.parametrize(
+    "spec, samples",
+    [("equal-power:2@5", "256"), ("linear-power:0.5@5", "4096"), ("neg-power:-1,1@5", "4096")],
+)
+def test_couple_check_passes_admissible_boundary_couples(capsys, spec, samples):
+    # close random samples: the raw difference quotients refused the first two
+    code, out, _ = run_cli(["couple", "check", "--spec", spec, "--samples", samples], capsys)
+    row = json.loads(out)
+    assert code == 0 and row["passed"] is True, row
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,54 @@ def test_membership_certified_families_randomized():
         assert rep.passed, (family, params, lam, rep.worst, rep.witness)
 
 
+def clustered_samples(lam, clusters=64, per=64, width=1e-9, seed=0):
+    """clusters * per samples in (0, lam): tight clusters of width ~ width * lam
+    around random centres, so that most close pairs sit 1e-11 lam apart."""
+    rng = np.random.default_rng(seed)
+    centres = lam * rng.uniform(1e-6, 1.0 - 1e-6, clusters)
+    return (centres[:, None] + lam * width * rng.uniform(-1.0, 1.0, (clusters, per))).ravel()
+
+
+@pytest.mark.parametrize(
+    "family, params, lam",
+    [
+        ("equal-power", (2.0,), 1e-3),
+        ("equal-power", (2.0,), 1e4),
+        ("linear-power", (0.5,), 1e-3),
+        ("linear-power", (0.5,), 1e4),
+        ("neg-power", (-1.0, 1.0), 5.0),
+        ("neg-power", (-2.0, 4.0), 5.0),
+    ],
+)
+def test_membership_boundary_families_pass_on_clustered_samples(family, params, lam):
+    # boundary parameters: delta = 2, beta = 1/2 and alpha^2 = beta; raw
+    # difference quotients of close pairs refuse the first two
+    xs = clustered_samples(lam)
+    assert xs.size == couples.MAX_MEMBERSHIP_SAMPLES
+    rep = check_membership(FunctionCouple(family, lam, params), xs)
+    assert rep.passed, (rep.worst, rep.witness)
+    assert rep.n_skipped == 0
+
+
+@pytest.mark.parametrize(
+    "family, params, oracle",
+    [
+        # (f, g) quotients in x of (lambda - x)^e, exact on the float u = lambda - x
+        ("equal-power", (2.0,), lambda u, v: (-(u + v), -(u + v))),
+        ("linear-power", (0.5,), lambda u, v: (-np.ones_like(u), -1.0 / (np.sqrt(u) + np.sqrt(v)))),
+        ("neg-power", (-1.0, 1.0), lambda u, v: (1.0 / (u * v), -np.ones_like(u))),
+    ],
+)
+def test_power_quotients_match_closed_forms_at_every_separation(family, params, oracle):
+    lam = 5.0
+    xs = np.concatenate([clustered_samples(lam, clusters=8, per=16), lam * np.array([1e-6, 0.5, 1.0 - 1e-6])])
+    i, j = np.triu_indices(xs.size, 1)
+    u = lam - xs
+    got = couples._power_quotients(FunctionCouple(family, lam, params).power_exponents(), u, i, j)
+    for row, want in zip(got, oracle(u[i], u[j])):
+        assert np.max(np.abs(row - want) / np.abs(want)) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # differentiable necessary condition
 # ---------------------------------------------------------------------------

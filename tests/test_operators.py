@@ -64,6 +64,15 @@ def test_box_validation():
         box_spectrum([1.0], 0)
 
 
+def test_box_refuses_count_above_prefix_cap_before_enumerating(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("box_spectrum enumerated before refusing the count")
+
+    monkeypatch.setattr(np, "meshgrid", no_enumeration)
+    with pytest.raises(InputError, match="count must satisfy 1 <= count <= 100000"):
+        box_spectrum([1.0, 1.0], 10**10)
+
+
 # ---------------------------------------------------------------------------
 # fd laplacian
 # ---------------------------------------------------------------------------
