@@ -29,7 +29,7 @@ import numpy as np
 
 from . import couples as _couples
 from .errors import InputError
-from .eigensolve import DENSE_DIM_CAP, dense_symmetric_eig
+from .eigensolve import DENSE_DIM_CAP, dense_symmetric_eig, hermitian_defect
 
 HERMITICITY_TOL = 1e-13
 ENSEMBLES = ("dense-gaussian", "sparse", "commuting-diagnostic")
@@ -42,10 +42,6 @@ def commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape != Y.shape:
         raise InputError(f"need equal square shapes, got {X.shape} and {Y.shape}")
     return X @ Y - Y @ X
-
-
-def _herm_defect(M: np.ndarray) -> float:
-    return float(np.abs(M - M.conj().T).max())
 
 
 def _skew_defect(M: np.ndarray) -> float:
@@ -74,13 +70,12 @@ class OperatorTriple:
         if len(Bs) != len(Ts) or not Bs:
             raise InputError("need equally many (at least one) B and T operators")
         d = A.shape[0]
-        scale = max(float(np.abs(A).max()), 1e-300)
-        if _herm_defect(A) > HERMITICITY_TOL * scale:
+        if hermitian_defect(A) > HERMITICITY_TOL * max(float(np.abs(A).max()), 1e-300):
             raise InputError("A is not Hermitian within 1e-13 * max|A|")
         for p, (B, T) in enumerate(zip(Bs, Ts)):
             if B.shape != (d, d) or T.shape != (d, d):
                 raise InputError(f"operator pair {p} has wrong shape")
-            if _herm_defect(B) > HERMITICITY_TOL * max(float(np.abs(B).max()), 1e-300):
+            if hermitian_defect(B) > HERMITICITY_TOL * max(float(np.abs(B).max()), 1e-300):
                 raise InputError(f"B[{p}] is not Hermitian within 1e-13 * max|B|")
             if _skew_defect(T) > HERMITICITY_TOL * max(float(np.abs(T).max()), 1e-300):
                 raise InputError(f"T[{p}] is not anti-self-adjoint within 1e-13 * max|T|")
@@ -223,7 +218,8 @@ def verify_corollary(A, Bs, k: int, couple, z: Optional[float] = None) -> Theore
 
 def moment_inequality_check(Q, u, r: int, q: int) -> float:
     """Margin <Q^q u,u>^(r/q) <u,u>^(1-r/q) - <Q^r u,u> for PSD Hermitian Q
-    and a unit vector u; nonnegative up to round-off for 0 <= r <= q."""
+    and a unit vector u; nonnegative up to round-off for 0 <= r <= q.  Q is
+    decomposed by the residual-checked dense route."""
     Q = np.asarray(Q, dtype=complex)
     u = np.asarray(u, dtype=complex).ravel()
     if not (isinstance(r, (int, np.integer)) and isinstance(q, (int, np.integer)) and 0 <= r <= q):
@@ -234,11 +230,11 @@ def moment_inequality_check(Q, u, r: int, q: int) -> float:
     if nrm == 0:
         raise InputError("u must be nonzero")
     u = u / nrm
-    scale = max(float(np.abs(Q).max()), 1e-300)
-    if _herm_defect(Q) > HERMITICITY_TOL * scale:
+    if hermitian_defect(Q) > HERMITICITY_TOL * max(float(np.abs(Q).max()), 1e-300):
         raise InputError("Q is not Hermitian within 1e-13 * max|Q|")
-    w, V = np.linalg.eigh(Q)
-    if w.size and w[0] < -1e-12 * max(abs(w[-1]), abs(w[0]), 1e-300):
+    eig = dense_symmetric_eig(Q)  # ConvergenceError unless every residual is small
+    w, V = eig.eigenvalues, eig.eigenvectors
+    if w[0] < -1e-12 * max(abs(w[-1]), abs(w[0]), 1e-300):
         raise InputError(f"Q is not positive semidefinite (smallest eigenvalue {w[0]:g})")
     w = np.clip(w, 0.0, None)
     c2 = np.abs(V.conj().T @ u) ** 2
@@ -261,6 +257,11 @@ def random_instance(d: int, n: int, seed: int, ensemble: str = "dense-gaussian")
         raise InputError(f"need d >= 2 and n >= 1, got d={d}, n={n}")
     if d > DENSE_DIM_CAP:
         raise InputError(f"dimension {d} exceeds the dense cap {DENSE_DIM_CAP}")
+    # no triple holds more entries than A, B and T at the dense cap
+    if (2 * n + 1) * d * d > 3 * DENSE_DIM_CAP**2:
+        raise InputError(
+            f"{2 * n + 1} operators of dimension {d} exceed the cap of 3 * {DENSE_DIM_CAP}^2 entries"
+        )
     if ensemble not in ENSEMBLES:
         raise InputError(f"unknown ensemble {ensemble!r}; known: {ENSEMBLES}")
     rng = np.random.default_rng(

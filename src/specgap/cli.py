@@ -65,12 +65,10 @@ def _fmt_json(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, np.floating):
-        return _fmt_json(float(value))
     if isinstance(value, dict):
         items = ",".join(f"{_json_str(str(k))}:{_fmt_json(v)}" for k, v in value.items())
         return "{" + items + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, (list, tuple)):
         return "[" + ",".join(_fmt_json(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
@@ -79,28 +77,18 @@ def json_line(obj: dict) -> str:
     return _fmt_json(obj)
 
 
-class _Output:
-    """stdout or a file, line oriented."""
+def _output(path):
+    """The --out file, or stdout when there is none, as a context manager.
 
-    def __init__(self, path):
-        self.path = path
-        self._fh = None
-
-    def __enter__(self):
-        if self.path:
-            self._fh = open(self.path, "w", newline="\n")
-        return self
-
-    def __exit__(self, *exc):
-        if self._fh:
-            self._fh.close()
-
-    @property
-    def stream(self):
-        return self._fh or sys.stdout
-
-    def line(self, text: str) -> None:
-        self.stream.write(text + "\n")
+    Callers write each line with one ``write`` call: ``print`` makes two,
+    which are two system calls when stdout is unbuffered (PYTHONUNBUFFERED).
+    """
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", newline="\n")
+    except OSError as exc:
+        raise SpecgapError(f"cannot write {path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -108,18 +96,12 @@ class _Output:
 # ---------------------------------------------------------------------------
 
 
-def _parse_floats(text: str) -> tuple:
+def _parse_list(text: str, kind) -> tuple:
+    """A comma separated list of ``kind`` (float or int); empty items are skipped."""
     try:
-        return tuple(float(p) for p in text.split(",") if p != "")
+        return tuple(kind(p) for p in text.split(",") if p != "")
     except ValueError as exc:
-        raise SpecgapError(f"bad numeric list {text!r}") from exc
-
-
-def _parse_ints(text: str) -> tuple:
-    try:
-        return tuple(int(p) for p in text.split(",") if p != "")
-    except ValueError as exc:
-        raise SpecgapError(f"bad integer list {text!r}") from exc
+        raise SpecgapError(f"bad {'integer' if kind is int else 'numeric'} list {text!r}") from exc
 
 
 def _need(args, name: str):
@@ -173,14 +155,14 @@ def _parse_couple(text: str):
 
 def cmd_spectrum(args) -> int:
     kind = args.kind
-    dims = _parse_floats(_need(args, "dims"))
+    dims = _parse_list(_need(args, "dims"), float)
     count = int(_need(args, "count"))
     meta = {"generator": f"spectrum {kind}", "dims": ",".join(f"{d:g}" for d in dims)}
     if kind == "box":
         prefix = operators.box_spectrum(dims, count)
         meta.update({"problem": prefix.problem, "n": prefix.n, "l": prefix.l})
     else:
-        grid = _parse_ints(_need(args, "grid"))
+        grid = _parse_list(_need(args, "grid"), int)
         problem = _need(args, "problem")
         power = int(args.power if args.power is not None else 1)
         if problem == "laplacian":
@@ -203,14 +185,18 @@ def cmd_spectrum(args) -> int:
         )
         if problem == "laplacian" and power > 1:
             meta["spectrum-type"] = "navier-power"
-    with _Output(args.out) as out:
-        operators.write_spectrum_csv(out.stream, prefix.values, meta)
+    with _output(args.out) as out:
+        operators.write_spectrum_csv(out, prefix.values, meta)
     return EXIT_OK
 
 
 def _prefix_from_args(args, values: np.ndarray, meta: dict, default_problem=None):
     n = int(_need(args, "n"))
-    l = int(args.l if args.l is not None else meta.get("l", 1))
+    l = args.l if args.l is not None else meta.get("l", 1)
+    try:
+        l = int(l)
+    except ValueError:
+        raise SpecgapError(f"spectrum metadata '# l: {l}' is not an integer") from None
     problem = args.problem or default_problem or meta.get("problem") or bounds.EUCLIDEAN
     return bounds.SpectrumPrefix(values, n=n, l=l, problem=problem)
 
@@ -218,21 +204,20 @@ def _prefix_from_args(args, values: np.ndarray, meta: dict, default_problem=None
 def cmd_bound(args) -> int:
     name = _need(args, "ineq")
     values, meta = _load_eigs(_need(args, "eigs"))
-    if name != "all":
-        desc_problem = bounds.REGISTRY[name].problem if name in bounds.REGISTRY else None
-        prefix = _prefix_from_args(args, values, meta, default_problem=desc_problem)
-    else:
-        prefix = _prefix_from_args(args, values, meta)
+    desc = bounds.REGISTRY.get(name)
+    prefix = _prefix_from_args(args, values, meta, default_problem=desc.problem if desc else None)
     k = int(args.k) if args.k is not None else len(prefix)
-    with _Output(args.out) as out:
-        if name == "all":
-            for reg_name in bounds.registry_names(prefix.problem, prefix.l):
-                if bounds.REGISTRY[reg_name].extracts_bound:
-                    res = bounds.compute_bound(reg_name, prefix, k)
-                    out.line(json_line(res.as_dict()))
-        else:
-            res = bounds.compute_bound(name, prefix, k)
-            out.line(json_line(res.as_dict()))
+    if name == "all":
+        names = [
+            reg_name
+            for reg_name in bounds.registry_names(prefix.problem, prefix.l)
+            if bounds.REGISTRY[reg_name].extracts_bound
+        ]
+    else:
+        names = [name]
+    with _output(args.out) as out:
+        for reg_name in names:
+            out.write(json_line(bounds.compute_bound(reg_name, prefix, k).as_dict()) + "\n")
     return EXIT_OK
 
 
@@ -297,13 +282,13 @@ def cmd_verify_abstract(args) -> int:
     }
     checks = passes = 0
     worst = -math.inf
-    with _Output(args.out) as out:
+    with _output(args.out) as out:
         for rows in trial_rows:
             for row in rows:
                 checks += 1
                 passes += bool(row["pass"])
                 worst = max(worst, row["slack"] / (1.0 + abs(row["rhs"])))
-                out.line(json_line(row))
+                out.write(json_line(row) + "\n")
         summary = {
             "summary": True,
             "trials": trials,
@@ -313,7 +298,7 @@ def cmd_verify_abstract(args) -> int:
             "worst_relative_slack": worst if checks else None,
             "config": config,
         }
-        out.line(json_line(summary))
+        out.write(json_line(summary) + "\n")
     return EXIT_OK if passes == checks else EXIT_VIOLATION
 
 
@@ -333,23 +318,15 @@ def cmd_verify_spectrum(args) -> int:
         "slack": slack,
         "which": which,
     }
-    with _Output(args.out) as out:
+    with _output(args.out) as out:
         for entry in entries:
             row = entry.as_dict()
             violated = entry.violated(slack)
             row["violation"] = violated
             violations += violated
-            out.line(json_line(row))
-        out.line(
-            json_line(
-                {
-                    "summary": True,
-                    "ks": len(full) - 1,
-                    "violations": violations,
-                    "config": config,
-                }
-            )
-        )
+            out.write(json_line(row) + "\n")
+        summary = {"summary": True, "ks": len(full) - 1, "violations": violations, "config": config}
+        out.write(json_line(summary) + "\n")
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
@@ -374,8 +351,8 @@ def cmd_couple(args) -> int:
     if couple.family != couples.TABULATED:
         screen = couples.check_necessary_differentiable(couple, samples)
         row["differentiable_screen"] = {"passed": screen.passed, "worst_margin": screen.worst}
-    with _Output(args.out) as out:
-        out.line(json_line(row))
+    with _output(args.out) as out:
+        out.write(json_line(row) + "\n")
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 

@@ -9,6 +9,15 @@ test suite checks the ARPACK route against.
 Each route checks the eigenpairs it computes: it raises ConvergenceError
 unless every residual ||A v - w v|| is within RESIDUAL_REL_TOL * ||A||_inf, so
 no caller can receive an eigenvalue whose residual was not checked.
+
+Every Hermitian check and every eigendecomposition of the package goes
+through this module: ``hermitian_defect`` measures max |M - M^H| of a dense
+or sparse matrix (the solvers refuse a defect above SYMMETRY_DEFECT_REL *
+max|M|; ``abstract`` applies its own tolerance to the same measure), and
+``dense_symmetric_eig`` is the only Hermitian eigendecomposition.  The two
+other eigenvalue calls are not decompositions whose pairs are used: a shift
+in ``abstract.random_instance`` and the roots of a (non-Hermitian) companion
+matrix in ``bounds``.
 """
 
 from __future__ import annotations
@@ -52,28 +61,16 @@ def _issparse(M) -> bool:
     return sparse is not None and sparse.issparse(M)
 
 
-def _as_array(M):
-    if _issparse(M):
-        return M
-    return np.asarray(M)
-
-
-def _matnorm(M) -> float:
-    """Max-abs entry norm, cheap for both dense and sparse."""
-    if _issparse(M):
-        return float(np.abs(M.data).max()) if M.nnz else 0.0
-    return float(np.abs(M).max()) if M.size else 0.0
-
-
-def _symmetry_defect(M) -> float:
-    if _issparse(M):
-        d = M - M.conj().T if np.iscomplexobj(M.data if hasattr(M, "data") else M) else M - M.T
-        return float(np.abs(d.data).max()) if d.nnz else 0.0
-    return float(np.abs(M - M.conj().T).max()) if M.size else 0.0
+def hermitian_defect(M) -> float:
+    """max |M - M^H| over the entries of a nonempty square matrix, dense or
+    scipy sparse."""
+    if M.shape[0] == 0:
+        raise InputError("need a nonempty matrix")
+    return float(abs(M - M.conj().T).max())
 
 
 def _require_symmetric(M) -> None:
-    if _symmetry_defect(M) > SYMMETRY_DEFECT_REL * max(_matnorm(M), 1e-300):
+    if hermitian_defect(M) > SYMMETRY_DEFECT_REL * max(float(abs(M).max()), 1e-300):
         raise InputError("matrix is not symmetric/Hermitian within 1e-12 * max|M|")
 
 
@@ -100,7 +97,8 @@ def dense_symmetric_eig(M) -> EigResult:
     above 4096, and raises ConvergenceError if any residual exceeds
     RESIDUAL_REL_TOL * ||M||_inf.
     """
-    M = _as_array(M)
+    if not _issparse(M):
+        M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError(f"need a square matrix, got shape {M.shape}")
     dim = M.shape[0]
@@ -156,7 +154,7 @@ def smallest_eigs(op, m: int) -> EigResult:
     than return pairs that did not converge or whose residuals exceed
     RESIDUAL_REL_TOL * ||A||_inf.
     """
-    M = _as_array(getattr(op, "matrix", op))
+    M = getattr(op, "matrix", op)
     dim = M.shape[0]
     if not 1 <= m <= dim // 4:
         raise InputError(f"need 1 <= m <= dim/4 = {dim // 4}, got m = {m}")

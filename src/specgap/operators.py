@@ -24,7 +24,7 @@ pay for it.
 
 from __future__ import annotations
 
-import io
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -32,10 +32,14 @@ import numpy as np
 
 from .bounds import EUCLIDEAN, HEISENBERG, MAX_PREFIX_LEN, SpectrumPrefix
 from .errors import InputError
-from .eigensolve import dense_symmetric_eig, smallest_eigs
+from .eigensolve import DENSE_DIM_CAP, dense_symmetric_eig, hermitian_defect, smallest_eigs
 
 if TYPE_CHECKING:  # the builders import scipy.sparse when they run
     import scipy.sparse as sp
+
+# interior points of a finite-difference grid: the shift-invert factorization
+# of a 32^3 clamped plate, the largest 3-D grid admitted, peaks near 1.1 GB
+MAX_GRID_POINTS = 2**15
 
 
 @dataclass(eq=False)
@@ -51,8 +55,7 @@ class DiscreteOperator:
         return self.matrix.shape[0]
 
     def symmetry_defect(self) -> float:
-        d = self.matrix - self.matrix.T
-        return float(np.abs(d.data).max()) if d.nnz else 0.0
+        return hermitian_defect(self.matrix)
 
 
 @dataclass(eq=False)
@@ -65,17 +68,25 @@ class KohnOperator(DiscreteOperator):
     heisenberg_n: int = 1
 
 
-def _validate_grid(sides, grids, min_pts: int):
+def _box_sides(sides) -> tuple:
+    """At least one box side, each positive and finite, as floats."""
     sides = tuple(float(s) for s in np.atleast_1d(sides))
+    if not sides or not all(0.0 < s < math.inf for s in sides):  # NaN fails too
+        raise InputError(f"box sides must be positive and finite, got {sides}")
+    return sides
+
+
+def _validate_grid(sides, grids, min_pts: int):
+    sides = _box_sides(sides)
     grids = tuple(int(g) for g in np.atleast_1d(grids))
     if len(grids) == 1 and len(sides) > 1:
         grids = grids * len(sides)
     if len(sides) != len(grids):
         raise InputError(f"got {len(sides)} sides but {len(grids)} grid sizes")
-    if any(s <= 0 for s in sides):
-        raise InputError(f"box sides must be positive, got {sides}")
     if any(g < min_pts for g in grids):
         raise InputError(f"need at least {min_pts} interior points per axis, got {grids}")
+    if math.prod(grids) > MAX_GRID_POINTS:  # refused before the builders allocate
+        raise InputError(f"{math.prod(grids)} interior points exceed the cap of {MAX_GRID_POINTS}")
     h = tuple(s / (g + 1) for s, g in zip(sides, grids))
     return sides, grids, h
 
@@ -85,20 +96,22 @@ def box_spectrum(sides, count: int) -> SpectrumPrefix:
 
         pi^2 * sum_j (p_j / a_j)^2,   p_j >= 1 integers,
 
-    sorted with multiplicity; at most MAX_PREFIX_LEN of them."""
-    sides = tuple(float(s) for s in np.atleast_1d(sides))
-    if any(s <= 0 for s in sides):
-        raise InputError(f"box sides must be positive, got {sides}")
+    sorted with multiplicity; at most MAX_PREFIX_LEN of them, from an
+    enumeration cube of at most DENSE_DIM_CAP^2 lattice points."""
+    sides = _box_sides(sides)
     if not 1 <= count <= MAX_PREFIX_LEN:  # refused before the enumeration allocates
         raise InputError(f"count must satisfy 1 <= count <= {MAX_PREFIX_LEN}, got {count}")
-    a = np.asarray(sides)
-    a_max = float(a.max())
+    a_max = max(sides)
     M = max(2, int(np.ceil(count ** (1.0 / len(sides)))) + 1)
     while True:
-        grids = np.meshgrid(*[np.arange(1, M + 1)] * len(sides), indexing="ij")
-        vals = np.zeros(grids[0].shape)
-        for p, side in zip(grids, sides):
-            vals += (p / side) ** 2
+        if M ** len(sides) > DENSE_DIM_CAP**2:
+            raise InputError(
+                f"{count} eigenvalues of a {len(sides)}-dimensional box need an enumeration of "
+                f"{M}^{len(sides)} lattice points, above the cap of {DENSE_DIM_CAP}^2"
+            )
+        vals = np.zeros(())
+        for side in sides:
+            vals = np.add.outer(vals, (np.arange(1, M + 1) / side) ** 2)
         vals = np.sort(np.pi**2 * vals.ravel())
         # any tuple outside the enumeration cube has some p_j >= M+1, hence
         # value >= pi^2 (M+1)^2 / a_max^2
@@ -264,9 +277,8 @@ def write_spectrum_csv(stream, values, metadata: Optional[dict] = None) -> None:
 
 
 def read_spectrum_csv(stream) -> tuple[np.ndarray, dict]:
-    """Inverse of write_spectrum_csv; returns (values, metadata)."""
-    if isinstance(stream, (str, bytes)):
-        stream = io.StringIO(stream.decode() if isinstance(stream, bytes) else stream)
+    """Inverse of write_spectrum_csv; returns (values, metadata).  ``stream``
+    is a text file object."""
     meta: dict = {}
     vals: list[float] = []
     for line in stream:

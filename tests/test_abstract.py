@@ -13,7 +13,7 @@ from specgap.abstract import (
     verify_theorem,
 )
 from specgap.couples import FunctionCouple
-from specgap.errors import InputError
+from specgap.errors import ConvergenceError, InputError
 
 
 def two_by_two():
@@ -229,6 +229,21 @@ def test_moment_r_zero():
 def test_moment_rejects_non_psd():
     with pytest.raises(InputError):
         moment_inequality_check(np.diag([1.0, -1.0]), np.array([1.0, 0.0]), 1, 2)
+
+
+def test_moment_refuses_inaccurate_eigenpairs(monkeypatch):
+    # Q is decomposed by the residual-checked route: eigenvalues off by 1e-6
+    # of the largest one are refused, not turned into a wrong margin
+    real_eigh = np.linalg.eigh
+
+    def perturbed(M):
+        w, V = real_eigh(M)
+        return w + 1e-6 * abs(w[-1]), V
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    u = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    with pytest.raises(ConvergenceError, match="residual"):
+        moment_inequality_check(np.diag([1.0, 4.0]), u, 1, 2)
 
 
 def test_moment_rejects_bad_exponents():

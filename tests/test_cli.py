@@ -1,5 +1,6 @@
 """Command line behaviour: formats, exit codes, config, determinism."""
 
+import io
 import json
 import math
 import subprocess
@@ -39,6 +40,25 @@ def write_eigs(path, values, meta=""):
     path.write_text("\n".join(lines) + "\n")
 
 
+def run_cli_limited(argv, limit_mb=768):
+    """Run the CLI in a child process whose address space is capped at
+    ``limit_mb`` after the package is imported, so a command that allocates
+    without bound fails fast instead of exhausting the machine."""
+    code = (
+        "import resource, sys\n"
+        "from specgap import cli\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit_mb} * 2**20, {limit_mb} * 2**20))\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120)
+
+
+def assert_one_line_usage_error(code, out, err, fragment):
+    assert code == 2, err[-500:]
+    assert out == "" and err.startswith("specgap: ") and err.count("\n") == 1, err[-500:]
+    assert fragment in err
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
@@ -48,7 +68,7 @@ def test_spectrum_box_unit_square(tmp_path, capsys):
     out = tmp_path / "box.csv"
     code, _, _ = run_cli(["spectrum", "box", "--dims", "1,1", "--count", "4", "--out", str(out)], capsys)
     assert code == 0
-    values, meta = read_spectrum_csv(out.read_text())
+    values, meta = read_spectrum_csv(io.StringIO(out.read_text()))
     assert np.allclose(values, PI2 * np.array([2, 5, 5, 8]), rtol=1e-14)
     assert meta["problem"] == "euclidean-polyharmonic"
 
@@ -67,7 +87,7 @@ def test_spectrum_fd_laplacian_analytic(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    values, _ = read_spectrum_csv(out.read_text())
+    values, _ = read_spectrum_csv(io.StringIO(out.read_text()))
     h = 1.0 / 51
     exact = (4 / h**2) * np.sin(np.arange(1, 6) * np.pi * h / 2) ** 2
     assert np.allclose(values, exact, rtol=1e-12)
@@ -81,7 +101,7 @@ def test_spectrum_fd_power_metadata(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    _, meta = read_spectrum_csv(out.read_text())
+    _, meta = read_spectrum_csv(io.StringIO(out.read_text()))
     assert meta["spectrum-type"] == "navier-power"
     assert meta["l"] == "3"
 
@@ -93,7 +113,7 @@ def test_spectrum_fd_above_dense_fallback_dim(capsys):
     # dim 2116 >= DENSE_FALLBACK_DIM: the ARPACK route
     code, first, _ = run_cli(FD_46 + ["--count", "30"], capsys)
     assert code == 0
-    values, meta = read_spectrum_csv(first)
+    values, meta = read_spectrum_csv(io.StringIO(first))
     h = 1.0 / 47
     axis = (4 / h**2) * np.sin(np.arange(1, 47) * np.pi * h / 2) ** 2
     exact = np.sort((axis[:, None] + axis[None, :]).ravel())[:30]
@@ -135,7 +155,7 @@ FD_FULL_1D = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1", "--grid
 def test_spectrum_fd_full_spectrum_matches_stencil(capsys):
     code, out, _ = run_cli(FD_FULL_1D, capsys)
     assert code == 0
-    values, _ = read_spectrum_csv(out)
+    values, _ = read_spectrum_csv(io.StringIO(out))
     h = 1.0 / 13
     exact = (4 / h**2) * np.sin(np.arange(1, 13) * np.pi * h / 2) ** 2
     np.testing.assert_allclose(values, exact, rtol=1e-12, atol=0)
@@ -154,6 +174,44 @@ def test_spectrum_box_refuses_count_above_prefix_cap(capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == "" and err == "specgap: count must satisfy 1 <= count <= 100000, got 10000000000\n"
+
+
+@pytest.mark.parametrize("kind", ["box", "fd"])
+@pytest.mark.parametrize("side", ["nan", "inf"])
+def test_spectrum_refuses_box_sides_that_are_not_finite(kind, side):
+    # box: the enumeration doubled its cube without end; fd: inf wrote a
+    # degenerate spectrum with exit 0, nan failed later on a nan residual
+    argv = ["spectrum", kind, "--dims", f"1,{side}", "--count", "3"]
+    if kind == "fd":
+        argv += ["--problem", "laplacian", "--grid", "8,8"]
+    proc = run_cli_limited(argv)
+    assert_one_line_usage_error(proc.returncode, proc.stdout, proc.stderr, "positive and finite")
+
+
+@pytest.mark.parametrize(
+    "dims, count",
+    [(",".join(["1"] * 30), "1"), (",".join(["1"] * 10), "100000")],
+    ids=["30-sides", "10-sides-count-1e5"],
+)
+def test_spectrum_box_refuses_enumeration_cube_above_cap(dims, count):
+    # the cubes of 2^30 and 10^10 lattice points took 8 and 74.5 GiB
+    proc = run_cli_limited(["spectrum", "box", "--dims", dims, "--count", count])
+    assert_one_line_usage_error(proc.returncode, proc.stdout, proc.stderr, "above the cap of 4096^2")
+
+
+def test_spectrum_fd_refuses_grid_above_point_cap():
+    # kron used to allocate 22.3 GiB for this grid
+    argv = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1,1,1", "--grid", "1000,1000,1000", "--count", "5"]
+    proc = run_cli_limited(argv)
+    assert_one_line_usage_error(
+        proc.returncode, proc.stdout, proc.stderr, "1000000000 interior points exceed the cap of 32768"
+    )
+
+
+def test_spectrum_unwritable_out_exit_2(tmp_path, capsys):
+    argv = ["spectrum", "box", "--dims", "1,1", "--count", "3", "--out", str(tmp_path / "missing" / "x.csv")]
+    code, out, err = run_cli(argv, capsys)
+    assert_one_line_usage_error(code, out, err, "cannot write")
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +355,16 @@ def test_verify_spectrum_refuses_slack_that_switches_the_check_off(tmp_path, cap
     assert out == "" and err.startswith("specgap: --slack must be finite and >= 0")
 
 
+@pytest.mark.parametrize("command", ["bound", "verify"])
+def test_spectrum_metadata_l_not_an_integer_exit_2(tmp_path, capsys, command):
+    eigs = tmp_path / "e.csv"
+    write_eigs(eigs, [1.0, 2.0, 3.0], meta="# l: two")
+    argv = ["--eigs", str(eigs), "--n", "2"]
+    argv = ["bound", "--ineq", "all", *argv] if command == "bound" else ["verify", "spectrum", *argv]
+    code, out, err = run_cli(argv, capsys)
+    assert_one_line_usage_error(code, out, err, "'# l: two' is not an integer")
+
+
 # ---------------------------------------------------------------------------
 # verify abstract
 # ---------------------------------------------------------------------------
@@ -421,6 +489,15 @@ def test_verify_abstract_refuses_dim_above_dense_cap(capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == "" and err == "specgap: dimension 1000000 exceeds the dense cap 4096\n"
+
+
+def test_verify_abstract_refuses_triple_above_entry_cap():
+    # refused before the 10^8 operator pairs are allocated
+    argv = ["verify", "abstract", "--trials", "1", "--dim", "8", "--nops", "100000000"]
+    proc = run_cli_limited(argv)
+    assert_one_line_usage_error(
+        proc.returncode, proc.stdout, proc.stderr, "200000001 operators of dimension 8 exceed the cap"
+    )
 
 
 @pytest.mark.parametrize("min_gap", ["nan", "inf", "-1e-6"])

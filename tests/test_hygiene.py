@@ -1,15 +1,22 @@
 """Source hygiene of src/specgap, read with the stdlib ``ast`` module: no
-unused import, and no private module-level name that nothing in the package
-refers to.  References from tests do not count: a private helper that only a
-test calls is dead code."""
+unused import; no private module-level name that nothing in the package
+refers to; no public module-level name that the package root does not export
+and that nothing in the package, the demos or the benchmark refers to; and no
+eigenvalue call of a ``linalg`` module outside ``eigensolve.py`` but the two
+that return no eigenpairs to a caller.  References from tests do not count: a
+helper that only a test calls is dead code."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "specgap"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "specgap"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+# a shift from eigvalsh whose eigenvectors are never used, and the roots of a
+# companion matrix, which is not Hermitian
+LINALG_EIG_SITES = {("abstract.py", "random_instance"), ("bounds.py", "_quartic_roots")}
 SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
 
@@ -50,8 +57,8 @@ def _imports_with_scope(tree: ast.Module):
         stack.extend((child, inner) for child in ast.iter_child_nodes(node))
 
 
-def _private_definitions(tree: ast.Module):
-    """(name, defining node) of each private module-level name."""
+def _module_definitions(tree: ast.Module):
+    """(name, defining node) of each module-level name but dunders."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -62,8 +69,24 @@ def _private_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 yield name, node
+
+
+def _linalg_eig_calls(tree: ast.Module):
+    """(line, innermost enclosing function) of each call of an eig* function
+    reached through a ``linalg`` module."""
+    stack = [(tree, None)]
+    while stack:
+        node, function = stack.pop()
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            owner_name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)
+            if owner_name == "linalg" and node.func.attr.startswith("eig"):
+                yield node.lineno, function
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        stack.extend((child, function) for child in ast.iter_child_nodes(node))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -83,7 +106,37 @@ def test_every_private_module_name_is_referenced_in_the_package(path):
     elsewhere = set().union(*(_loaded_names(t) for p, t in trees.items() if p != path))
     orphans = [
         f"{path.name}:{node.lineno} defines {name}, which nothing in src/specgap references"
-        for name, node in _private_definitions(trees[path])
-        if name not in elsewhere and name not in _loaded_names(trees[path], skip=node)
+        for name, node in _module_definitions(trees[path])
+        if name.startswith("_")
+        and name not in elsewhere
+        and name not in _loaded_names(trees[path], skip=node)
     ]
     assert not orphans, orphans
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_module_name_is_exported_or_referenced(path):
+    # the package root's imports are its exports
+    users = [p for p in PACKAGE.glob("*.py") if p != path]
+    users += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    elsewhere = set().union(*(_loaded_names(_tree(p)) for p in users))
+    tree = _tree(path)
+    orphans = [
+        f"{path.name}:{node.lineno} defines {name}, which the package root does not export and "
+        "nothing in src/specgap, demos/ or bench/ references"
+        for name, node in _module_definitions(tree)
+        if not name.startswith("_")
+        and name not in elsewhere
+        and name not in _loaded_names(tree, skip=node)
+    ]
+    assert not orphans, orphans
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "eigensolve.py"], ids=lambda p: p.name)
+def test_eigenvalue_calls_go_through_eigensolve(path):
+    stray = [
+        f"{path.name}:{line} calls a linalg eigenvalue function in {function}"
+        for line, function in _linalg_eig_calls(_tree(path))
+        if (path.name, function) not in LINALG_EIG_SITES
+    ]
+    assert not stray, stray

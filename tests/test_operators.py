@@ -64,6 +64,19 @@ def test_box_validation():
         box_spectrum([1.0], 0)
 
 
+# box_spectrum with a side that is not finite is tested in a child process
+# with capped memory (tests/test_cli.py): its enumeration used to grow without end
+@pytest.mark.parametrize("sides", [[], [1.0, math.nan], [math.inf, 1.0]], ids=["none", "nan", "inf"])
+def test_grid_refuses_sides_that_are_not_finite(sides):
+    with pytest.raises(InputError, match="box sides must be positive and finite"):
+        fd_laplacian(sides, [8])
+
+
+def test_box_refuses_no_sides():
+    with pytest.raises(InputError, match="box sides must be positive and finite"):
+        box_spectrum([], 3)
+
+
 def test_box_refuses_count_above_prefix_cap_before_enumerating(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("box_spectrum enumerated before refusing the count")
