@@ -1,14 +1,22 @@
 """Symmetric eigensolvers backing the rest of the package.
 
-Two routes, one per size regime: a dense solver for full spectra of small
-matrices (LAPACK via numpy behind the contract below) and, for the smallest
-eigenpairs of large sparse operators, scipy's ARPACK (an implicitly restarted
-Lanczos method) in shift-invert mode.  The dense route is the reference the
-test suite checks the ARPACK route against.
+Two routes, one per size regime: a dense solver (LAPACK via numpy behind the
+contract below) and, for a few smallest eigenpairs of a large sparse
+operator, scipy's ARPACK (an implicitly restarted Lanczos method) in
+shift-invert mode.  ``smallest_eigs`` takes ARPACK for m of the dim
+eigenpairs when dim >= DENSE_FALLBACK_DIM and m <= dim / ARPACK_DIM_PER_PAIR,
+or when dim exceeds DENSE_DIM_CAP; the dense route otherwise.  Both limits
+come from a measured sweep of the two routes (README, "Eigensolver").  The
+dense route is the reference the test suite checks the ARPACK route against.
 
 Each route checks the eigenpairs it computes: it raises ConvergenceError
 unless every residual ||A v - w v|| is within RESIDUAL_REL_TOL * ||A||_inf, so
-no caller can receive an eigenvalue whose residual was not checked.
+no caller can receive an eigenvalue whose residual was not checked.  The
+ARPACK route also proves that it skipped no eigenvalue, by a Sylvester
+inertia count of A - sigma I just below its largest returned values (see
+``_lanczos_smallest``); when the count disagrees, the dense route answers up
+to DENSE_DIM_CAP and ConvergenceError is raised above it.  Running out of
+memory in ARPACK or in the count is ConvergenceError too.
 
 Every Hermitian check and every eigendecomposition of the package goes
 through this module: ``hermitian_defect`` measures max |M - M^H| of a dense
@@ -17,12 +25,14 @@ max|M|; ``abstract`` applies its own tolerance to the same measure), and
 ``dense_symmetric_eig`` is the only Hermitian eigendecomposition.  The two
 other eigenvalue calls are not decompositions whose pairs are used: a shift
 in ``abstract.random_instance`` and the roots of a (non-Hermitian) companion
-matrix in ``bounds``.
+matrix in ``bounds``.  ARPACK (``eigsh``) and SuperLU (``splu``) are called
+only here.
 """
 
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +40,15 @@ import numpy as np
 from .errors import ConvergenceError, InputError
 
 DENSE_DIM_CAP = 4096
-DENSE_FALLBACK_DIM = 2048
+# the crossover measured on the Laplacian, clamped-plate and Kohn operators at
+# dims 256-2500 (README, "Eigensolver"): below dim 512 both routes take under
+# 0.1 s; above it ARPACK is faster or close while m <= dim/10, and up to 4.7x
+# slower beyond
+DENSE_FALLBACK_DIM = 512
+ARPACK_DIM_PER_PAIR = 10
+# ARPACK's Ritz basis holds ncv x dim floats: no more than an operator triple
+# at the dense cap
+MAX_RITZ_ENTRIES = 3 * DENSE_DIM_CAP**2
 SYMMETRY_DEFECT_REL = 1e-12
 RESIDUAL_REL_TOL = 1e-10
 SHIFT_REL = 1e-6
@@ -112,8 +130,57 @@ def dense_symmetric_eig(M) -> EigResult:
     return EigResult(w, V, res, "dense")
 
 
+def _dense_smallest(M, m: int) -> EigResult:
+    """The first m pairs of the dense route, as route "dense-fallback"."""
+    full = dense_symmetric_eig(M)
+    return EigResult(full.eigenvalues[:m], full.eigenvectors[:, :m], full.residuals[:m], "dense-fallback")
+
+
+@contextmanager
+def _out_of_memory_refused(step: str):
+    """Raise ConvergenceError when ``step`` runs out of memory: numpy raises
+    MemoryError, SuperLU a RuntimeError naming SUPERLU_MALLOC."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ConvergenceError(f"out of memory in {step}") from exc
+    except RuntimeError as exc:
+        if "SUPERLU_MALLOC" not in str(exc):
+            raise
+        raise ConvergenceError(f"out of memory in {step}") from exc
+
+
+def _eigenvalues_below(A, sigma: float):
+    """The number of eigenvalues of A below sigma, or None if SuperLU cannot
+    show it.
+
+    SuperLU factors P (A - sigma I) P^T = L U with a symmetric fill-reducing
+    order P and diagonal pivots only.  U's diagonal is then the D of the
+    congruence L D L^T, and by Sylvester's law of inertia its negative
+    entries count the eigenvalues below sigma.  None when SuperLU had to
+    leave the diagonal (perm_r != perm_c) or met an exactly singular pivot.
+    """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    shifted = sp.csc_matrix(A) - sigma * sp.identity(A.shape[0], format="csc")
+    with _out_of_memory_refused("the inertia count"):
+        try:
+            lu = splu(
+                shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+            )
+        except RuntimeError as exc:
+            if "singular" not in str(exc):
+                raise
+            return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
 def _lanczos_smallest(A, m: int) -> EigResult:
-    """ARPACK's implicitly restarted Lanczos method in shift-invert mode.
+    """ARPACK's implicitly restarted Lanczos method in shift-invert mode,
+    with a certificate that no eigenvalue below the returned ones is missing.
 
     The shift is -SHIFT_REL * ||A||_inf: strictly below zero, so A - sigma*I
     stays nonsingular for a singular PSD operator (``kohn_fd`` on all-odd
@@ -122,7 +189,20 @@ def _lanczos_smallest(A, m: int) -> EigResult:
     vector is seeded, so reruns are identical.  Raises ConvergenceError
     unless ARPACK converged and every residual ||A v - theta v|| is within
     RESIDUAL_REL_TOL * ||A||_inf, an upper bound on the spectral radius.
-    Rejects operators with symmetry defect above 1e-12 * max|A|.
+    Rejects operators with symmetry defect above 1e-12 * max|A|, and Ritz
+    bases of more than MAX_RITZ_ENTRIES floats before allocating them.
+
+    Residuals show that each pair is *an* eigenpair, not that the pairs are
+    the m smallest: Lanczos can miss one copy of a multiple eigenvalue and
+    return the next eigenvalue instead.  By Kahan's theorem the m values lie
+    within margin = sqrt(m) * RESIDUAL_REL_TOL * ||A||_inf of m distinct
+    eigenvalues.  The top cluster is the run of largest values less than
+    2 margins apart; sigma sits one margin below it, so each value below
+    sigma stands for an eigenvalue below sigma, and an inertia count of
+    exactly that many eigenvalues below sigma shows that none is missing.
+    When the count disagrees or cannot be made, the first m pairs of the
+    dense route are returned up to DENSE_DIM_CAP, and ConvergenceError is
+    raised above it.
     """
     # scipy.sparse.linalg is imported here: it would roughly double the
     # package's import time, and only this route needs it
@@ -132,15 +212,33 @@ def _lanczos_smallest(A, m: int) -> EigResult:
     dim = A.shape[0]
     scale = _inf_norm(A)
     ncv = min(dim, max(2 * m + 1, 20))  # scipy's default, passed so it can be reported
+    if ncv * dim > MAX_RITZ_ENTRIES:
+        raise InputError(
+            f"ARPACK's Ritz basis of {ncv} x {dim} floats for {m} eigenpairs exceeds the cap of "
+            f"3 * {DENSE_DIM_CAP}^2"
+        )
     v0 = np.random.default_rng(V0_SEED).standard_normal(dim)
-    try:
-        w, V = eigsh(A, k=m, sigma=-SHIFT_REL * scale, which="LM", v0=v0, ncv=ncv, tol=0.0)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(f"ARPACK did not converge for the {m} smallest eigenpairs") from exc
+    with _out_of_memory_refused(f"ARPACK for {m} eigenpairs of dimension {dim}"):
+        try:
+            w, V = eigsh(A, k=m, sigma=-SHIFT_REL * scale, which="LM", v0=v0, ncv=ncv, tol=0.0)
+        except ArpackNoConvergence as exc:
+            raise ConvergenceError(f"ARPACK did not converge for the {m} smallest eigenpairs") from exc
     order = np.argsort(w)
     w, V = w[order], V[:, order]
     res = np.linalg.norm(A @ V - V * w[None, :], axis=0)
     _check_residuals(res, scale)
+
+    margin = np.sqrt(m) * RESIDUAL_REL_TOL * scale
+    breaks = np.flatnonzero(np.diff(w) > 2 * margin)
+    top = int(breaks[-1]) + 1 if breaks.size else 0  # index of the top cluster's lowest value
+    sigma = w[top] - margin
+    if _eigenvalues_below(A, sigma) != top:
+        if dim > DENSE_DIM_CAP:
+            raise ConvergenceError(
+                f"ARPACK returned {top} eigenvalues below {sigma:.17g}, and an inertia count of "
+                f"A - sigma I did not confirm that no other lies there"
+            )
+        return _dense_smallest(A, m)
     return EigResult(w, V, res, "lanczos", iterations=ncv)
 
 
@@ -148,19 +246,19 @@ def smallest_eigs(op, m: int) -> EigResult:
     """The m smallest eigenpairs of a symmetric PSD operator, 1 <= m <= dim/4.
 
     ``op`` may be a DiscreteOperator (its ``matrix`` is used), a scipy sparse
-    matrix, or a dense array.  Below dimension DENSE_FALLBACK_DIM the first m
-    pairs of the dense route are returned (route name "dense-fallback"),
-    otherwise those of ARPACK.  Either route raises ConvergenceError rather
-    than return pairs that did not converge or whose residuals exceed
-    RESIDUAL_REL_TOL * ||A||_inf.
+    matrix, or a dense array.  The route follows the measured crossover: the
+    first m pairs of the dense route (route name "dense-fallback") when
+    dim <= DENSE_DIM_CAP and either dim < DENSE_FALLBACK_DIM or
+    m > dim / ARPACK_DIM_PER_PAIR, ARPACK's otherwise (route name "lanczos"
+    once its inertia count has shown that no eigenvalue was skipped).
+    Either route raises ConvergenceError rather than return pairs that did
+    not converge, whose residuals exceed RESIDUAL_REL_TOL * ||A||_inf, or
+    that may not be the m smallest.
     """
     M = getattr(op, "matrix", op)
     dim = M.shape[0]
     if not 1 <= m <= dim // 4:
         raise InputError(f"need 1 <= m <= dim/4 = {dim // 4}, got m = {m}")
-    if dim < DENSE_FALLBACK_DIM:
-        full = dense_symmetric_eig(M)
-        return EigResult(
-            full.eigenvalues[:m], full.eigenvectors[:, :m], full.residuals[:m], "dense-fallback"
-        )
+    if dim <= DENSE_DIM_CAP and (dim < DENSE_FALLBACK_DIM or m * ARPACK_DIM_PER_PAIR > dim):
+        return _dense_smallest(M, m)
     return _lanczos_smallest(M.tocsr() if _issparse(M) else M, m)

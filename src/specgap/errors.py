@@ -8,8 +8,9 @@
   that fails admissibility where it is required).  Nothing in the package
   catches it; it reaches the caller, or exit code 2.
 * ConvergenceError: an eigensolver route refused its eigenpairs (no
-  convergence, or a residual above tolerance).  It reaches the caller, or
-  exit code 2.
+  convergence, a residual above tolerance, or an inertia count that could
+  not show that ARPACK skipped no eigenvalue, above the dense cap) or ran
+  out of memory computing them.  It reaches the caller, or exit code 2.
 """
 
 
@@ -22,4 +23,5 @@ class InputError(SpecgapError, ValueError):
 
 
 class ConvergenceError(SpecgapError):
-    """Iterative eigensolver did not converge, or its residuals exceed tolerance."""
+    """An eigensolver did not converge, exceeded its residual tolerance, may
+    have skipped an eigenvalue, or ran out of memory."""

@@ -110,7 +110,7 @@ FD_46 = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1,1", "--grid", 
 
 
 def test_spectrum_fd_above_dense_fallback_dim(capsys):
-    # dim 2116 >= DENSE_FALLBACK_DIM: the ARPACK route
+    # dim 2116 >= DENSE_FALLBACK_DIM and count 30 <= dim/10: the ARPACK route
     code, first, _ = run_cli(FD_46 + ["--count", "30"], capsys)
     assert code == 0
     values, meta = read_spectrum_csv(io.StringIO(first))
@@ -206,6 +206,38 @@ def test_spectrum_fd_refuses_grid_above_point_cap():
     assert_one_line_usage_error(
         proc.returncode, proc.stdout, proc.stderr, "1000000000 interior points exceed the cap of 32768"
     )
+
+
+def test_spectrum_fd_writes_every_copy_of_a_multiple_eigenvalue(capsys):
+    # ARPACK returned two of the three copies of 134.17 and lambda_22 = 167.25
+    # instead, each with a passing residual; the inertia count catches it
+    argv = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1,1,1", "--grid", "13,13,13", "--count", "21"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    values, _ = read_spectrum_csv(io.StringIO(out))
+    h = 1.0 / 14
+    axis = (4 / h**2) * np.sin(np.arange(1, 14) * np.pi * h / 2) ** 2
+    exact = np.sort((axis[:, None, None] + axis[None, :, None] + axis[None, None, :]).ravel())[:21]
+    assert np.max(np.abs(values / exact - 1.0)) <= 1e-10
+
+
+def test_spectrum_fd_refuses_ritz_basis_above_cap():
+    # ARPACK's (32761, 16001) Ritz array took 3.91 GiB
+    argv = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1,1", "--grid", "181,181", "--count", "8000"]
+    proc = run_cli_limited(argv, limit_mb=1024)
+    assert_one_line_usage_error(
+        proc.returncode, proc.stdout, proc.stderr, "Ritz basis of 16001 x 32761 floats for 8000 eigenpairs"
+    )
+
+
+def test_spectrum_fd_out_of_memory_in_factorization_exit_2():
+    # the shift-invert factorization of a Kohn 32^3 grid does not fit in 768 MB;
+    # SuperLU may print its own diagnostic before the specgap line
+    argv = ["spectrum", "fd", "--problem", "kohn", "--dims", "1,1,1", "--grid", "32,32,32", "--count", "5"]
+    proc = run_cli_limited(argv)
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == "specgap: out of memory in ARPACK for 5 eigenpairs of dimension 32768"
 
 
 def test_spectrum_unwritable_out_exit_2(tmp_path, capsys):

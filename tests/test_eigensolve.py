@@ -10,6 +10,7 @@ import scipy.sparse as sp
 
 from scipy.sparse.linalg import ArpackNoConvergence
 
+from specgap import eigensolve
 from specgap.eigensolve import _lanczos_smallest, dense_symmetric_eig, smallest_eigs
 from specgap.errors import ConvergenceError, InputError
 from specgap.operators import fd_clamped_plate, fd_laplacian, kohn_fd
@@ -125,6 +126,23 @@ def test_auto_uses_dense_fallback_below_cap():
     assert np.allclose(res.eigenvalues, fd1d_eigenvalues(1.0, 40)[:5], rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "make_op,m,route",
+    [
+        (lambda: fd_laplacian([1.0], [40]), 5, "dense-fallback"),  # dim 40 < DENSE_FALLBACK_DIM
+        (lambda: fd_laplacian([1.0, 1.0], [40, 40]), 30, "lanczos"),  # dim 1600, m <= dim/10
+        (lambda: kohn_fd(1, (1.0, 1.0, 1.0), (12, 12, 12)), 300, "dense-fallback"),  # m > dim/10
+    ],
+    ids=["dim40-m5", "laplacian40x40-m30", "kohn12-m300"],
+)
+def test_route_follows_measured_crossover(make_op, m, route):
+    op = make_op()
+    res = smallest_eigs(op, m)
+    assert res.method == route
+    dense = np.linalg.eigvalsh(op.matrix.toarray())[:m]
+    assert np.max(np.abs(res.eigenvalues / dense - 1.0)) <= 1e-10
+
+
 def test_lanczos_returned_invariants():
     op = fd_laplacian([1.0, 1.0], [18, 18])
     res = _lanczos_smallest(op.matrix, 8)
@@ -205,3 +223,74 @@ def test_dense_and_lanczos_agree(make_op, m):
         assert np.max(np.abs(lz.eigenvalues / dense[:m] - 1.0)) <= 1e-8
     else:  # a relative error means nothing at a zero eigenvalue
         assert np.max(np.abs(lz.eigenvalues - dense[:m])) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# completeness: no skipped copy of a multiple eigenvalue
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def cube13():
+    """The 13^3 Dirichlet Laplacian (dim 2197, triple eigenvalues) and its
+    dense spectrum."""
+    op = fd_laplacian([1.0, 1.0, 1.0], [13, 13, 13])
+    return op, dense_symmetric_eig(op.matrix)
+
+
+# the counts at which ARPACK alone returned a wrong spectrum with passing residuals
+@pytest.mark.parametrize("m", [21, 22, 27, 32, 33, 39, 43, 54, 64, 76, 78, 79])
+def test_smallest_eigs_misses_no_copy_of_a_multiple_eigenvalue(cube13, monkeypatch, m):
+    op, dense = cube13
+    # the dense route's answer, sliced from one solve instead of one per count
+    monkeypatch.setattr(
+        eigensolve,
+        "_dense_smallest",
+        lambda M, k: eigensolve.EigResult(
+            dense.eigenvalues[:k], dense.eigenvectors[:, :k], dense.residuals[:k], "dense-fallback"
+        ),
+    )
+    res = smallest_eigs(op, m)
+    assert np.max(np.abs(res.eigenvalues / dense.eigenvalues[:m] - 1.0)) <= 1e-10
+
+
+def test_lanczos_never_returns_pairs_without_a_skipped_eigenvalue():
+    # ARPACK alone returned three of the four copies of 16.304 and 17.589 instead
+    op = kohn_fd(1, (1.0, 1.0, 1.0), (6, 6, 6))
+    res = _lanczos_smallest(op.matrix, 30)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())[:30]
+    assert np.count_nonzero(np.abs(res.eigenvalues - 16.30441328) < 1e-6) == 4
+    assert np.max(np.abs(res.eigenvalues / dense - 1.0)) <= 1e-10
+
+
+def test_lanczos_refuses_a_skip_above_the_dense_cap(cube13, monkeypatch):
+    # the dense route cannot answer there, so the failed count is an error
+    monkeypatch.setattr(eigensolve, "DENSE_DIM_CAP", 2000)
+    with pytest.raises(ConvergenceError, match="inertia count"):
+        _lanczos_smallest(cube13[0].matrix, 21)
+
+
+def test_inertia_count_matches_dense_spectrum():
+    op = kohn_fd(1, (1.0, 1.0, 1.0), (6, 6, 6))
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    gaps = np.flatnonzero(np.diff(dense) > 1e-6)  # sigma between distinct eigenvalues
+    for sigma in [-1.0, 16.0, 16.5, *(0.5 * (dense[gaps] + dense[gaps + 1])), dense[-1] + 1.0]:
+        assert eigensolve._eigenvalues_below(op.matrix, sigma) == np.count_nonzero(dense < sigma)
+
+
+def _superlu_out_of_memory(*args, **kwargs):
+    raise RuntimeError("SUPERLU_MALLOC fails for buf in intCalloc()")
+
+
+def _numpy_out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 3.91 GiB")
+
+
+@pytest.mark.parametrize("target", ["scipy.sparse.linalg.eigsh", "scipy.sparse.linalg.splu"])
+@pytest.mark.parametrize("fails", [_superlu_out_of_memory, _numpy_out_of_memory])
+def test_out_of_memory_in_arpack_or_inertia_count_is_convergence_error(monkeypatch, target, fails):
+    # eigsh factors A - sigma I for its shift-invert; splu is the inertia count's
+    monkeypatch.setattr(target, fails)
+    with pytest.raises(ConvergenceError, match="out of memory"):
+        _lanczos_smallest(fd_laplacian([1.0, 1.0], [15, 15]).matrix, 6)
+

@@ -1,10 +1,11 @@
 """Source hygiene of src/specgap, read with the stdlib ``ast`` module: no
 unused import; no private module-level name that nothing in the package
 refers to; no public module-level name that the package root does not export
-and that nothing in the package, the demos or the benchmark refers to; and no
+and that nothing in the package, the demos or the benchmark refers to; no
 eigenvalue call of a ``linalg`` module outside ``eigensolve.py`` but the two
-that return no eigenpairs to a caller.  References from tests do not count: a
-helper that only a test calls is dead code."""
+that return no eigenpairs to a caller; and no call of ARPACK (``eigsh``) or
+SuperLU (``splu``) outside ``eigensolve.py``.  References from tests do not
+count: a helper that only a test calls is dead code."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,9 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 # a shift from eigvalsh whose eigenvectors are never used, and the roots of a
 # companion matrix, which is not Hermitian
 LINALG_EIG_SITES = {("abstract.py", "random_instance"), ("bounds.py", "_quartic_roots")}
+# ARPACK and SuperLU: eigensolve wraps them with its residual check, inertia
+# count and out-of-memory handling
+SPARSE_SOLVERS = {"eigsh", "splu"}
 SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
 
@@ -89,6 +93,17 @@ def _linalg_eig_calls(tree: ast.Module):
         stack.extend((child, function) for child in ast.iter_child_nodes(node))
 
 
+def _sparse_solver_calls(tree: ast.Module):
+    """(line, name) of each call of a SPARSE_SOLVERS function, by bare or
+    attribute name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in SPARSE_SOLVERS:
+                yield node.lineno, name
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = _tree(path)
@@ -134,9 +149,11 @@ def test_every_public_module_name_is_exported_or_referenced(path):
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "eigensolve.py"], ids=lambda p: p.name)
 def test_eigenvalue_calls_go_through_eigensolve(path):
+    tree = _tree(path)
     stray = [
         f"{path.name}:{line} calls a linalg eigenvalue function in {function}"
-        for line, function in _linalg_eig_calls(_tree(path))
+        for line, function in _linalg_eig_calls(tree)
         if (path.name, function) not in LINALG_EIG_SITES
     ]
+    stray += [f"{path.name}:{line} calls {name}" for line, name in _sparse_solver_calls(tree)]
     assert not stray, stray
