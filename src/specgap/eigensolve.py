@@ -16,7 +16,9 @@ ARPACK route also proves that it skipped no eigenvalue, by a Sylvester
 inertia count of A - sigma I just below its largest returned values (see
 ``_lanczos_smallest``); when the count disagrees, the dense route answers up
 to DENSE_DIM_CAP and ConvergenceError is raised above it.  Running out of
-memory in ARPACK or in the count is ConvergenceError too.
+memory anywhere on the ARPACK route, or in the count, is ConvergenceError
+too.  The operator builders of ``operators`` use the same out-of-memory
+mapping, and its closed-form Laplacian spectrum the same residual check.
 
 Every Hermitian check and every eigendecomposition of the package goes
 through this module: ``hermitian_defect`` measures max |M - M^H| of a dense
@@ -208,24 +210,25 @@ def _lanczos_smallest(A, m: int) -> EigResult:
     # package's import time, and only this route needs it
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    _require_symmetric(A)
     dim = A.shape[0]
-    scale = _inf_norm(A)
-    ncv = min(dim, max(2 * m + 1, 20))  # scipy's default, passed so it can be reported
-    if ncv * dim > MAX_RITZ_ENTRIES:
-        raise InputError(
-            f"ARPACK's Ritz basis of {ncv} x {dim} floats for {m} eigenpairs exceeds the cap of "
-            f"3 * {DENSE_DIM_CAP}^2"
-        )
-    v0 = np.random.default_rng(V0_SEED).standard_normal(dim)
+    # the symmetry check and the residuals copy A or allocate dim x m floats too
     with _out_of_memory_refused(f"ARPACK for {m} eigenpairs of dimension {dim}"):
+        _require_symmetric(A)
+        scale = _inf_norm(A)
+        ncv = min(dim, max(2 * m + 1, 20))  # scipy's default, passed so it can be reported
+        if ncv * dim > MAX_RITZ_ENTRIES:
+            raise InputError(
+                f"ARPACK's Ritz basis of {ncv} x {dim} floats for {m} eigenpairs exceeds the cap of "
+                f"3 * {DENSE_DIM_CAP}^2"
+            )
+        v0 = np.random.default_rng(V0_SEED).standard_normal(dim)
         try:
             w, V = eigsh(A, k=m, sigma=-SHIFT_REL * scale, which="LM", v0=v0, ncv=ncv, tol=0.0)
         except ArpackNoConvergence as exc:
             raise ConvergenceError(f"ARPACK did not converge for the {m} smallest eigenpairs") from exc
-    order = np.argsort(w)
-    w, V = w[order], V[:, order]
-    res = np.linalg.norm(A @ V - V * w[None, :], axis=0)
+        order = np.argsort(w)
+        w, V = w[order], V[:, order]
+        res = np.linalg.norm(A @ V - V * w[None, :], axis=0)
     _check_residuals(res, scale)
 
     margin = np.sqrt(m) * RESIDUAL_REL_TOL * scale

@@ -7,10 +7,12 @@
   precondition (domain, shape, range, a malformed spec or file, a couple
   that fails admissibility where it is required).  Nothing in the package
   catches it; it reaches the caller, or exit code 2.
-* ConvergenceError: an eigensolver route refused its eigenpairs (no
-  convergence, a residual above tolerance, or an inertia count that could
-  not show that ARPACK skipped no eigenvalue, above the dense cap) or ran
-  out of memory computing them.  It reaches the caller, or exit code 2.
+* ConvergenceError: an eigensolver route, or the Laplacian's closed form,
+  refused its eigenpairs (no convergence, a residual above tolerance, or an
+  inertia count that could not show that ARPACK skipped no eigenvalue,
+  above the dense cap), or the package ran out of memory building an
+  operator or computing its eigenpairs.  It reaches the caller, or exit
+  code 2.
 """
 
 
@@ -24,4 +26,5 @@ class InputError(SpecgapError, ValueError):
 
 class ConvergenceError(SpecgapError):
     """An eigensolver did not converge, exceeded its residual tolerance, may
-    have skipped an eigenvalue, or ran out of memory."""
+    have skipped an eigenvalue, or ran out of memory; or building an
+    operator ran out of memory."""

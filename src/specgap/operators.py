@@ -17,14 +17,22 @@ power (the matrix power shares eigenvectors).  Note that powering the
 Dirichlet Laplacian realizes Navier-type, not clamped, conditions; outputs
 are labeled accordingly.
 
+``fd_laplacian`` is a Kronecker sum of 1-D second differences, whose
+eigenpairs are sine modes, so ``laplacian_power_spectrum`` writes the
+spectrum of its l-th power in closed form: the same sort of per-axis sums
+that ``box_spectrum`` makes, with the residual of every sine mode it uses
+checked.  No matrix is built and no eigensolver runs.
+
 The builders import scipy.sparse when they run, not when this module is
-imported: ``bound`` and ``verify`` never build a sparse matrix and need not
-pay for it.
+imported: ``bound``, ``verify`` and the Laplacian's closed form never build a
+sparse matrix and need not pay for it.  Running out of memory in a builder
+is ConvergenceError, like running out of memory in an eigensolver.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -32,7 +40,14 @@ import numpy as np
 
 from .bounds import EUCLIDEAN, HEISENBERG, MAX_PREFIX_LEN, SpectrumPrefix
 from .errors import InputError
-from .eigensolve import DENSE_DIM_CAP, dense_symmetric_eig, hermitian_defect, smallest_eigs
+from .eigensolve import (
+    DENSE_DIM_CAP,
+    _check_residuals,
+    _out_of_memory_refused,
+    dense_symmetric_eig,
+    hermitian_defect,
+    smallest_eigs,
+)
 
 if TYPE_CHECKING:  # the builders import scipy.sparse when they run
     import scipy.sparse as sp
@@ -40,6 +55,12 @@ if TYPE_CHECKING:  # the builders import scipy.sparse when they run
 # interior points of a finite-difference grid: the shift-invert factorization
 # of a 32^3 clamped plate, the largest 3-D grid admitted, peaks near 1.1 GB
 MAX_GRID_POINTS = 2**15
+# natural logarithms of the normal float range: a spectrum outside it rounds
+# to zero or overflows
+_LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max)
+# floats per chunk of sine modes whose residuals are checked at once
+_MODE_CHUNK = 2**16
+LAPLACIAN_STENCIL = "dirichlet-laplacian"
 
 
 @dataclass(eq=False)
@@ -68,27 +89,73 @@ class KohnOperator(DiscreteOperator):
     heisenberg_n: int = 1
 
 
-def _box_sides(sides) -> tuple:
-    """At least one box side, each positive and finite, as floats."""
+def _box_sides(sides, modes: int, order: int = 2) -> tuple:
+    """At least one box side, each positive and finite, as floats, such that
+    an operator of ``order`` (2 for the Laplacian, 4 for the clamped plate)
+    with at most ``modes`` modes per side has a spectrum of positive finite
+    floats.
+
+    Mode p of side a, exact (pi^2 p^2 / a^2) or on a grid of step h
+    ((4 / h^2) sin^2(p pi h / (2 a))), lies in [a^-2, (pi p / a)^2], so for
+    d sides the operator's modes along each side are at least a_max^-order
+    and its spectrum lies below (d (pi modes / a_min)^2)^(order / 2).
+    Refused unless both bounds are normal floats: outside that range values
+    overflow, or round to zero and lose a side.  The Kohn operator is held
+    to the same scales.  Powers of a spectrum are checked on its computed
+    values (see ``_raise_to``), since a bound from the sides alone would
+    refuse prefixes whose powers are finite.
+    """
     sides = tuple(float(s) for s in np.atleast_1d(sides))
     if not sides or not all(0.0 < s < math.inf for s in sides):  # NaN fails too
         raise InputError(f"box sides must be positive and finite, got {sides}")
+    log_top = 2.0 * (math.log(math.pi * modes) - math.log(min(sides))) + math.log(len(sides))
+    if not (-order * math.log(max(sides)) >= _LOG_TINY and order / 2 * log_top <= _LOG_HUGE):
+        raise InputError(
+            f"box sides {sides} put the spectrum of an order-{order} operator with {modes} modes per side "
+            "outside the range of floating-point numbers"
+        )
     return sides
 
 
-def _validate_grid(sides, grids, min_pts: int):
-    sides = _box_sides(sides)
+def _raise_to(values: np.ndarray, l: int) -> np.ndarray:
+    """values ** l for ascending finite values; InputError if a power
+    overflows or rounds to zero."""
+    with np.errstate(over="ignore", under="ignore"):
+        powered = values**l
+    if np.any(np.isinf(powered) | ((powered == 0) & (values != 0))):
+        raise InputError(
+            f"eigenvalues from {values[0]:.6g} to {values[-1]:.6g} raised to the power {l} leave the range "
+            "of floating-point numbers"
+        )
+    return powered
+
+
+def _validate_grid(sides, grids, min_pts: int, order: int = 2):
     grids = tuple(int(g) for g in np.atleast_1d(grids))
-    if len(grids) == 1 and len(sides) > 1:
-        grids = grids * len(sides)
-    if len(sides) != len(grids):
-        raise InputError(f"got {len(sides)} sides but {len(grids)} grid sizes")
     if any(g < min_pts for g in grids):
         raise InputError(f"need at least {min_pts} interior points per axis, got {grids}")
     if math.prod(grids) > MAX_GRID_POINTS:  # refused before the builders allocate
         raise InputError(f"{math.prod(grids)} interior points exceed the cap of {MAX_GRID_POINTS}")
+    sides = _box_sides(sides, max(grids, default=1), order)
+    if len(grids) == 1 and len(sides) > 1:
+        grids = grids * len(sides)
+    if len(sides) != len(grids):
+        raise InputError(f"got {len(sides)} sides but {len(grids)} grid sizes")
     h = tuple(s / (g + 1) for s, g in zip(sides, grids))
     return sides, grids, h
+
+
+def _smallest_sums(axes, count: int):
+    """The ``count`` smallest of the sums sum_j axes[j][p_j] over every index
+    tuple (fewer if there are fewer tuples), ascending with multiplicity,
+    and the per-axis indices p_j of each."""
+    sums = np.zeros(())
+    for axis in axes:
+        sums = np.add.outer(sums, axis)
+    flat = sums.ravel()
+    first = np.argpartition(flat, count - 1)[:count] if count < flat.size else np.arange(flat.size)
+    first = first[np.argsort(flat[first], kind="stable")]
+    return flat[first], np.unravel_index(first, sums.shape)
 
 
 def box_spectrum(sides, count: int) -> SpectrumPrefix:
@@ -98,9 +165,9 @@ def box_spectrum(sides, count: int) -> SpectrumPrefix:
 
     sorted with multiplicity; at most MAX_PREFIX_LEN of them, from an
     enumeration cube of at most DENSE_DIM_CAP^2 lattice points."""
-    sides = _box_sides(sides)
     if not 1 <= count <= MAX_PREFIX_LEN:  # refused before the enumeration allocates
         raise InputError(f"count must satisfy 1 <= count <= {MAX_PREFIX_LEN}, got {count}")
+    sides = _box_sides(sides, count)
     a_max = max(sides)
     M = max(2, int(np.ceil(count ** (1.0 / len(sides)))) + 1)
     while True:
@@ -109,16 +176,81 @@ def box_spectrum(sides, count: int) -> SpectrumPrefix:
                 f"{count} eigenvalues of a {len(sides)}-dimensional box need an enumeration of "
                 f"{M}^{len(sides)} lattice points, above the cap of {DENSE_DIM_CAP}^2"
             )
-        vals = np.zeros(())
-        for side in sides:
-            vals = np.add.outer(vals, (np.arange(1, M + 1) / side) ** 2)
-        vals = np.sort(np.pi**2 * vals.ravel())
+        vals = np.pi**2 * _smallest_sums([(np.arange(1, M + 1) / side) ** 2 for side in sides], count)[0]
         # any tuple outside the enumeration cube has some p_j >= M+1, hence
         # value >= pi^2 (M+1)^2 / a_max^2
         safe = np.pi**2 * (M + 1) ** 2 / a_max**2
         if vals.size >= count and vals[count - 1] <= safe:
             return SpectrumPrefix(vals[:count], n=len(sides), l=1, problem=EUCLIDEAN)
         M *= 2
+
+
+def _check_power(l) -> None:
+    if not (isinstance(l, (int, np.integer)) and l >= 1):
+        raise InputError(f"l must be a positive integer, got {l}")
+
+
+def _check_count(count: int, dim: int) -> None:
+    if not 1 <= count <= dim:
+        raise InputError(f"count must satisfy 1 <= count <= {dim}, got {count}")
+
+
+def _sine_modes(n: int) -> np.ndarray:
+    """The eigenvalues 4 sin^2(p pi / (2 (n + 1))), p = 1..n, of the second
+    difference tridiag(-1, 2, -1) of size n, ascending: h^2 times those of
+    ``_second_difference(n, h)``."""
+    return 4.0 * np.sin(np.arange(1, n + 1) * (np.pi / (2 * (n + 1)))) ** 2
+
+
+def _sine_mode_residual(n: int, modes: np.ndarray, used: np.ndarray) -> float:
+    """max ||T u - modes[q] u|| over the 0-based mode indices q in ``used``,
+    where T = tridiag(-1, 2, -1) of size n and u is the unit vector along
+    sin(i (q + 1) pi / (n + 1)), i = 1..n.
+
+    The sines are read from one period of sin(k pi / (n + 1)), so the
+    argument of each is reduced exactly; modes are checked in chunks of
+    _MODE_CHUNK floats, so memory stays bounded for any n and count.
+    """
+    period = 2 * (n + 1)
+    sines = np.sin(np.arange(period) * (np.pi / (n + 1)))
+    rows = np.arange(1, n + 1)
+    worst = 0.0
+    step = max(1, _MODE_CHUNK // n)
+    for start in range(0, used.size, step):
+        q = used[start : start + step]
+        u = sines[np.multiply.outer(q + 1, rows) % period]
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        r = (2.0 - modes[q, None]) * u
+        r[:, 1:] -= u[:, :-1]
+        r[:, :-1] -= u[:, 1:]
+        worst = max(worst, float(np.linalg.norm(r, axis=1).max()))
+    return worst
+
+
+def laplacian_power_spectrum(sides, grids, l: int, count: int) -> tuple[SpectrumPrefix, tuple]:
+    """First ``count`` eigenvalues of fd_laplacian(sides, grids)^l in closed
+    form, as (SpectrumPrefix, grid sizes with one per side).
+
+    Axis j, with n_j interior points and step h_j, has the modes
+    mu_{j,p} = (4 / h_j^2) sin^2(p pi / (2 (n_j + 1))), p = 1..n_j, and the
+    spectrum is every sum of one mode per axis: enumerated in full, so no
+    eigenvalue is skipped.  The certificate: for unit vectors u_j,
+    ||A (x)u_j - (sum_j mu_j) (x)u_j|| <= sum_j r_{j,p_j}, the residuals of
+    the 1-D sine pairs, so ConvergenceError is raised (by the eigensolvers'
+    residual check) unless sum_j of the largest r_j over the modes the
+    written values use is within RESIDUAL_REL_TOL * ||A||_inf.
+    """
+    _check_power(l)
+    sides, grids, h = _validate_grid(sides, grids, min_pts=2)
+    _check_count(count, math.prod(grids))
+    modes = [_sine_modes(n) for n in grids]
+    vals, used = _smallest_sums([m / hj**2 for m, hj in zip(modes, h)], count)
+    residual = sum(
+        _sine_mode_residual(n, m, np.unique(q)) / hj**2 for n, m, q, hj in zip(grids, modes, used, h)
+    )
+    # ||A||_inf: the rows of tridiag(-1, 2, -1) sum to 4 in absolute value, 3 at n = 2
+    _check_residuals(np.array([residual]), sum((2.0 + min(n - 1, 2)) / hj**2 for n, hj in zip(grids, h)))
+    return SpectrumPrefix(_raise_to(vals, l), n=len(grids), l=int(l), problem=EUCLIDEAN), grids
 
 
 def _second_difference(n: int, h: float) -> sp.csr_matrix:
@@ -169,22 +301,24 @@ def _axis_operator(op_1d, axis: int, grids) -> sp.csr_matrix:
     return _kron_chain(mats)
 
 
+@_out_of_memory_refused("building the finite-difference Laplacian")
 def fd_laplacian(sides, grids) -> DiscreteOperator:
     """Central-difference Dirichlet Laplacian (sign convention -Laplace)."""
     sides, grids, h = _validate_grid(sides, grids, min_pts=2)
     total = _axis_operator(_second_difference(grids[0], h[0]), 0, grids)
     for ax in range(1, len(grids)):
         total = total + _axis_operator(_second_difference(grids[ax], h[ax]), ax, grids)
-    return DiscreteOperator(total.tocsr(), grids, "dirichlet-laplacian")
+    return DiscreteOperator(total.tocsr(), grids, LAPLACIAN_STENCIL)
 
 
+@_out_of_memory_refused("building the clamped plate")
 def fd_clamped_plate(sides, grids) -> DiscreteOperator:
     """Biharmonic operator with clamped conditions: per-axis fourth
     differences with ghost mirroring plus twice the mixed products of the
     per-axis second differences."""
     import scipy.sparse as sp
 
-    sides, grids, h = _validate_grid(sides, grids, min_pts=4)
+    sides, grids, h = _validate_grid(sides, grids, min_pts=4, order=4)
     ndim = len(grids)
     total = _axis_operator(_clamped_fourth_difference(grids[0], h[0]), 0, grids)
     for ax in range(1, ndim):
@@ -198,6 +332,7 @@ def fd_clamped_plate(sides, grids) -> DiscreteOperator:
     return DiscreteOperator(total.tocsr(), grids, "clamped-plate")
 
 
+@_out_of_memory_refused("building the Kohn Laplacian")
 def kohn_fd(n: int = 1, sides=(1.0, 1.0, 1.0), grids=(12, 12, 12)) -> KohnOperator:
     """Kohn Laplacian on a Heisenberg box (n = 1: coordinates (x, y, t),
     box centered at the origin).
@@ -241,22 +376,22 @@ def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> Spectru
     ConvergenceError is raised rather than an unchecked value returned.
 
     For a Dirichlet Laplacian base this realizes Navier-type conditions, not
-    clamped ones; CSV metadata written by the CLI says so.  The clamped plate
-    is already the l = 2 problem: it takes only l = 1 and is labeled l = 2.
+    clamped ones; CSV metadata written by the CLI says so.  The CLI takes
+    that spectrum from ``laplacian_power_spectrum`` instead, in closed form.
+    The clamped plate is already the l = 2 problem: it takes only l = 1 and
+    is labeled l = 2.
     """
-    if not (isinstance(l, (int, np.integer)) and l >= 1):
-        raise InputError(f"l must be a positive integer, got {l}")
+    _check_power(l)
     clamped = op.stencil == "clamped-plate"
     if clamped and l != 1:
         raise InputError("the clamped operator is already the l = 2 problem; "
                          "powers apply to laplacian and kohn spectra")
-    if not 1 <= count <= op.dim:
-        raise InputError(f"count must satisfy 1 <= count <= {op.dim}, got {count}")
+    _check_count(count, op.dim)
     if count <= op.dim // 4:
         vals = smallest_eigs(op, count).eigenvalues
     else:
         vals = dense_symmetric_eig(op.matrix).eigenvalues[:count]
-    vals = np.sort(vals) ** l
+    vals = _raise_to(np.sort(vals), l)
     if isinstance(op, KohnOperator):
         return SpectrumPrefix(vals, n=op.heisenberg_n, l=int(l), problem=HEISENBERG)
     return SpectrumPrefix(vals, n=len(op.npoints), l=2 if clamped else int(l), problem=EUCLIDEAN)

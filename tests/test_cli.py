@@ -5,13 +5,14 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from specgap import cli, couples
+from specgap import cli, couples, operators
 from specgap.operators import read_spectrum_csv
 
 PI2 = math.pi**2
@@ -110,7 +111,8 @@ FD_46 = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1,1", "--grid", 
 
 
 def test_spectrum_fd_above_dense_fallback_dim(capsys):
-    # dim 2116 >= DENSE_FALLBACK_DIM and count 30 <= dim/10: the ARPACK route
+    # dim 2116 >= DENSE_FALLBACK_DIM: the Laplacian is written in closed
+    # form whatever the eigensolver route would be
     code, first, _ = run_cli(FD_46 + ["--count", "30"], capsys)
     assert code == 0
     values, meta = read_spectrum_csv(io.StringIO(first))
@@ -128,7 +130,9 @@ def test_spectrum_fd_unconverged_exit_2(monkeypatch, capsys):
         raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((A.shape[0], 0)))
 
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", fails)
-    code, out, err = run_cli(FD_46 + ["--count", "5"], capsys)
+    # dimension 2116 and 5 pairs take the ARPACK route
+    argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1,1", "--grid", "46,46", "--count", "5"]
+    code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == "" and "did not converge" in err
 
@@ -142,18 +146,15 @@ def test_spectrum_fd_inaccurate_dense_pairs_exit_2(monkeypatch, capsys):
 
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
     # dimension 64 takes the dense route
-    argv = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1,1", "--grid", "8,8", "--count", "4"]
+    argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1,1", "--grid", "8,8", "--count", "4"]
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == "" and "residual" in err
 
 
-# count 12 > dim/4: the whole spectrum of the dense route is written
-FD_FULL_1D = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1", "--grid", "12", "--count", "12"]
-
-
 def test_spectrum_fd_full_spectrum_matches_stencil(capsys):
-    code, out, _ = run_cli(FD_FULL_1D, capsys)
+    argv = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1", "--grid", "12", "--count", "12"]
+    code, out, _ = run_cli(argv, capsys)
     assert code == 0
     values, _ = read_spectrum_csv(io.StringIO(out))
     h = 1.0 / 13
@@ -163,7 +164,9 @@ def test_spectrum_fd_full_spectrum_matches_stencil(capsys):
 
 def test_spectrum_fd_full_spectrum_inaccurate_pairs_exit_2(monkeypatch, capsys):
     perturb_eigh(monkeypatch)
-    code, out, err = run_cli(FD_FULL_1D, capsys)
+    # count 12 > dim/4: the whole spectrum of the dense route
+    argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1", "--grid", "12", "--count", "12"]
+    code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == "" and "residual" in err
 
@@ -199,6 +202,38 @@ def test_spectrum_box_refuses_enumeration_cube_above_cap(dims, count):
     assert_one_line_usage_error(proc.returncode, proc.stdout, proc.stderr, "above the cap of 4096^2")
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["fd", "--problem", "laplacian", "--dims", "1e-200,1", "--grid", "8,8", "--count", "4"], "outside the range"),
+        (["fd", "--problem", "laplacian", "--dims", "1e200,1", "--grid", "8,8", "--count", "4"], "outside the range"),
+        (["fd", "--problem", "laplacian", "--dims", "1e-155,1", "--grid", "8,8", "--count", "4"], "outside the range"),
+        (["fd", "--problem", "clamped", "--dims", "1e-80,1", "--grid", "8,8", "--count", "4"], "outside the range"),
+        (["fd", "--problem", "clamped", "--dims", "1e100,1", "--grid", "8,8", "--count", "4"], "outside the range"),
+        (["fd", "--problem", "kohn", "--dims", "1e200,1,1", "--grid", "6,6,6", "--count", "4"], "outside the range"),
+        (["box", "--dims", "1e200,1", "--count", "3"], "outside the range"),
+        (["box", "--dims", "1e-200,1", "--count", "3"], "outside the range"),
+        (
+            ["fd", "--problem", "laplacian", "--dims", "1,1", "--grid", "8,8", "--count", "4", "--power", "400"],
+            "raised to the power 400 leave the range",
+        ),
+        (
+            ["fd", "--problem", "kohn", "--dims", "1,1,1", "--grid", "6,6,6", "--count", "216", "--power", "400"],
+            "raised to the power 400 leave the range",
+        ),
+    ],
+    ids=[
+        "laplacian-tiny", "laplacian-huge", "laplacian-residual-nan", "clamped-tiny", "clamped-huge",
+        "kohn-huge", "box-huge", "box-tiny", "laplacian-power", "kohn-power",
+    ],  # fmt: skip
+)
+def test_spectrum_refuses_sides_and_powers_whose_spectrum_is_not_finite(argv, fragment):
+    # these ended in ZeroDivisionError or OverflowError (exit 1), blamed the
+    # enumeration cap, reported a nan residual, or printed a numpy warning
+    proc = run_cli_limited(["spectrum"] + argv)
+    assert_one_line_usage_error(proc.returncode, proc.stdout, proc.stderr, fragment)
+
+
 def test_spectrum_fd_refuses_grid_above_point_cap():
     # kron used to allocate 22.3 GiB for this grid
     argv = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1,1,1", "--grid", "1000,1000,1000", "--count", "5"]
@@ -221,13 +256,72 @@ def test_spectrum_fd_writes_every_copy_of_a_multiple_eigenvalue(capsys):
     assert np.max(np.abs(values / exact - 1.0)) <= 1e-10
 
 
+def test_spectrum_fd_laplacian_runs_no_eigensolver_under_1_gib():
+    # the same count of the Laplacian took the ARPACK route, and its Ritz
+    # basis was refused; the closed form writes it
+    argv = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1,1", "--grid", "181,181", "--count", "8000"]
+    proc = run_cli_limited(argv, limit_mb=1024)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    values, meta = read_spectrum_csv(io.StringIO(proc.stdout))
+    h = 1.0 / 182
+    axis = (4 / h**2) * np.sin(np.arange(1, 182) * np.pi * h / 2) ** 2
+    exact = np.sort((axis[:, None] + axis[None, :]).ravel())[:8000]
+    np.testing.assert_allclose(values, exact, rtol=1e-13, atol=0)
+    assert meta["grid"] == "181,181" and meta["stencil"] == "dirichlet-laplacian"
+
+
+def test_spectrum_fd_laplacian_checks_only_the_modes_it_writes(capsys):
+    # checking the residual of all 32768 sine modes took 33 s
+    argv = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1", "--grid", "32768", "--count", "100"]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert len(read_spectrum_csv(io.StringIO(out))[0]) == 100
+    assert elapsed < 1.0
+
+
+def test_spectrum_fd_laplacian_refuses_a_perturbed_mode(monkeypatch, capsys):
+    real_modes = operators._sine_modes
+
+    def perturbed(n):
+        modes = real_modes(n)
+        modes[0] *= 1.0 + 1e-6
+        return modes
+
+    monkeypatch.setattr(operators, "_sine_modes", perturbed)
+    argv = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1", "--grid", "12", "--count", "3"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == "" and "residual" in err
+
+
 def test_spectrum_fd_refuses_ritz_basis_above_cap():
     # ARPACK's (32761, 16001) Ritz array took 3.91 GiB
-    argv = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1,1", "--grid", "181,181", "--count", "8000"]
+    argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1,1", "--grid", "181,181", "--count", "8000"]
     proc = run_cli_limited(argv, limit_mb=1024)
     assert_one_line_usage_error(
         proc.returncode, proc.stdout, proc.stderr, "Ritz basis of 16001 x 32761 floats for 8000 eigenpairs"
     )
+
+
+def test_spectrum_fd_out_of_memory_in_building_exit_2():
+    # scipy.sparse ran out of memory building the Kohn 32^3 operator and died
+    # with a traceback.  The child maps scipy's shared libraries first and then
+    # leaves itself 10 MB, so the cap bites in the builder, not in an import.
+    code = (
+        "import resource, sys\n"
+        "import scipy.sparse.linalg\n"
+        "from specgap import cli\n"
+        "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize() + 10 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size, size))\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["spectrum", "fd", "--problem", "kohn", "--dims", "1,1,1", "--grid", "32,32,32", "--count", "5"]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == "specgap: out of memory in building the Kohn Laplacian"
 
 
 def test_spectrum_fd_out_of_memory_in_factorization_exit_2():

@@ -294,3 +294,11 @@ def test_out_of_memory_in_arpack_or_inertia_count_is_convergence_error(monkeypat
     with pytest.raises(ConvergenceError, match="out of memory"):
         _lanczos_smallest(fd_laplacian([1.0, 1.0], [15, 15]).matrix, 6)
 
+
+
+def test_out_of_memory_in_the_symmetry_check_is_convergence_error(monkeypatch):
+    # the symmetry check copies A: a Kohn 32^3 operator ran out of memory there
+    # under a 300 MB cap, with a traceback and exit 1
+    monkeypatch.setattr(eigensolve, "hermitian_defect", _numpy_out_of_memory)
+    with pytest.raises(ConvergenceError, match="out of memory in ARPACK for 6 eigenpairs of dimension 225"):
+        _lanczos_smallest(fd_laplacian([1.0, 1.0], [15, 15]).matrix, 6)

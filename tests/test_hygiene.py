@@ -3,11 +3,15 @@ unused import; no private module-level name that nothing in the package
 refers to; no public module-level name that the package root does not export
 and that nothing in the package, the demos or the benchmark refers to; no
 eigenvalue call of a ``linalg`` module outside ``eigensolve.py`` but the two
-that return no eigenpairs to a caller; and no call of ARPACK (``eigsh``) or
-SuperLU (``splu``) outside ``eigensolve.py``.  References from tests do not
-count: a helper that only a test calls is dead code."""
+that return no eigenpairs to a caller; no call of ARPACK (``eigsh``) or
+SuperLU (``splu``) outside ``eigensolve.py``; and no module-level import of
+scipy, which costs every command of the CLI its import time.  References from
+tests do not count: a helper that only a test calls is dead code.  Also run:
+``spectrum fd --problem laplacian`` loads no scipy module at all."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -157,3 +161,48 @@ def test_eigenvalue_calls_go_through_eigensolve(path):
     ]
     stray += [f"{path.name}:{line} calls {name}" for line, name in _sparse_solver_calls(tree)]
     assert not stray, stray
+
+
+def _module_level_imports(tree: ast.Module):
+    """(line, module name) of each import that runs when the module is
+    imported: in the module body or in its if/try/with blocks, but not under
+    ``if TYPE_CHECKING:``."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+        elif isinstance(node, ast.If):
+            if not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
+                stack.extend(node.body)
+            stack.extend(node.orelse)
+        elif isinstance(node, (ast.Try, ast.With)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                stack.extend(getattr(node, field, []))
+        elif isinstance(node, ast.ExceptHandler):
+            stack.extend(node.body)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    stray = [
+        f"{path.name}:{line} imports {name} at module level"
+        for line, name in _module_level_imports(_tree(path))
+        if name == "scipy" or name.startswith("scipy.")
+    ]
+    assert not stray, stray
+
+
+def test_laplacian_spectrum_loads_no_scipy_module(tmp_path):
+    code = (
+        "import sys\n"
+        "from specgap import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    argv = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1,1.5", "--grid", "20,30", "--power", "2",
+            "--count", "50", "--out", str(tmp_path / "spec.csv")]  # fmt: skip
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "0 []\n", proc.stderr[-500:]

@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from specgap import operators
 from specgap.bounds import EUCLIDEAN, HEISENBERG
-from specgap.errors import InputError
+from specgap.errors import ConvergenceError, InputError
 from specgap.operators import (
     box_spectrum,
     fd_clamped_plate,
     fd_laplacian,
     kohn_fd,
+    laplacian_power_spectrum,
     operator_power_spectrum,
     read_spectrum_csv,
     write_spectrum_csv,
@@ -241,6 +243,62 @@ def test_power_spectrum_count_cap():
     op = fd_laplacian([1.0], [10])
     with pytest.raises(InputError, match="count must satisfy 1 <= count <= 10"):
         operator_power_spectrum(op, 1, 11)
+
+
+# ---------------------------------------------------------------------------
+# the Laplacian's closed form
+# ---------------------------------------------------------------------------
+
+
+def _random_laplacian_case(seed):
+    """1 to 3 axes of dimension <= 600, sides in [1, 2), l in 1..3 and a
+    count up to the dimension."""
+    rng = np.random.default_rng(seed)
+    ndim = int(rng.integers(1, 4))
+    grids = tuple(int(g) for g in rng.integers(2, int(600 ** (1.0 / ndim)) + 1, size=ndim))
+    sides = tuple(float(a) for a in rng.uniform(1.0, 2.0, size=ndim))
+    return sides, grids, int(rng.integers(1, 4)), int(rng.integers(1, math.prod(grids) + 1))
+
+
+@pytest.mark.parametrize(
+    "sides, grids, l, count",
+    [_random_laplacian_case(seed) for seed in range(12)] + [((1.0,), (600,), 3, 600)],
+    ids=[f"seed{seed}" for seed in range(12)] + ["1d-600-l3"],
+)
+def test_laplacian_closed_form_matches_operator_spectrum(sides, grids, l, count):
+    prefix, npoints = laplacian_power_spectrum(sides, grids, l, count)
+    op = fd_laplacian(sides, grids)
+    reference = operator_power_spectrum(op, l, count)
+    assert npoints == grids
+    assert (prefix.n, prefix.l, prefix.problem) == (reference.n, reference.l, reference.problem)
+    # 1e-12 relative, plus the reference's own error: a dense eigenvalue of A
+    # is off by up to a few eps * ||A||, 1.7e-11 relative at the bottom of the
+    # 1-D 600-point spectrum, where the closed form is exact to rounding
+    base = reference.values ** (1.0 / l)
+    slack = l * base ** (l - 1) * 8 * np.finfo(float).eps * abs(op.matrix).sum(axis=1).max()
+    assert np.all(np.abs(prefix.values - reference.values) <= 1e-12 * reference.values + slack)
+
+
+def test_laplacian_closed_form_refuses_a_perturbed_mode(monkeypatch):
+    real_modes = operators._sine_modes
+
+    def perturbed(n):
+        modes = real_modes(n)
+        modes[2] *= 1.0 + 1e-6
+        return modes
+
+    monkeypatch.setattr(operators, "_sine_modes", perturbed)
+    with pytest.raises(ConvergenceError, match="eigenpair residual"):
+        laplacian_power_spectrum([1.0, 1.0], [10, 10], 1, 20)
+    # a mode that no written value uses is not checked
+    assert laplacian_power_spectrum([1.0], [10], 1, 2)[0].values.size == 2
+
+
+def test_laplacian_closed_form_checks_counts_like_the_operator():
+    with pytest.raises(InputError, match="count must satisfy 1 <= count <= 10"):
+        laplacian_power_spectrum([1.0], [10], 1, 11)
+    with pytest.raises(InputError, match="l must be a positive integer"):
+        laplacian_power_spectrum([1.0], [10], 0, 3)
 
 
 # ---------------------------------------------------------------------------
