@@ -28,10 +28,11 @@ for k in (1, 4, 10):
     prefix = SpectrumPrefix(full.values[:k], n=2, l=1)
     candidate = float(full.values[k])
     print(f"k = {k}: lambda_k = {prefix.values[-1]:.4f}, true lambda_(k+1) = {candidate:.4f}")
-    for entry in verify_margins(prefix, candidate, which=registry_names(prefix.problem, 1)):
-        tag = "bound" if REGISTRY[entry.name].extracts_bound else "slack"
-        value = f"{entry.bound:12.4f}" if np.isfinite(entry.bound) else "      (n/a)"
-        print(f"    {entry.name:20s} {tag}  {value}   margin {entry.margin:+.4f}")
+    table = verify_margins(prefix, candidate, which=registry_names(prefix.problem, 1))
+    for name, squared, bound, margin in zip(table.names, table.squared, table.bound[0], table.margin[0]):
+        tag = "slack" if squared else "bound"
+        value = f"{bound:12.4f}" if np.isfinite(bound) else "      (n/a)"
+        print(f"    {name:20s} {tag}  {value}   margin {margin:+.4f}")
     print()
 
 print("ordering of the four Laplacian bounds (sharpest first) along the spectrum:")

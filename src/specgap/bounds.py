@@ -45,6 +45,12 @@ candidate z instead of a bound.  Each entry is declared once, as one row of
 the registry table holding its form and its recipe; only this module tells
 the forms apart.
 
+``verify_margins`` returns a ``MarginTable``: columns straight from the
+kernels, one row per prefix length k and one column per entry, with one note
+rule and one violation unit (z for a bound, z^2 for a slack) per entry.
+Entries with the same recipe and cap entries give the same table, so each
+such table is computed once per call.
+
 Descriptor names double as the stable CLI vocabulary.  The registry spans the
 Dirichlet Laplacian (l = 1), the clamped plate (l = 2), the general
 polyharmonic family (any l), and the Kohn Laplacian on a Heisenberg box
@@ -733,74 +739,45 @@ def compute_bound(name: str, prefix: SpectrumPrefix, k: Optional[int] = None) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MarginEntry:
-    """Per-descriptor slack of the inequality at a candidate lambda_{k+1}
-    given the first k values.
+class MarginTable(NamedTuple):
+    """Margins of the requested entries at every prefix length, as columns.
 
-    For bound-extracting descriptors, margin = bound - candidate.  For
-    verification-only descriptors, margin is the inequality slack itself
-    (note field says so), in units of candidate^2.  Negative margin flags a
-    violation; :meth:`violated` applies a relative tolerance in the right unit.
+    Row j is the prefix length ks[j] with candidate z[j]; column e is the
+    entry names[e].  ``margin``, ``bound`` and ``valid`` are (row x entry)
+    arrays.  A bound-extracting entry has margin = bound - z, NaN where its
+    bound is invalid; a verify-only entry has its inequality slack -H(z) as
+    margin, in units of z^2 (``squared``), and a NaN bound; an inapplicable
+    entry has NaN margin and bound and is never valid.  notes[e] is the
+    pair (note of an invalid row, note of a valid row) of entry e.
     """
 
-    k: int
-    candidate: float
-    name: str
-    margin: float
-    bound: float
-    valid: bool
-    note: str = ""
+    ks: np.ndarray
+    z: np.ndarray
+    names: tuple
+    margin: np.ndarray
+    bound: np.ndarray
+    valid: np.ndarray
+    notes: tuple
+    squared: np.ndarray
 
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "candidate": self.candidate,
-            "name": self.name,
-            "margin": self.margin,
-            "bound": self.bound,
-            "valid": self.valid,
-            "note": self.note,
-        }
-
-    def violated(self, rel_slack: float) -> bool:
-        """Whether the margin falls below -rel_slack times its unit: the
-        candidate z for a bound, z^2 for the inequality slack of a verify-only
-        entry.  Invalid and inapplicable entries are never violations."""
-        if not self.valid or math.isnan(self.margin):
-            return False
-        z = self.candidate
-        unit = z if _descriptor(self.name).extracts_bound else z**2
-        return self.margin < -rel_slack * unit
+    def violations(self, rel_slack: float) -> np.ndarray:
+        """(row x entry) flags: valid margins below -rel_slack times their
+        unit, z for a bound and z^2 for a verify-only slack."""
+        unit = np.where(self.squared, self.z[:, None] ** 2, self.z[:, None])
+        return self.valid & (self.margin < -rel_slack * unit)
 
 
-def _margin_rows(desc: BoundDescriptor, prefix: SpectrumPrefix, ks, z) -> list[tuple]:
-    """(margin, bound, valid, note) of one descriptor for every prefix length."""
-    nan = float("nan")
-    if not desc.applicable(prefix.problem, prefix.l):
-        return [(nan, nan, False, "inapplicable: skipped")] * len(ks)
-    if not desc.extracts_bound:
-        p = _Prefixes(prefix.values, ks)
-        slack = -_H(desc.recipe(p, prefix.n, prefix.l), p.lam, p.ks, z)
-        return [(s, nan, True, "inequality slack (no bound form)") for s in slack.tolist()]
-    value, _, _, valid = _bound_table(desc, prefix, ks)
-    return [
-        (b - c, b, True, "") if ok else (nan, b, False, "no admissible bound value")
-        for b, c, ok in zip(value.tolist(), z.tolist(), valid.tolist())
-    ]
-
-
-def verify_margins(
-    prefix: SpectrumPrefix, candidate: Optional[float] = None, which=None
-) -> list[MarginEntry]:
+def verify_margins(prefix: SpectrumPrefix, candidate: Optional[float] = None, which=None) -> MarginTable:
     """Margins of every requested descriptor: bound - candidate, or the
     inequality slack of a verify-only entry.
 
-    With a candidate, at z = candidate from the whole prefix
+    With a candidate, one row at z = candidate from the whole prefix
     (k = len(prefix)).  Without one, along the spectrum: at z = lambda_{k+1}
-    from the first k values, for every k = 1 .. len(prefix) - 1, ordered by
-    k and then by descriptor.  Inapplicable descriptors and invalid bounds
-    are reported with a notice, not an error."""
+    from the first k values, one row for every k = 1 .. len(prefix) - 1.
+    Entries follow ``which`` (default: the whole registry).  Inapplicable
+    descriptors and invalid bounds are reported with a note, not an error.
+    Entries that share a recipe and cap entries share one table, computed
+    once."""
     if candidate is None:
         if len(prefix) < 2:
             raise InputError("need at least two eigenvalues to verify anything")
@@ -810,13 +787,27 @@ def verify_margins(
         if not candidate >= lam_k * (1.0 - 1e-12):
             raise InputError(f"candidate {candidate} is below lambda_k = {lam_k}")
         ks, z = np.array([len(prefix)]), np.array([float(candidate)])
-    names = list(which) if which is not None else registry_names()
-    columns = [_margin_rows(_descriptor(name), prefix, ks, z) for name in names]
-    return [
-        MarginEntry(k, c, name, *column[j])
-        for j, (k, c) in enumerate(zip(ks.tolist(), z.tolist()))
-        for name, column in zip(names, columns)
-    ]
+    descs = [_descriptor(name) for name in (which if which is not None else registry_names())]
+    shape = (len(ks), len(descs))
+    margin, bound, valid = np.full(shape, np.nan), np.full(shape, np.nan), np.zeros(shape, dtype=bool)
+    notes, tables = [], {}
+    for e, desc in enumerate(descs):
+        if not desc.applicable(prefix.problem, prefix.l):
+            notes.append(("inapplicable: skipped",) * 2)
+        elif not desc.extracts_bound:
+            p = _Prefixes(prefix.values, ks)
+            margin[:, e] = -_H(desc.recipe(p, prefix.n, prefix.l), p.lam, p.ks, z)
+            valid[:, e] = True
+            notes.append(("", "inequality slack (no bound form)"))
+        else:
+            key = (desc.recipe, desc.cap_names)
+            if key not in tables:
+                tables[key] = _bound_table(desc, prefix, ks)
+            bound[:, e], _, _, valid[:, e] = tables[key]
+            margin[:, e] = np.where(valid[:, e], bound[:, e] - z, np.nan)
+            notes.append(("no admissible bound value", ""))
+    squared = np.array([not desc.extracts_bound for desc in descs], dtype=bool)
+    return MarginTable(ks, z, tuple(desc.name for desc in descs), margin, bound, valid, tuple(notes), squared)
 
 
 @dataclass

@@ -313,8 +313,9 @@ def cmd_verify_spectrum(args) -> int:
     slack = _finite_nonnegative(args, "slack", 1e-3)
     which = args.which.split(",") if args.which else None
     full = _prefix_from_args(args, values, meta)  # validates sortedness and positivity
-    entries = bounds.verify_margins(full, which=which)
-    violations = 0
+    table = bounds.verify_margins(full, which=which)
+    flagged = table.violations(slack)
+    violations = int(flagged.sum())
     config = {
         "command": "verify spectrum",
         "eigs": args.eigs,
@@ -325,12 +326,12 @@ def cmd_verify_spectrum(args) -> int:
         "which": which,
     }
     with _output(args.out) as out:
-        for entry in entries:
-            row = entry.as_dict()
-            violated = entry.violated(slack)
-            row["violation"] = violated
-            violations += violated
-            out.write(json_line(row) + "\n")
+        columns = (table.margin.tolist(), table.bound.tolist(), table.valid.tolist(), flagged.tolist())
+        for k, z, *cells in zip(table.ks.tolist(), table.z.tolist(), *columns):
+            for name, notes, margin, bound, valid, violation in zip(table.names, table.notes, *cells):
+                row = {"k": k, "candidate": z, "name": name, "margin": margin, "bound": bound,
+                       "valid": valid, "note": notes[valid], "violation": violation}
+                out.write(json_line(row) + "\n")
         summary = {"summary": True, "ks": len(full) - 1, "violations": violations, "config": config}
         out.write(json_line(summary) + "\n")
     return EXIT_VIOLATION if violations else EXIT_OK

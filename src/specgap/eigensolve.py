@@ -141,13 +141,16 @@ def _dense_smallest(M, m: int) -> EigResult:
 @contextmanager
 def _out_of_memory_refused(step: str):
     """Raise ConvergenceError when ``step`` runs out of memory: numpy raises
-    MemoryError, SuperLU a RuntimeError naming SUPERLU_MALLOC."""
+    MemoryError, SuperLU a RuntimeError naming SUPERLU_MALLOC, and the
+    dynamic loader, importing a scipy module, an ImportError that it failed
+    to map a segment of a shared library."""
     try:
         yield
     except MemoryError as exc:
         raise ConvergenceError(f"out of memory in {step}") from exc
-    except RuntimeError as exc:
-        if "SUPERLU_MALLOC" not in str(exc):
+    except (RuntimeError, ImportError) as exc:
+        sign = "SUPERLU_MALLOC" if isinstance(exc, RuntimeError) else "failed to map segment"
+        if sign not in str(exc):
             raise
         raise ConvergenceError(f"out of memory in {step}") from exc
 
@@ -162,11 +165,11 @@ def _eigenvalues_below(A, sigma: float):
     entries count the eigenvalues below sigma.  None when SuperLU had to
     leave the diagonal (perm_r != perm_c) or met an exactly singular pivot.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
-
-    shifted = sp.csc_matrix(A) - sigma * sp.identity(A.shape[0], format="csc")
     with _out_of_memory_refused("the inertia count"):
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import splu
+
+        shifted = sp.csc_matrix(A) - sigma * sp.identity(A.shape[0], format="csc")
         try:
             lu = splu(
                 shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
@@ -206,13 +209,14 @@ def _lanczos_smallest(A, m: int) -> EigResult:
     dense route are returned up to DENSE_DIM_CAP, and ConvergenceError is
     raised above it.
     """
-    # scipy.sparse.linalg is imported here: it would roughly double the
-    # package's import time, and only this route needs it
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
     dim = A.shape[0]
-    # the symmetry check and the residuals copy A or allocate dim x m floats too
+    # the import maps shared libraries, and the symmetry check and the
+    # residuals copy A or allocate dim x m floats: each can run out of memory
     with _out_of_memory_refused(f"ARPACK for {m} eigenpairs of dimension {dim}"):
+        # scipy.sparse.linalg is imported here: it would roughly double the
+        # package's import time, and only this route needs it
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
         _require_symmetric(A)
         scale = _inf_norm(A)
         ncv = min(dim, max(2 * m + 1, 20))  # scipy's default, passed so it can be reported

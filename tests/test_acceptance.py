@@ -149,10 +149,11 @@ def test_acceptance_05_exact_spectrum_margins():
     for k in range(1, 50):
         prefix = SpectrumPrefix(full.values[:k], n=2, l=1, problem=EUCLIDEAN)
         candidate = float(full.values[k])
-        for entry in verify_margins(prefix, candidate, which=names):
-            assert entry.valid, (k, entry.name)
-            worst = min(worst, entry.margin)
-            assert entry.margin >= -1e-10, (k, entry.name, entry.margin)
+        table = verify_margins(prefix, candidate, which=names)
+        for name, valid, margin in zip(table.names, table.valid[0], table.margin[0]):
+            assert valid, (k, name)
+            worst = min(worst, margin)
+            assert margin >= -1e-10, (k, name, margin)
     dt = time.time() - t0
     assert dt < 5.0
     print(f"ACCEPTANCE 5 unit-square margins: PASS (49 prefixes x {len(names)} bounds, min margin {worst:.3g}, {dt:.1f}s)")

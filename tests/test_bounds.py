@@ -23,7 +23,7 @@ from specgap.bounds import (
     verify_margins,
 )
 from specgap.couples import FunctionCouple
-from specgap.operators import box_spectrum
+from specgap.operators import box_spectrum, kohn_fd, operator_power_spectrum
 from specgap.errors import InputError
 
 PI2 = math.pi**2
@@ -427,36 +427,73 @@ def test_chain_requires_l1_euclidean():
 
 def test_margin_unit_square_k1_yang2():
     prefix = euclid([2 * PI2], 2)
-    entries = {e.name: e for e in verify_margins(prefix, 5 * PI2, which=["yang2-laplacian"])}
-    assert entries["yang2-laplacian"].margin == pytest.approx(PI2, rel=1e-12)
+    table = verify_margins(prefix, 5 * PI2, which=["yang2-laplacian"])
+    assert table.margin[0, table.names.index("yang2-laplacian")] == pytest.approx(PI2, rel=1e-12)
 
 
 def test_margin_zero_at_bound():
     prefix = euclid([1.0, 1.5], 2)
     b = compute_bound("ppw-laplacian", prefix, 2).value
-    (entry,) = verify_margins(prefix, b, which=["ppw-laplacian"])
-    assert entry.margin == pytest.approx(0.0, abs=1e-12)
+    table = verify_margins(prefix, b, which=["ppw-laplacian"])
+    assert table.margin.shape == (1, 1)
+    assert table.margin[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_margin_negative_above_bound():
     prefix = euclid([1.0, 1.5], 2)
     b = compute_bound("ppw-laplacian", prefix, 2).value
-    entries = verify_margins(prefix, b + 1.0)
-    by_name = {e.name: e for e in entries}
-    assert by_name["ppw-laplacian"].margin == pytest.approx(-1.0, abs=1e-12)
+    table = verify_margins(prefix, b + 1.0)
+    assert table.margin[0, table.names.index("ppw-laplacian")] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_margins_skip_inapplicable_with_notice():
     prefix = euclid([1.0, 1.5], 2)
-    entries = verify_margins(prefix, 2.0, which=["kohn-yang-l1"])
-    assert len(entries) == 1
-    assert "inapplicable" in entries[0].note
-    assert not entries[0].valid
+    table = verify_margins(prefix, 2.0, which=["kohn-yang-l1"])
+    assert table.valid.shape == (1, 1)
+    assert "inapplicable" in table.notes[0][int(table.valid[0, 0])]
+    assert not table.valid[0, 0]
 
 
 def test_margin_candidate_below_prefix_rejected():
     with pytest.raises(InputError, match="is below lambda_k"):
         verify_margins(euclid([1.0, 2.0], 2), 1.5)
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, every NaN counting as equal to every NaN."""
+    a, b = (np.where(np.isnan(x), np.nan, x).view(np.int64) for x in (a, b))
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "problem, l", [(EUCLIDEAN, l) for l in (1, 2, 3)] + [(HEISENBERG, l) for l in (1, 2, 3, 4)]
+)
+def test_shared_margin_tables_equal_one_entry_tables(problem, l):
+    if problem == EUCLIDEAN:
+        prefix = euclid(box_spectrum((1.0, 1.37), 40).values ** l, 2, l=l)
+    else:
+        prefix = operator_power_spectrum(kohn_fd(1, (1.0, 1.0, 1.0), (6, 6, 6)), l, 40)
+    table = verify_margins(prefix)
+    assert table.names == tuple(registry_names())
+    for e, name in enumerate(table.names):
+        alone = verify_margins(prefix, which=[name])
+        assert alone.notes[0] == table.notes[e] and alone.squared[0] == table.squared[e], name
+        assert np.array_equal(alone.valid[:, 0], table.valid[:, e]), name
+        assert _same_bits(alone.margin[:, 0], table.margin[:, e]), name
+        assert _same_bits(alone.bound[:, 0], table.bound[:, e]), name
+
+
+def test_shared_monotone_tables_are_solved_once(monkeypatch):
+    solved = []
+    real = bounds._monotone_roots
+    monkeypatch.setattr(bounds, "_monotone_roots", lambda *args: solved.append(1) or real(*args))
+    full = box_spectrum((1.0, 1.37), 40).values
+    # l = 1: hp-laplacian is hp-poly; l = 2: hook-chenqian-clamped is hp-poly and
+    # hp-weak-clamped is hp-weak-poly
+    for l, solves in ((1, 2), (2, 3)):
+        solved.clear()
+        verify_margins(euclid(full**l, 2, l=l))
+        assert len(solved) == solves, l
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +514,9 @@ def test_general_poly_matches_cim_squared_margin():
         z = 4.1
         couple = FunctionCouple("equal-power", z, (2.0,))
         via_couple = check_general_poly(prefix, z, couple)
-        (entry,) = verify_margins(prefix, z, which=["cim-squared-poly"])
-        via_registry = entry.margin
+        table = verify_margins(prefix, z, which=["cim-squared-poly"])
+        assert table.margin.shape == (1, 1)
+        via_registry = table.margin[0, 0]
         assert via_couple == pytest.approx(via_registry, rel=1e-12)
 
 

@@ -1,5 +1,6 @@
 """Command line behaviour: formats, exit codes, config, determinism."""
 
+import builtins
 import io
 import json
 import math
@@ -334,6 +335,22 @@ def test_spectrum_fd_out_of_memory_in_factorization_exit_2():
     assert proc.stderr.splitlines()[-1] == "specgap: out of memory in ARPACK for 5 eigenpairs of dimension 32768"
 
 
+def test_spectrum_fd_out_of_memory_importing_the_sparse_solvers_exit_2(monkeypatch, capsys):
+    # under a tight address-space cap the loader fails to map scipy's shared
+    # libraries and the import raises ImportError
+    real_import = builtins.__import__
+
+    def unmappable(name, *args, **kwargs):
+        if name == "scipy.sparse.linalg":
+            raise ImportError("libscipy_openblas.so: failed to map segment from shared object")
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", unmappable)
+    argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1,1", "--grid", "46,46", "--count", "20"]
+    code, out, err = run_cli(argv, capsys)
+    assert_one_line_usage_error(code, out, err, "out of memory in ARPACK for 20 eigenpairs of dimension 2116")
+
+
 def test_spectrum_unwritable_out_exit_2(tmp_path, capsys):
     argv = ["spectrum", "box", "--dims", "1,1", "--count", "3", "--out", str(tmp_path / "missing" / "x.csv")]
     code, out, err = run_cli(argv, capsys)
@@ -468,6 +485,48 @@ def test_verify_spectrum_monotone_root_without_bracket_doubling(tmp_path, capsys
     rows = [json.loads(line) for line in text.strip().splitlines()]
     assert [r["k"] for r in rows[:-1]] == [1, 2, 3]
     assert rows[-1]["summary"] is True
+
+
+ROW_KEYS = ["k", "candidate", "name", "margin", "bound", "valid", "note", "violation"]
+# yang1-laplacian, wucao-poly and cim-yang-poly have no admissible bound at k = 4
+K4_INVALID = [1.0, 1.368761715425752, 3.4280804238748326, 6.732655185893089, 8.319432152802452, 9.214800195499496]
+
+
+def test_verify_spectrum_row_format(tmp_path, capsys):
+    eigs = tmp_path / "k4.csv"
+    write_eigs(eigs, K4_INVALID)
+    slack = 0.3
+    code, text, _ = run_cli(["verify", "spectrum", "--eigs", str(eigs), "--n", "2", "--l", "1",
+                             "--slack", str(slack)], capsys)  # fmt: skip
+    lines = text.splitlines()
+    rows = {(r["k"], r["name"]): r for r in map(json.loads, lines[:-1])}
+    assert len(rows) == len(lines) - 1 == 5 * 28
+    assert all(list(r) == ROW_KEYS for r in rows.values())
+
+    inapplicable = rows[1, "ppw-clamped"]
+    assert inapplicable == {"k": 1, "candidate": K4_INVALID[1], "name": "ppw-clamped", "margin": None,
+                            "bound": None, "valid": False, "note": "inapplicable: skipped", "violation": False}  # fmt: skip
+
+    # the verify-only slack is measured in units of z^2: flagged in units of z,
+    # it would be a violation here
+    slack_row, z = rows[3, "cim-squared-poly"], K4_INVALID[3]
+    assert -slack * z * z < slack_row["margin"] < -slack * z
+    assert slack_row["bound"] is None and slack_row["valid"] is True
+    assert slack_row["note"] == "inequality slack (no bound form)" and slack_row["violation"] is False
+
+    broken, kept = rows[3, "yang1-laplacian"], rows[3, "ppw-laplacian"]
+    assert broken["margin"] < -slack * z and broken["violation"] is True
+    assert kept["margin"] > 0 and kept["violation"] is False
+    for row in (broken, kept):
+        assert row["margin"] == row["bound"] - z and row["valid"] is True and row["note"] == ""
+
+    invalid = rows[4, "yang1-laplacian"]
+    assert invalid["margin"] is None and invalid["valid"] is False and invalid["violation"] is False
+    assert invalid["note"] == "no admissible bound value"
+
+    summary = json.loads(lines[-1])
+    assert summary["violations"] == sum(r["violation"] for r in rows.values()) > 0
+    assert code == 1
 
 
 @pytest.mark.parametrize("slack", ["nan", "inf", "-1"])

@@ -296,6 +296,24 @@ def test_out_of_memory_in_arpack_or_inertia_count_is_convergence_error(monkeypat
 
 
 
+@pytest.mark.parametrize(
+    "error",
+    [
+        RuntimeError("Factor is exactly singular"),
+        RuntimeError("failed to map segment from shared object"),
+        ImportError("libfoo.so: cannot open shared object file"),
+        ModuleNotFoundError("No module named 'scipy'"),
+    ],
+)
+def test_other_errors_pass_the_out_of_memory_mapping(error):
+    # only MemoryError, SuperLU's allocator failure and the loader's failure
+    # to map a shared library mean that memory ran out
+    with pytest.raises(type(error)) as raised:
+        with eigensolve._out_of_memory_refused("a step"):
+            raise error
+    assert raised.value is error
+
+
 def test_out_of_memory_in_the_symmetry_check_is_convergence_error(monkeypatch):
     # the symmetry check copies A: a Kohn 32^3 operator ran out of memory there
     # under a 300 MB cap, with a traceback and exit 1
