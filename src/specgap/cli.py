@@ -15,7 +15,10 @@ Subcommands::
 ``spectrum fd --problem laplacian`` writes the closed-form spectrum of the
 grid Laplacian (or its power), whose sine modes have their residuals
 checked; it builds no matrix, runs no eigensolver and imports no scipy
-module.  The clamped and Kohn spectra come from the eigensolvers.
+module.  ``--problem kohn`` solves the exact t-Fourier blocks of the Kohn
+Laplacian, each of size Nx Ny, and imports scipy only for a block above
+the dense/ARPACK crossover.  The clamped plate's spectrum comes from the
+eigensolvers.
 
 Exit codes: 0 all checks passed, 1 a mathematical violation was detected,
 2 input or usage error.  Any run is reproducible from its flags (plus
@@ -173,9 +176,11 @@ def cmd_spectrum(args) -> int:
         if problem == "laplacian":  # closed form: no matrix is built, no eigensolver runs
             prefix, npoints = operators.laplacian_power_spectrum(dims, grid, power, count)
             stencil = operators.LAPLACIAN_STENCIL
-        elif problem in ("clamped", "kohn"):
-            op = (operators.fd_clamped_plate(dims, grid) if problem == "clamped"
-                  else operators.kohn_fd(1, dims, grid))
+        elif problem == "kohn":  # t-Fourier blocks: the 3-D operator is not built
+            prefix, npoints = operators.kohn_block_spectrum(dims, grid, power, count)
+            stencil = operators.KOHN_STENCIL
+        elif problem == "clamped":
+            op = operators.fd_clamped_plate(dims, grid)
             prefix = operators.operator_power_spectrum(op, power, count)
             npoints, stencil = op.npoints, op.stencil
         else:

@@ -5,9 +5,11 @@ contract below) and, for a few smallest eigenpairs of a large sparse
 operator, scipy's ARPACK (an implicitly restarted Lanczos method) in
 shift-invert mode.  ``smallest_eigs`` takes ARPACK for m of the dim
 eigenpairs when dim >= DENSE_FALLBACK_DIM and m <= dim / ARPACK_DIM_PER_PAIR,
-or when dim exceeds DENSE_DIM_CAP; the dense route otherwise.  Both limits
-come from a measured sweep of the two routes (README, "Eigensolver").  The
-dense route is the reference the test suite checks the ARPACK route against.
+or when dim exceeds DENSE_DIM_CAP; the dense route otherwise
+(``_dense_route``, which the Kohn t-Fourier blocks of ``operators`` also
+read to build a block dense or sparse).  Both limits come from a measured
+sweep of the two routes (README, "Eigensolver").  The dense route is the
+reference the test suite checks the ARPACK route against.
 
 Each route checks the eigenpairs it computes: it raises ConvergenceError
 unless every residual ||A v - w v|| is within RESIDUAL_REL_TOL * ||A||_inf, so
@@ -18,7 +20,8 @@ inertia count of A - sigma I just below its largest returned values (see
 to DENSE_DIM_CAP and ConvergenceError is raised above it.  Running out of
 memory anywhere on the ARPACK route, or in the count, is ConvergenceError
 too.  The operator builders of ``operators`` use the same out-of-memory
-mapping, and its closed-form Laplacian spectrum the same residual check.
+mapping, and its closed-form Laplacian spectrum and Kohn t-Fourier blocks
+the same residual check.
 
 Every Hermitian check and every eigendecomposition of the package goes
 through this module: ``hermitian_defect`` measures max |M - M^H| of a dense
@@ -249,6 +252,13 @@ def _lanczos_smallest(A, m: int) -> EigResult:
     return EigResult(w, V, res, "lanczos", iterations=ncv)
 
 
+def _dense_route(dim: int, m: int) -> bool:
+    """Whether the m smallest of dim eigenpairs take the dense route: the
+    measured crossover of ``smallest_eigs``, which also holds every m above
+    dim/4 up to DENSE_DIM_CAP."""
+    return dim <= DENSE_DIM_CAP and (dim < DENSE_FALLBACK_DIM or m * ARPACK_DIM_PER_PAIR > dim)
+
+
 def smallest_eigs(op, m: int) -> EigResult:
     """The m smallest eigenpairs of a symmetric PSD operator, 1 <= m <= dim/4.
 
@@ -266,6 +276,6 @@ def smallest_eigs(op, m: int) -> EigResult:
     dim = M.shape[0]
     if not 1 <= m <= dim // 4:
         raise InputError(f"need 1 <= m <= dim/4 = {dim // 4}, got m = {m}")
-    if dim <= DENSE_DIM_CAP and (dim < DENSE_FALLBACK_DIM or m * ARPACK_DIM_PER_PAIR > dim):
+    if _dense_route(dim, m):
         return _dense_smallest(M, m)
     return _lanczos_smallest(M.tocsr() if _issparse(M) else M, m)

@@ -23,9 +23,20 @@ spectrum of its l-th power in closed form: the same sort of per-axis sums
 that ``box_spectrum`` makes, with the residual of every sine mode it uses
 checked.  No matrix is built and no eigensolver runs.
 
+The t derivative of ``kohn_fd`` acts on t alone and its central difference
+has closed-form eigenvectors, so ``kohn_block_spectrum`` writes the Kohn
+spectrum from Nt exact blocks of size Nx Ny, half of them solved (a block
+at -theta has the spectrum of the one at theta).  Each block takes the
+eigensolvers' route for its size, built dense below the dense/ARPACK
+crossover; the theta = 0 block of an odd Nt is a sum of squared sine modes,
+written in closed form.  The residuals of the blocks and of the t-modes
+bound the residual of the 3-D pairs, checked against ||L||_inf.  The 3-D
+operator is not built.
+
 The builders import scipy.sparse when they run, not when this module is
-imported: ``bound``, ``verify`` and the Laplacian's closed form never build a
-sparse matrix and need not pay for it.  Running out of memory in a builder
+imported: ``bound``, ``verify``, the Laplacian's closed form and the Kohn
+blocks below the crossover never build a sparse matrix and need not pay for
+it.  Running out of memory in a builder
 is ConvergenceError, like running out of memory in an eigensolver.
 """
 
@@ -43,6 +54,7 @@ from .errors import InputError
 from .eigensolve import (
     DENSE_DIM_CAP,
     _check_residuals,
+    _dense_route,
     _out_of_memory_refused,
     dense_symmetric_eig,
     hermitian_defect,
@@ -61,6 +73,7 @@ _LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max
 # floats per chunk of sine modes whose residuals are checked at once
 _MODE_CHUNK = 2**16
 LAPLACIAN_STENCIL = "dirichlet-laplacian"
+KOHN_STENCIL = "kohn-heisenberg"
 
 
 @dataclass(eq=False)
@@ -86,7 +99,6 @@ class KohnOperator(DiscreteOperator):
     x_field: sp.csr_matrix = None
     y_field: sp.csr_matrix = None
     t_field: sp.csr_matrix = None
-    heisenberg_n: int = 1
 
 
 def _box_sides(sides, modes: int, order: int = 2) -> tuple:
@@ -207,23 +219,31 @@ def _sine_mode_residual(n: int, modes: np.ndarray, used: np.ndarray) -> float:
     where T = tridiag(-1, 2, -1) of size n and u is the unit vector along
     sin(i (q + 1) pi / (n + 1)), i = 1..n.
 
-    The sines are read from one period of sin(k pi / (n + 1)), so the
-    argument of each is reduced exactly; modes are checked in chunks of
-    _MODE_CHUNK floats, so memory stays bounded for any n and count.
+    Row i is split as i = width * s + r with 0 <= r < width ~ sqrt(n), and
+    sin(k i phi) = sin(k width s phi) cos(k r phi) + cos(k width s phi) sin(k r phi):
+    two small tables per chunk of modes, whose entries are read from one
+    period of sin and cos(j pi / (n + 1)), so every argument is reduced
+    exactly.  Modes are checked in chunks of _MODE_CHUNK floats, so memory
+    stays bounded for any n and count.
     """
     period = 2 * (n + 1)
-    sines = np.sin(np.arange(period) * (np.pi / (n + 1)))
-    rows = np.arange(1, n + 1)
+    angles = np.arange(period) * (np.pi / (n + 1))
+    sin_tab, cos_tab = np.sin(angles), np.cos(angles)
+    width = math.isqrt(n) + 1
+    low, high = np.arange(width), width * np.arange(n // width + 1)
     worst = 0.0
     step = max(1, _MODE_CHUNK // n)
     for start in range(0, used.size, step):
         q = used[start : start + step]
-        u = sines[np.multiply.outer(q + 1, rows) % period]
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        hi = np.multiply.outer(q + 1, high) % period
+        lo = np.multiply.outer(q + 1, low) % period
+        # (modes, s, 2) @ (modes, 2, r): the two products of the angle addition
+        u = np.stack([sin_tab[hi], cos_tab[hi]], axis=2) @ np.stack([cos_tab[lo], sin_tab[lo]], axis=1)
+        u = u.reshape(q.size, -1)[:, 1 : n + 1]
         r = (2.0 - modes[q, None]) * u
         r[:, 1:] -= u[:, :-1]
         r[:, :-1] -= u[:, 1:]
-        worst = max(worst, float(np.linalg.norm(r, axis=1).max()))
+        worst = max(worst, float(np.sqrt(np.einsum("ij,ij->i", r, r) / np.einsum("ij,ij->i", u, u)).max()))
     return worst
 
 
@@ -332,6 +352,17 @@ def fd_clamped_plate(sides, grids) -> DiscreteOperator:
     return DiscreteOperator(total.tocsr(), grids, "clamped-plate")
 
 
+def _kohn_grid(sides, grids):
+    """Grid sizes (Nx, Ny, Nt), steps and x, y coordinates of an n = 1
+    Heisenberg box centered at the origin."""
+    sides, grids, h = _validate_grid(sides, grids, min_pts=4)
+    if len(grids) != 3:
+        raise InputError(f"n = 1 needs a 3-axis grid (x, y, t), got {len(grids)} axes")
+    xs = -sides[0] / 2.0 + h[0] * np.arange(1, grids[0] + 1)
+    ys = -sides[1] / 2.0 + h[1] * np.arange(1, grids[1] + 1)
+    return grids, h, xs, ys
+
+
 @_out_of_memory_refused("building the Kohn Laplacian")
 def kohn_fd(n: int = 1, sides=(1.0, 1.0, 1.0), grids=(12, 12, 12)) -> KohnOperator:
     """Kohn Laplacian on a Heisenberg box (n = 1: coordinates (x, y, t),
@@ -346,13 +377,8 @@ def kohn_fd(n: int = 1, sides=(1.0, 1.0, 1.0), grids=(12, 12, 12)) -> KohnOperat
 
     if n != 1:
         raise InputError("only the n = 1 Heisenberg group is supported at desk scale")
-    sides, grids, h = _validate_grid(sides, grids, min_pts=4)
-    if len(grids) != 3:
-        raise InputError(f"n = 1 needs a 3-axis grid (x, y, t), got {len(grids)} axes")
-    (ax, ay, at), (Nx, Ny, Nt), (hx, hy, ht) = sides, grids, h
-
-    xs = -ax / 2.0 + hx * np.arange(1, Nx + 1)
-    ys = -ay / 2.0 + hy * np.arange(1, Ny + 1)
+    grids, (hx, hy, ht), xs, ys = _kohn_grid(sides, grids)
+    Nx, Ny, Nt = grids
 
     Dx = _axis_operator(_central_difference(Nx, hx), 0, grids)
     Dy = _axis_operator(_central_difference(Ny, hy), 1, grids)
@@ -364,7 +390,138 @@ def kohn_fd(n: int = 1, sides=(1.0, 1.0, 1.0), grids=(12, 12, 12)) -> KohnOperat
     Y = (Dy - 0.5 * (Dt @ Mx + Mx @ Dt)).tocsr()
     L = (X.T @ X + Y.T @ Y).tocsr()
     L = (0.5 * (L + L.T)).tocsr()  # exact bitwise symmetry of the Gram sum
-    return KohnOperator(L, grids, "kohn-heisenberg", x_field=X, y_field=Y, t_field=Dt, heisenberg_n=n)
+    return KohnOperator(L, grids, KOHN_STENCIL, x_field=X, y_field=Y, t_field=Dt)
+
+
+def _kohn_t_modes(nt: int, ht: float) -> np.ndarray:
+    """theta_p = cos(p pi / (nt + 1)) / ht, p = 1..nt: D_t v_p = i theta_p v_p
+    for v_p(j) = i^j sin(j p pi / (nt + 1)).  Written as a sine of the
+    complementary angle, so the middle mode of an odd nt is exactly 0."""
+    return np.sin((nt + 1 - 2 * np.arange(1, nt + 1)) * (np.pi / (2 * (nt + 1)))) / ht
+
+
+def _kohn_block(xs, ys, hx: float, hy: float, theta: float, dense: bool):
+    """A_theta = (Tx (x) I + theta I (x) My)^2 + (I (x) Ty - theta Mx (x) I)^2,
+    with T = tridiag(1, 0, 1) / (2 h) and M = diag(coordinate / 2): a 9-point
+    stencil on the (x, y) grid, as a dense array or a scipy CSR matrix."""
+    nx, ny = xs.size, ys.size
+    a, b = np.divmod(np.arange(nx * ny), ny)
+    rows, cols, vals = [], [], []
+
+    def put(da, db, value):
+        keep = (0 <= a + da) & (a + da < nx) & (0 <= b + db) & (b + db < ny)
+        rows.append(np.flatnonzero(keep))
+        cols.append(rows[-1] + da * ny + db)
+        vals.append(np.broadcast_to(value, a.shape)[keep])
+
+    # the diagonal of T^2 counts the neighbours of a point
+    x_near, y_near = (a > 0).astype(float) + (a < nx - 1), (b > 0).astype(float) + (b < ny - 1)
+    put(0, 0, x_near / (4 * hx**2) + y_near / (4 * hy**2) + theta**2 * (xs[a] ** 2 + ys[b] ** 2) / 4)
+    for s in (-1, 1):
+        put(2 * s, 0, 1 / (4 * hx**2))
+        put(0, 2 * s, 1 / (4 * hy**2))
+        put(s, 0, theta * ys[b] / (2 * hx))
+        put(0, s, -theta * xs[a] / (2 * hy))
+    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
+    if dense:
+        block = np.zeros((nx * ny, nx * ny))
+        block[rows, cols] = vals
+        return block
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((vals, (rows, cols)), shape=(nx * ny, nx * ny))
+
+
+def _kohn_middle_block(xs, ys, hx: float, hy: float, need: int):
+    """The ``need`` smallest eigenvalues of A_0 = Tx^2 (x) I + I (x) Ty^2 in
+    closed form, and a bound on their residuals.
+
+    T = tridiag(1, 0, 1) / (2 h) has the sine modes of the second difference,
+    with eigenvalues c_p = cos(p pi / (n + 1)) / h, so A_0 has the values
+    c_{x,p}^2 + c_{y,q}^2.  (T^2 - c^2) u = (T + c)(T - c) u with
+    ||T|| + |c| <= 2 / h and (T - c) u = -(tridiag(-1, 2, -1) - (2 - 2 h c)) u
+    / (2 h), so each axis adds at most its sine residual / h^2.
+    """
+    cos = [np.cos(np.arange(1, g.size + 1) * (np.pi / (g.size + 1))) for g in (xs, ys)]
+    vals, used = _smallest_sums([(c / h) ** 2 for c, h in zip(cos, (hx, hy))], need)
+    residual = sum(
+        _sine_mode_residual(c.size, 2.0 - 2.0 * c, np.unique(q)) / h**2 for c, q, h in zip(cos, used, (hx, hy))
+    )
+    return vals, residual
+
+
+def _kohn_inf_norm(xs, ys, nt: int, h) -> float:
+    """||L||_inf of kohn_fd's operator L = X^T X + Y^T Y without building it.
+
+    No two paths of |X| or |Y| cancel, so the row sums of |L| are those of
+    |X| |X| 1 + |Y| |Y| 1, where |X| = Tx (x) I (x) I + I (x) |My| (x) Tt
+    with T = tridiag(1, 0, 1) / (2 h) and M = diag(coordinate / 2)."""
+    hx, hy, ht = h
+
+    def near(v, step):  # tridiag(1, 0, 1) v / (2 step)
+        out = np.zeros_like(v)
+        out[1:] += v[:-1]
+        out[:-1] += v[1:]
+        return out / (2 * step)
+
+    cx, cy, ct = (near(np.ones(size), step) for size, step in ((xs.size, hx), (ys.size, hy), (nt, ht)))
+    x, y = np.abs(xs)[:, None, None], np.abs(ys)[None, :, None]
+    x_part = near(cx, hx)[:, None, None] + cx[:, None, None] * y * ct + y**2 / 4 * near(ct, ht)
+    y_part = near(cy, hy)[None, :, None] + cy[None, :, None] * x * ct + x**2 / 4 * near(ct, ht)
+    return float((x_part + y_part).max())
+
+
+@_out_of_memory_refused("the Kohn Laplacian's t-Fourier blocks")
+def kohn_block_spectrum(sides, grids, l: int, count: int) -> tuple[SpectrumPrefix, tuple]:
+    """First ``count`` eigenvalues of kohn_fd(1, sides, grids).matrix^l from
+    its exact t-Fourier blocks, as (SpectrumPrefix, grid sizes).  The 3-D
+    operator is not built.
+
+    L = X^T X + Y^T Y with X = Dx + Dt My and Y = Dy - Dt Mx, and Dt acts on t
+    alone, so L maps u (x) v_p to L_p u (x) v_p for the eigenvectors v_p of
+    the t central difference (``_kohn_t_modes``): L is the direct sum of Nt
+    blocks L_p of size Nx Ny.  Conjugated by diag(i^a) (x) diag(i^b), L_p is
+    the real symmetric A_theta of ``_kohn_block`` at theta = theta_p, and so
+    is L_{Nt+1-p} (theta = -theta_p) by the conjugate diagonal: only the
+    first ceil(Nt/2) blocks are solved, and each value of a pair counts twice.
+
+    Each block gives its smallest min(count, Nx Ny) values (ceil(count/2) for
+    a pair) through the eigensolvers: in full from ``dense_symmetric_eig``
+    above a quarter of the block, from ``smallest_eigs`` otherwise, built
+    dense below the dense/ARPACK crossover and sparse above it.  The theta = 0
+    block of an odd Nt is written in closed form (``_kohn_middle_block``).
+    Every block is enumerated and each route certifies its values complete,
+    so no eigenvalue is skipped.  The certificate: with D_t v = i theta v + e,
+    ||L (u (x) v) - lambda u (x) v|| <= ||A_theta w - lambda w|| + ||e|| K
+    with K = ymax / hx + xmax / hy + (xmax^2 + ymax^2) / (2 ht) (the norms of
+    the D_t and D_t^2 coefficients of L times |theta| + ||D_t|| <= 2 / ht);
+    ConvergenceError is raised unless the largest block residual plus the
+    largest t-mode residual times K is within RESIDUAL_REL_TOL * ||L||_inf.
+    """
+    _check_power(l)
+    grids, (hx, hy, ht), xs, ys = _kohn_grid(sides, grids)
+    nt, dim = grids[2], grids[0] * grids[1]
+    _check_count(count, dim * nt)
+    theta = _kohn_t_modes(nt, ht)
+    values, block_residual = [], 0.0
+    for p in range((nt + 1) // 2):
+        pair = 2 * p + 1 < nt  # block nt - 1 - p, at -theta_p, has the same spectrum
+        need = min(dim, -(-count // 2) if pair else count)
+        if theta[p] == 0.0:
+            vals, residual = _kohn_middle_block(xs, ys, hx, hy, need)
+        else:
+            block = _kohn_block(xs, ys, hx, hy, theta[p], dense=_dense_route(dim, need))
+            found = dense_symmetric_eig(block) if need > dim // 4 else smallest_eigs(block, need)
+            vals, residual = found.eigenvalues[:need], float(found.residuals[:need].max())
+        values.append(np.repeat(vals, 2) if pair else vals)
+        block_residual = max(block_residual, residual)
+    # (D_t v - i theta v)(j) = i^(j+1) ((tridiag(1, 0, 1) w)(j) / (2 ht) - theta w(j)) for v(j) = i^j w(j)
+    mode_residual = _sine_mode_residual(nt, 2.0 - 2.0 * ht * theta, np.arange(nt)) / (2 * ht)
+    xmax, ymax = float(np.abs(xs).max()), float(np.abs(ys).max())
+    spread = ymax / hx + xmax / hy + (xmax**2 + ymax**2) / (2 * ht)
+    _check_residuals(np.array([block_residual + mode_residual * spread]), _kohn_inf_norm(xs, ys, nt, (hx, hy, ht)))
+    vals = np.sort(np.concatenate(values), kind="stable")[:count]
+    return SpectrumPrefix(_raise_to(vals, l), n=1, l=int(l), problem=HEISENBERG), grids
 
 
 def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> SpectrumPrefix:
@@ -382,6 +539,8 @@ def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> Spectru
     is labeled l = 2.
     """
     _check_power(l)
+    if op.stencil == KOHN_STENCIL:
+        raise InputError("the Kohn spectrum comes from kohn_block_spectrum, which labels it")
     clamped = op.stencil == "clamped-plate"
     if clamped and l != 1:
         raise InputError("the clamped operator is already the l = 2 problem; "
@@ -392,8 +551,6 @@ def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> Spectru
     else:
         vals = dense_symmetric_eig(op.matrix).eigenvalues[:count]
     vals = _raise_to(np.sort(vals), l)
-    if isinstance(op, KohnOperator):
-        return SpectrumPrefix(vals, n=op.heisenberg_n, l=int(l), problem=HEISENBERG)
     return SpectrumPrefix(vals, n=len(op.npoints), l=2 if clamped else int(l), problem=EUCLIDEAN)
 
 

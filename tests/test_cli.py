@@ -307,8 +307,8 @@ def test_spectrum_fd_refuses_ritz_basis_above_cap():
 
 
 def test_spectrum_fd_out_of_memory_in_building_exit_2():
-    # scipy.sparse ran out of memory building the Kohn 32^3 operator and died
-    # with a traceback.  The child maps scipy's shared libraries first and then
+    # scipy.sparse ran out of memory building a 32^3 operator and died with a
+    # traceback.  The child maps scipy's shared libraries first and then
     # leaves itself 10 MB, so the cap bites in the builder, not in an import.
     code = (
         "import resource, sys\n"
@@ -318,21 +318,44 @@ def test_spectrum_fd_out_of_memory_in_building_exit_2():
         "resource.setrlimit(resource.RLIMIT_AS, (size, size))\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
-    argv = ["spectrum", "fd", "--problem", "kohn", "--dims", "1,1,1", "--grid", "32,32,32", "--count", "5"]
+    argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1,1,1", "--grid", "32,32,32", "--count", "5"]
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr[-500:]
     assert proc.stdout == "" and "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1] == "specgap: out of memory in building the Kohn Laplacian"
+    assert proc.stderr.splitlines()[-1] == "specgap: out of memory in building the clamped plate"
 
 
 def test_spectrum_fd_out_of_memory_in_factorization_exit_2():
-    # the shift-invert factorization of a Kohn 32^3 grid does not fit in 768 MB;
-    # SuperLU may print its own diagnostic before the specgap line
-    argv = ["spectrum", "fd", "--problem", "kohn", "--dims", "1,1,1", "--grid", "32,32,32", "--count", "5"]
+    # the shift-invert factorization of a 32^3 clamped plate does not fit in
+    # 768 MB; SuperLU may print its own diagnostic before the specgap line
+    argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1,1,1", "--grid", "32,32,32", "--count", "5"]
     proc = run_cli_limited(argv)
     assert proc.returncode == 2, proc.stderr[-500:]
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1] == "specgap: out of memory in ARPACK for 5 eigenpairs of dimension 32768"
+
+
+def test_spectrum_fd_out_of_memory_in_the_kohn_blocks_exit_2(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(operators, "_kohn_block", exhausted)
+    argv = ["spectrum", "fd", "--problem", "kohn", "--dims", "1,1,1", "--grid", "12,12,12", "--count", "30"]
+    code, out, err = run_cli(argv, capsys)
+    assert_one_line_usage_error(code, out, err, "out of memory in the Kohn Laplacian's t-Fourier blocks")
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_spectrum_fd_kohn_all_odd_grid_exit_0(capsys, n):
+    # the exact zero eigenvalue is written as its closed form, about 1e-31;
+    # 9^3 was refused when a dense solve gave it as -1.1e-14
+    grid = f"{n},{n},{n}"
+    argv = ["spectrum", "fd", "--problem", "kohn", "--dims", "1,1,1", "--grid", grid, "--count", "3"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    values, meta = read_spectrum_csv(io.StringIO(out))
+    assert meta["grid"] == grid and meta["stencil"] == "kohn-heisenberg"
+    assert 0.0 < values[0] < 1e-12 * values[1]
 
 
 def test_spectrum_fd_out_of_memory_importing_the_sparse_solvers_exit_2(monkeypatch, capsys):

@@ -7,7 +7,8 @@ that return no eigenpairs to a caller; no call of ARPACK (``eigsh``) or
 SuperLU (``splu``) outside ``eigensolve.py``; and no module-level import of
 scipy, which costs every command of the CLI its import time.  References from
 tests do not count: a helper that only a test calls is dead code.  Also run:
-``spectrum fd --problem laplacian`` loads no scipy module at all."""
+``spectrum fd --problem laplacian``, and ``--problem kohn`` below the
+dense/ARPACK crossover, load no scipy module at all."""
 
 import ast
 import subprocess
@@ -195,14 +196,25 @@ def test_no_module_level_scipy_import(path):
     assert not stray, stray
 
 
-def test_laplacian_spectrum_loads_no_scipy_module(tmp_path):
+def _loaded_scipy_modules(tmp_path, argv) -> str:
+    """The exit code and the scipy modules loaded by one CLI command."""
     code = (
         "import sys\n"
         "from specgap import cli\n"
         "code = cli.main(sys.argv[1:])\n"
         "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    argv = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1,1.5", "--grid", "20,30", "--power", "2",
-            "--count", "50", "--out", str(tmp_path / "spec.csv")]  # fmt: skip
+    argv = [*argv, "--out", str(tmp_path / "spec.csv")]
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60)
-    assert proc.stdout == "0 []\n", proc.stderr[-500:]
+    return proc.stdout or proc.stderr[-500:]
+
+
+def test_laplacian_spectrum_loads_no_scipy_module(tmp_path):
+    argv = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1,1.5", "--grid", "20,30", "--power", "2",
+            "--count", "50"]  # fmt: skip
+    assert _loaded_scipy_modules(tmp_path, argv) == "0 []\n"
+
+
+def test_kohn_spectrum_below_the_crossover_loads_no_scipy_module(tmp_path):
+    argv = ["spectrum", "fd", "--problem", "kohn", "--dims", "1,1,1", "--grid", "12,12,12", "--count", "30"]
+    assert _loaded_scipy_modules(tmp_path, argv) == "0 []\n"

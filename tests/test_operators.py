@@ -8,11 +8,13 @@ import pytest
 
 from specgap import operators
 from specgap.bounds import EUCLIDEAN, HEISENBERG
+from specgap.eigensolve import dense_symmetric_eig
 from specgap.errors import ConvergenceError, InputError
 from specgap.operators import (
     box_spectrum,
     fd_clamped_plate,
     fd_laplacian,
+    kohn_block_spectrum,
     kohn_fd,
     laplacian_power_spectrum,
     operator_power_spectrum,
@@ -234,9 +236,14 @@ def test_power_spectrum_squares_and_cubes():
 
 
 def test_power_spectrum_kohn_problem_tag():
-    op = kohn_fd(1, (1.0, 1.0, 1.0), (5, 5, 5))
-    prefix = operator_power_spectrum(op, 2, 4)
+    prefix, npoints = kohn_block_spectrum((1.0, 1.0, 1.0), (5, 5, 5), 2, 4)
     assert prefix.problem == HEISENBERG and prefix.n == 1 and prefix.l == 2
+    assert npoints == (5, 5, 5)
+
+
+def test_power_spectrum_refuses_the_kohn_operator():
+    with pytest.raises(InputError, match="kohn_block_spectrum"):
+        operator_power_spectrum(kohn_fd(1, (1.0, 1.0, 1.0), (5, 5, 5)), 1, 4)
 
 
 def test_power_spectrum_count_cap():
@@ -299,6 +306,132 @@ def test_laplacian_closed_form_checks_counts_like_the_operator():
         laplacian_power_spectrum([1.0], [10], 1, 11)
     with pytest.raises(InputError, match="l must be a positive integer"):
         laplacian_power_spectrum([1.0], [10], 0, 3)
+
+
+def test_sine_mode_residual_refuses_a_mutated_mode():
+    modes = operators._sine_modes(300)
+    used = np.arange(300)
+    assert operators._sine_mode_residual(300, modes, used) < 1e-14
+    for q in (0, 149, 299):
+        wrong = modes.copy()
+        wrong[q] += 1e-8
+        assert operators._sine_mode_residual(300, wrong, used) > 0.5e-8
+    # the angle-addition vectors are the sines themselves, not merely eigenvectors
+    n, q = 40, 7
+    u = np.sin(np.arange(1, n + 1) * (q + 1) * np.pi / (n + 1))
+    t = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    residual = operators._sine_mode_residual(n, np.array([u @ t @ u / (u @ u)] * n), np.array([q]))
+    assert residual < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the Kohn Laplacian's t-Fourier blocks
+# ---------------------------------------------------------------------------
+
+KOHN_BLOCK_CASES = [
+    ((1.0, 1.0, 1.0), (12, 12, 12), 1, 31),  # odd counts end inside a pair
+    ((1.0, 1.0, 1.0), (12, 12, 12), 3, 300),
+    ((1.0, 1.0, 1.0), (10, 14, 8), 1, 101),
+    ((1.0, 1.0, 1.0), (9, 9, 8), 1, 200),
+    ((1.0, 1.0, 1.0), (8, 9, 9), 1, 200),
+    ((2.0, 1.0, 1.5), (6, 9, 7), 2, 378),
+    ((1.0, 1.3, 0.7), (10, 7, 8), 1, 560),
+    ((1.0, 1.0, 1.0), (5, 6, 7), 1, 210),
+    ((1.0, 1.0, 1.0), (10, 7, 8), 1, 3),  # the two smallest values share a block
+]
+
+
+def _kohn_reference(sides, grids):
+    """The whole spectrum of the 3-D operator, from a dense solve."""
+    return dense_symmetric_eig(kohn_fd(1, sides, grids).matrix).eigenvalues
+
+
+@pytest.mark.parametrize(
+    "sides, grids, l, count", KOHN_BLOCK_CASES, ids=["x".join(map(str, c[1])) + f"-l{c[2]}-{c[3]}" for c in KOHN_BLOCK_CASES]
+)
+def test_kohn_blocks_match_the_3d_operator(sides, grids, l, count):
+    prefix, npoints = kohn_block_spectrum(sides, grids, l, count)
+    reference = _kohn_reference(sides, grids)[:count] ** l
+    assert npoints == grids and (prefix.n, prefix.l, prefix.problem) == (1, l, HEISENBERG)
+    assert np.all(np.abs(prefix.values - reference) <= 1e-12 * reference)
+    if grids[2] % 2 == 0:  # every block has a twin at -theta
+        full = kohn_block_spectrum(sides, grids, 1, math.prod(grids))[0].values
+        assert np.array_equal(full[0::2], full[1::2])
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_kohn_blocks_write_the_zero_of_all_odd_grids_as_its_closed_form(n):
+    values = kohn_block_spectrum((1.0, 1.0, 1.0), (n, n, n), 1, 10)[0].values
+    # cos^2 of the float nearest pi/2 over h^2, about 1e-31: not a solver's
+    # rounding, which is of either sign and near 1e-15
+    assert 0.0 <= values[0] < 1e-24 * values[1]
+    reference = _kohn_reference((1.0, 1.0, 1.0), (n, n, n))[:10]
+    assert np.all(np.abs(values[1:] - reference[1:]) <= 1e-12 * reference[1:])
+
+
+def test_kohn_inf_norm_is_the_operators():
+    for sides, grids in (((1.0, 1.0, 1.0), (12, 12, 12)), ((2.0, 1.0, 1.5), (6, 9, 7)), ((1.0, 1.3, 0.7), (4, 7, 5))):
+        npoints, h, xs, ys = operators._kohn_grid(sides, grids)
+        norm = abs(kohn_fd(1, sides, grids).matrix).sum(axis=1).max()
+        assert abs(operators._kohn_inf_norm(xs, ys, npoints[2], h) - norm) <= 1e-13 * norm
+
+
+def test_kohn_blocks_take_each_route(monkeypatch):
+    """Blocks below the dense/ARPACK crossover are built dense, blocks above
+    it sparse, and both routes agree with the dense 3-D reference."""
+    built = []
+    real_block = operators._kohn_block
+    monkeypatch.setattr(operators, "_kohn_block", lambda *a, dense: built.append(dense) or real_block(*a, dense=dense))
+    sides, grids = (1.0, 1.0, 1.0), (24, 22, 4)  # two pairs of blocks of 528, above DENSE_FALLBACK_DIM
+    reference = _kohn_reference(sides, grids)
+    arpack = kohn_block_spectrum(sides, grids, 1, 20)[0].values
+    dense = kohn_block_spectrum(sides, grids, 1, 200)[0].values  # 100 of 528 in each block
+    assert built == [False, False, True, True]
+    assert np.all(np.abs(arpack - reference[:20]) <= 1e-12 * reference[:20])
+    assert np.all(np.abs(dense - reference[:200]) <= 1e-12 * reference[:200])
+
+
+@pytest.mark.parametrize("mutation", ["wrong-theta", "one-mode"])
+def test_kohn_blocks_refuse_a_wrong_t_mode(monkeypatch, mutation):
+    real_modes = operators._kohn_t_modes
+
+    def wrong(nt, ht):
+        theta = real_modes(nt, ht)
+        if mutation == "wrong-theta":  # cos(p pi / nt) instead of cos(p pi / (nt + 1))
+            return np.cos(np.arange(1, nt + 1) * np.pi / nt) / ht
+        theta[1] *= 1.0 + 1e-6
+        return theta
+
+    monkeypatch.setattr(operators, "_kohn_t_modes", wrong)
+    with pytest.raises(ConvergenceError, match="eigenpair residual"):
+        kohn_block_spectrum((1.0, 1.0, 1.0), (8, 8, 8), 1, 20)
+
+
+def test_kohn_blocks_refuse_a_wrong_middle_block(monkeypatch):
+    real_residual = operators._sine_mode_residual
+    calls = []
+
+    def mutated(n, modes, used):
+        calls.append(n)
+        if len(calls) == 1:  # the x axis of the middle block
+            modes = modes.copy()
+            modes[used[0]] += 1e-6
+        return real_residual(n, modes, used)
+
+    monkeypatch.setattr(operators, "_sine_mode_residual", mutated)
+    with pytest.raises(ConvergenceError, match="eigenpair residual"):
+        kohn_block_spectrum((1.0, 1.0, 1.0), (7, 7, 7), 1, 10)
+
+
+def test_kohn_blocks_check_counts_and_grids():
+    with pytest.raises(InputError, match="count must satisfy 1 <= count <= 216"):
+        kohn_block_spectrum((1.0, 1.0, 1.0), (6, 6, 6), 1, 217)
+    with pytest.raises(InputError, match="l must be a positive integer"):
+        kohn_block_spectrum((1.0, 1.0, 1.0), (6, 6, 6), 0, 3)
+    with pytest.raises(InputError, match="3-axis grid"):
+        kohn_block_spectrum((1.0, 1.0), (6, 6), 1, 3)
+    with pytest.raises(InputError, match="at least 4 interior points"):
+        kohn_block_spectrum((1.0, 1.0, 1.0), (3, 6, 6), 1, 3)
 
 
 # ---------------------------------------------------------------------------
