@@ -17,8 +17,6 @@ from .bounds import (
     chain_compare,
     check_general_poly,
     compute_bound,
-    kohn_constant_c1,
-    kohn_constant_c2,
     registry_names,
     verify_margins,
 )

@@ -158,15 +158,6 @@ class BoundResult:
     residual: float
     valid: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "method": self.method,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "valid": self.valid,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -432,26 +423,6 @@ def _kohn_c(n: int, l: int) -> float:
         for r in range(1, l - q):
             total += _c_inner_sum(n, l - q - r, even_from=2 if odd else 0)
     return float((2 if odd else 4) * total)
-
-
-def kohn_constant_c1(n: int, l: int) -> float:
-    """c1(n, l) for odd l >= 3.  c1(n, 3) = 4 exactly; for odd l >= 5 the
-    double sum over (q, r) of the inner binomial sums, times 2."""
-    if not (isinstance(n, int) and n >= 1):
-        raise InputError(f"n must be a positive integer, got {n}")
-    if not (isinstance(l, int) and l >= 3 and l % 2 == 1):
-        raise InputError(f"c1 requires odd l >= 3, got {l}")
-    return _kohn_c(n, l)
-
-
-def kohn_constant_c2(n: int, l: int) -> float:
-    """c2(n, l) for even l >= 4: the analogous double sum with the even part
-    of the inner sum starting at s = 0, times 4."""
-    if not (isinstance(n, int) and n >= 1):
-        raise InputError(f"n must be a positive integer, got {n}")
-    if not (isinstance(l, int) and l >= 4 and l % 2 == 0):
-        raise InputError(f"c2 requires even l >= 4, got {l}")
-    return _kohn_c(n, l)
 
 
 # ---------------------------------------------------------------------------

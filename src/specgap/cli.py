@@ -12,13 +12,13 @@ Subcommands::
                     [--which a,b,...] [--out f.jsonl]
     couple check --spec SPEC --samples M --seed S
 
-``spectrum fd --problem laplacian`` writes the closed-form spectrum of the
-grid Laplacian (or its power), whose sine modes have their residuals
-checked; it builds no matrix, runs no eigensolver and imports no scipy
-module.  ``--problem kohn`` solves the exact t-Fourier blocks of the Kohn
-Laplacian, each of size Nx Ny, and imports scipy only for a block above
-the dense/ARPACK crossover.  The clamped plate's spectrum comes from the
-eigensolvers.
+The front end parses flags and prints rows; the library decides what each
+result is and is called.  ``spectrum fd`` writes the spectrum and labels of
+``operators.fd_spectrum`` (how each problem is solved is told there), and
+``bound`` and ``couple check`` write their result dataclasses field by
+field.  ``spectrum box`` refuses the flags of ``spectrum fd``, and
+``verify abstract`` a couple spec with its own ``@lambda``: each row binds
+its couple at lambda_{k+1}.
 
 Exit codes: 0 all checks passed, 1 a mathematical violation was detected,
 2 input or usage error.  Any run is reproducible from its flags (plus
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import io
 import itertools
@@ -162,40 +163,20 @@ def _parse_couple(text: str):
 
 
 def cmd_spectrum(args) -> int:
-    kind = args.kind
+    fd_flags = [f"--{flag}" for flag in ("grid", "problem", "power") if getattr(args, flag) is not None]
+    if args.kind == "box" and fd_flags:
+        raise SpecgapError(f"spectrum box takes no {', '.join(fd_flags)}: they are flags of spectrum fd")
     dims = _parse_list(_need(args, "dims"), float)
     count = int(_need(args, "count"))
-    meta = {"generator": f"spectrum {kind}", "dims": ",".join(f"{d:g}" for d in dims)}
-    if kind == "box":
-        prefix = operators.box_spectrum(dims, count)
-        meta.update({"problem": prefix.problem, "n": prefix.n, "l": prefix.l})
+    if args.kind == "box":
+        prefix, labels = operators.box_spectrum(dims, count), {}
     else:
         grid = _parse_list(_need(args, "grid"), int)
         problem = _need(args, "problem")
         power = int(args.power if args.power is not None else 1)
-        if problem == "laplacian":  # closed form: no matrix is built, no eigensolver runs
-            prefix, npoints = operators.laplacian_power_spectrum(dims, grid, power, count)
-            stencil = operators.LAPLACIAN_STENCIL
-        elif problem == "kohn":  # t-Fourier blocks: the 3-D operator is not built
-            prefix, npoints = operators.kohn_block_spectrum(dims, grid, power, count)
-            stencil = operators.KOHN_STENCIL
-        elif problem == "clamped":
-            op = operators.fd_clamped_plate(dims, grid)
-            prefix = operators.operator_power_spectrum(op, power, count)
-            npoints, stencil = op.npoints, op.stencil
-        else:
-            raise SpecgapError(f"unknown fd problem {problem!r} (laplacian|clamped|kohn)")
-        meta.update(
-            {
-                "problem": prefix.problem,
-                "n": prefix.n,
-                "l": prefix.l,
-                "grid": ",".join(str(g) for g in npoints),
-                "stencil": stencil,
-            }
-        )
-        if problem == "laplacian" and power > 1:
-            meta["spectrum-type"] = "navier-power"
+        prefix, labels = operators.fd_spectrum(problem, dims, grid, power, count)
+    meta = {"generator": f"spectrum {args.kind}", "dims": ",".join(f"{d:g}" for d in dims),
+            "problem": prefix.problem, "n": prefix.n, "l": prefix.l, **labels}  # fmt: skip
     with _output(args.out) as out:
         operators.write_spectrum_csv(out, prefix.values, meta)
     return EXIT_OK
@@ -228,7 +209,7 @@ def cmd_bound(args) -> int:
         names = [name]
     with _output(args.out) as out:
         for reg_name in names:
-            out.write(json_line(bounds.compute_bound(reg_name, prefix, k).as_dict()) + "\n")
+            out.write(json_line(dataclasses.asdict(bounds.compute_bound(reg_name, prefix, k))) + "\n")
     return EXIT_OK
 
 
@@ -276,6 +257,9 @@ def cmd_verify_abstract(args) -> int:
     min_gap = _finite_nonnegative(args, "min-gap", 1e-6)
     couple_texts = args.couple or ["equal-power:2"]
     parsed_couples = tuple(_parse_couple(text) for text in couple_texts)
+    for text, (spec, _) in zip(couple_texts, parsed_couples):
+        if spec.lam is not None:  # verify_theorem needs the couple's lambda at z = lambda_(k+1)
+            raise SpecgapError(f"couple {text!r} sets lambda: verify abstract binds each couple at lambda_(k+1)")
 
     trial_rows = _trial_rows((seed, dim, nops, ensemble, parsed_couples, min_gap), trials, workers)
 
@@ -359,7 +343,7 @@ def cmd_couple(args) -> int:
         samples = lam * rng.uniform(1e-6, 1.0 - 1e-6, size=m)
     report = couples.check_membership(couple, samples)
     row = {"spec": text, "lambda": lam, "n_samples": int(np.asarray(samples).size)}
-    row.update(report.as_dict())
+    row.update(dataclasses.asdict(report))
     if couple.family != couples.TABULATED:
         screen = couples.check_necessary_differentiable(couple, samples)
         row["differentiable_screen"] = {"passed": screen.passed, "worst_margin": screen.worst}
@@ -385,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("kind", choices=("box", "fd"))
     p_spec.add_argument("--dims", help="box side lengths, comma separated")
     p_spec.add_argument("--grid", help="interior points per axis, comma separated")
-    p_spec.add_argument("--problem", help="fd problem: laplacian|clamped|kohn")
+    p_spec.add_argument("--problem", choices=operators.FD_PROBLEMS, help="fd problem")
     p_spec.add_argument("--power", type=int, help="operator power l (default 1)")
     p_spec.add_argument("--count", type=int, help="number of eigenvalues")
     p_spec.add_argument("--out", help="output CSV path (default stdout)")

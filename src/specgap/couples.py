@@ -170,17 +170,6 @@ class MembershipReport:
     n_skipped: int = 0
     g_nonincreasing: bool = True
 
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "check": self.check,
-            "worst": self.worst,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "n_checked": self.n_checked,
-            "n_skipped": self.n_skipped,
-            "g_nonincreasing": self.g_nonincreasing,
-        }
-
 
 def _power_quotients(exponents: tuple, u: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Difference quotients (h(x_i) - h(x_j)) / (x_i - x_j) of h = f and h = g

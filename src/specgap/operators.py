@@ -14,8 +14,10 @@ with homogeneous Dirichlet truncation:
 ``box_spectrum`` enumerates the exact Dirichlet Laplacian spectrum of a box,
 and ``operator_power_spectrum`` raises computed eigenvalues to an integer
 power (the matrix power shares eigenvectors).  Note that powering the
-Dirichlet Laplacian realizes Navier-type, not clamped, conditions; outputs
-are labeled accordingly.
+Dirichlet Laplacian realizes Navier-type, not clamped, conditions.
+``fd_spectrum`` gives the spectrum of each of FD_PROBLEMS with the labels
+of its CSV: grid sizes, stencil, and ``spectrum-type: navier-power`` for a
+power of the Laplacian.
 
 ``fd_laplacian`` is a Kronecker sum of 1-D second differences, whose
 eigenpairs are sine modes, so ``laplacian_power_spectrum`` writes the
@@ -533,8 +535,8 @@ def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> Spectru
     ConvergenceError is raised rather than an unchecked value returned.
 
     For a Dirichlet Laplacian base this realizes Navier-type conditions, not
-    clamped ones; CSV metadata written by the CLI says so.  The CLI takes
-    that spectrum from ``laplacian_power_spectrum`` instead, in closed form.
+    clamped ones.  ``fd_spectrum`` takes that spectrum from
+    ``laplacian_power_spectrum`` instead, in closed form, and labels it.
     The clamped plate is already the l = 2 problem: it takes only l = 1 and
     is labeled l = 2.
     """
@@ -552,6 +554,36 @@ def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> Spectru
         vals = dense_symmetric_eig(op.matrix).eigenvalues[:count]
     vals = _raise_to(np.sort(vals), l)
     return SpectrumPrefix(vals, n=len(op.npoints), l=2 if clamped else int(l), problem=EUCLIDEAN)
+
+
+FD_PROBLEMS = ("laplacian", "clamped", "kohn")
+
+
+def fd_spectrum(problem: str, sides, grids, l: int, count: int) -> tuple[SpectrumPrefix, dict]:
+    """First ``count`` eigenvalues of the l-th power of an FD_PROBLEMS
+    operator, and the labels of its spectrum: the grid sizes, the stencil
+    and, for a power of the Laplacian, its Navier-type conditions.
+
+    The Laplacian comes in closed form and the Kohn Laplacian from its
+    t-Fourier blocks, so neither matrix is built; the clamped plate is built
+    and solved, and takes only l = 1 (it is the l = 2 problem).
+    """
+    if problem == "laplacian":
+        prefix, npoints = laplacian_power_spectrum(sides, grids, l, count)
+        stencil = LAPLACIAN_STENCIL
+    elif problem == "kohn":
+        prefix, npoints = kohn_block_spectrum(sides, grids, l, count)
+        stencil = KOHN_STENCIL
+    elif problem == "clamped":
+        op = fd_clamped_plate(sides, grids)
+        prefix = operator_power_spectrum(op, l, count)
+        npoints, stencil = op.npoints, op.stencil
+    else:
+        raise InputError(f"unknown fd problem {problem!r} ({'|'.join(FD_PROBLEMS)})")
+    labels = {"grid": ",".join(str(g) for g in npoints), "stencil": stencil}
+    if problem == "laplacian" and l > 1:
+        labels["spectrum-type"] = "navier-power"
+    return prefix, labels
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from specgap import bounds
 from specgap.abstract import (
     OperatorTriple,
     admissible_ks,
@@ -27,8 +28,6 @@ from specgap.bounds import (
     SpectrumPrefix,
     chain_compare,
     compute_bound,
-    kohn_constant_c1,
-    kohn_constant_c2,
     registry_names,
     verify_margins,
 )
@@ -176,12 +175,12 @@ def _oracle_constant(n, l, which):
 
 def test_acceptance_06_kohn_constants():
     for n in range(1, 9):
-        assert kohn_constant_c1(n, 3) == 4.0
+        assert bounds._kohn_c(n, 3) == 4.0
     for n in range(1, 9):
         for l in (5, 7, 9):
-            assert kohn_constant_c1(n, l) == _oracle_constant(n, l, "c1"), (n, l)
+            assert bounds._kohn_c(n, l) == _oracle_constant(n, l, "c1"), (n, l)
         for l in (4, 6, 8):
-            assert kohn_constant_c2(n, l) == _oracle_constant(n, l, "c2"), (n, l)
+            assert bounds._kohn_c(n, l) == _oracle_constant(n, l, "c2"), (n, l)
     print("ACCEPTANCE 6 Kohn constants: PASS (c1(n,3)=4 for n<=8; c1,c2 bit-exact vs oracle for l<=9)")
 
 

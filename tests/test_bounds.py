@@ -17,8 +17,6 @@ from specgap.bounds import (
     chain_compare,
     check_general_poly,
     compute_bound,
-    kohn_constant_c1,
-    kohn_constant_c2,
     registry_names,
     verify_margins,
 )
@@ -183,26 +181,19 @@ def _oracle_c(n, l, which):
 
 def test_c1_l3_special_case():
     for n in range(1, 9):
-        assert kohn_constant_c1(n, 3) == 4.0
+        assert bounds._kohn_c(n, 3) == 4.0
 
 
 def test_c1_matches_oracle_to_the_bit():
     for n in (1, 2, 3, 7):
         for l in (5, 7, 9):
-            assert kohn_constant_c1(n, l) == _oracle_c(n, l, "c1")
+            assert bounds._kohn_c(n, l) == _oracle_c(n, l, "c1")
 
 
 def test_c2_matches_oracle_to_the_bit():
     for n in (1, 2, 3, 7):
         for l in (4, 6, 8):
-            assert kohn_constant_c2(n, l) == _oracle_c(n, l, "c2")
-
-
-def test_constants_parity_validation():
-    with pytest.raises(InputError):
-        kohn_constant_c1(2, 4)
-    with pytest.raises(InputError):
-        kohn_constant_c2(2, 5)
+            assert bounds._kohn_c(n, l) == _oracle_c(n, l, "c2")
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,58 @@ def test_spectrum_fd_power_metadata(tmp_path, capsys):
     assert meta["l"] == "3"
 
 
+def run_cli_or_argparse(argv, capsys):
+    """run_cli, also for a command that argparse refuses (it raises SystemExit)."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["box", "--dims", "1,1.3", "--count", "3"],
+         "# generator: spectrum box\n# dims: 1,1.3\n# problem: euclidean-polyharmonic\n# n: 2\n# l: 1\n"),
+        (["fd", "--problem", "laplacian", "--dims", "1,1.5", "--grid", "5,6", "--count", "3"],
+         "# generator: spectrum fd\n# dims: 1,1.5\n# problem: euclidean-polyharmonic\n# n: 2\n# l: 1\n"
+         "# grid: 5,6\n# stencil: dirichlet-laplacian\n"),
+        (["fd", "--problem", "laplacian", "--dims", "2", "--grid", "7", "--power", "2", "--count", "3"],
+         "# generator: spectrum fd\n# dims: 2\n# problem: euclidean-polyharmonic\n# n: 1\n# l: 2\n"
+         "# grid: 7\n# stencil: dirichlet-laplacian\n# spectrum-type: navier-power\n"),
+        (["fd", "--problem", "clamped", "--dims", "1,1", "--grid", "6", "--count", "3"],
+         "# generator: spectrum fd\n# dims: 1,1\n# problem: euclidean-polyharmonic\n# n: 2\n# l: 2\n"
+         "# grid: 6,6\n# stencil: clamped-plate\n"),
+        (["fd", "--problem", "kohn", "--dims", "1,1,1", "--grid", "4,4,5", "--count", "3"],
+         "# generator: spectrum fd\n# dims: 1,1,1\n# problem: heisenberg-kohn\n# n: 1\n# l: 1\n"
+         "# grid: 4,4,5\n# stencil: kohn-heisenberg\n"),
+    ],
+    ids=["box", "laplacian", "laplacian-power-2", "clamped", "kohn"],
+)  # fmt: skip
+def test_spectrum_csv_header(capsys, argv, header):
+    code, out, err = run_cli(["spectrum", *argv], capsys)
+    assert code == 0, err
+    assert out.startswith(header)
+    values = out[len(header) :].splitlines()
+    assert len(values) == 3 and not any(line.startswith("#") for line in values)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_spectrum_fd_unknown_problem_exit_2(tmp_path, capsys, source):
+    argv = ["spectrum", "fd", "--dims", "1", "--grid", "5", "--count", "3"]
+    if source == "flag":
+        argv += ["--problem", "nope"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "nope"}))
+        argv = ["--config", str(cfg), *argv]
+    code, out, err = run_cli_or_argparse(argv, capsys)
+    assert code == 2
+    assert out == "" and "'nope'" in err
+
+
 FD_46 = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1,1", "--grid", "46,46"]
 
 
@@ -374,6 +426,27 @@ def test_spectrum_fd_out_of_memory_importing_the_sparse_solvers_exit_2(monkeypat
     assert_one_line_usage_error(code, out, err, "out of memory in ARPACK for 20 eigenpairs of dimension 2116")
 
 
+@pytest.mark.parametrize(
+    "source, flags",
+    [
+        ("flag", {"power": 3}),
+        ("flag", {"grid": "5,5", "problem": "laplacian", "power": 2}),
+        ("config", {"grid": "5,5", "problem": "clamped", "power": 1}),
+    ],
+    ids=["power", "all-flags", "all-config"],
+)
+def test_spectrum_box_refuses_fd_flags(tmp_path, capsys, source, flags):
+    argv = ["spectrum", "box", "--dims", "1,1", "--count", "3"]
+    if source == "flag":
+        argv += [item for key, value in flags.items() for item in (f"--{key}", str(value))]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(flags))
+        argv = ["--config", str(cfg), *argv]
+    code, out, err = run_cli(argv, capsys)
+    assert_one_line_usage_error(code, out, err, ", ".join(f"--{key}" for key in flags))
+
+
 def test_spectrum_unwritable_out_exit_2(tmp_path, capsys):
     argv = ["spectrum", "box", "--dims", "1,1", "--count", "3", "--out", str(tmp_path / "missing" / "x.csv")]
     code, out, err = run_cli(argv, capsys)
@@ -396,6 +469,10 @@ def test_bound_yang1_example(tmp_path, capsys):
     row = json.loads(out)
     assert row["value"] == pytest.approx(4.224744871, rel=1e-9)
     assert row["valid"] is True
+    assert out == (
+        '{"name":"yang1-laplacian","value":4.2247448713915894,"method":"quadratic","iterations":0,'
+        '"residual":0,"valid":true}\n'
+    )
 
 
 def test_bound_ppw_trivial(tmp_path, capsys):
@@ -606,6 +683,18 @@ def test_verify_abstract_multiple_couples(capsys):
     assert descs == {"const-power:0", "linear-power:1"}
 
 
+def test_verify_abstract_refuses_a_couple_lambda(monkeypatch, capsys):
+    # every row binds its couple at lambda_(k+1), so no @lambda can be honoured
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli.abstract, "random_instance", no_trial)
+    argv = ["verify", "abstract", "--trials", "2", "--dim", "5", "--nops", "1",
+            "--couple", "neg-power:-1,1", "--couple", "equal-power:2@1000"]  # fmt: skip
+    code, out, err = run_cli(argv, capsys)
+    assert_one_line_usage_error(code, out, err, "'equal-power:2@1000'")
+
+
 def test_verify_abstract_refuses_inaccurate_eigenpairs(monkeypatch, capsys):
     perturb_eigh(monkeypatch)
     code, out, err = run_cli(
@@ -751,6 +840,18 @@ def test_couple_check_tabulated_fail_with_witness(tmp_path, capsys):
     row = json.loads(out)
     assert row["passed"] is False
     assert row["witness"] is not None
+
+
+def test_couple_check_tabulated_fail_row_format(tmp_path, capsys):
+    table = tmp_path / "bad.csv"
+    table.write_text("0.5,1,0.5\n1.5,3,1\n2.5,1,2\n")
+    spec = f"tabulated:{table}@3"
+    code, out, _ = run_cli(["couple", "check", "--spec", spec], capsys)
+    assert code == 1
+    assert out == (
+        '{"spec":' + json.dumps(spec) + ',"lambda":3,"n_samples":3,"passed":false,"check":"pairwise",'
+        '"worst":11,"witness":[1.5,2.5],"n_checked":3,"n_skipped":0,"g_nonincreasing":false}\n'
+    )
 
 
 def test_couple_check_malformed_exit_2(capsys):
