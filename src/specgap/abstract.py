@@ -10,9 +10,12 @@ and anti-self-adjoint T_p (p = 1..n), an admissible couple (f, g) on
                * ||T_p u_i||^2 ),
 
 with the first right-hand factor (the quadratic coefficient) nonnegative.
-This module checks that inequality, its one-family corollary obtained by
-setting T_p = [A, B_p] (which drops the factor 4), and the spectral moment
-inequality  <Q^r u, u> <= <Q^q u, u>^(r/q) <u, u>^(1-r/q)  for PSD Q.
+The couple carries the point where the inequality is read: the verifiers
+take z = couple.lam in (lambda_k, lambda_{k+1}] in place of lambda_{k+1}, and
+no z is passed beside the couple.  This module checks that inequality, its
+one-family corollary obtained by setting T_p = [A, B_p] (which drops the
+factor 4), and the spectral moment inequality
+<Q^r u, u> <= <Q^q u, u>^(r/q) <u, u>^(1-r/q)  for PSD Q.
 
 Everything here is exact linear algebra on small dense matrices; the only
 hypotheses used are symmetry, skew-symmetry, and the spectral decomposition,
@@ -158,25 +161,23 @@ def _verdict(lhs: float, rhs: float, quad: float, quad_scale: float) -> tuple[bo
     return (lhs <= rhs + tau) and (quad >= -tau_q), slack
 
 
-def _evaluate(
-    sd: SpectralData, k: int, couple, z: Optional[float], left: np.ndarray, factor: float
-) -> TheoremReport:
+def _evaluate(sd: SpectralData, k: int, couple, left: np.ndarray, factor: float) -> TheoremReport:
     """Check the hypotheses shared by the theorem and its corollary, then
-    compare ( sum f(lambda_i) left[p, i] )^2 with factor * quad * second."""
+    compare ( sum f(lambda_i) left[p, i] )^2 with factor * quad * second at
+    z = couple.lam."""
     lam = sd.lam
     if not 1 <= k < lam.size:
         raise InputError(f"need 1 <= k < d = {lam.size}, got k = {k}")
     gap = float(lam[k] - lam[k - 1])
     if not gap > 0:
         raise InputError(f"lambda_{k + 1} > lambda_{k} required, gap = {gap}")
-    if z is None:
-        z = float(lam[k])
+    z = float(couple.lam)
     if not (lam[k - 1] < z <= lam[k] * (1.0 + 1e-12)):
         raise InputError(f"z must lie in (lambda_k, lambda_(k+1)], got {z}")
     if np.any(lam[:k] <= 0):
         raise InputError("couple weights need a positive eigenvalue prefix")
 
-    f, g = _couples.admissible_weights(couple, lam[:k], z)
+    f, g = _couples.admissible_weights(couple, lam[:k])
     lhs = float(np.sum(f[None, :] * left[:, :k])) ** 2
     quad = float(np.sum(g[None, :] * sd.ab[:, :k]))
     quad_scale = float(np.sum(np.abs(g[None, :] * sd.ab[:, :k])))
@@ -186,21 +187,21 @@ def _evaluate(
     return TheoremReport(k, lhs, rhs, quad, gap, passed, z, slack)
 
 
-def verify_theorem(triple: OperatorTriple, k: int, couple, z: Optional[float] = None) -> TheoremReport:
+def verify_theorem(triple: OperatorTriple, k: int, couple) -> TheoremReport:
     """Evaluate the main inequality for the first k eigenpairs of the triple.
 
-    Requires lambda_{k+1} > lambda_k.  ``z`` defaults to lambda_{k+1}; any
-    z in (lambda_k, lambda_{k+1}] is admissible, and couple.lam must equal z.
+    Requires lambda_{k+1} > lambda_k.  The inequality is read at
+    z = couple.lam, which must lie in (lambda_k, lambda_{k+1}].
     """
     sd = triple.spectral
-    return _evaluate(sd, k, couple, z, sd.tb, 4.0)
+    return _evaluate(sd, k, couple, sd.tb, 4.0)
 
 
-def verify_corollary(A, Bs, k: int, couple, z: Optional[float] = None) -> TheoremReport:
+def verify_corollary(A, Bs, k: int, couple) -> TheoremReport:
     """Evaluate the one-family corollary with T_p = [A, B_p].
 
     The squared left side uses <[A,B_p] u_i, B_p u_i> directly and the right
-    side carries no factor 4; the hypotheses on k, z and the couple are those
+    side carries no factor 4; the hypotheses on k and the couple are those
     of :func:`verify_theorem`.  Also checks the identity
     <[A,B_p] u_i, B_p u_i> = -1/2 <[[A,B_p],B_p] u_i, u_i> and reports its
     largest residual.
@@ -209,7 +210,7 @@ def verify_corollary(A, Bs, k: int, couple, z: Optional[float] = None) -> Theore
     Bs = tuple(np.asarray(B, dtype=complex) for B in Bs)
     Ts = tuple(commutator(A, B) for B in Bs)
     sd = OperatorTriple(A, Bs, Ts).spectral
-    report = _evaluate(sd, k, couple, z, sd.ab, 1.0)
+    report = _evaluate(sd, k, couple, sd.ab, 1.0)
     # with T_p = [A,B_p], tb[p, i] is <[[A,B_p],B_p] u_i, u_i>
     worst = float(np.abs(-0.5 * sd.tb - sd.ab).max())
     report.identity_residual = worst / max(float(np.abs(sd.ab).max()), 1.0)

@@ -807,24 +807,25 @@ def chain_compare(prefix: SpectrumPrefix, k: Optional[int] = None, rel_slack: fl
     return ChainReport(results, not violations, violations)
 
 
-def check_general_poly(prefix: SpectrumPrefix, next_value: float, couple) -> float:
+def check_general_poly(prefix: SpectrumPrefix, couple) -> float:
     """Margin (RHS - LHS) of the polyharmonic couple inequality
 
         sum f(lam_i) <= (2/n) sqrt(l(2l+n-2))
                         * (sum g(lam_i) lam_i^((l-1)/l))^(1/2)
                         * (sum f^2/(g (z-lam_i)) lam_i^(1/l))^(1/2)
 
-    at z = next_value, for an admissible couple with couple.lam = next_value.
+    at z = couple.lam, for an admissible couple.
     """
     k = len(prefix)
     lam = prefix.head(k)
     n, l = prefix.n, prefix.l
-    if not next_value > float(lam[-1]):
-        raise InputError(f"next value {next_value} must exceed lambda_k = {lam[-1]}")
-    f, g = _couples.admissible_weights(couple, lam, next_value)
+    z = couple.lam
+    if not z > float(lam[-1]):
+        raise InputError(f"next value {z} must exceed lambda_k = {lam[-1]}")
+    f, g = _couples.admissible_weights(couple, lam)
     lhs = float(np.sum(f))
     rhs = (2.0 / n) * math.sqrt(l * (2.0 * l + n - 2)) * math.sqrt(
         float(np.sum(g * lam ** ((l - 1.0) / l)))
-        * float(np.sum(f**2 / (g * (next_value - lam)) * lam ** (1.0 / l)))
+        * float(np.sum(f**2 / (g * (z - lam)) * lam ** (1.0 / l)))
     )
     return rhs - lhs

@@ -10,15 +10,17 @@ Subcommands::
                     [--ensemble E] [--workers W] [--min-gap G] [--out f.jsonl]
     verify spectrum --eigs spec.csv --n N [--l L] [--problem P] [--slack TAU]
                     [--which a,b,...] [--out f.jsonl]
-    couple check --spec SPEC --samples M --seed S
+    couple check --spec SPEC [--samples M --seed S]
 
 The front end parses flags and prints rows; the library decides what each
 result is and is called.  ``spectrum fd`` writes the spectrum and labels of
 ``operators.fd_spectrum`` (how each problem is solved is told there), and
 ``bound`` and ``couple check`` write their result dataclasses field by
-field.  ``spectrum box`` refuses the flags of ``spectrum fd``, and
-``verify abstract`` a couple spec with its own ``@lambda``: each row binds
-its couple at lambda_{k+1}.
+field.  ``spectrum box`` refuses the flags of ``spectrum fd``.  Each row of
+``verify abstract`` binds its couple at lambda_{k+1}, the z = couple.lam the
+library reads it at, so that command refuses a couple's own ``@lambda`` and a
+tabulated couple; ``couple check`` refuses ``--samples`` and ``--seed`` for a
+table, which it checks at its own points.
 
 Exit codes: 0 all checks passed, 1 a mathematical violation was detected,
 2 input or usage error.  Any run is reproducible from its flags (plus
@@ -150,13 +152,6 @@ def _load_couple_table(path: str):
     return raw[:, 0], raw[:, 1], raw[:, 2]
 
 
-def _parse_couple(text: str):
-    """A couple spec and its table (None unless tabulated), ready to bind."""
-    spec = couples.parse_couple_spec(text)
-    table = _load_couple_table(spec.table_path) if spec.family == couples.TABULATED else None
-    return spec, table
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -214,15 +209,14 @@ def cmd_bound(args) -> int:
 
 
 def _abstract_trial_worker(payload) -> list[dict]:
-    (t, seed, dim, nops, ensemble, parsed_couples, min_gap) = payload
+    (t, seed, dim, nops, ensemble, specs, min_gap) = payload
     triple = abstract.random_instance(dim, nops, seed + t, ensemble)
     lam = triple.spectral.lam
     rows: list[dict] = []
     for k in abstract.admissible_ks(triple, min_gap):
-        z = float(lam[k])
-        for spec, table in parsed_couples:
-            couple = spec.bind(lam=z, table=table)
-            rep = abstract.verify_theorem(triple, k, couple, z)
+        for spec in specs:
+            couple = spec.bind(float(lam[k]))
+            rep = abstract.verify_theorem(triple, k, couple)
             row = {"trial": t, "couple": couple.describe()}
             row.update(rep.as_dict())
             rows.append(row)
@@ -256,12 +250,14 @@ def cmd_verify_abstract(args) -> int:
     workers = min(workers, os.cpu_count() or 1)
     min_gap = _finite_nonnegative(args, "min-gap", 1e-6)
     couple_texts = args.couple or ["equal-power:2"]
-    parsed_couples = tuple(_parse_couple(text) for text in couple_texts)
-    for text, (spec, _) in zip(couple_texts, parsed_couples):
-        if spec.lam is not None:  # verify_theorem needs the couple's lambda at z = lambda_(k+1)
+    specs = tuple(couples.parse_couple_spec(text) for text in couple_texts)
+    for text, spec in zip(couple_texts, specs):
+        if spec.lam is not None:  # each row reads its couple's lambda as z = lambda_(k+1)
             raise SpecgapError(f"couple {text!r} sets lambda: verify abstract binds each couple at lambda_(k+1)")
+        if spec.family == couples.TABULATED:  # no table holds lambda_1..lambda_k below lambda_(k+1) for two k
+            raise SpecgapError(f"couple {text!r} is tabulated: verify abstract binds each couple at lambda_(k+1)")
 
-    trial_rows = _trial_rows((seed, dim, nops, ensemble, parsed_couples, min_gap), trials, workers)
+    trial_rows = _trial_rows((seed, dim, nops, ensemble, specs, min_gap), trials, workers)
 
     # workers is an execution knob, not part of the mathematical run: output
     # is identical for any worker count, so it is not echoed in the summary
@@ -328,12 +324,18 @@ def cmd_verify_spectrum(args) -> int:
 
 def cmd_couple(args) -> int:
     text = _need(args, "spec")
-    spec, table = _parse_couple(text)
+    spec = couples.parse_couple_spec(text)
     lam = spec.lam if spec.lam is not None else 1.0
-    couple = spec.bind(lam=lam, table=table)
-    if couple.family == couples.TABULATED:
+    if spec.family == couples.TABULATED:
+        drawn = [f"--{flag}" for flag in ("samples", "seed") if getattr(args, flag) is not None]
+        if drawn:  # the table points are the samples: nothing is drawn
+            raise SpecgapError(
+                f"couple check takes no {', '.join(drawn)} with a tabulated spec: it checks the table points"
+            )
+        couple = spec.bind(lam, _load_couple_table(spec.table_path))
         samples = couple.table[0]
     else:
+        couple = spec.bind(lam)
         m = int(args.samples if args.samples is not None else 32)
         if m < 2:
             raise SpecgapError("need at least 2 samples")

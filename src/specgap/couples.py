@@ -9,9 +9,11 @@ It is admissible when, for every pair of points x != y,
 
 Admissibility makes the couple a legal weight in the commutator inequality
 verified by :mod:`specgap.abstract` and in the polyharmonic margin check of
-:mod:`specgap.bounds`.  Four parametric power families are admissible for the
-parameter ranges enforced below; a tabulated couple is second class and can
-only ever be certified on the sample points it was given.
+:mod:`specgap.bounds`, both read at z = couple.lam: the couple's lambda is the
+point where the inequality is evaluated, and no z is passed beside it.  Four
+parametric power families are admissible for the parameter ranges of
+``_POWER_FAMILIES``, which declares each family once; a tabulated couple is
+second class and can only ever be certified on the sample points it was given.
 
 Both checks here are numerical certificates on finite samples, not proofs:
 ``check_membership`` evaluates the displayed condition pairwise (with the
@@ -36,7 +38,17 @@ EQUAL_POWER = "equal-power"
 NEG_POWER = "neg-power"
 TABULATED = "tabulated"
 
-FAMILIES = (CONST_POWER, LINEAR_POWER, EQUAL_POWER, NEG_POWER, TABULATED)
+# family: parameter count, exponents (ef, eg) of f, g = (lambda-x)^(ef, eg),
+# admissible range and the range as its refusal states it
+_POWER_FAMILIES = {
+    CONST_POWER: (1, lambda a: (0.0, a), lambda a: a >= 0, "one parameter alpha >= 0"),
+    LINEAR_POWER: (1, lambda b: (1.0, b), lambda b: b >= 0.5, "one parameter beta >= 1/2"),
+    EQUAL_POWER: (1, lambda d: (d, d), lambda d: 0 < d <= 2, "one parameter 0 < delta <= 2"),
+    NEG_POWER: (2, lambda a, b: (a, b), lambda a, b: a < 0 and b >= 1 and a**2 <= b,
+                "(alpha, beta) with alpha < 0, beta >= 1, alpha^2 <= beta"),
+}  # fmt: skip
+
+FAMILIES = (*_POWER_FAMILIES, TABULATED)
 
 # Pairs closer than this (relative to lambda) make the difference quotients
 # meaningless and are skipped; the condition is only stated for x != y.
@@ -51,40 +63,16 @@ COND_TOL_REL = 1e-12
 MAX_MEMBERSHIP_SAMPLES = 4096
 
 
-def _power_exponents(family: str, params: tuple) -> tuple[float, float]:
-    """(exponent of f, exponent of g) for f,g = (lambda-x)^e."""
-    if family == CONST_POWER:
-        return 0.0, params[0]
-    if family == LINEAR_POWER:
-        return 1.0, params[0]
-    if family == EQUAL_POWER:
-        return params[0], params[0]
-    if family == NEG_POWER:
-        return params[0], params[1]
-    raise InputError(f"family {family!r} has no power form")
-
-
 def _validate_params(family: str, params: tuple) -> None:
-    if family == CONST_POWER:
-        if len(params) != 1 or not params[0] >= 0:
-            raise InputError(f"{CONST_POWER} needs one parameter alpha >= 0, got {params}")
-    elif family == LINEAR_POWER:
-        if len(params) != 1 or not params[0] >= 0.5:
-            raise InputError(f"{LINEAR_POWER} needs one parameter beta >= 1/2, got {params}")
-    elif family == EQUAL_POWER:
-        if len(params) != 1 or not 0 < params[0] <= 2:
-            raise InputError(f"{EQUAL_POWER} needs one parameter 0 < delta <= 2, got {params}")
-    elif family == NEG_POWER:
-        ok = len(params) == 2 and params[0] < 0 and params[1] >= 1 and params[0] ** 2 <= params[1]
-        if not ok:
-            raise InputError(
-                f"{NEG_POWER} needs (alpha, beta) with alpha < 0, beta >= 1, alpha^2 <= beta, got {params}"
-            )
-    elif family == TABULATED:
+    if family == TABULATED:
         if params:
             raise InputError("tabulated couples carry a table, not parameters")
-    else:
+        return
+    if family not in _POWER_FAMILIES:
         raise InputError(f"unknown couple family {family!r}; known: {FAMILIES}")
+    count, _, admissible, needs = _POWER_FAMILIES[family]
+    if len(params) != count or not admissible(*params):
+        raise InputError(f"{family} needs {needs}, got {params}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +111,9 @@ class FunctionCouple:
 
     def power_exponents(self) -> tuple[float, float]:
         """Exponents (ef, eg) such that f,g = (lambda-x)^(ef,eg)."""
-        return _power_exponents(self.family, self.params)
+        if self.family not in _POWER_FAMILIES:
+            raise InputError(f"family {self.family!r} has no power form")
+        return _POWER_FAMILIES[self.family][1](*self.params)
 
     def evaluate_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized (f(x), g(x)); raises on points outside (0, lambda)."""
@@ -274,15 +264,13 @@ def certify_on_samples(couple: FunctionCouple, samples) -> MembershipReport:
     return _pairwise_report(couple, xs)
 
 
-def admissible_weights(couple: FunctionCouple, lam: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
+def admissible_weights(couple: FunctionCouple, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(f, g) at the eigenvalue prefix ``lam``, as weights of an inequality at
-    z = lambda_{k+1}.
+    z = couple.lam.
 
-    Raises InputError unless couple.lam equals z and the couple is certified
-    admissible on ``lam`` (:func:`certify_on_samples`).
+    Raises InputError unless the couple is certified admissible on ``lam``
+    (:func:`certify_on_samples`).
     """
-    if abs(couple.lam - z) > 1e-12 * max(1.0, abs(z)):
-        raise InputError(f"couple.lam = {couple.lam} must equal z = {z}")
     report = certify_on_samples(couple, lam)
     if not report.passed:
         raise InputError(
@@ -336,15 +324,9 @@ class CoupleSpec:
     lam: Optional[float]
     table_path: Optional[str] = None
 
-    def bind(self, lam: Optional[float] = None, table=None) -> FunctionCouple:
-        lam = self.lam if lam is None else lam
-        if lam is None:
-            raise InputError("couple spec has no lambda and none was supplied")
-        if self.family == TABULATED:
-            if table is None:
-                raise InputError(f"tabulated couple needs its table ({self.table_path!r})")
-            return FunctionCouple(TABULATED, lam, (), table)
-        return FunctionCouple(self.family, lam, self.params)
+    def bind(self, lam: float, table=None) -> FunctionCouple:
+        """The couple at threshold ``lam``; a tabulated spec needs its ``table``."""
+        return FunctionCouple(self.family, lam, self.params, table)
 
 
 def parse_couple_spec(text: str) -> CoupleSpec:

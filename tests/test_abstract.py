@@ -93,7 +93,7 @@ def test_theorem_gap_hypothesis():
 def test_theorem_z_between_gap_allowed():
     A, B, T = two_by_two()
     triple = OperatorTriple(A, (B,), (T,))
-    rep = verify_theorem(triple, 1, const_couple(1.5), z=1.5)
+    rep = verify_theorem(triple, 1, const_couple(1.5))
     assert rep.z == 1.5
     assert rep.passed
 
@@ -174,7 +174,19 @@ def test_corollary_2x2():
 def test_corollary_rejects_z_beyond_next_eigenvalue():
     A, B, _ = two_by_two()
     with pytest.raises(InputError):
-        verify_corollary(A, (B,), 1, const_couple(2.5), z=2.5)
+        verify_corollary(A, (B,), 1, const_couple(2.5))
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("verifier", ["theorem", "corollary"])
+def test_couple_lambda_outside_the_gap_is_refused(verifier, lam):
+    # z = couple.lam must lie in (lambda_1, lambda_2] = (1, 2]
+    A, B, T = two_by_two()
+    with pytest.raises(InputError, match="z must lie in"):
+        if verifier == "theorem":
+            verify_theorem(OperatorTriple(A, (B,), (T,)), 1, const_couple(lam))
+        else:
+            verify_corollary(A, (B,), 1, const_couple(lam))
 
 
 def test_corollary_identity_operator_trivial():

@@ -495,7 +495,7 @@ def test_shared_monotone_tables_are_solved_once(monkeypatch):
 def test_general_poly_f_g_one_hand_value():
     prefix = euclid([1.0], 2)
     couple = FunctionCouple("const-power", 3.0, (0.0,))
-    assert check_general_poly(prefix, 3.0, couple) == pytest.approx(0.0, abs=1e-12)
+    assert check_general_poly(prefix, couple) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_general_poly_matches_cim_squared_margin():
@@ -504,7 +504,7 @@ def test_general_poly_matches_cim_squared_margin():
         prefix = euclid(values, 3, l=l)
         z = 4.1
         couple = FunctionCouple("equal-power", z, (2.0,))
-        via_couple = check_general_poly(prefix, z, couple)
+        via_couple = check_general_poly(prefix, couple)
         table = verify_margins(prefix, z, which=["cim-squared-poly"])
         assert table.margin.shape == (1, 1)
         via_registry = table.margin[0, 0]
@@ -521,14 +521,14 @@ def test_general_poly_k1_closed_form():
     rhs = (2.0 / n) * math.sqrt(l * (2 * l + n - 2)) * math.sqrt(
         g * lam1 ** ((l - 1) / l) * (f**2 / (g * (z - lam1))) * lam1 ** (1 / l)
     )
-    assert check_general_poly(prefix, z, couple) == pytest.approx(rhs - lhs, rel=1e-13)
+    assert check_general_poly(prefix, couple) == pytest.approx(rhs - lhs, rel=1e-13)
 
 
 def test_general_poly_validates_next_value():
     prefix = euclid([2.0], 2)
     couple = FunctionCouple("const-power", 1.5, (0.0,))
     with pytest.raises(InputError, match="must exceed lambda_k"):
-        check_general_poly(prefix, 1.5, couple)
+        check_general_poly(prefix, couple)
 
 
 # ---------------------------------------------------------------------------

@@ -683,16 +683,41 @@ def test_verify_abstract_multiple_couples(capsys):
     assert descs == {"const-power:0", "linear-power:1"}
 
 
-def test_verify_abstract_refuses_a_couple_lambda(monkeypatch, capsys):
-    # every row binds its couple at lambda_(k+1), so no @lambda can be honoured
+ABSTRACT_ROW_KEYS = ["trial", "couple", "k", "lhs", "rhs", "quad_coeff", "gap", "pass", "z", "slack"]
+
+
+def test_verify_abstract_row_format(capsys):
+    # each row reads the inequality at z = lambda_(k+1), the lambda its couple is bound at
+    code, out, _ = run_cli(
+        ["verify", "abstract", "--trials", "3", "--dim", "5", "--nops", "2",
+         "--couple", "equal-power:2", "--couple", "neg-power:-1,1", "--seed", "4"],
+        capsys,
+    )
+    assert code == 0
+    rows = [json.loads(line) for line in out.strip().splitlines()[:-1]]
+    assert rows
+    for row in rows:
+        assert list(row) == ABSTRACT_ROW_KEYS
+        assert row["couple"].endswith("@" + format(row["z"], "g")), row
+
+
+def test_verify_abstract_refuses_a_couple_lambda(monkeypatch, capsys, tmp_path):
+    # every row binds its couple at lambda_(k+1), so no @lambda can be honoured,
+    # and no table holds lambda_1..lambda_k below lambda_(k+1) for two k
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(cli.abstract, "random_instance", no_trial)
-    argv = ["verify", "abstract", "--trials", "2", "--dim", "5", "--nops", "1",
-            "--couple", "neg-power:-1,1", "--couple", "equal-power:2@1000"]  # fmt: skip
-    code, out, err = run_cli(argv, capsys)
-    assert_one_line_usage_error(code, out, err, "'equal-power:2@1000'")
+    rows = tmp_path / "rows.jsonl"
+    argv = ["verify", "abstract", "--trials", "2", "--dim", "5", "--nops", "1", "--out", str(rows)]
+    cfg = tmp_path / "cfg.json"
+    for refused in ("equal-power:2@1000", "tabulated:t.csv"):
+        texts = ["neg-power:-1,1", refused]
+        cfg.write_text(json.dumps({"couple": texts}))
+        for source in ([*argv, "--couple", texts[0], "--couple", texts[1]], ["--config", str(cfg), *argv]):
+            code, out, err = run_cli(source, capsys)
+            assert_one_line_usage_error(code, out, err, repr(refused))
+            assert not rows.exists()
 
 
 def test_verify_abstract_refuses_inaccurate_eigenpairs(monkeypatch, capsys):
@@ -833,9 +858,7 @@ def test_couple_check_tabulated_fail_with_witness(tmp_path, capsys):
     xs = np.array([0.2, 0.5, 0.8])
     rows = [f"{x},{1.0 - x},1.0" for x in xs]  # f = lambda - x, g = 1: not admissible
     table.write_text("\n".join(rows) + "\n")
-    code, out, _ = run_cli(
-        ["couple", "check", "--spec", f"tabulated:{table}@1", "--seed", "0"], capsys
-    )
+    code, out, _ = run_cli(["couple", "check", "--spec", f"tabulated:{table}@1"], capsys)
     assert code == 1
     row = json.loads(out)
     assert row["passed"] is False
@@ -852,6 +875,23 @@ def test_couple_check_tabulated_fail_row_format(tmp_path, capsys):
         '{"spec":' + json.dumps(spec) + ',"lambda":3,"n_samples":3,"passed":false,"check":"pairwise",'
         '"worst":11,"witness":[1.5,2.5],"n_checked":3,"n_skipped":0,"g_nonincreasing":false}\n'
     )
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("flags", [{"samples": 500, "seed": 9}, {"samples": 1}, {"seed": 0}])
+def test_couple_check_tabulated_refuses_sample_flags(tmp_path, capsys, source, flags):
+    # a tabulated couple is checked on its table points: nothing is drawn
+    table = tmp_path / "tab.csv"
+    table.write_text("0.5,1,0.5\n1.5,3,1\n2.5,1,2\n")
+    argv = ["couple", "check", "--spec", f"tabulated:{table}@3"]
+    if source == "flag":
+        argv += [item for key, value in flags.items() for item in (f"--{key}", str(value))]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(flags))
+        argv = ["--config", str(cfg), *argv]
+    code, out, err = run_cli(argv, capsys)
+    assert_one_line_usage_error(code, out, err, "takes no " + ", ".join(f"--{key}" for key in flags))
 
 
 def test_couple_check_malformed_exit_2(capsys):

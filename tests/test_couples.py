@@ -315,21 +315,19 @@ def test_necessary_failure_implies_membership_failure_nearby():
 
 def test_parse_couple_spec_roundtrip():
     spec = parse_couple_spec("equal-power:2@10")
-    c = spec.bind()
+    c = spec.bind(spec.lam)
     assert c.family == "equal-power" and c.lam == 10.0 and c.params == (2.0,)
 
     spec = parse_couple_spec("neg-power:-1,1@5")
-    c = spec.bind()
+    c = spec.bind(spec.lam)
     assert c.params == (-1.0, 1.0) and c.lam == 5.0
 
 
 def test_parse_couple_spec_without_lambda_binds_later():
     spec = parse_couple_spec("const-power:1")
     assert spec.lam is None
-    c = spec.bind(lam=3.0)
+    c = spec.bind(3.0)
     assert c.lam == 3.0
-    with pytest.raises(InputError, match="has no lambda and none was supplied"):
-        spec.bind()
 
 
 def test_parse_couple_spec_tabulated_path():
@@ -356,3 +354,43 @@ def test_parse_couple_spec_malformed(bad):
 def test_parse_couple_spec_out_of_range_params_rejected():
     with pytest.raises(InputError):
         parse_couple_spec("equal-power:3@1")
+
+
+_NEEDS = {
+    "const-power": "one parameter alpha >= 0",
+    "linear-power": "one parameter beta >= 1/2",
+    "equal-power": "one parameter 0 < delta <= 2",
+    "neg-power": "(alpha, beta) with alpha < 0, beta >= 1, alpha^2 <= beta",
+}
+# per family: a value out of range, a wrong parameter count and a NaN
+REFUSED_PARAMS = [
+    ("const-power", "-1"), ("const-power", "1,2"), ("const-power", "nan"),
+    ("linear-power", "0.4"), ("linear-power", "1,1"),
+    ("equal-power", "0"), ("equal-power", "2.5"), ("equal-power", "nan"),
+    ("neg-power", "-1"), ("neg-power", "1,1"), ("neg-power", "-2,3"), ("neg-power", "-1,0.5"),
+    ("neg-power", "-1,1,1"), ("neg-power", "nan,1"),
+]  # fmt: skip
+
+
+def _refusal(make, *args):
+    with pytest.raises(InputError) as exc:
+        make(*args)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("entry", ["spec", "couple"])
+@pytest.mark.parametrize("family, text", REFUSED_PARAMS)
+def test_power_parameters_are_refused_with_the_family_range(entry, family, text):
+    params = tuple(float(p) for p in text.split(","))
+    if entry == "spec":
+        message = _refusal(parse_couple_spec, f"{family}:{text}@2")
+    else:
+        message = _refusal(FunctionCouple, family, 2, params)
+    assert message == f"{family} needs {_NEEDS[family]}, got {params}"
+
+
+def test_couples_outside_the_power_families_are_refused():
+    known = "('const-power', 'linear-power', 'equal-power', 'neg-power', 'tabulated')"
+    assert _refusal(FunctionCouple, "tabulated", 2, (1,)) == "tabulated couples carry a table, not parameters"
+    assert _refusal(FunctionCouple, "cubic-power", 2, (1,)) == f"unknown couple family 'cubic-power'; known: {known}"
+    assert _refusal(parse_couple_spec, "cubic-power:1@2") == f"unknown family 'cubic-power'; known: {known}"
