@@ -19,8 +19,8 @@ result is and is called.  ``spectrum fd`` writes the spectrum and labels of
 field.  ``spectrum box`` refuses the flags of ``spectrum fd``.  Each row of
 ``verify abstract`` binds its couple at lambda_{k+1}, the z = couple.lam the
 library reads it at, so that command refuses a couple's own ``@lambda`` and a
-tabulated couple; ``couple check`` refuses ``--samples`` and ``--seed`` for a
-table, which it checks at its own points.
+tabulated couple; ``couple check`` refuses a table without ``@lambda``, and
+``--samples`` and ``--seed`` for a table, which it checks at its own points.
 
 Exit codes: 0 all checks passed, 1 a mathematical violation was detected,
 2 input or usage error.  Any run is reproducible from its flags (plus
@@ -327,6 +327,8 @@ def cmd_couple(args) -> int:
     spec = couples.parse_couple_spec(text)
     lam = spec.lam if spec.lam is not None else 1.0
     if spec.family == couples.TABULATED:
+        if spec.lam is None:  # a table's admissibility depends on lambda; a power family's does not
+            raise SpecgapError(f"couple check needs @lambda with a tabulated spec, got {text!r}")
         drawn = [f"--{flag}" for flag in ("samples", "seed") if getattr(args, flag) is not None]
         if drawn:  # the table points are the samples: nothing is drawn
             raise SpecgapError(

@@ -89,8 +89,8 @@ class FunctionCouple:
     table: Optional[tuple] = None
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise InputError(f"lambda must be positive, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise InputError(f"lambda must be positive and finite, got {self.lam}")
         _validate_params(self.family, tuple(float(p) for p in self.params))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if self.family == TABULATED:
@@ -249,18 +249,15 @@ def check_membership(couple: FunctionCouple, samples) -> MembershipReport:
 
 
 def certify_on_samples(couple: FunctionCouple, samples) -> MembershipReport:
-    """Like check_membership, but a single (or fully repeated) sample set
-    passes vacuously: the pairwise condition quantifies over x != y only.
+    """Like check_membership, but a sample set with no pair of distinct
+    points (a single point, or one point repeated) passes vacuously: the
+    pairwise condition quantifies over x != y only.
 
     Downstream verifiers use this for k = 1 prefixes.
     """
     xs = np.asarray(samples, dtype=float).ravel()
     if xs.size == 0:
         raise InputError("empty sample set")
-    if np.unique(xs).size < 2:
-        fs, gs = couple.evaluate_batch(xs)
-        ok = bool(np.all(fs > 0) and np.all(gs > 0))
-        return MembershipReport(ok, "pairwise", -np.inf, None, 0, 0, True)
     return _pairwise_report(couple, xs)
 
 
@@ -295,7 +292,8 @@ def check_necessary_differentiable(couple, samples) -> MembershipReport:
         raise InputError("samples must lie in (0, lambda)")
     u = couple.lam - xs
     lhs = (ef / u) ** 2
-    rhs = 2.0 * eg / u**2
+    with np.errstate(over="ignore"):  # u**2 overflows only where the exact rhs underflows to 0
+        rhs = 2.0 * eg / u**2
     margin = rhs - lhs
     tol = COND_TOL_REL * (1.0 + np.abs(lhs) + np.abs(rhs))
     ok = margin >= -tol
@@ -340,8 +338,8 @@ def parse_couple_spec(text: str) -> CoupleSpec:
             lam = float(lam_text)
         except ValueError as exc:
             raise InputError(f"bad lambda in couple spec {text!r}") from exc
-        if not lam > 0:
-            raise InputError(f"lambda must be positive in couple spec {text!r}")
+        if not 0 < lam < np.inf:
+            raise InputError(f"lambda must be positive and finite in couple spec {text!r}")
     if ":" not in body:
         raise InputError(f"couple spec {text!r} needs 'family:params'")
     family, param_text = body.split(":", 1)

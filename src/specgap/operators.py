@@ -1,7 +1,10 @@
 """Spectrum factories: exact box spectra and finite-difference operators.
 
-Everything is a sparse symmetric matrix on a tensor grid of interior points
-with homogeneous Dirichlet truncation:
+Each builder returns a sparse symmetric matrix on a tensor grid of interior
+points with homogeneous Dirichlet truncation, though only the clamped
+plate's spectrum is computed from its matrix: the Laplacian's is written in
+closed form and the Kohn Laplacian's from dense or sparse t-Fourier blocks
+(see below).  The builders:
 
 * ``fd_laplacian``      second-order central stencil for -Laplace;
 * ``fd_clamped_plate``  13-point biharmonic stencil with boundary value 0 and

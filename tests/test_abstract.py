@@ -189,6 +189,19 @@ def test_couple_lambda_outside_the_gap_is_refused(verifier, lam):
             verify_corollary(A, (B,), 1, const_couple(lam))
 
 
+@pytest.mark.parametrize("lam_1", [-1.0, 0.0])
+@pytest.mark.parametrize("verifier", ["theorem", "corollary"])
+def test_non_positive_eigenvalue_prefix_is_refused(verifier, lam_1):
+    # the couple lives on (0, lambda): it has no weight at lambda_1 <= 0
+    _, B, T = two_by_two()
+    A = np.diag([lam_1, 2.0]).astype(complex)
+    with pytest.raises(InputError, match="evaluation points must lie in"):
+        if verifier == "theorem":
+            verify_theorem(OperatorTriple(A, (B,), (T,)), 1, const_couple(2.0))
+        else:
+            verify_corollary(A, (B,), 1, const_couple(2.0))
+
+
 def test_corollary_identity_operator_trivial():
     A = np.diag([1.0, 2.0, 3.0]).astype(complex)
     rep = verify_corollary(A, (np.eye(3, dtype=complex),), 1, const_couple(2.0))

@@ -894,6 +894,28 @@ def test_couple_check_tabulated_refuses_sample_flags(tmp_path, capsys, source, f
     assert_one_line_usage_error(code, out, err, "takes no " + ", ".join(f"--{key}" for key in flags))
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_couple_check_tabulated_needs_lambda(tmp_path, capsys, source):
+    # a table's admissibility depends on lambda: no default is assumed
+    table = tmp_path / "tab.csv"
+    table.write_text("0.5,1,0.5\n0.7,0.9,0.4\n")
+    argv = ["couple", "check", "--spec", f"tabulated:{table}"]
+    if source == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spec": f"tabulated:{table}"}))
+        argv = ["--config", str(cfg), "couple", "check"]
+    code, out, err = run_cli(argv, capsys)
+    assert_one_line_usage_error(code, out, err, "needs @lambda with a tabulated spec")
+
+
+def test_couple_check_large_lambda_passes_without_warnings():
+    # u**2 overflows where the screen's exact right side underflows to 0
+    argv = ["-m", "specgap", "couple", "check", "--spec", "const-power:0@1e308", "--samples", "4"]
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["differentiable_screen"]["passed"] is True
+
+
 def test_couple_check_malformed_exit_2(capsys):
     code, _, _ = run_cli(["couple", "check", "--spec", "foo:@"], capsys)
     assert code == 2

@@ -130,6 +130,13 @@ def test_certify_on_samples_single_point_vacuous():
     assert rep.passed and rep.n_checked == 0
 
 
+def test_certify_on_samples_repeated_point_vacuous():
+    # the one pair of a repeated point is skipped, not checked
+    c = FunctionCouple("equal-power", 1.0, (2.0,))
+    rep = certify_on_samples(c, [0.3, 0.3])
+    assert rep.passed and rep.n_checked == 0 and rep.n_skipped == 1
+
+
 def test_membership_close_pairs_skipped():
     c = FunctionCouple("equal-power", 1.0, (1.0,))
     rep = check_membership(c, [0.3, 0.3 + 1e-16, 0.7])
@@ -340,6 +347,8 @@ MALFORMED_SPECS = {
     "foo:@": "bad lambda in couple spec",
     "equal-power:": "has no parameters",
     "equal-power:2@-1": "lambda must be positive",
+    "equal-power:2@inf": "lambda must be positive",
+    "const-power:0@nan": "lambda must be positive",
     "": "empty couple spec",
     "nofamily": "needs 'family:params'",
 }
@@ -349,6 +358,12 @@ MALFORMED_SPECS = {
 def test_parse_couple_spec_malformed(bad):
     with pytest.raises(InputError, match=MALFORMED_SPECS[bad]):
         parse_couple_spec(bad)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("inf"), float("nan")])
+def test_function_couple_refuses_a_lambda_that_is_not_positive_and_finite(lam):
+    with pytest.raises(InputError, match="lambda must be positive"):
+        FunctionCouple("const-power", lam, (0.0,))
 
 
 def test_parse_couple_spec_out_of_range_params_rejected():
