@@ -11,6 +11,7 @@ import numpy as np
 
 from specgap import box_spectrum, fd_clamped_plate, fd_laplacian
 from specgap.eigensolve import dense_symmetric_eig, smallest_eigs
+from specgap.operators import operator_power_spectrum
 
 # --- 1D: closed-form stencil spectrum ---------------------------------------
 N = 50
@@ -41,7 +42,7 @@ print("clamped beam, smallest eigenvalue by grid doubling:")
 vals = {}
 for N in (40, 80, 160):
     op = fd_clamped_plate([1.0], [N])
-    vals[N] = smallest_eigs(op, 1).eigenvalues[0]
+    vals[N] = operator_power_spectrum(op, 1, 1).values[0]
     print(f"  N = {N:3d}: lambda_1 = {vals[N]:.6f}")
 rich1 = (4 * vals[80] - vals[40]) / 3.0
 rich2 = (4 * vals[160] - vals[80]) / 3.0

@@ -6,8 +6,9 @@ operator, scipy's ARPACK (an implicitly restarted Lanczos method) in
 shift-invert mode.  ``smallest_eigs`` takes ARPACK for m of the dim
 eigenpairs when dim >= DENSE_FALLBACK_DIM and m <= dim / ARPACK_DIM_PER_PAIR,
 or when dim exceeds DENSE_DIM_CAP; the dense route otherwise
-(``_dense_route``, which the Kohn t-Fourier blocks of ``operators`` also
-read to build a block dense or sparse).  Both limits come from a measured
+(``_dense_route``, which the clamped plate's parity blocks and the Kohn
+t-Fourier blocks of ``operators`` also read to build a block dense or
+sparse).  Both limits come from a measured
 sweep of the two routes (README, "Eigensolver").  The dense route is the
 reference the test suite checks the ARPACK route against.
 
@@ -19,9 +20,9 @@ inertia count of A - sigma I just below its largest returned values (see
 ``_lanczos_smallest``); when the count disagrees, the dense route answers up
 to DENSE_DIM_CAP and ConvergenceError is raised above it.  Running out of
 memory anywhere on the ARPACK route, or in the count, is ConvergenceError
-too.  The operator builders of ``operators`` use the same out-of-memory
-mapping, and its closed-form Laplacian spectrum and Kohn t-Fourier blocks
-the same residual check.
+too.  The operator builders and block spectra of ``operators`` use the same
+out-of-memory mapping, and its closed-form Laplacian spectrum and its
+clamped and Kohn blocks the same residual check.
 
 Every Hermitian check and every eigendecomposition of the package goes
 through this module: ``hermitian_defect`` measures max |M - M^H| of a dense
@@ -186,14 +187,20 @@ def _eigenvalues_below(A, sigma: float):
     return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def _lanczos_smallest(A, m: int) -> EigResult:
+def _lanczos_smallest(A, m: int, floor: float = 0.0) -> EigResult:
     """ARPACK's implicitly restarted Lanczos method in shift-invert mode,
     with a certificate that no eigenvalue below the returned ones is missing.
 
     The shift is -SHIFT_REL * ||A||_inf: strictly below zero, so A - sigma*I
     stays nonsingular for a singular PSD operator (``kohn_fd`` on all-odd
     grids has an exact zero eigenvalue), and close enough to zero that the
-    smallest eigenvalues stay well separated after inversion.  The starting
+    smallest eigenvalues stay well separated after inversion, unless A is
+    ill-conditioned: on a clamped beam of 4096 points the smallest
+    eigenvalue is 500 and the shift -4.5e9, and ARPACK took 6.8 s to tell
+    the clustered inverted values apart (0.4 s on 2048 points, over 90 s on
+    8192).  A caller that has proven a positive lower bound ``floor`` of the
+    spectrum gets the shift floor / 2 instead, below every eigenvalue and
+    at their scale.  The starting
     vector is seeded, so reruns are identical.  Raises ConvergenceError
     unless ARPACK converged and every residual ||A v - theta v|| is within
     RESIDUAL_REL_TOL * ||A||_inf, an upper bound on the spectral radius.
@@ -229,8 +236,9 @@ def _lanczos_smallest(A, m: int) -> EigResult:
                 f"3 * {DENSE_DIM_CAP}^2"
             )
         v0 = np.random.default_rng(V0_SEED).standard_normal(dim)
+        shift = floor / 2.0 if floor > 0.0 else -SHIFT_REL * scale
         try:
-            w, V = eigsh(A, k=m, sigma=-SHIFT_REL * scale, which="LM", v0=v0, ncv=ncv, tol=0.0)
+            w, V = eigsh(A, k=m, sigma=shift, which="LM", v0=v0, ncv=ncv, tol=0.0)
         except ArpackNoConvergence as exc:
             raise ConvergenceError(f"ARPACK did not converge for the {m} smallest eigenpairs") from exc
         order = np.argsort(w)
@@ -259,7 +267,7 @@ def _dense_route(dim: int, m: int) -> bool:
     return dim <= DENSE_DIM_CAP and (dim < DENSE_FALLBACK_DIM or m * ARPACK_DIM_PER_PAIR > dim)
 
 
-def smallest_eigs(op, m: int) -> EigResult:
+def smallest_eigs(op, m: int, floor: float = 0.0) -> EigResult:
     """The m smallest eigenpairs of a symmetric PSD operator, 1 <= m <= dim/4.
 
     ``op`` may be a DiscreteOperator (its ``matrix`` is used), a scipy sparse
@@ -270,7 +278,9 @@ def smallest_eigs(op, m: int) -> EigResult:
     once its inertia count has shown that no eigenvalue was skipped).
     Either route raises ConvergenceError rather than return pairs that did
     not converge, whose residuals exceed RESIDUAL_REL_TOL * ||A||_inf, or
-    that may not be the m smallest.
+    that may not be the m smallest.  A positive ``floor``, a proven lower
+    bound of the spectrum, moves ARPACK's shift to floor / 2 (see
+    ``_lanczos_smallest``); the inertia count does not rely on it.
     """
     M = getattr(op, "matrix", op)
     dim = M.shape[0]
@@ -278,4 +288,4 @@ def smallest_eigs(op, m: int) -> EigResult:
         raise InputError(f"need 1 <= m <= dim/4 = {dim // 4}, got m = {m}")
     if _dense_route(dim, m):
         return _dense_smallest(M, m)
-    return _lanczos_smallest(M.tocsr() if _issparse(M) else M, m)
+    return _lanczos_smallest(M.tocsr() if _issparse(M) else M, m, floor)

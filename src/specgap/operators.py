@@ -1,10 +1,12 @@
 """Spectrum factories: exact box spectra and finite-difference operators.
 
 Each builder returns a sparse symmetric matrix on a tensor grid of interior
-points with homogeneous Dirichlet truncation, though only the clamped
-plate's spectrum is computed from its matrix: the Laplacian's is written in
-closed form and the Kohn Laplacian's from dense or sparse t-Fourier blocks
-(see below).  The builders:
+points with homogeneous Dirichlet truncation, though no command computes a
+spectrum from a builder's matrix: the Laplacian's is written in closed form,
+the clamped plate's comes from its reflection-parity blocks and the Kohn
+Laplacian's from its t-Fourier blocks, each block dense or sparse (see
+below).  The builders serve the tests, the demos and the benchmark's
+reference checks:
 
 * ``fd_laplacian``      second-order central stencil for -Laplace;
 * ``fd_clamped_plate``  13-point biharmonic stencil with boundary value 0 and
@@ -15,9 +17,10 @@ closed form and the Kohn Laplacian's from dense or sparse t-Fourier blocks
                         difference fields (n = 1 only).
 
 ``box_spectrum`` enumerates the exact Dirichlet Laplacian spectrum of a box,
-and ``operator_power_spectrum`` raises computed eigenvalues to an integer
-power (the matrix power shares eigenvectors).  Note that powering the
-Dirichlet Laplacian realizes Navier-type, not clamped, conditions.
+and ``operator_power_spectrum`` raises the computed eigenvalues of a built
+operator to an integer power (the matrix power shares eigenvectors).  Note
+that powering the Dirichlet Laplacian realizes Navier-type, not clamped,
+conditions.
 ``fd_spectrum`` gives the spectrum of each of FD_PROBLEMS with the labels
 of its CSV: grid sizes, stencil, and ``spectrum-type: navier-power`` for a
 power of the Laplacian.
@@ -27,6 +30,17 @@ eigenpairs are sine modes, so ``laplacian_power_spectrum`` writes the
 spectrum of its l-th power in closed form: the same sort of per-axis sums
 that ``box_spectrum`` makes, with the residual of every sine mode it uses
 checked.  No matrix is built and no eigensolver runs.
+
+The 1-D stencils of ``fd_clamped_plate`` (fourth difference, second
+difference, identity) are symmetric and persymmetric, so the plate commutes
+with the reversal of each axis, and ``clamped_block_spectrum`` writes its
+spectrum from the 2^d blocks of its even and odd vectors, each the Kronecker
+sum of stencils folded to half an axis from their diagonals.  A block takes
+the eigensolvers' route for its size, built dense below the dense/ARPACK
+crossover (a 30 x 30 plate is four dense blocks of 225 points), with the
+lower bound (sum of the axes' smallest sine modes)^2 of its spectrum for
+ARPACK's shift.  The block residuals plus a bound on the fold's rounding
+are checked against ||A||_inf.  The whole operator is not built.
 
 The t derivative of ``kohn_fd`` acts on t alone and its central difference
 has closed-form eigenvectors, so ``kohn_block_spectrum`` writes the Kohn
@@ -39,14 +53,15 @@ bound the residual of the 3-D pairs, checked against ||L||_inf.  The 3-D
 operator is not built.
 
 The builders import scipy.sparse when they run, not when this module is
-imported: ``bound``, ``verify``, the Laplacian's closed form and the Kohn
-blocks below the crossover never build a sparse matrix and need not pay for
-it.  Running out of memory in a builder
+imported: ``bound``, ``verify``, the Laplacian's closed form and the
+clamped and Kohn blocks below the crossover never build a sparse matrix and
+need not pay for it.  Running out of memory in a builder or in the blocks
 is ConvergenceError, like running out of memory in an eigensolver.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -69,8 +84,9 @@ from .eigensolve import (
 if TYPE_CHECKING:  # the builders import scipy.sparse when they run
     import scipy.sparse as sp
 
-# interior points of a finite-difference grid: the shift-invert factorization
-# of a 32^3 clamped plate, the largest 3-D grid admitted, peaks near 1.1 GB
+# interior points of a finite-difference grid: solving the whole 32^3 clamped
+# plate, the largest 3-D grid admitted, peaks near 1.6 GB in shift-invert
+# ARPACK, and its parity blocks, which the CLI solves, near 120 MB
 MAX_GRID_POINTS = 2**15
 # natural logarithms of the normal float range: a spectrum outside it rounds
 # to zero or overflows
@@ -78,6 +94,7 @@ _LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max
 # floats per chunk of sine modes whose residuals are checked at once
 _MODE_CHUNK = 2**16
 LAPLACIAN_STENCIL = "dirichlet-laplacian"
+CLAMPED_STENCIL = "clamped-plate"
 KOHN_STENCIL = "kohn-heisenberg"
 
 
@@ -207,6 +224,13 @@ def _check_power(l) -> None:
         raise InputError(f"l must be a positive integer, got {l}")
 
 
+def _check_plate_power(l) -> None:
+    """The clamped plate is already the l = 2 problem: it takes only l = 1."""
+    if l != 1:
+        raise InputError("the clamped operator is already the l = 2 problem; "
+                         "powers apply to laplacian and kohn spectra")
+
+
 def _check_count(count: int, dim: int) -> None:
     if not 1 <= count <= dim:
         raise InputError(f"count must satisfy 1 <= count <= {dim}, got {count}")
@@ -278,13 +302,34 @@ def laplacian_power_spectrum(sides, grids, l: int, count: int) -> tuple[Spectrum
     return SpectrumPrefix(_raise_to(vals, l), n=len(grids), l=int(l), problem=EUCLIDEAN), grids
 
 
-def _second_difference(n: int, h: float) -> sp.csr_matrix:
-    """Tridiagonal -d^2/dx^2 with Dirichlet ends, SPD."""
+def _second_difference(n: int, h: float) -> tuple:
+    """tridiag(-1, 2, -1) / h^2, -d^2/dx^2 with Dirichlet ends, as its bands
+    (main diagonal, value of the off-diagonal at distance 1)."""
+    return np.full(n, 2.0 / h**2), (-1.0 / h**2,)
+
+
+def _clamped_fourth_difference(n: int, h: float) -> tuple:
+    """Pentadiagonal d^4/dx^4 for a clamped end, as its bands (main diagonal,
+    values of the off-diagonals at distance 1 and 2): boundary value zero
+    and the ghost point mirroring the first interior point (zero normal
+    derivative), which folds into the corners of the diagonal."""
+    if n < 4:
+        raise InputError(f"clamped stencil needs at least 4 interior points, got {n}")
+    main = np.full(n, 6.0 / h**4)
+    main[0] = main[-1] = 7.0 / h**4
+    return main, (-4.0 / h**4, 1.0 / h**4)
+
+
+def _banded(bands) -> sp.csr_matrix:
+    """The symmetric sparse matrix of ``bands`` (main diagonal, value of each
+    off-diagonal by distance)."""
     import scipy.sparse as sp
 
-    main = np.full(n, 2.0 / h**2)
-    off = np.full(n - 1, -1.0 / h**2)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+    main, offs = bands
+    n = main.size
+    diagonals = [main] + [np.full(n - k, v) for k, v in enumerate(offs, 1) for _ in (0, 1)]
+    offsets = [0] + [k * sign for k in range(1, len(offs) + 1) for sign in (1, -1)]
+    return sp.diags(diagonals, offsets, format="csr")
 
 
 def _central_difference(n: int, h: float) -> sp.csr_matrix:
@@ -293,20 +338,6 @@ def _central_difference(n: int, h: float) -> sp.csr_matrix:
 
     off = np.full(n - 1, 1.0 / (2.0 * h))
     return sp.diags([off, -off], [1, -1], format="csr")
-
-
-def _clamped_fourth_difference(n: int, h: float) -> sp.csr_matrix:
-    """Pentadiagonal d^4/dx^4 for a clamped end: boundary value zero and the
-    ghost point mirroring the first interior point (zero normal derivative)."""
-    import scipy.sparse as sp
-
-    if n < 4:
-        raise InputError(f"clamped stencil needs at least 4 interior points, got {n}")
-    main = np.full(n, 6.0)
-    main[0] = main[-1] = 7.0  # ghost mirror folds into the diagonal
-    off1 = np.full(n - 1, -4.0)
-    off2 = np.full(n - 2, 1.0)
-    return sp.diags([off2, off1, main, off1, off2], [-2, -1, 0, 1, 2], format="csr") / h**4
 
 
 def _kron_chain(mats) -> sp.csr_matrix:
@@ -330,31 +361,194 @@ def _axis_operator(op_1d, axis: int, grids) -> sp.csr_matrix:
 def fd_laplacian(sides, grids) -> DiscreteOperator:
     """Central-difference Dirichlet Laplacian (sign convention -Laplace)."""
     sides, grids, h = _validate_grid(sides, grids, min_pts=2)
-    total = _axis_operator(_second_difference(grids[0], h[0]), 0, grids)
+    total = _axis_operator(_banded(_second_difference(grids[0], h[0])), 0, grids)
     for ax in range(1, len(grids)):
-        total = total + _axis_operator(_second_difference(grids[ax], h[ax]), ax, grids)
+        total = total + _axis_operator(_banded(_second_difference(grids[ax], h[ax])), ax, grids)
     return DiscreteOperator(total.tocsr(), grids, LAPLACIAN_STENCIL)
 
 
 @_out_of_memory_refused("building the clamped plate")
 def fd_clamped_plate(sides, grids) -> DiscreteOperator:
-    """Biharmonic operator with clamped conditions: per-axis fourth
-    differences with ghost mirroring plus twice the mixed products of the
-    per-axis second differences."""
+    """Biharmonic operator with clamped conditions, as one sparse matrix:
+    per-axis fourth differences with ghost mirroring plus twice the mixed
+    products of the per-axis second differences.  ``fd_spectrum`` solves its
+    parity blocks instead (``clamped_block_spectrum``)."""
     import scipy.sparse as sp
 
     sides, grids, h = _validate_grid(sides, grids, min_pts=4, order=4)
     ndim = len(grids)
-    total = _axis_operator(_clamped_fourth_difference(grids[0], h[0]), 0, grids)
+    total = _axis_operator(_banded(_clamped_fourth_difference(grids[0], h[0])), 0, grids)
     for ax in range(1, ndim):
-        total = total + _axis_operator(_clamped_fourth_difference(grids[ax], h[ax]), ax, grids)
+        total = total + _axis_operator(_banded(_clamped_fourth_difference(grids[ax], h[ax])), ax, grids)
     for ax1 in range(ndim):
         for ax2 in range(ax1 + 1, ndim):
             mats = [sp.identity(g, format="csr") for g in grids]
-            mats[ax1] = _second_difference(grids[ax1], h[ax1])
-            mats[ax2] = _second_difference(grids[ax2], h[ax2])
+            mats[ax1] = _banded(_second_difference(grids[ax1], h[ax1]))
+            mats[ax2] = _banded(_second_difference(grids[ax2], h[ax2]))
             total = total + 2.0 * _kron_chain(mats)
-    return DiscreteOperator(total.tocsr(), grids, "clamped-plate")
+    return DiscreteOperator(total.tocsr(), grids, CLAMPED_STENCIL)
+
+
+def _block_smallest(build, dim: int, need: int, floor: float = 0.0):
+    """The ``need`` smallest eigenvalues of a symmetric block of size ``dim``
+    and their largest residual, through the eigensolvers: in full from
+    ``dense_symmetric_eig`` above a quarter of the block, from
+    ``smallest_eigs`` otherwise (with the block's proven spectral ``floor``).
+    ``build(dense)`` makes the block, as a numpy array below the dense/ARPACK
+    crossover and as a scipy sparse matrix above it."""
+    block = build(_dense_route(dim, need))
+    found = dense_symmetric_eig(block) if need > dim // 4 else smallest_eigs(block, need, floor=floor)
+    return found.eigenvalues[:need], float(found.residuals[:need].max())
+
+
+def _fold(bands, even: bool):
+    """The block Q^T A Q of the symmetric persymmetric banded matrix A of
+    ``bands`` (``_banded``) on its even (J v = v) or odd (J v = -v) vectors,
+    J the reversal, as (size, (rows, cols, values)) with no repeated entry.
+
+    With n = 2m or 2m + 1 and the orthonormal basis (e_j +- e_(n-1-j)) / sqrt 2,
+    j < m, plus e_m among the even vectors of an odd n, the block is
+    B[i, j] = A[i, j] +- A[i, n-1-j] for i, j < m, B[i, m] = B[m, i] =
+    sqrt 2 A[i, m] and B[m, m] = A[m, m]: read from the bands of the first
+    m (+ 1) rows, so no n x n matrix is formed.  Each entry is exact but for
+    at most two roundings (sqrt 2 and its product, or a sum of two entries)."""
+    main, offs = bands
+    n, width = main.size, len(offs)
+    size = n // 2 + (n % 2 if even else 0)
+    rows = np.repeat(np.arange(size), 2 * width + 1)
+    cols = rows + np.tile(np.arange(-width, width + 1), size)
+    mirror = n - 1 - cols
+    middle_row = 2 * rows == n - 1
+    # the middle row of an odd n reads its columns up to the middle only
+    keep = (cols >= 0) & (cols < n) & ~(middle_row & (cols > rows))
+    if not even:
+        keep &= cols != mirror
+    rows, cols, mirror, middle_row = rows[keep], cols[keep], mirror[keep], middle_row[keep]
+    values = np.where(cols == rows, main[rows], np.concatenate([offs[::-1], [0.0], offs])[cols - rows + width])
+    values = np.where(middle_row != (cols == mirror), math.sqrt(2.0) * values, values)
+    if not even:
+        values = np.where(cols > mirror, -values, values)
+    key, where = np.unique(rows * size + np.minimum(cols, mirror), return_inverse=True)
+    return size, (key // size, key % size, np.bincount(where, weights=values))
+
+
+def _kron_triplets(factors):
+    """(rows, cols, values) of the Kronecker product of ``factors``, each
+    (size, triplets of a size x size matrix, or None for the identity)."""
+    rows = cols = np.zeros(1, dtype=np.int64)
+    values = np.ones(1)
+    for size, triplets in factors:
+        r, c, v = (np.arange(size), np.arange(size), np.ones(size)) if triplets is None else triplets
+        rows = (rows[:, None] * size + r).ravel()
+        cols = (cols[:, None] * size + c).ravel()
+        values = (values[:, None] * v).ravel()
+    return rows, cols, values
+
+
+def _plate_block(axes, dense: bool):
+    """sum_a B4_a + 2 sum_(a < b) B2_a B2_b over the axes' folded pieces
+    (size, B4, B2) of one parity pattern, each B acting on its own axis, as
+    a dense array or a scipy CSR matrix."""
+    ndim, dim = len(axes), math.prod(size for size, _, _ in axes)
+    terms = []
+    for a in range(ndim):
+        terms.append(_kron_triplets([(size, f4 if b == a else None) for b, (size, f4, _) in enumerate(axes)]))
+        for a2 in range(a + 1, ndim):
+            rows, cols, values = _kron_triplets(
+                [(size, f2 if b in (a, a2) else None) for b, (size, _, f2) in enumerate(axes)]
+            )
+            terms.append((rows, cols, 2.0 * values))
+    rows, cols, values = (np.concatenate(v) for v in zip(*terms))
+    if dense:
+        return np.bincount(rows * dim + cols, weights=values, minlength=dim * dim).reshape(dim, dim)
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((values, (rows, cols)), shape=(dim, dim))
+
+
+def _row_abs_sums(bands) -> np.ndarray:
+    """The row sums of |A| for the banded matrix A of ``bands``."""
+    main, offs = bands
+    sums = np.abs(main)
+    for k, v in enumerate(offs, 1):
+        sums[k:] += abs(v)
+        sums[:-k] += abs(v)
+    return sums
+
+
+def _plate_inf_norm(fourth, second) -> float:
+    """||A||_inf of fd_clamped_plate's operator from the axes' stencil bands.
+
+    No two terms of A have entries of opposite sign at one place (both -4 at
+    distance 1 along an axis, positive elsewhere), so the row sums of |A|
+    are sum_a |D4_a| 1 + 2 sum_(a < b) |D2_a| 1 (x) |D2_b| 1 on the grid."""
+    ndim = len(fourth)
+
+    def on_axis(v, a):
+        return v.reshape([-1 if b == a else 1 for b in range(ndim)])
+
+    r4, r2 = [_row_abs_sums(b) for b in fourth], [_row_abs_sums(b) for b in second]
+    total = sum(on_axis(r4[a], a) for a in range(ndim))
+    total = total + sum(
+        2.0 * on_axis(r2[a], a) * on_axis(r2[b], b) for a in range(ndim) for b in range(a + 1, ndim)
+    )
+    return float(np.max(total))
+
+
+@_out_of_memory_refused("the clamped plate's parity blocks")
+def clamped_block_spectrum(sides, grids, l: int, count: int) -> tuple[SpectrumPrefix, tuple]:
+    """First ``count`` eigenvalues of fd_clamped_plate(sides, grids) from its
+    exact reflection-parity blocks, as (SpectrumPrefix labeled l = 2, grid
+    sizes).  The plate is already the l = 2 problem, so ``l`` must be 1.  The
+    whole operator is not built.
+
+    Each 1-D stencil of A = sum_a D4_a + 2 sum_(a < b) D2_a D2_b (the clamped
+    fourth difference, the second difference and the identity) is symmetric
+    and persymmetric, so A commutes with the reversal of every axis: it is
+    the direct sum of 2^d blocks, one per parity pattern, each the same
+    Kronecker sum of the axes' folded stencils (``_fold``).  Each block
+    gives its smallest min(count, size) values through ``_block_smallest``,
+    and one stable sort merges them.  Every block is enumerated and each
+    route certifies its values complete, so no eigenvalue is skipped.
+
+    A = L^2 + C with L = sum_a D2_a, the FD Laplacian, and C >= 0 (twice
+    1 / h^4 at the two end points of each axis), and L maps each parity
+    space to itself, so every block is at least (sum_a mu_a)^2, with mu_a the
+    smallest sine mode of axis a: the floor ARPACK takes its shift from.
+
+    The certificate: a block entry sums at most T = d (d + 1) / 2 Kronecker
+    terms, each one folded entry or twice a product of two, so with the
+    fold's two roundings per entry it carries at most T + 4 roundings of
+    terms of |Q|^T |A| |Q|, whose 2-norm is at most ||A||_inf; the computed
+    block B' is within (T + 4) eps ||A||_inf of Q^T A Q in 2-norm.  So a
+    block pair (lambda, u) of residual r gives the pair (lambda, Q u) of A a
+    residual of at most r + (T + 4) eps ||A||_inf, and ConvergenceError is
+    raised unless the largest block residual plus that bound is within
+    RESIDUAL_REL_TOL * ||A||_inf, computed from the stencils
+    (``_plate_inf_norm``).
+    """
+    sides, grids, h = _validate_grid(sides, grids, min_pts=4, order=4)
+    _check_power(l)
+    _check_plate_power(l)
+    _check_count(count, math.prod(grids))
+    fourth = [_clamped_fourth_difference(n, hj) for n, hj in zip(grids, h)]
+    second = [_second_difference(n, hj) for n, hj in zip(grids, h)]
+    folds = [
+        {even: (*_fold(b4, even), _fold(b2, even)[1]) for even in (True, False)} for b4, b2 in zip(fourth, second)
+    ]
+    floor = sum(4.0 * math.sin(math.pi / (2 * (n + 1))) ** 2 / hj**2 for n, hj in zip(grids, h)) ** 2
+    values, worst = [], 0.0
+    for parity in itertools.product((True, False), repeat=len(grids)):
+        axes = [fold[even] for fold, even in zip(folds, parity)]
+        dim = math.prod(size for size, _, _ in axes)
+        vals, residual = _block_smallest(lambda dense: _plate_block(axes, dense), dim, min(count, dim), floor)
+        values.append(vals)
+        worst = max(worst, residual)
+    terms = len(grids) * (len(grids) + 1) // 2
+    norm = _plate_inf_norm(fourth, second)
+    _check_residuals(np.array([worst + (terms + 4) * np.finfo(float).eps * norm]), norm)
+    vals = np.sort(np.concatenate(values), kind="stable")[:count]
+    return SpectrumPrefix(vals, n=len(grids), l=2, problem=EUCLIDEAN), grids
 
 
 def _kohn_grid(sides, grids):
@@ -515,9 +709,8 @@ def kohn_block_spectrum(sides, grids, l: int, count: int) -> tuple[SpectrumPrefi
         if theta[p] == 0.0:
             vals, residual = _kohn_middle_block(xs, ys, hx, hy, need)
         else:
-            block = _kohn_block(xs, ys, hx, hy, theta[p], dense=_dense_route(dim, need))
-            found = dense_symmetric_eig(block) if need > dim // 4 else smallest_eigs(block, need)
-            vals, residual = found.eigenvalues[:need], float(found.residuals[:need].max())
+            build = lambda dense: _kohn_block(xs, ys, hx, hy, theta[p], dense=dense)  # noqa: E731
+            vals, residual = _block_smallest(build, dim, need)
         values.append(np.repeat(vals, 2) if pair else vals)
         block_residual = max(block_residual, residual)
     # (D_t v - i theta v)(j) = i^(j+1) ((tridiag(1, 0, 1) w)(j) / (2 ht) - theta w(j)) for v(j) = i^j w(j)
@@ -537,19 +730,20 @@ def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> Spectru
     dense spectrum; either way every eigenpair's residual is checked, and
     ConvergenceError is raised rather than an unchecked value returned.
 
-    For a Dirichlet Laplacian base this realizes Navier-type conditions, not
-    clamped ones.  ``fd_spectrum`` takes that spectrum from
-    ``laplacian_power_spectrum`` instead, in closed form, and labels it.
-    The clamped plate is already the l = 2 problem: it takes only l = 1 and
-    is labeled l = 2.
+    No command calls it: ``fd_spectrum`` writes the Laplacian's powers in
+    closed form, and takes the clamped plate from its parity blocks and the
+    Kohn Laplacian from its t-Fourier blocks.  It serves a demo, the tests
+    that check those routes against a built operator, and the benchmark's
+    tracer, which times it.  For a Dirichlet Laplacian base it realizes
+    Navier-type conditions, not clamped ones.  The clamped plate is already
+    the l = 2 problem: it takes only l = 1 and is labeled l = 2.
     """
     _check_power(l)
     if op.stencil == KOHN_STENCIL:
         raise InputError("the Kohn spectrum comes from kohn_block_spectrum, which labels it")
-    clamped = op.stencil == "clamped-plate"
-    if clamped and l != 1:
-        raise InputError("the clamped operator is already the l = 2 problem; "
-                         "powers apply to laplacian and kohn spectra")
+    clamped = op.stencil == CLAMPED_STENCIL
+    if clamped:
+        _check_plate_power(l)
     _check_count(count, op.dim)
     if count <= op.dim // 4:
         vals = smallest_eigs(op, count).eigenvalues
@@ -567,9 +761,10 @@ def fd_spectrum(problem: str, sides, grids, l: int, count: int) -> tuple[Spectru
     operator, and the labels of its spectrum: the grid sizes, the stencil
     and, for a power of the Laplacian, its Navier-type conditions.
 
-    The Laplacian comes in closed form and the Kohn Laplacian from its
-    t-Fourier blocks, so neither matrix is built; the clamped plate is built
-    and solved, and takes only l = 1 (it is the l = 2 problem).
+    The Laplacian comes in closed form, the clamped plate from its
+    reflection-parity blocks and the Kohn Laplacian from its t-Fourier
+    blocks, so no whole operator is built and no builder runs.  The clamped
+    plate takes only l = 1 (it is the l = 2 problem).
     """
     if problem == "laplacian":
         prefix, npoints = laplacian_power_spectrum(sides, grids, l, count)
@@ -578,9 +773,8 @@ def fd_spectrum(problem: str, sides, grids, l: int, count: int) -> tuple[Spectru
         prefix, npoints = kohn_block_spectrum(sides, grids, l, count)
         stencil = KOHN_STENCIL
     elif problem == "clamped":
-        op = fd_clamped_plate(sides, grids)
-        prefix = operator_power_spectrum(op, l, count)
-        npoints, stencil = op.npoints, op.stencil
+        prefix, npoints = clamped_block_spectrum(sides, grids, l, count)
+        stencil = CLAMPED_STENCIL
     else:
         raise InputError(f"unknown fd problem {problem!r} ({'|'.join(FD_PROBLEMS)})")
     labels = {"grid": ",".join(str(g) for g in npoints), "stencil": stencil}

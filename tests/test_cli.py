@@ -183,7 +183,7 @@ def test_spectrum_fd_unconverged_exit_2(monkeypatch, capsys):
         raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((A.shape[0], 0)))
 
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", fails)
-    # dimension 2116 and 5 pairs take the ARPACK route
+    # parity blocks of 529 points and 5 pairs take the ARPACK route
     argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1,1", "--grid", "46,46", "--count", "5"]
     code, out, err = run_cli(argv, capsys)
     assert code == 2
@@ -198,7 +198,7 @@ def test_spectrum_fd_inaccurate_dense_pairs_exit_2(monkeypatch, capsys):
         return w + 1e-6 * abs(w[-1]), V
 
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
-    # dimension 64 takes the dense route
+    # parity blocks of 16 points take the dense route
     argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1,1", "--grid", "8,8", "--count", "4"]
     code, out, err = run_cli(argv, capsys)
     assert code == 2
@@ -217,7 +217,7 @@ def test_spectrum_fd_full_spectrum_matches_stencil(capsys):
 
 def test_spectrum_fd_full_spectrum_inaccurate_pairs_exit_2(monkeypatch, capsys):
     perturb_eigh(monkeypatch)
-    # count 12 > dim/4: the whole spectrum of the dense route
+    # 6 values of each 6-point parity block: their whole dense spectra
     argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1", "--grid", "12", "--count", "12"]
     code, out, err = run_cli(argv, capsys)
     assert code == 2
@@ -350,18 +350,44 @@ def test_spectrum_fd_laplacian_refuses_a_perturbed_mode(monkeypatch, capsys):
 
 
 def test_spectrum_fd_refuses_ritz_basis_above_cap():
-    # ARPACK's (32761, 16001) Ritz array took 3.91 GiB
-    argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1,1", "--grid", "181,181", "--count", "8000"]
+    # ARPACK's (32761, 16001) Ritz array for the 181^2 plate took 3.91 GiB;
+    # its parity blocks (8100 to 8281 points) now meet the dense cap instead.
+    # The two 16384-point blocks of this beam each need 4096 pairs.
+    argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1", "--grid", "32768", "--count", "4096"]
     proc = run_cli_limited(argv, limit_mb=1024)
     assert_one_line_usage_error(
-        proc.returncode, proc.stdout, proc.stderr, "Ritz basis of 16001 x 32761 floats for 8000 eigenpairs"
+        proc.returncode, proc.stdout, proc.stderr, "Ritz basis of 8193 x 16384 floats for 4096 eigenpairs"
     )
+
+
+def test_spectrum_fd_clamped_beam_at_the_point_cap_under_1_gib():
+    # an n x n matrix of the 1-D stencil alone would take 8.6 GB; ARPACK's
+    # shift at -1e-6 ||A||_inf, far below the beam's smallest eigenvalue,
+    # left the whole 32768-point operator unfinished after 2 minutes
+    argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1", "--grid", "32768", "--count", "5"]
+    proc = run_cli_limited(argv, limit_mb=1024)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    values, meta = read_spectrum_csv(io.StringIO(proc.stdout))
+    assert len(values) == 5 and np.all(np.diff(values) > 0)
+    assert meta["grid"] == "32768" and meta["stencil"] == "clamped-plate"
+
+
+@pytest.mark.parametrize(
+    "dims, grid, count", [("1,1.3,0.8", "9,8,7", "100"), ("1,1.2", "46,47", "6")], ids=["dense-blocks", "arpack-blocks"]
+)
+def test_spectrum_fd_clamped_reruns_are_byte_identical(capsys, dims, grid, count):
+    argv = ["spectrum", "fd", "--problem", "clamped", "--dims", dims, "--grid", grid, "--count", count]
+    first = run_cli(argv, capsys)
+    assert first[0] == 0 and run_cli(argv, capsys) == first
 
 
 def test_spectrum_fd_out_of_memory_in_building_exit_2():
     # scipy.sparse ran out of memory building a 32^3 operator and died with a
     # traceback.  The child maps scipy's shared libraries first and then
-    # leaves itself 10 MB, so the cap bites in the builder, not in an import.
+    # leaves itself 10 MB, so the cap bites in building a block, not in an
+    # import.  The 32^3 blocks fit in 10 MB and then hung in ARPACK; the
+    # dense 4096-point blocks of a 128^2 plate (4000 of 4096 values each) do
+    # not.
     code = (
         "import resource, sys\n"
         "import scipy.sparse.linalg\n"
@@ -370,21 +396,41 @@ def test_spectrum_fd_out_of_memory_in_building_exit_2():
         "resource.setrlimit(resource.RLIMIT_AS, (size, size))\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
-    argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1,1,1", "--grid", "32,32,32", "--count", "5"]
+    argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1,1", "--grid", "128,128", "--count", "4000"]
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr[-500:]
     assert proc.stdout == "" and "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1] == "specgap: out of memory in building the clamped plate"
+    assert proc.stderr.splitlines()[-1] == "specgap: out of memory in the clamped plate's parity blocks"
 
 
 def test_spectrum_fd_out_of_memory_in_factorization_exit_2():
-    # the shift-invert factorization of a 32^3 clamped plate does not fit in
-    # 768 MB; SuperLU may print its own diagnostic before the specgap line
-    argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1,1,1", "--grid", "32,32,32", "--count", "5"]
-    proc = run_cli_limited(argv)
-    assert proc.returncode == 2, proc.stderr[-500:]
+    # the shift-invert factorization of the whole 32^3 clamped plate does not
+    # fit in 768 MB; SuperLU may print its own diagnostic before the line.
+    # The CLI solves the plate's blocks instead (next test).
+    code = (
+        "import resource, sys\n"
+        "from specgap.eigensolve import smallest_eigs\n"
+        "from specgap.errors import ConvergenceError\n"
+        "from specgap.operators import fd_clamped_plate\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (768 * 2**20, 768 * 2**20))\n"
+        "try:\n"
+        "    smallest_eigs(fd_clamped_plate((1.0, 1.0, 1.0), (32, 32, 32)), 5)\n"
+        "except ConvergenceError as exc:\n"
+        "    sys.exit(f'specgap: {exc}')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr[-500:]
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1] == "specgap: out of memory in ARPACK for 5 eigenpairs of dimension 32768"
+
+
+def test_spectrum_fd_clamped_32_cubed_fits_in_768_mb():
+    # eight parity blocks of 4096 points, each factored on its own
+    argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1,1,1", "--grid", "32,32,32", "--count", "5"]
+    proc = run_cli_limited(argv)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    values, meta = read_spectrum_csv(io.StringIO(proc.stdout))
+    assert len(values) == 5 and meta["grid"] == "32,32,32"
 
 
 def test_spectrum_fd_out_of_memory_in_the_kohn_blocks_exit_2(monkeypatch, capsys):
@@ -421,9 +467,10 @@ def test_spectrum_fd_out_of_memory_importing_the_sparse_solvers_exit_2(monkeypat
         return real_import(name, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "__import__", unmappable)
+    # the 46^2 plate's parity blocks of 529 points take ARPACK for 20 pairs
     argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1,1", "--grid", "46,46", "--count", "20"]
     code, out, err = run_cli(argv, capsys)
-    assert_one_line_usage_error(code, out, err, "out of memory in ARPACK for 20 eigenpairs of dimension 2116")
+    assert_one_line_usage_error(code, out, err, "out of memory in ARPACK for 20 eigenpairs of dimension 529")
 
 
 @pytest.mark.parametrize(

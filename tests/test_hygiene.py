@@ -7,8 +7,9 @@ that return no eigenpairs to a caller; no call of ARPACK (``eigsh``) or
 SuperLU (``splu``) outside ``eigensolve.py``; and no module-level import of
 scipy, which costs every command of the CLI its import time.  References from
 tests do not count: a helper that only a test calls is dead code.  Also run:
-``spectrum fd --problem laplacian``, and ``--problem kohn`` below the
-dense/ARPACK crossover, load no scipy module at all."""
+``spectrum fd --problem laplacian``, and ``--problem clamped`` and
+``--problem kohn`` below the dense/ARPACK crossover, load no scipy module at
+all."""
 
 import ast
 import subprocess
@@ -212,6 +213,11 @@ def _loaded_scipy_modules(tmp_path, argv) -> str:
 def test_laplacian_spectrum_loads_no_scipy_module(tmp_path):
     argv = ["spectrum", "fd", "--problem", "laplacian", "--dims", "1,1.5", "--grid", "20,30", "--power", "2",
             "--count", "50"]  # fmt: skip
+    assert _loaded_scipy_modules(tmp_path, argv) == "0 []\n"
+
+
+def test_clamped_spectrum_below_the_crossover_loads_no_scipy_module(tmp_path):
+    argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1,1", "--grid", "30,30", "--count", "20"]
     assert _loaded_scipy_modules(tmp_path, argv) == "0 []\n"
 
 

@@ -8,10 +8,11 @@ import pytest
 
 from specgap import operators
 from specgap.bounds import EUCLIDEAN, HEISENBERG
-from specgap.eigensolve import dense_symmetric_eig
+from specgap.eigensolve import RESIDUAL_REL_TOL, dense_symmetric_eig
 from specgap.errors import ConvergenceError, InputError
 from specgap.operators import (
     box_spectrum,
+    clamped_block_spectrum,
     fd_clamped_plate,
     fd_laplacian,
     kohn_block_spectrum,
@@ -163,6 +164,110 @@ def test_clamped_beam_smallest_eigenvalue_self_convergence():
 def test_clamped_needs_four_points():
     with pytest.raises(InputError):
         fd_clamped_plate([1.0], [3])
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9])
+@pytest.mark.parametrize("stencil", ["fourth", "second"])
+@pytest.mark.parametrize("even", [True, False], ids=["even", "odd"])
+def test_fold_is_the_parity_block_of_the_stencil(n, stencil, even):
+    make = operators._clamped_fourth_difference if stencil == "fourth" else operators._second_difference
+    bands = make(n, 0.3)
+    A = operators._banded(bands).toarray()
+    eye, m = np.eye(n), n // 2
+    basis = [(eye[j] + (1.0 if even else -1.0) * eye[n - 1 - j]) / math.sqrt(2.0) for j in range(m)]
+    if even and n % 2:
+        basis.append(eye[m])
+    Q = np.array(basis).T
+    size, (rows, cols, values) = operators._fold(bands, even)
+    assert size == Q.shape[1] and len(set(zip(rows, cols))) == rows.size
+    block = np.zeros((size, size))
+    block[rows, cols] = values
+    assert np.array_equal(block, block.T)
+    np.testing.assert_allclose(block, Q.T @ A @ Q, rtol=0, atol=4 * np.finfo(float).eps * abs(A).max())
+
+
+CLAMPED_BLOCK_CASES = [
+    ((1.0,), (4,), 4),  # the whole spectrum of the smallest grid
+    ((1.3,), (9,), 9),  # the middle point of an odd axis joins the even block
+    ((1.0,), (40,), 8),  # below a quarter of each block
+    ((1.0, 1.0), (6, 6), 36),
+    ((1.0, 1.4), (7, 6), 30),
+    ((1.0, 1.0), (9, 11), 60),
+    ((1.0, 1.0), (30, 30), 20),  # the benchmark's command: four dense blocks of 225
+    ((1.0, 1.2, 0.9), (4, 5, 6), 120),
+    ((1.0, 1.0, 1.0), (7, 7, 7), 40),
+]
+
+
+@pytest.mark.parametrize(
+    "sides, grids, count", CLAMPED_BLOCK_CASES, ids=["x".join(map(str, c[1])) + f"-{c[2]}" for c in CLAMPED_BLOCK_CASES]
+)
+def test_clamped_blocks_match_the_whole_operator(sides, grids, count):
+    matrix = fd_clamped_plate(sides, grids).matrix.toarray()
+    reference = np.linalg.eigvalsh(matrix)[:count]
+    prefix, npoints = clamped_block_spectrum(sides, grids, 1, count)
+    assert npoints == grids and (prefix.n, prefix.l, prefix.problem) == (len(grids), 2, EUCLIDEAN)
+    assert np.all(np.abs(prefix.values - reference) <= 1e-13 * abs(matrix).sum(axis=1).max())
+
+
+def _plate_stencils(sides, grids):
+    sides, grids, h = operators._validate_grid(sides, grids, min_pts=4, order=4)
+    fourth = [operators._clamped_fourth_difference(n, hj) for n, hj in zip(grids, h)]
+    return fourth, [operators._second_difference(n, hj) for n, hj in zip(grids, h)]
+
+
+def test_plate_inf_norm_is_the_operators():
+    for sides, grids in (((1.0,), (9,)), ((1.0, 1.4), (7, 6)), ((1.0, 1.2, 0.9), (4, 5, 6)), ((2.0, 1.0), (4, 4))):
+        norm = abs(fd_clamped_plate(sides, grids).matrix).sum(axis=1).max()
+        assert abs(operators._plate_inf_norm(*_plate_stencils(sides, grids)) - norm) <= 1e-13 * norm
+
+
+def test_clamped_blocks_take_each_route_with_a_floor_below_the_spectrum(monkeypatch):
+    """Blocks below the dense/ARPACK crossover are built dense, blocks above
+    it sparse; ARPACK's floor lies below the spectrum, and both routes agree
+    with the whole operator."""
+    built, floors = [], []
+    real_block, real_smallest = operators._plate_block, operators.smallest_eigs
+    monkeypatch.setattr(operators, "_plate_block", lambda axes, dense: built.append(dense) or real_block(axes, dense))
+    monkeypatch.setattr(
+        operators, "smallest_eigs", lambda block, m, floor: floors.append(floor) or real_smallest(block, m, floor=floor)
+    )
+    sides, grids = (1.0, 1.2), (46, 46)  # four blocks of 529, above DENSE_FALLBACK_DIM
+    matrix = fd_clamped_plate(sides, grids).matrix.toarray()
+    reference, scale = np.linalg.eigvalsh(matrix), abs(matrix).sum(axis=1).max()
+    arpack = clamped_block_spectrum(sides, grids, 1, 5)[0].values
+    dense = clamped_block_spectrum(sides, grids, 1, 600)[0].values  # above a quarter of each block
+    assert built == [False] * 4 + [True] * 4
+    assert len(floors) == 4 and 0.0 < floors[0] <= reference[0] and len(set(floors)) == 1
+    assert np.all(np.abs(arpack - reference[:5]) <= 1e-13 * scale)
+    assert np.all(np.abs(dense - reference[:600]) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("margin, refused", [(0.5, True), (2.0, False)])
+def test_clamped_blocks_add_the_fold_rounding_to_the_residual(monkeypatch, margin, refused):
+    # a block residual within the contract by less than the fold's rounding
+    # bound (T + 4) eps ||A||_inf, T = 3 terms on a plate, is refused
+    sides, grids = (1.0, 1.0), (8, 8)
+    norm = abs(fd_clamped_plate(sides, grids).matrix).sum(axis=1).max()
+    residual = RESIDUAL_REL_TOL * norm - margin * 7 * np.finfo(float).eps * norm
+    real = operators._block_smallest
+    monkeypatch.setattr(operators, "_block_smallest", lambda *args: (real(*args)[0], residual))
+    if refused:
+        with pytest.raises(ConvergenceError, match="eigenpair residual"):
+            clamped_block_spectrum(sides, grids, 1, 10)
+    else:
+        assert len(clamped_block_spectrum(sides, grids, 1, 10)[0].values) == 10
+
+
+def test_clamped_blocks_check_powers_counts_and_grids():
+    with pytest.raises(InputError, match="already the l = 2 problem"):
+        clamped_block_spectrum((1.0, 1.0), (6, 6), 2, 3)
+    with pytest.raises(InputError, match="l must be a positive integer"):
+        clamped_block_spectrum((1.0, 1.0), (6, 6), 0, 3)
+    with pytest.raises(InputError, match="count must satisfy 1 <= count <= 36"):
+        clamped_block_spectrum((1.0, 1.0), (6, 6), 1, 37)
+    with pytest.raises(InputError, match="at least 4 interior points"):
+        clamped_block_spectrum((1.0, 1.0), (3, 6), 1, 3)
 
 
 # ---------------------------------------------------------------------------
