@@ -141,11 +141,6 @@ class SpectrumPrefix:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def head(self, k: int) -> np.ndarray:
-        if not 1 <= k <= len(self):
-            raise InputError(f"k must satisfy 1 <= k <= {len(self)}, got {k}")
-        return self.values[:k]
-
 
 @dataclass
 class BoundResult:
@@ -695,7 +690,8 @@ def compute_bound(name: str, prefix: SpectrumPrefix, k: Optional[int] = None) ->
             "(evaluate its margin via verify_margins)"
         )
     k = len(prefix) if k is None else int(k)
-    prefix.head(k)
+    if not 1 <= k <= len(prefix):
+        raise InputError(f"k must satisfy 1 <= k <= {len(prefix)}, got {k}")
     caps = None
     if desc.cap_names:  # one compute_bound call per cap entry
         caps = np.array([2.0 * max(compute_bound(c, prefix, k).value for c in desc.cap_names)])
@@ -816,8 +812,7 @@ def check_general_poly(prefix: SpectrumPrefix, couple) -> float:
 
     at z = couple.lam, for an admissible couple.
     """
-    k = len(prefix)
-    lam = prefix.head(k)
+    lam = prefix.values
     n, l = prefix.n, prefix.l
     z = couple.lam
     if not z > float(lam[-1]):

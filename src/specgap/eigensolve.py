@@ -6,11 +6,13 @@ operator, scipy's ARPACK (an implicitly restarted Lanczos method) in
 shift-invert mode.  ``smallest_eigs`` takes ARPACK for m of the dim
 eigenpairs when dim >= DENSE_FALLBACK_DIM and m <= dim / ARPACK_DIM_PER_PAIR,
 or when dim exceeds DENSE_DIM_CAP; the dense route otherwise
-(``_dense_route``, which the clamped plate's parity blocks and the Kohn
-t-Fourier blocks of ``operators`` also read to build a block dense or
-sparse).  Both limits come from a measured
-sweep of the two routes (README, "Eigensolver").  The dense route is the
-reference the test suite checks the ARPACK route against.
+(``_dense_route``).  Both limits come from a measured sweep of the two
+routes (README, "Eigensolver").  ``_dense_route`` alone picks the build and
+the solver of each block of ``operators`` (a clamped parity block or a Kohn
+t-Fourier block): a numpy array for ``dense_symmetric_eig`` on the dense
+route, a sparse matrix for ``smallest_eigs`` otherwise; a whole built
+operator, sparse either way, is sent to the same solvers.  The dense route
+is the reference the test suite checks the ARPACK route against.
 
 Each route checks the eigenpairs it computes: it raises ConvergenceError
 unless every residual ||A v - w v|| is within RESIDUAL_REL_TOL * ||A||_inf, so
@@ -263,7 +265,9 @@ def _lanczos_smallest(A, m: int, floor: float = 0.0) -> EigResult:
 def _dense_route(dim: int, m: int) -> bool:
     """Whether the m smallest of dim eigenpairs take the dense route: the
     measured crossover of ``smallest_eigs``, which also holds every m above
-    dim/4 up to DENSE_DIM_CAP."""
+    dim/4 up to DENSE_DIM_CAP.  It alone picks an ``operators`` block's build
+    and solver: a dense array for ``dense_symmetric_eig`` when True, a sparse
+    matrix for ``smallest_eigs`` (which refuses m above dim/4) when False."""
     return dim <= DENSE_DIM_CAP and (dim < DENSE_FALLBACK_DIM or m * ARPACK_DIM_PER_PAIR > dim)
 
 

@@ -35,22 +35,23 @@ The 1-D stencils of ``fd_clamped_plate`` (fourth difference, second
 difference, identity) are symmetric and persymmetric, so the plate commutes
 with the reversal of each axis, and ``clamped_block_spectrum`` writes its
 spectrum from the 2^d blocks of its even and odd vectors, each the Kronecker
-sum of stencils folded to half an axis from their diagonals.  A block takes
-the eigensolvers' route for its size, built dense below the dense/ARPACK
-crossover (a 30 x 30 plate is four dense blocks of 225 points), with the
-lower bound (sum of the axes' smallest sine modes)^2 of its spectrum for
-ARPACK's shift.  The block residuals plus a bound on the fold's rounding
-are checked against ||A||_inf.  The whole operator is not built.
+sum of stencils folded to half an axis from their diagonals.
+``_dense_route`` alone picks each block's build and solver: a dense array
+for ``dense_symmetric_eig`` on the dense route (a 30 x 30 plate is four
+dense blocks of 225 points), a sparse matrix for ``smallest_eigs``
+otherwise, with the lower bound (sum of the axes' smallest sine modes)^2 of
+its spectrum for ARPACK's shift.  The block residuals plus a bound on the
+fold's rounding are checked against ||A||_inf; no whole operator is built.
 
 The t derivative of ``kohn_fd`` acts on t alone and its central difference
 has closed-form eigenvectors, so ``kohn_block_spectrum`` writes the Kohn
 spectrum from Nt exact blocks of size Nx Ny, half of them solved (a block
-at -theta has the spectrum of the one at theta).  Each block takes the
-eigensolvers' route for its size, built dense below the dense/ARPACK
-crossover; the theta = 0 block of an odd Nt is a sum of squared sine modes,
-written in closed form.  The residuals of the blocks and of the t-modes
-bound the residual of the 3-D pairs, checked against ||L||_inf.  The 3-D
-operator is not built.
+at -theta has the spectrum of the one at theta).  Each block is built and
+solved as a clamped one is; the theta = 0 block of an odd Nt is a sum of
+squared sine modes, written in closed form with the Laplacian's sine-mode
+certificate.  The residuals of the blocks and of the t-modes bound the
+residual of the 3-D pairs, checked against ||L||_inf.  The 3-D operator is
+not built.
 
 The builders import scipy.sparse when they run, not when this module is
 imported: ``bound``, ``verify``, the Laplacian's closed form and the
@@ -276,6 +277,17 @@ def _sine_mode_residual(n: int, modes: np.ndarray, used: np.ndarray) -> float:
     return worst
 
 
+def _sine_sums(axes, count: int):
+    """The ``count`` smallest sums of one value per axis (``_smallest_sums``)
+    and the residual bound of their sine-mode eigenvectors.  Each axis is
+    (values, modes, h): values[q] belongs to the q-th sine vector, the
+    eigenvector of tridiag(-1, 2, -1) for modes[q], and the axis adds its
+    largest sine residual over the modes the sums use, divided by h^2."""
+    vals, used = _smallest_sums([v for v, _, _ in axes], count)
+    residual = sum(_sine_mode_residual(m.size, m, np.unique(q)) / h**2 for (_, m, h), q in zip(axes, used))
+    return vals, residual
+
+
 def laplacian_power_spectrum(sides, grids, l: int, count: int) -> tuple[SpectrumPrefix, tuple]:
     """First ``count`` eigenvalues of fd_laplacian(sides, grids)^l in closed
     form, as (SpectrumPrefix, grid sizes with one per side).
@@ -293,10 +305,7 @@ def laplacian_power_spectrum(sides, grids, l: int, count: int) -> tuple[Spectrum
     sides, grids, h = _validate_grid(sides, grids, min_pts=2)
     _check_count(count, math.prod(grids))
     modes = [_sine_modes(n) for n in grids]
-    vals, used = _smallest_sums([m / hj**2 for m, hj in zip(modes, h)], count)
-    residual = sum(
-        _sine_mode_residual(n, m, np.unique(q)) / hj**2 for n, m, q, hj in zip(grids, modes, used, h)
-    )
+    vals, residual = _sine_sums([(m / hj**2, m, hj) for m, hj in zip(modes, h)], count)
     # ||A||_inf: the rows of tridiag(-1, 2, -1) sum to 4 in absolute value, 3 at n = 2
     _check_residuals(np.array([residual]), sum((2.0 + min(n - 1, 2)) / hj**2 for n, hj in zip(grids, h)))
     return SpectrumPrefix(_raise_to(vals, l), n=len(grids), l=int(l), problem=EUCLIDEAN), grids
@@ -391,14 +400,32 @@ def fd_clamped_plate(sides, grids) -> DiscreteOperator:
 
 def _block_smallest(build, dim: int, need: int, floor: float = 0.0):
     """The ``need`` smallest eigenvalues of a symmetric block of size ``dim``
-    and their largest residual, through the eigensolvers: in full from
-    ``dense_symmetric_eig`` above a quarter of the block, from
-    ``smallest_eigs`` otherwise (with the block's proven spectral ``floor``).
-    ``build(dense)`` makes the block, as a numpy array below the dense/ARPACK
-    crossover and as a scipy sparse matrix above it."""
-    block = build(_dense_route(dim, need))
-    found = dense_symmetric_eig(block) if need > dim // 4 else smallest_eigs(block, need, floor=floor)
+    and their largest residual.  ``_dense_route(dim, need)`` alone picks the
+    block's build and solver: on the dense route ``build(True)`` makes it a
+    numpy array for ``dense_symmetric_eig``, otherwise ``build(False)`` a
+    scipy sparse matrix for ``smallest_eigs`` (with the block's proven
+    spectral ``floor``), which refuses more than a quarter of the block."""
+    dense = _dense_route(dim, need)
+    block = build(dense)
+    found = dense_symmetric_eig(block) if dense else smallest_eigs(block, need, floor=floor)
     return found.eigenvalues[:need], float(found.residuals[:need].max())
+
+
+def _merge_blocks(blocks, count: int):
+    """The ``count`` smallest values of (values, residual) blocks by one stable
+    sort, and the largest residual."""
+    values, residuals = zip(*blocks)
+    return np.sort(np.concatenate(values), kind="stable")[:count], max(residuals)
+
+
+def _assemble(rows, cols, values, dim: int, dense: bool):
+    """The dim x dim matrix with ``values`` at (rows, cols), repeated places
+    summed, as a dense array or a scipy CSR matrix."""
+    if dense:
+        return np.bincount(rows * dim + cols, weights=values, minlength=dim * dim).reshape(dim, dim)
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((values, (rows, cols)), shape=(dim, dim))
 
 
 def _fold(bands, even: bool):
@@ -458,12 +485,7 @@ def _plate_block(axes, dense: bool):
                 [(size, f2 if b in (a, a2) else None) for b, (size, _, f2) in enumerate(axes)]
             )
             terms.append((rows, cols, 2.0 * values))
-    rows, cols, values = (np.concatenate(v) for v in zip(*terms))
-    if dense:
-        return np.bincount(rows * dim + cols, weights=values, minlength=dim * dim).reshape(dim, dim)
-    import scipy.sparse as sp
-
-    return sp.csr_matrix((values, (rows, cols)), shape=(dim, dim))
+    return _assemble(*(np.concatenate(v) for v in zip(*terms)), dim, dense)
 
 
 def _row_abs_sums(bands) -> np.ndarray:
@@ -507,9 +529,10 @@ def clamped_block_spectrum(sides, grids, l: int, count: int) -> tuple[SpectrumPr
     and persymmetric, so A commutes with the reversal of every axis: it is
     the direct sum of 2^d blocks, one per parity pattern, each the same
     Kronecker sum of the axes' folded stencils (``_fold``).  Each block
-    gives its smallest min(count, size) values through ``_block_smallest``,
-    and one stable sort merges them.  Every block is enumerated and each
-    route certifies its values complete, so no eigenvalue is skipped.
+    gives its smallest min(count, size) values through ``_block_smallest``
+    (``_dense_route`` alone picks its build and solver), and
+    ``_merge_blocks`` merges them.  Every block is enumerated and each route
+    certifies its values complete, so no eigenvalue is skipped.
 
     A = L^2 + C with L = sum_a D2_a, the FD Laplacian, and C >= 0 (twice
     1 / h^4 at the two end points of each axis), and L maps each parity
@@ -537,17 +560,15 @@ def clamped_block_spectrum(sides, grids, l: int, count: int) -> tuple[SpectrumPr
         {even: (*_fold(b4, even), _fold(b2, even)[1]) for even in (True, False)} for b4, b2 in zip(fourth, second)
     ]
     floor = sum(4.0 * math.sin(math.pi / (2 * (n + 1))) ** 2 / hj**2 for n, hj in zip(grids, h)) ** 2
-    values, worst = [], 0.0
+    blocks = []
     for parity in itertools.product((True, False), repeat=len(grids)):
         axes = [fold[even] for fold, even in zip(folds, parity)]
         dim = math.prod(size for size, _, _ in axes)
-        vals, residual = _block_smallest(lambda dense: _plate_block(axes, dense), dim, min(count, dim), floor)
-        values.append(vals)
-        worst = max(worst, residual)
+        blocks.append(_block_smallest(lambda dense: _plate_block(axes, dense), dim, min(count, dim), floor))
+    vals, worst = _merge_blocks(blocks, count)
     terms = len(grids) * (len(grids) + 1) // 2
     norm = _plate_inf_norm(fourth, second)
     _check_residuals(np.array([worst + (terms + 4) * np.finfo(float).eps * norm]), norm)
-    vals = np.sort(np.concatenate(values), kind="stable")[:count]
     return SpectrumPrefix(vals, n=len(grids), l=2, problem=EUCLIDEAN), grids
 
 
@@ -621,32 +642,7 @@ def _kohn_block(xs, ys, hx: float, hy: float, theta: float, dense: bool):
         put(0, 2 * s, 1 / (4 * hy**2))
         put(s, 0, theta * ys[b] / (2 * hx))
         put(0, s, -theta * xs[a] / (2 * hy))
-    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
-    if dense:
-        block = np.zeros((nx * ny, nx * ny))
-        block[rows, cols] = vals
-        return block
-    import scipy.sparse as sp
-
-    return sp.csr_matrix((vals, (rows, cols)), shape=(nx * ny, nx * ny))
-
-
-def _kohn_middle_block(xs, ys, hx: float, hy: float, need: int):
-    """The ``need`` smallest eigenvalues of A_0 = Tx^2 (x) I + I (x) Ty^2 in
-    closed form, and a bound on their residuals.
-
-    T = tridiag(1, 0, 1) / (2 h) has the sine modes of the second difference,
-    with eigenvalues c_p = cos(p pi / (n + 1)) / h, so A_0 has the values
-    c_{x,p}^2 + c_{y,q}^2.  (T^2 - c^2) u = (T + c)(T - c) u with
-    ||T|| + |c| <= 2 / h and (T - c) u = -(tridiag(-1, 2, -1) - (2 - 2 h c)) u
-    / (2 h), so each axis adds at most its sine residual / h^2.
-    """
-    cos = [np.cos(np.arange(1, g.size + 1) * (np.pi / (g.size + 1))) for g in (xs, ys)]
-    vals, used = _smallest_sums([(c / h) ** 2 for c, h in zip(cos, (hx, hy))], need)
-    residual = sum(
-        _sine_mode_residual(c.size, 2.0 - 2.0 * c, np.unique(q)) / h**2 for c, q, h in zip(cos, used, (hx, hy))
-    )
-    return vals, residual
+    return _assemble(*(np.concatenate(v) for v in (rows, cols, vals)), nx * ny, dense)
 
 
 def _kohn_inf_norm(xs, ys, nt: int, h) -> float:
@@ -685,12 +681,11 @@ def kohn_block_spectrum(sides, grids, l: int, count: int) -> tuple[SpectrumPrefi
     first ceil(Nt/2) blocks are solved, and each value of a pair counts twice.
 
     Each block gives its smallest min(count, Nx Ny) values (ceil(count/2) for
-    a pair) through the eigensolvers: in full from ``dense_symmetric_eig``
-    above a quarter of the block, from ``smallest_eigs`` otherwise, built
-    dense below the dense/ARPACK crossover and sparse above it.  The theta = 0
-    block of an odd Nt is written in closed form (``_kohn_middle_block``).
-    Every block is enumerated and each route certifies its values complete,
-    so no eigenvalue is skipped.  The certificate: with D_t v = i theta v + e,
+    a pair) through ``_block_smallest`` (``_dense_route`` alone picks its
+    build and solver), and ``_merge_blocks`` merges them; the theta = 0 block
+    of an odd Nt is written in closed form (``_sine_sums``).  Every block is
+    enumerated and each route certifies its values complete, so no
+    eigenvalue is skipped.  The certificate: with D_t v = i theta v + e,
     ||L (u (x) v) - lambda u (x) v|| <= ||A_theta w - lambda w|| + ||e|| K
     with K = ymax / hx + xmax / hy + (xmax^2 + ymax^2) / (2 ht) (the norms of
     the D_t and D_t^2 coefficients of L times |theta| + ||D_t|| <= 2 / ht);
@@ -702,23 +697,28 @@ def kohn_block_spectrum(sides, grids, l: int, count: int) -> tuple[SpectrumPrefi
     nt, dim = grids[2], grids[0] * grids[1]
     _check_count(count, dim * nt)
     theta = _kohn_t_modes(nt, ht)
-    values, block_residual = [], 0.0
+    blocks = []
     for p in range((nt + 1) // 2):
         pair = 2 * p + 1 < nt  # block nt - 1 - p, at -theta_p, has the same spectrum
         need = min(dim, -(-count // 2) if pair else count)
         if theta[p] == 0.0:
-            vals, residual = _kohn_middle_block(xs, ys, hx, hy, need)
+            # A_0 = Tx^2 (x) I + I (x) Ty^2, and T = tridiag(1, 0, 1) / (2 h) has the
+            # second difference's sine vectors, with eigenvalues c_p = cos(p pi / (n + 1)) / h.
+            # (T^2 - c^2) u = (T + c)(T - c) u with ||T|| + |c| <= 2 / h and
+            # (T - c) u = -(tridiag(-1, 2, -1) - (2 - 2 h c)) u / (2 h), so each
+            # axis adds at most its sine residual / h^2
+            cos = [np.cos(np.arange(1, g.size + 1) * (np.pi / (g.size + 1))) for g in (xs, ys)]
+            vals, residual = _sine_sums([((c / h) ** 2, 2.0 - 2.0 * c, h) for c, h in zip(cos, (hx, hy))], need)
         else:
             build = lambda dense: _kohn_block(xs, ys, hx, hy, theta[p], dense=dense)  # noqa: E731
             vals, residual = _block_smallest(build, dim, need)
-        values.append(np.repeat(vals, 2) if pair else vals)
-        block_residual = max(block_residual, residual)
+        blocks.append((np.repeat(vals, 2) if pair else vals, residual))
+    vals, block_residual = _merge_blocks(blocks, count)
     # (D_t v - i theta v)(j) = i^(j+1) ((tridiag(1, 0, 1) w)(j) / (2 ht) - theta w(j)) for v(j) = i^j w(j)
     mode_residual = _sine_mode_residual(nt, 2.0 - 2.0 * ht * theta, np.arange(nt)) / (2 * ht)
     xmax, ymax = float(np.abs(xs).max()), float(np.abs(ys).max())
     spread = ymax / hx + xmax / hy + (xmax**2 + ymax**2) / (2 * ht)
     _check_residuals(np.array([block_residual + mode_residual * spread]), _kohn_inf_norm(xs, ys, nt, (hx, hy, ht)))
-    vals = np.sort(np.concatenate(values), kind="stable")[:count]
     return SpectrumPrefix(_raise_to(vals, l), n=1, l=int(l), problem=HEISENBERG), grids
 
 
@@ -726,9 +726,10 @@ def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> Spectru
     """First ``count`` eigenvalues of op^l: eigenvalues of op are computed
     once and raised to the l-th power (the matrix power shares eigenvectors).
 
-    Up to dim/4 eigenvalues come from ``smallest_eigs``, more from the full
-    dense spectrum; either way every eigenpair's residual is checked, and
-    ConvergenceError is raised rather than an unchecked value returned.
+    The operator is solved as one ``_block_smallest`` block, whose solver
+    ``_dense_route`` alone picks; either way every eigenpair's residual is
+    checked, and ConvergenceError is raised rather than an unchecked value
+    returned.
 
     No command calls it: ``fd_spectrum`` writes the Laplacian's powers in
     closed form, and takes the clamped plate from its parity blocks and the
@@ -745,11 +746,7 @@ def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> Spectru
     if clamped:
         _check_plate_power(l)
     _check_count(count, op.dim)
-    if count <= op.dim // 4:
-        vals = smallest_eigs(op, count).eigenvalues
-    else:
-        vals = dense_symmetric_eig(op.matrix).eigenvalues[:count]
-    vals = _raise_to(np.sort(vals), l)
+    vals = _raise_to(_block_smallest(lambda dense: op.matrix, op.dim, count)[0], l)
     return SpectrumPrefix(vals, n=len(op.npoints), l=2 if clamped else int(l), problem=EUCLIDEAN)
 
 

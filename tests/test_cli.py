@@ -360,6 +360,13 @@ def test_spectrum_fd_refuses_ritz_basis_above_cap():
     )
 
 
+def test_spectrum_fd_refuses_more_than_a_quarter_of_a_block_above_the_dense_cap(capsys):
+    # the 8281-point even block of the 181^2 plate, above DENSE_DIM_CAP, is
+    # built sparse and refused by smallest_eigs before any eigensolver runs
+    argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1,1", "--grid", "181,181", "--count", "8000"]
+    assert_one_line_usage_error(*run_cli(argv, capsys), "need 1 <= m <= dim/4 = 2070, got m = 8000")
+
+
 def test_spectrum_fd_clamped_beam_at_the_point_cap_under_1_gib():
     # an n x n matrix of the 1-D stencil alone would take 8.6 GB; ARPACK's
     # shift at -1e-6 ||A||_inf, far below the beam's smallest eigenvalue,

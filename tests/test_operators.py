@@ -496,6 +496,33 @@ def test_kohn_blocks_take_each_route(monkeypatch):
     assert np.all(np.abs(dense - reference[:200]) <= 1e-12 * reference[:200])
 
 
+@pytest.mark.parametrize(
+    "problem, sides, grids, count, blocks",
+    [
+        ("kohn", (1.0, 1.0, 1.0), (24, 22, 4), 20, 2),  # ARPACK on two blocks of 528
+        ("kohn", (1.0, 1.0, 1.0), (24, 22, 4), 200, 2),  # 100 of 528: dense, below a quarter
+        ("clamped", (1.0, 1.2), (46, 46), 5, 4),  # ARPACK on four blocks of 529
+        ("clamped", (1.0, 1.2), (46, 46), 100, 4),  # 100 of 529: dense, below a quarter
+    ],
+)
+def test_each_block_reaches_the_solver_of_its_build(monkeypatch, problem, sides, grids, count, blocks):
+    """One route decision per block: a block built dense is solved by
+    dense_symmetric_eig, a block built sparse by smallest_eigs."""
+    reached = []
+    real_dense, real_smallest = operators.dense_symmetric_eig, operators.smallest_eigs
+    monkeypatch.setattr(
+        operators, "dense_symmetric_eig", lambda block: reached.append((block, "dense")) or real_dense(block)
+    )
+    monkeypatch.setattr(
+        operators,
+        "smallest_eigs",
+        lambda block, m, floor: reached.append((block, "sparse")) or real_smallest(block, m, floor=floor),
+    )
+    operators.fd_spectrum(problem, sides, grids, 1, count)
+    assert len(reached) == blocks
+    assert all(isinstance(block, np.ndarray) == (solver == "dense") for block, solver in reached)
+
+
 @pytest.mark.parametrize("mutation", ["wrong-theta", "one-mode"])
 def test_kohn_blocks_refuse_a_wrong_t_mode(monkeypatch, mutation):
     real_modes = operators._kohn_t_modes
