@@ -10,15 +10,8 @@ Laplacian bounds.
 
 import numpy as np
 
-from specgap import (
-    REGISTRY,
-    SpectrumPrefix,
-    box_spectrum,
-    chain_compare,
-    compute_bound,
-    registry_names,
-    verify_margins,
-)
+from specgap.bounds import REGISTRY, chain_compare, compute_bound, registry_names, verify_margins
+from specgap.operators import SpectrumPrefix, box_spectrum
 
 full = box_spectrum([1.0, 1.0], 16)
 print("unit square spectrum / pi^2:", np.round(full.values / np.pi**2, 6))

@@ -3,25 +3,29 @@
 A couple of positive functions on (0, lambda) is admissible when every pair
 of points satisfies the quadratic-form condition checked below.  Four power
 families are admissible for suitable parameters; anything else has to be
-certified sample by sample, and generic couples fail.
+certified sample by sample, and generic couples fail.  Each certified couple
+then feeds the paper's polyharmonic couple inequality on a box spectrum.
 """
 
 import numpy as np
 
-from specgap import FunctionCouple, check_membership, check_necessary_differentiable
-from specgap.couples import certify_on_samples
+from specgap.bounds import check_general_poly
+from specgap.couples import FunctionCouple, certify_on_samples, check_membership, check_necessary_differentiable
+from specgap.operators import SpectrumPrefix, box_spectrum
+
+CERTIFIED = [
+    ("const-power", (1.5,)),
+    ("linear-power", (0.5,)),
+    ("equal-power", (2.0,)),
+    ("neg-power", (-1.0, 1.0)),
+]
 
 rng = np.random.default_rng(7)
 lam = 10.0
 samples = lam * rng.uniform(0.01, 0.99, size=24)
 
 print("certified families on", len(samples), "random samples in (0, 10):")
-for family, params in [
-    ("const-power", (1.5,)),
-    ("linear-power", (0.5,)),
-    ("equal-power", (2.0,)),
-    ("neg-power", (-1.0, 1.0)),
-]:
+for family, params in CERTIFIED:
     couple = FunctionCouple(family, lam, params)
     rep = check_membership(couple, samples)
     screen = check_necessary_differentiable(couple, samples)
@@ -52,3 +56,14 @@ print()
 # membership needs two distinct points; a single sample certifies vacuously
 single = certify_on_samples(inside, [4.0])
 print("single-sample certificate (vacuous):", single.passed, "pairs checked:", single.n_checked)
+
+# the paper's polyharmonic couple inequality on the first 11 Dirichlet
+# eigenvalues of the unit square, each couple bound at z = lambda_12
+# (20 pi^2, above lambda_11 = 18 pi^2); a negative margin would refute it
+box = box_spectrum([1.0, 1.0], 12)
+prefix, z = SpectrumPrefix(box.values[:11], n=2), float(box.values[11])
+print()
+print("polyharmonic couple inequality on the unit square, k = 11, z = lambda_12:")
+for family, params in CERTIFIED:
+    couple = FunctionCouple(family, z, params)
+    print(f"  {couple.describe():24s} margin RHS - LHS {check_general_poly(prefix, couple):+.3e}")

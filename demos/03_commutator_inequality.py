@@ -8,15 +8,15 @@ instance where both sides meet is 2 x 2.
 
 import numpy as np
 
-from specgap import (
-    FunctionCouple,
+from specgap.abstract import (
     OperatorTriple,
+    admissible_ks,
     moment_inequality_check,
     random_instance,
     verify_corollary,
     verify_theorem,
 )
-from specgap.abstract import admissible_ks
+from specgap.couples import FunctionCouple
 
 # --- the 2 x 2 equality instance -------------------------------------------
 A = np.diag([1.0, 2.0]).astype(complex)

@@ -9,9 +9,8 @@ family.
 
 import numpy as np
 
-from specgap import box_spectrum, fd_clamped_plate, fd_laplacian
 from specgap.eigensolve import dense_symmetric_eig, smallest_eigs
-from specgap.operators import operator_power_spectrum
+from specgap.operators import box_spectrum, fd_clamped_plate, fd_laplacian, operator_power_spectrum
 
 # --- 1D: closed-form stencil spectrum ---------------------------------------
 N = 50

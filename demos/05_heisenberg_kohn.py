@@ -10,8 +10,8 @@ l = 1 Kohn problem.
 
 import numpy as np
 
-from specgap import SpectrumPrefix, compute_bound, kohn_fd
-from specgap.bounds import HEISENBERG
+from specgap.bounds import compute_bound
+from specgap.operators import HEISENBERG, SpectrumPrefix, kohn_fd
 from specgap.eigensolve import smallest_eigs
 
 op = kohn_fd(1, (1.0, 1.0, 1.0), (12, 12, 12))

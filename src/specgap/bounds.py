@@ -89,12 +89,8 @@ import numpy as np
 
 from . import couples as _couples
 from .errors import InputError
+from .operators import EUCLIDEAN, HEISENBERG, MAX_PREFIX_LEN, SpectrumPrefix
 
-EUCLIDEAN = "euclidean-polyharmonic"
-HEISENBERG = "heisenberg-kohn"
-PROBLEMS = (EUCLIDEAN, HEISENBERG)
-
-MAX_PREFIX_LEN = 10**5
 ROOT_TOL = 1e-12
 MAX_CAP_DOUBLINGS = 60
 MAX_NEWTON = 100
@@ -102,44 +98,6 @@ NEWTON_TOL = 1e-14  # a Newton step below NEWTON_TOL * z ends the iteration
 LOWER_END_REL = 1e-9  # largest-root forms look at z >= lambda_k (1 + LOWER_END_REL)
 CHUNK_FLOATS = 2**20  # entries of the largest (prefix lengths x eigenvalues) block
 CHUNK_ROWS = 64  # prefix lengths per block, so that short prefixes pad little
-
-
-@dataclass(frozen=True)
-class SpectrumPrefix:
-    """An ordered positive eigenvalue prefix with problem metadata.
-
-    ``n`` is the space dimension for Euclidean problems and the Heisenberg
-    parameter for Kohn problems; ``l`` is the operator power.
-    """
-
-    values: np.ndarray
-    n: int
-    l: int = 1
-    problem: str = EUCLIDEAN
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).ravel().copy()
-        if vals.size == 0:
-            raise InputError("eigenvalue prefix is empty")
-        if vals.size > MAX_PREFIX_LEN:
-            raise InputError(f"prefix longer than {MAX_PREFIX_LEN} entries")
-        if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
-            raise InputError("eigenvalues must be finite and strictly positive")
-        if np.any(np.diff(vals) < 0):
-            raise InputError("eigenvalues must be nondecreasing")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise InputError(f"n must be a positive integer, got {self.n}")
-        if not (isinstance(self.l, (int, np.integer)) and self.l >= 1):
-            raise InputError(f"l must be a positive integer, got {self.l}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "l", int(self.l))
-        if self.problem not in PROBLEMS:
-            raise InputError(f"unknown problem {self.problem!r}; known: {PROBLEMS}")
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass

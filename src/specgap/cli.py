@@ -22,6 +22,11 @@ library reads it at, so that command refuses a couple's own ``@lambda`` and a
 tabulated couple; ``couple check`` refuses a table without ``@lambda``, and
 ``--samples`` and ``--seed`` for a table, which it checks at its own points.
 
+Each command imports the modules it runs when it runs; only ``operators``
+comes with this module, so ``spectrum`` loads no ``bounds``, ``couples`` or
+``abstract``.  ``verify abstract`` imports the process pool only for
+``--workers`` above 1, and checks ``--ensemble`` itself, not in the parser.
+
 Exit codes: 0 all checks passed, 1 a mathematical violation was detected,
 2 input or usage error.  Any run is reproducible from its flags (plus
 --config JSON mirroring them); repeated runs emit byte-identical output,
@@ -40,11 +45,10 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import abstract, bounds, couples, operators
+from . import operators
 from .errors import SpecgapError
 
 EXIT_OK = 0
@@ -184,11 +188,12 @@ def _prefix_from_args(args, values: np.ndarray, meta: dict, default_problem=None
         l = int(l)
     except ValueError:
         raise SpecgapError(f"spectrum metadata '# l: {l}' is not an integer") from None
-    problem = args.problem or default_problem or meta.get("problem") or bounds.EUCLIDEAN
-    return bounds.SpectrumPrefix(values, n=n, l=l, problem=problem)
+    problem = args.problem or default_problem or meta.get("problem") or operators.EUCLIDEAN
+    return operators.SpectrumPrefix(values, n=n, l=l, problem=problem)
 
 
 def cmd_bound(args) -> int:
+    from . import bounds
     name = _need(args, "ineq")
     values, meta = _load_eigs(_need(args, "eigs"))
     desc = bounds.REGISTRY.get(name)
@@ -209,6 +214,7 @@ def cmd_bound(args) -> int:
 
 
 def _abstract_trial_worker(payload) -> list[dict]:
+    from . import abstract
     (t, seed, dim, nops, ensemble, specs, min_gap) = payload
     triple = abstract.random_instance(dim, nops, seed + t, ensemble)
     lam = triple.spectral.lam
@@ -231,12 +237,14 @@ def _trial_rows(payload: tuple, trials: int, workers: int):
     if workers == 1:
         yield from map(_abstract_trial_worker, payloads)
         return
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for _ in range(0, trials, TRIAL_WINDOW):
             yield from pool.map(_abstract_trial_worker, itertools.islice(payloads, TRIAL_WINDOW), chunksize=8)
 
 
 def cmd_verify_abstract(args) -> int:
+    from . import abstract, couples  # before any pool starts: forked workers inherit them
     trials = int(_need(args, "trials"))
     if trials < 1:
         raise SpecgapError(f"--trials must be at least 1, got {trials}")
@@ -244,6 +252,8 @@ def cmd_verify_abstract(args) -> int:
     nops = int(_need(args, "nops"))
     seed = int(args.seed if args.seed is not None else 0)
     ensemble = args.ensemble or "dense-gaussian"
+    if ensemble not in abstract.ENSEMBLES:
+        raise SpecgapError(f"unknown --ensemble {ensemble!r} ({'|'.join(abstract.ENSEMBLES)})")
     workers = int(args.workers if args.workers is not None else 1)
     if workers < 1:
         raise SpecgapError(f"--workers must be at least 1, got {workers}")
@@ -294,6 +304,7 @@ def cmd_verify_abstract(args) -> int:
 
 
 def cmd_verify_spectrum(args) -> int:
+    from . import bounds
     values, meta = _load_eigs(_need(args, "eigs"))
     slack = _finite_nonnegative(args, "slack", 1e-3)
     which = args.which.split(",") if args.which else None
@@ -323,6 +334,7 @@ def cmd_verify_spectrum(args) -> int:
 
 
 def cmd_couple(args) -> int:
+    from . import couples
     text = _need(args, "spec")
     spec = couples.parse_couple_spec(text)
     lam = spec.lam if spec.lam is not None else 1.0
@@ -385,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--n", type=int, help="dimension / Heisenberg parameter")
     p_bound.add_argument("--l", type=int, help="operator power (default from CSV metadata or 1)")
     p_bound.add_argument("--k", type=int, help="prefix length to use (default all)")
-    p_bound.add_argument("--problem", choices=bounds.PROBLEMS, help="problem family")
+    p_bound.add_argument("--problem", choices=operators.PROBLEMS, help="problem family")
     p_bound.add_argument("--out", help="output JSONL path (default stdout)")
     p_bound.set_defaults(func=cmd_bound)
 
@@ -398,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_va.add_argument("--nops", type=int)
     p_va.add_argument("--couple", action="append", help="couple spec (repeatable)")
     p_va.add_argument("--seed", type=int)
-    p_va.add_argument("--ensemble", choices=abstract.ENSEMBLES)
+    p_va.add_argument("--ensemble", help="random matrix ensemble (default dense-gaussian)")
     p_va.add_argument("--workers", type=int, help="worker processes, >= 1; capped at the CPU count")
     p_va.add_argument("--min-gap", dest="min_gap", type=float)
     p_va.add_argument("--out")
@@ -408,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vs.add_argument("--eigs")
     p_vs.add_argument("--n", type=int)
     p_vs.add_argument("--l", type=int)
-    p_vs.add_argument("--problem", choices=bounds.PROBLEMS)
+    p_vs.add_argument("--problem", choices=operators.PROBLEMS)
     p_vs.add_argument("--slack", type=float, help="relative slack (default 1e-3 for FD spectra)")
     p_vs.add_argument("--which", help="comma separated descriptor names")
     p_vs.add_argument("--out")

@@ -58,6 +58,9 @@ imported: ``bound``, ``verify``, the Laplacian's closed form and the
 clamped and Kohn blocks below the crossover never build a sparse matrix and
 need not pay for it.  Running out of memory in a builder or in the blocks
 is ConvergenceError, like running out of memory in an eigensolver.
+
+``SpectrumPrefix``, the problem names and the spectrum CSV live here, below
+the bounds that read them, so ``spectrum fd`` never imports ``bounds``.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .bounds import EUCLIDEAN, HEISENBERG, MAX_PREFIX_LEN, SpectrumPrefix
 from .errors import InputError
 from .eigensolve import (
     DENSE_DIM_CAP,
@@ -284,7 +286,8 @@ def _sine_sums(axes, count: int):
     eigenvector of tridiag(-1, 2, -1) for modes[q], and the axis adds its
     largest sine residual over the modes the sums use, divided by h^2."""
     vals, used = _smallest_sums([v for v, _, _ in axes], count)
-    residual = sum(_sine_mode_residual(m.size, m, np.unique(q)) / h**2 for (_, m, h), q in zip(axes, used))
+    used = [np.flatnonzero(np.bincount(q)) for q in used]  # np.unique, without importing numpy.ma
+    residual = sum(_sine_mode_residual(m.size, m, q) / h**2 for (_, m, h), q in zip(axes, used))
     return vals, residual
 
 
@@ -781,8 +784,52 @@ def fd_spectrum(problem: str, sides, grids, l: int, count: int) -> tuple[Spectru
 
 
 # ---------------------------------------------------------------------------
-# CSV interface for spectra
+# spectrum prefixes and their CSV interface
 # ---------------------------------------------------------------------------
+
+EUCLIDEAN = "euclidean-polyharmonic"
+HEISENBERG = "heisenberg-kohn"
+PROBLEMS = (EUCLIDEAN, HEISENBERG)
+
+MAX_PREFIX_LEN = 10**5
+
+
+@dataclass(frozen=True)
+class SpectrumPrefix:
+    """An ordered positive eigenvalue prefix with problem metadata.
+
+    ``n`` is the space dimension for Euclidean problems and the Heisenberg
+    parameter for Kohn problems; ``l`` is the operator power.
+    """
+
+    values: np.ndarray
+    n: int
+    l: int = 1
+    problem: str = EUCLIDEAN
+
+    def __post_init__(self):
+        vals = np.asarray(self.values, dtype=float).ravel().copy()
+        if vals.size == 0:
+            raise InputError("eigenvalue prefix is empty")
+        if vals.size > MAX_PREFIX_LEN:
+            raise InputError(f"prefix longer than {MAX_PREFIX_LEN} entries")
+        if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
+            raise InputError("eigenvalues must be finite and strictly positive")
+        if np.any(np.diff(vals) < 0):
+            raise InputError("eigenvalues must be nondecreasing")
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+            raise InputError(f"n must be a positive integer, got {self.n}")
+        if not (isinstance(self.l, (int, np.integer)) and self.l >= 1):
+            raise InputError(f"l must be a positive integer, got {self.l}")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "l", int(self.l))
+        if self.problem not in PROBLEMS:
+            raise InputError(f"unknown problem {self.problem!r}; known: {PROBLEMS}")
+
+    def __len__(self) -> int:
+        return int(self.values.size)
 
 
 def write_spectrum_csv(stream, values, metadata: Optional[dict] = None) -> None:

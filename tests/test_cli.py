@@ -351,7 +351,8 @@ def test_spectrum_fd_laplacian_refuses_a_perturbed_mode(monkeypatch, capsys):
 
 def test_spectrum_fd_refuses_ritz_basis_above_cap():
     # ARPACK's (32761, 16001) Ritz array for the 181^2 plate took 3.91 GiB;
-    # its parity blocks (8100 to 8281 points) now meet the dense cap instead.
+    # its parity blocks (8100 to 8281 points) now meet the quarter-of-a-block
+    # refusal of smallest_eigs instead (next test).
     # The two 16384-point blocks of this beam each need 4096 pairs.
     argv = ["spectrum", "fd", "--problem", "clamped", "--dims", "1", "--grid", "32768", "--count", "4096"]
     proc = run_cli_limited(argv, limit_mb=1024)
@@ -761,7 +762,7 @@ def test_verify_abstract_refuses_a_couple_lambda(monkeypatch, capsys, tmp_path):
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(cli.abstract, "random_instance", no_trial)
+    monkeypatch.setattr("specgap.abstract.random_instance", no_trial)
     rows = tmp_path / "rows.jsonl"
     argv = ["verify", "abstract", "--trials", "2", "--dim", "5", "--nops", "1", "--out", str(rows)]
     cfg = tmp_path / "cfg.json"
@@ -772,6 +773,23 @@ def test_verify_abstract_refuses_a_couple_lambda(monkeypatch, capsys, tmp_path):
             code, out, err = run_cli(source, capsys)
             assert_one_line_usage_error(code, out, err, repr(refused))
             assert not rows.exists()
+
+
+def test_verify_abstract_refuses_an_unknown_ensemble(monkeypatch, capsys, tmp_path):
+    # checked by the command, not by the parser, before the first trial and
+    # before the --out file is opened
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("specgap.abstract.random_instance", no_trial)
+    rows = tmp_path / "rows.jsonl"
+    argv = ["verify", "abstract", "--trials", "2", "--dim", "5", "--nops", "1", "--out", str(rows)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ensemble": "wishart"}))
+    for source in ([*argv, "--ensemble", "wishart"], ["--config", str(cfg), *argv]):
+        code, out, err = run_cli(source, capsys)
+        assert_one_line_usage_error(code, out, err, "unknown --ensemble 'wishart'")
+        assert not rows.exists()
 
 
 def test_verify_abstract_refuses_inaccurate_eigenpairs(monkeypatch, capsys):
@@ -834,7 +852,7 @@ def test_verify_abstract_workers_capped_at_cpu_count(monkeypatch, capsys):
     argv = ["verify", "abstract", "--trials", "3", "--dim", "4", "--nops", "1", "--seed", "2"]
     _, serial, _ = run_cli(argv, capsys)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     code, pooled, _ = run_cli(argv + ["--workers", "3"], capsys)
     assert code == 0
     assert pools == [2]

@@ -1,15 +1,22 @@
 """Source hygiene of src/specgap, read with the stdlib ``ast`` module: no
 unused import; no private module-level name that nothing in the package
-refers to; no public module-level name that the package root does not export
-and that nothing in the package, the demos or the benchmark refers to; no
+refers to; no public module-level name that nothing in the package, the
+demos or the benchmark refers to (the package root exports nothing); no
 eigenvalue call of a ``linalg`` module outside ``eigensolve.py`` but the two
 that return no eigenpairs to a caller; no call of ARPACK (``eigsh``) or
 SuperLU (``splu``) outside ``eigensolve.py``; and no module-level import of
 scipy, which costs every command of the CLI its import time.  References from
-tests do not count: a helper that only a test calls is dead code.  Also run:
-``spectrum fd --problem laplacian``, and ``--problem clamped`` and
-``--problem kohn`` below the dense/ARPACK crossover, load no scipy module at
-all."""
+tests do not count: a helper that only a test calls is dead code.
+
+Also run, each in a process of its own: ``spectrum fd --problem laplacian``,
+and ``--problem clamped`` and ``--problem kohn`` below the dense/ARPACK
+crossover, load no scipy module at all; and each command loads only the
+modules it runs: ``spectrum fd`` none of ``bounds``, ``couples``,
+``abstract``, ``numpy.ma`` or ``fractions``, ``bound`` and ``verify
+spectrum`` no ``abstract``, and ``verify abstract --workers 1`` and ``couple
+check`` no ``bounds`` or ``numpy.ma``; none of them loads the process pool
+of ``verify abstract --workers`` above 1, and ``import specgap`` loads no
+numpy."""
 
 import ast
 import subprocess
@@ -197,17 +204,29 @@ def test_no_module_level_scipy_import(path):
     assert not stray, stray
 
 
-def _loaded_scipy_modules(tmp_path, argv) -> str:
-    """The exit code and the scipy modules loaded by one CLI command."""
+def _loaded_modules(tmp_path, argv, watched) -> str:
+    """The exit code of one CLI command and the modules it loads among
+    ``watched`` and their submodules.  With no ``argv`` nothing runs but
+    ``import specgap``, whose exit code reads 0."""
     code = (
         "import sys\n"
-        "from specgap import cli\n"
-        "code = cli.main(sys.argv[1:])\n"
-        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "import specgap\n"
+        "watched, argv = sys.argv[1].split(','), sys.argv[2:]\n"
+        "if argv:\n"
+        "    from specgap import cli\n"
+        "code = cli.main(argv) if argv else 0\n"
+        "print(code, sorted(m for m in sys.modules if any(m == w or m.startswith(w + '.') for w in watched)))\n"
     )
-    argv = [*argv, "--out", str(tmp_path / "spec.csv")]
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60)
+    argv = [*argv, "--out", str(tmp_path / "out.txt")] if argv else []
+    proc = subprocess.run(
+        [sys.executable, "-c", code, ",".join(watched), *argv], cwd=tmp_path, capture_output=True, text=True, timeout=60
+    )
     return proc.stdout or proc.stderr[-500:]
+
+
+def _loaded_scipy_modules(tmp_path, argv) -> str:
+    """The exit code and the scipy modules loaded by one CLI command."""
+    return _loaded_modules(tmp_path, argv, ["scipy"])
 
 
 def test_laplacian_spectrum_loads_no_scipy_module(tmp_path):
@@ -224,3 +243,34 @@ def test_clamped_spectrum_below_the_crossover_loads_no_scipy_module(tmp_path):
 def test_kohn_spectrum_below_the_crossover_loads_no_scipy_module(tmp_path):
     argv = ["spectrum", "fd", "--problem", "kohn", "--dims", "1,1,1", "--grid", "12,12,12", "--count", "30"]
     assert _loaded_scipy_modules(tmp_path, argv) == "0 []\n"
+
+
+# what each command may not load: the modules of the other commands, the
+# process pool of verify abstract --workers > 1, np.unique's numpy.ma, and
+# the exact arithmetic of the Kohn constants
+SPECTRUM_FD_SKIPS = ["specgap.bounds", "specgap.couples", "specgap.abstract", "concurrent.futures.process",
+                     "multiprocessing", "numpy.ma", "fractions"]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "argv, skipped",
+    [
+        ([], ["numpy"]),
+        (["spectrum", "fd", "--problem", "laplacian", "--dims", "1,1.5", "--grid", "20,30", "--power", "2",
+          "--count", "50"], SPECTRUM_FD_SKIPS),
+        (["spectrum", "fd", "--problem", "clamped", "--dims", "1,1", "--grid", "30,30", "--count", "20"],
+         SPECTRUM_FD_SKIPS),
+        (["spectrum", "fd", "--problem", "kohn", "--dims", "1,1,1", "--grid", "12,12,12", "--count", "30"],
+         SPECTRUM_FD_SKIPS),
+        (["bound", "--ineq", "all", "--eigs", "box.csv", "--n", "2"], ["specgap.abstract", "multiprocessing"]),
+        (["verify", "spectrum", "--eigs", "box.csv", "--n", "2"], ["specgap.abstract", "multiprocessing"]),
+        (["verify", "abstract", "--trials", "3", "--dim", "5", "--nops", "2", "--workers", "1"],
+         ["specgap.bounds", "multiprocessing", "numpy.ma"]),
+        (["couple", "check", "--spec", "equal-power:2@5"], ["specgap.bounds", "multiprocessing", "numpy.ma"]),
+    ],
+    ids=["import-specgap", "fd-laplacian", "fd-clamped", "fd-kohn", "bound", "verify-spectrum", "verify-abstract",
+         "couple-check"],
+)  # fmt: skip
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, skipped):
+    (tmp_path / "box.csv").write_text("# n: 2\n" + "".join(f"{v}\n" for v in (2, 5, 5, 8, 10, 10, 13, 13, 17)))
+    assert _loaded_modules(tmp_path, argv, skipped) == "0 []\n"
