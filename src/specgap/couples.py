@@ -202,14 +202,16 @@ def _pairwise_report(couple, xs: np.ndarray) -> MembershipReport:
     if i.size == 0:
         return MembershipReport(g_ok, "pairwise", -np.inf, None, 0, n_skipped, g_ok)
 
+    u = couple.lam - xs
     try:
-        exponents = couple.power_exponents()
-    except InputError:  # a tabulated couple has no power form: raw quotients
+        ef, eg = couple.power_exponents()
+    except InputError:  # a tabulated couple has no power form: raw quotients and ratio
         df, dg = (fs[i] - fs[j]) / dx, (gs[i] - gs[j]) / dx
-    else:
-        df, dg = _power_quotients(exponents, couple.lam - xs, i, j)
+        w = fs**2 / (gs * u)
+    else:  # f^2 / (g u) as one power of u, with no intermediate to overflow or underflow
+        df, dg = _power_quotients((ef, eg), u, i, j)
+        w = u ** (2 * ef - eg - 1)
     t1 = df**2
-    w = fs**2 / (gs * (couple.lam - xs))
     t2 = (w[i] + w[j]) * dg
     q = t1 + t2
     tol = COND_TOL_REL * (1.0 + np.maximum(np.abs(t1), np.abs(t2)))

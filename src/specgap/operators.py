@@ -53,11 +53,16 @@ certificate.  The residuals of the blocks and of the t-modes bound the
 residual of the 3-D pairs, checked against ||L||_inf.  The 3-D operator is
 not built.
 
-The builders import scipy.sparse when they run, not when this module is
-imported: ``bound``, ``verify``, the Laplacian's closed form and the
-clamped and Kohn blocks below the crossover never build a sparse matrix and
-need not pay for it.  Running out of memory in a builder or in the blocks
-is ConvergenceError, like running out of memory in an eigensolver.
+Every matrix here, a builder's or a block's, is a sum of Kronecker products
+of 1-D band triplets (``_band``, ``_fold``) that ``_assemble`` alone turns
+into a matrix: entries at one place are summed once, in term order, so the
+dense and sparse builds of a block are bitwise equal, and symmetric terms
+give an exactly symmetric matrix.  Its sparse build is the module's one
+import of scipy.sparse, made when it runs: ``bound``, ``verify``, the
+Laplacian's closed form and the clamped and Kohn blocks below the crossover
+never build a sparse matrix and need not pay for it.  Running out of memory
+in a builder or in the blocks is ConvergenceError, like running out of
+memory in an eigensolver.
 
 ``SpectrumPrefix``, the problem names and the spectrum CSV live here, below
 the bounds that read them, so ``spectrum fd`` never imports ``bounds``.
@@ -84,7 +89,7 @@ from .eigensolve import (
     smallest_eigs,
 )
 
-if TYPE_CHECKING:  # the builders import scipy.sparse when they run
+if TYPE_CHECKING:  # _assemble imports scipy.sparse when it builds a sparse matrix
     import scipy.sparse as sp
 
 # interior points of a finite-difference grid: solving the whole 32^3 clamped
@@ -332,73 +337,80 @@ def _clamped_fourth_difference(n: int, h: float) -> tuple:
     return main, (-4.0 / h**4, 1.0 / h**4)
 
 
-def _banded(bands) -> sp.csr_matrix:
-    """The symmetric sparse matrix of ``bands`` (main diagonal, value of each
-    off-diagonal by distance)."""
+def _band(n: int, main, offs=(), skew: bool = False):
+    """(n, (rows, cols, values)) of the n x n band matrix with ``main`` (one
+    value or n values) on its diagonal and offs[k - 1] at distance k above
+    it and below it, negated below if ``skew``; zero entries are left out.
+    ``_second_difference`` and ``_clamped_fourth_difference`` give the bands
+    of their stencils as (main, offs)."""
+    index = np.arange(n)
+    rows, cols, values = [index], [index], [np.broadcast_to(main, n)]
+    for k, v in enumerate(offs, 1):
+        rows += [index[:-k], index[k:]]
+        cols += [index[k:], index[:-k]]
+        values += [np.full(n - k, v), np.full(n - k, -v if skew else v)]
+    rows, cols, values = (np.concatenate(x) for x in (rows, cols, values))
+    keep = values != 0
+    return n, (rows[keep], cols[keep], values[keep])
+
+
+def _kron_triplets(factors):
+    """(rows, cols, values) of the Kronecker product of ``factors``, each
+    (size, triplets of a size x size matrix, or None for the identity)."""
+    rows = cols = np.zeros(1, dtype=np.int64)
+    values = np.ones(1)
+    for size, triplets in factors:
+        r, c, v = _band(size, 1.0)[1] if triplets is None else triplets
+        rows = (rows[:, None] * size + r).ravel()
+        cols = (cols[:, None] * size + c).ravel()
+        values = (values[:, None] * v).ravel()
+    return rows, cols, values
+
+
+def _axis_term(factors, axes):
+    """Triplets of the Kronecker product of ``factors`` (size, triplets) on
+    the axes in ``axes`` and of the identity on the others."""
+    return _kron_triplets([(size, triplets if a in axes else None) for a, (size, triplets) in enumerate(factors)])
+
+
+def _assemble(terms, dim: int, dense: bool):
+    """The dim x dim sum of ``terms``, each (rows, cols, values), as a dense
+    array or a scipy CSR matrix: every matrix of this module is built here,
+    and only a sparse build imports scipy.sparse.  Entries at one place are
+    summed once, in term order, by np.bincount for either build, so the two
+    builds hold bitwise the same entries and exactly symmetric terms give an
+    exactly symmetric matrix."""
+    rows, cols, values = (np.concatenate(v) for v in zip(*terms))
+    if dense:
+        return np.bincount(rows * dim + cols, weights=values, minlength=dim * dim).reshape(dim, dim)
     import scipy.sparse as sp
 
-    main, offs = bands
-    n = main.size
-    diagonals = [main] + [np.full(n - k, v) for k, v in enumerate(offs, 1) for _ in (0, 1)]
-    offsets = [0] + [k * sign for k in range(1, len(offs) + 1) for sign in (1, -1)]
-    return sp.diags(diagonals, offsets, format="csr")
-
-
-def _central_difference(n: int, h: float) -> sp.csr_matrix:
-    """Tridiagonal skew d/dx with Dirichlet truncation, exactly antisymmetric."""
-    import scipy.sparse as sp
-
-    off = np.full(n - 1, 1.0 / (2.0 * h))
-    return sp.diags([off, -off], [1, -1], format="csr")
-
-
-def _kron_chain(mats) -> sp.csr_matrix:
-    import scipy.sparse as sp
-
-    out = mats[0]
-    for m in mats[1:]:
-        out = sp.kron(out, m, format="csr")
-    return out
-
-
-def _axis_operator(op_1d, axis: int, grids) -> sp.csr_matrix:
-    import scipy.sparse as sp
-
-    mats = [sp.identity(g, format="csr") for g in grids]
-    mats[axis] = op_1d
-    return _kron_chain(mats)
+    key, where = np.unique(rows * dim + cols, return_inverse=True)
+    indptr = np.searchsorted(key, dim * np.arange(dim + 1))
+    return sp.csr_matrix((np.bincount(where, weights=values), key % dim, indptr), shape=(dim, dim))
 
 
 @_out_of_memory_refused("building the finite-difference Laplacian")
 def fd_laplacian(sides, grids) -> DiscreteOperator:
-    """Central-difference Dirichlet Laplacian (sign convention -Laplace)."""
+    """Central-difference Dirichlet Laplacian (sign convention -Laplace): the
+    Kronecker sum of the axes' second differences."""
     sides, grids, h = _validate_grid(sides, grids, min_pts=2)
-    total = _axis_operator(_banded(_second_difference(grids[0], h[0])), 0, grids)
-    for ax in range(1, len(grids)):
-        total = total + _axis_operator(_banded(_second_difference(grids[ax], h[ax])), ax, grids)
-    return DiscreteOperator(total.tocsr(), grids, LAPLACIAN_STENCIL)
+    second = [_band(n, *_second_difference(n, hj)) for n, hj in zip(grids, h)]
+    terms = [_axis_term(second, (a,)) for a in range(len(grids))]
+    return DiscreteOperator(_assemble(terms, math.prod(grids), dense=False), grids, LAPLACIAN_STENCIL)
 
 
 @_out_of_memory_refused("building the clamped plate")
 def fd_clamped_plate(sides, grids) -> DiscreteOperator:
     """Biharmonic operator with clamped conditions, as one sparse matrix:
     per-axis fourth differences with ghost mirroring plus twice the mixed
-    products of the per-axis second differences.  ``fd_spectrum`` solves its
-    parity blocks instead (``clamped_block_spectrum``)."""
-    import scipy.sparse as sp
-
+    products of the per-axis second differences, the terms of its parity
+    blocks (``_plate_terms``) on the unfolded stencils.  ``fd_spectrum``
+    solves its parity blocks instead (``clamped_block_spectrum``)."""
     sides, grids, h = _validate_grid(sides, grids, min_pts=4, order=4)
-    ndim = len(grids)
-    total = _axis_operator(_banded(_clamped_fourth_difference(grids[0], h[0])), 0, grids)
-    for ax in range(1, ndim):
-        total = total + _axis_operator(_banded(_clamped_fourth_difference(grids[ax], h[ax])), ax, grids)
-    for ax1 in range(ndim):
-        for ax2 in range(ax1 + 1, ndim):
-            mats = [sp.identity(g, format="csr") for g in grids]
-            mats[ax1] = _banded(_second_difference(grids[ax1], h[ax1]))
-            mats[ax2] = _banded(_second_difference(grids[ax2], h[ax2]))
-            total = total + 2.0 * _kron_chain(mats)
-    return DiscreteOperator(total.tocsr(), grids, CLAMPED_STENCIL)
+    bands = [(_clamped_fourth_difference(n, hj), _second_difference(n, hj)) for n, hj in zip(grids, h)]
+    axes = [(*_band(n, *b4), _band(n, *b2)[1]) for n, (b4, b2) in zip(grids, bands)]
+    return DiscreteOperator(_assemble(_plate_terms(axes), math.prod(grids), dense=False), grids, CLAMPED_STENCIL)
 
 
 def _block_smallest(build, dim: int, need: int, floor: float = 0.0):
@@ -421,19 +433,9 @@ def _merge_blocks(blocks, count: int):
     return np.sort(np.concatenate(values), kind="stable")[:count], max(residuals)
 
 
-def _assemble(rows, cols, values, dim: int, dense: bool):
-    """The dim x dim matrix with ``values`` at (rows, cols), repeated places
-    summed, as a dense array or a scipy CSR matrix."""
-    if dense:
-        return np.bincount(rows * dim + cols, weights=values, minlength=dim * dim).reshape(dim, dim)
-    import scipy.sparse as sp
-
-    return sp.csr_matrix((values, (rows, cols)), shape=(dim, dim))
-
-
 def _fold(bands, even: bool):
     """The block Q^T A Q of the symmetric persymmetric banded matrix A of
-    ``bands`` (``_banded``) on its even (J v = v) or odd (J v = -v) vectors,
+    ``bands`` (``_band``) on its even (J v = v) or odd (J v = -v) vectors,
     J the reversal, as (size, (rows, cols, values)) with no repeated entry.
 
     With n = 2m or 2m + 1 and the orthonormal basis (e_j +- e_(n-1-j)) / sqrt 2,
@@ -442,19 +444,15 @@ def _fold(bands, even: bool):
     sqrt 2 A[i, m] and B[m, m] = A[m, m]: read from the bands of the first
     m (+ 1) rows, so no n x n matrix is formed.  Each entry is exact but for
     at most two roundings (sqrt 2 and its product, or a sum of two entries)."""
-    main, offs = bands
-    n, width = main.size, len(offs)
+    n, (rows, cols, values) = _band(bands[0].size, *bands)
     size = n // 2 + (n % 2 if even else 0)
-    rows = np.repeat(np.arange(size), 2 * width + 1)
-    cols = rows + np.tile(np.arange(-width, width + 1), size)
     mirror = n - 1 - cols
     middle_row = 2 * rows == n - 1
     # the middle row of an odd n reads its columns up to the middle only
-    keep = (cols >= 0) & (cols < n) & ~(middle_row & (cols > rows))
+    keep = (rows < size) & ~(middle_row & (cols > rows))
     if not even:
         keep &= cols != mirror
-    rows, cols, mirror, middle_row = rows[keep], cols[keep], mirror[keep], middle_row[keep]
-    values = np.where(cols == rows, main[rows], np.concatenate([offs[::-1], [0.0], offs])[cols - rows + width])
+    rows, cols, values, mirror, middle_row = rows[keep], cols[keep], values[keep], mirror[keep], middle_row[keep]
     values = np.where(middle_row != (cols == mirror), math.sqrt(2.0) * values, values)
     if not even:
         values = np.where(cols > mirror, -values, values)
@@ -462,43 +460,29 @@ def _fold(bands, even: bool):
     return size, (key // size, key % size, np.bincount(where, weights=values))
 
 
-def _kron_triplets(factors):
-    """(rows, cols, values) of the Kronecker product of ``factors``, each
-    (size, triplets of a size x size matrix, or None for the identity)."""
-    rows = cols = np.zeros(1, dtype=np.int64)
-    values = np.ones(1)
-    for size, triplets in factors:
-        r, c, v = (np.arange(size), np.arange(size), np.ones(size)) if triplets is None else triplets
-        rows = (rows[:, None] * size + r).ravel()
-        cols = (cols[:, None] * size + c).ravel()
-        values = (values[:, None] * v).ravel()
-    return rows, cols, values
+def _plate_terms(axes):
+    """The Kronecker terms of sum_a B4_a + 2 sum_(a < b) B2_a B2_b over the
+    axes' pieces (size, B4, B2), each B acting on its own axis: B4_a, then
+    2 B2_a B2_b for each b > a, axis by axis."""
+    fourth, second = [(size, f4) for size, f4, _ in axes], [(size, f2) for size, _, f2 in axes]
+    terms = []
+    for a in range(len(axes)):
+        terms.append(_axis_term(fourth, (a,)))
+        for b in range(a + 1, len(axes)):
+            rows, cols, values = _axis_term(second, (a, b))
+            terms.append((rows, cols, 2.0 * values))
+    return terms
 
 
 def _plate_block(axes, dense: bool):
-    """sum_a B4_a + 2 sum_(a < b) B2_a B2_b over the axes' folded pieces
-    (size, B4, B2) of one parity pattern, each B acting on its own axis, as
-    a dense array or a scipy CSR matrix."""
-    ndim, dim = len(axes), math.prod(size for size, _, _ in axes)
-    terms = []
-    for a in range(ndim):
-        terms.append(_kron_triplets([(size, f4 if b == a else None) for b, (size, f4, _) in enumerate(axes)]))
-        for a2 in range(a + 1, ndim):
-            rows, cols, values = _kron_triplets(
-                [(size, f2 if b in (a, a2) else None) for b, (size, _, f2) in enumerate(axes)]
-            )
-            terms.append((rows, cols, 2.0 * values))
-    return _assemble(*(np.concatenate(v) for v in zip(*terms)), dim, dense)
+    """``_plate_terms`` of one parity pattern's folded pieces, assembled."""
+    return _assemble(_plate_terms(axes), math.prod(size for size, _, _ in axes), dense)
 
 
 def _row_abs_sums(bands) -> np.ndarray:
     """The row sums of |A| for the banded matrix A of ``bands``."""
-    main, offs = bands
-    sums = np.abs(main)
-    for k, v in enumerate(offs, 1):
-        sums[k:] += abs(v)
-        sums[:-k] += abs(v)
-    return sums
+    n, (rows, _, values) = _band(bands[0].size, *bands)
+    return np.bincount(rows, weights=np.abs(values), minlength=n)
 
 
 def _plate_inf_norm(fourth, second) -> float:
@@ -591,29 +575,24 @@ def kohn_fd(n: int = 1, sides=(1.0, 1.0, 1.0), grids=(12, 12, 12)) -> KohnOperat
     """Kohn Laplacian on a Heisenberg box (n = 1: coordinates (x, y, t),
     box centered at the origin).
 
-    The horizontal fields are discretized with exactly skew-symmetric central
-    differences; the variable coefficient enters through the symmetric
-    product average (D_t M + M D_t)/2, which preserves skewness exactly.  The
-    operator is the Gram form X^T X + Y^T Y, symmetric PSD by construction.
+    The horizontal fields X = Dx + My Dt and Y = Dy - Mx Dt are Kronecker
+    products of exactly skew-symmetric central differences D and the
+    coordinates M = diag(coordinate / 2), one product per entry, so exactly
+    skew.  The operator is the Gram form X^T X + Y^T Y, symmetric PSD by
+    construction.
     """
-    import scipy.sparse as sp
-
     if n != 1:
         raise InputError("only the n = 1 Heisenberg group is supported at desk scale")
-    grids, (hx, hy, ht), xs, ys = _kohn_grid(sides, grids)
-    Nx, Ny, Nt = grids
-
-    Dx = _axis_operator(_central_difference(Nx, hx), 0, grids)
-    Dy = _axis_operator(_central_difference(Ny, hy), 1, grids)
-    Dt = _axis_operator(_central_difference(Nt, ht), 2, grids)
-    My = _axis_operator(sp.diags(ys / 2.0, format="csr"), 1, grids)
-    Mx = _axis_operator(sp.diags(xs / 2.0, format="csr"), 0, grids)
-
-    X = (Dx + 0.5 * (Dt @ My + My @ Dt)).tocsr()
-    Y = (Dy - 0.5 * (Dt @ Mx + Mx @ Dt)).tocsr()
+    grids, h, xs, ys = _kohn_grid(sides, grids)
+    dim = math.prod(grids)
+    dx, dy, dt = (_band(size, 0.0, (1.0 / (2.0 * step),), skew=True) for size, step in zip(grids, h))
+    ix, iy, it = ((size, None) for size in grids)  # the identities
+    X = _assemble([_kron_triplets([dx, iy, it]), _kron_triplets([ix, _band(grids[1], ys / 2.0), dt])], dim, False)
+    Y = _assemble([_kron_triplets([ix, dy, it]), _kron_triplets([_band(grids[0], -xs / 2.0), iy, dt])], dim, False)
     L = (X.T @ X + Y.T @ Y).tocsr()
     L = (0.5 * (L + L.T)).tocsr()  # exact bitwise symmetry of the Gram sum
-    return KohnOperator(L, grids, KOHN_STENCIL, x_field=X, y_field=Y, t_field=Dt)
+    t_field = _assemble([_kron_triplets([ix, iy, dt])], dim, False)
+    return KohnOperator(L, grids, KOHN_STENCIL, x_field=X, y_field=Y, t_field=t_field)
 
 
 def _kohn_t_modes(nt: int, ht: float) -> np.ndarray:
@@ -626,26 +605,21 @@ def _kohn_t_modes(nt: int, ht: float) -> np.ndarray:
 def _kohn_block(xs, ys, hx: float, hy: float, theta: float, dense: bool):
     """A_theta = (Tx (x) I + theta I (x) My)^2 + (I (x) Ty - theta Mx (x) I)^2,
     with T = tridiag(1, 0, 1) / (2 h) and M = diag(coordinate / 2): a 9-point
-    stencil on the (x, y) grid, as a dense array or a scipy CSR matrix."""
+    stencil on the (x, y) grid, as a dense array or a scipy CSR matrix: one
+    term on the diagonal, where T^2 counts a point's neighbours, and four
+    Kronecker terms, T^2 at distance 2 and the cross terms at distance 1."""
     nx, ny = xs.size, ys.size
     a, b = np.divmod(np.arange(nx * ny), ny)
-    rows, cols, vals = [], [], []
-
-    def put(da, db, value):
-        keep = (0 <= a + da) & (a + da < nx) & (0 <= b + db) & (b + db < ny)
-        rows.append(np.flatnonzero(keep))
-        cols.append(rows[-1] + da * ny + db)
-        vals.append(np.broadcast_to(value, a.shape)[keep])
-
-    # the diagonal of T^2 counts the neighbours of a point
     x_near, y_near = (a > 0).astype(float) + (a < nx - 1), (b > 0).astype(float) + (b < ny - 1)
-    put(0, 0, x_near / (4 * hx**2) + y_near / (4 * hy**2) + theta**2 * (xs[a] ** 2 + ys[b] ** 2) / 4)
-    for s in (-1, 1):
-        put(2 * s, 0, 1 / (4 * hx**2))
-        put(0, 2 * s, 1 / (4 * hy**2))
-        put(s, 0, theta * ys[b] / (2 * hx))
-        put(0, s, -theta * xs[a] / (2 * hy))
-    return _assemble(*(np.concatenate(v) for v in (rows, cols, vals)), nx * ny, dense)
+    diagonal = x_near / (4 * hx**2) + y_near / (4 * hy**2) + theta**2 * (xs[a] ** 2 + ys[b] ** 2) / 4
+    terms = [
+        _band(nx * ny, diagonal)[1],
+        _kron_triplets([_band(nx, 0.0, (0.0, 1 / (4 * hx**2))), (ny, None)]),
+        _kron_triplets([(nx, None), _band(ny, 0.0, (0.0, 1 / (4 * hy**2)))]),
+        _kron_triplets([_band(nx, 0.0, (1.0,)), _band(ny, theta * ys / (2 * hx))]),
+        _kron_triplets([_band(nx, -theta * xs / (2 * hy)), _band(ny, 0.0, (1.0,))]),
+    ]
+    return _assemble(terms, nx * ny, dense)
 
 
 def _kohn_inf_norm(xs, ys, nt: int, h) -> float:

@@ -981,11 +981,13 @@ def test_couple_check_tabulated_needs_lambda(tmp_path, capsys, source):
 
 
 def test_couple_check_large_lambda_passes_without_warnings():
-    # u**2 overflows where the screen's exact right side underflows to 0
-    argv = ["-m", "specgap", "couple", "check", "--spec", "const-power:0@1e308", "--samples", "4"]
-    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0 and proc.stderr == ""
-    assert json.loads(proc.stdout)["differentiable_screen"]["passed"] is True
+    # u**2 overflows where the screen's exact right side underflows to 0, and
+    # g u where the pairwise f^2 / (g u) underflows to 0
+    for spec in ("const-power:0@1e308", "const-power:1@1e200"):
+        argv = ["-m", "specgap", "couple", "check", "--spec", spec, "--samples", "4"]
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["differentiable_screen"]["passed"] is True
 
 
 def test_couple_check_malformed_exit_2(capsys):

@@ -85,6 +85,15 @@ def test_membership_const_power_passes():
     assert rep.worst == pytest.approx(-26.5625, rel=1e-12)
 
 
+def test_membership_power_family_at_a_tiny_lambda_passes():
+    # f^2 and g (lambda - x) underflow to 0 near lambda = 1e-200; their ratio,
+    # (lambda - x)^0 here, does not
+    lam = 1e-200
+    rep = check_membership(FunctionCouple("linear-power", lam, (1.0,)), lam * np.array([0.1, 0.4, 0.7]))
+    assert rep.passed
+    assert rep.worst == pytest.approx(-1.0, rel=1e-12)
+
+
 def test_membership_tabulated_fails_with_worst_pair_value_one():
     # f = lambda - x, g = 1: first term ((0.6)/(-0.6))^2 = 1, second term 0
     c = tabulated(1.0, [0.2, 0.8], [0.8, 0.2], [1.0, 1.0])

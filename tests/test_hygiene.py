@@ -4,9 +4,11 @@ refers to; no public module-level name that nothing in the package, the
 demos or the benchmark refers to (the package root exports nothing); no
 eigenvalue call of a ``linalg`` module outside ``eigensolve.py`` but the two
 that return no eigenpairs to a caller; no call of ARPACK (``eigsh``) or
-SuperLU (``splu``) outside ``eigensolve.py``; and no module-level import of
-scipy, which costs every command of the CLI its import time.  References from
-tests do not count: a helper that only a test calls is dead code.
+SuperLU (``splu``) outside ``eigensolve.py``; no module-level import of
+scipy, which costs every command of the CLI its import time; and no import
+of scipy in ``operators.py`` but the sparse build of its one assembler.
+References from tests do not count: a helper that only a test calls is dead
+code.
 
 Also run, each in a process of its own: ``spectrum fd --problem laplacian``,
 and ``--problem clamped`` and ``--problem kohn`` below the dense/ARPACK
@@ -34,6 +36,9 @@ LINALG_EIG_SITES = {("abstract.py", "random_instance"), ("bounds.py", "_quartic_
 # ARPACK and SuperLU: eigensolve wraps them with its residual check, inertia
 # count and out-of-memory handling
 SPARSE_SOLVERS = {"eigsh", "splu"}
+# operators.py builds every matrix through one assembler, whose sparse build
+# is the module's one import of scipy.sparse
+OPERATORS_SPARSE_SITE = "_assemble"
 SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
 
@@ -202,6 +207,33 @@ def test_no_module_level_scipy_import(path):
         if name == "scipy" or name.startswith("scipy.")
     ]
     assert not stray, stray
+
+
+def _scipy_imports_by_function(tree: ast.Module):
+    """(line, innermost enclosing function or None) of each import of scipy
+    or a scipy submodule, leaving out ``if TYPE_CHECKING:`` blocks."""
+    stack = [(tree, None)]
+    while stack:
+        node, function = stack.pop()
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            stack.extend((child, function) for child in node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            yield node.lineno, function
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        stack.extend((child, function) for child in ast.iter_child_nodes(node))
+
+
+def test_operators_imports_scipy_only_in_its_assembler():
+    sites = list(_scipy_imports_by_function(_tree(PACKAGE / "operators.py")))
+    assert [function for _, function in sites] == [OPERATORS_SPARSE_SITE], sites
 
 
 def _loaded_modules(tmp_path, argv, watched) -> str:

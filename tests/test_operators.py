@@ -139,10 +139,11 @@ def test_fd_laplacian_validation():
 
 
 def test_clamped_symmetry_and_positivity():
-    op = fd_clamped_plate([1.0, 1.0], [10, 10])
-    assert op.symmetry_defect() == 0.0
-    w = np.linalg.eigvalsh(op.matrix.toarray())
-    assert w[0] > 0
+    for sides, grids in (([1.0, 1.0], [10, 10]), ([1.0, 1.3, 0.8], [9, 10, 11])):
+        op = fd_clamped_plate(sides, grids)
+        assert op.symmetry_defect() == 0.0
+        w = np.linalg.eigvalsh(op.matrix.toarray())
+        assert w[0] > 0
 
 
 def test_clamped_beam_smallest_eigenvalue_self_convergence():
@@ -172,7 +173,7 @@ def test_clamped_needs_four_points():
 def test_fold_is_the_parity_block_of_the_stencil(n, stencil, even):
     make = operators._clamped_fourth_difference if stencil == "fourth" else operators._second_difference
     bands = make(n, 0.3)
-    A = operators._banded(bands).toarray()
+    A = operators._assemble([operators._band(n, *bands)[1]], n, dense=True)
     eye, m = np.eye(n), n // 2
     basis = [(eye[j] + (1.0 if even else -1.0) * eye[n - 1 - j]) / math.sqrt(2.0) for j in range(m)]
     if even and n % 2:
@@ -184,6 +185,25 @@ def test_fold_is_the_parity_block_of_the_stencil(n, stencil, even):
     block[rows, cols] = values
     assert np.array_equal(block, block.T)
     np.testing.assert_allclose(block, Q.T @ A @ Q, rtol=0, atol=4 * np.finfo(float).eps * abs(A).max())
+
+
+def test_dense_and_sparse_builds_of_a_block_are_bitwise_equal_and_symmetric(monkeypatch):
+    """Both builds sum the entries at one place in the same order, so a block
+    does not depend on how it is stored, and its symmetric terms make it
+    exactly symmetric."""
+    seen = []
+    real_block = operators._plate_block
+    monkeypatch.setattr(operators, "_plate_block", lambda axes, dense: seen.append(axes) or real_block(axes, dense))
+    clamped_block_spectrum((1.0, 1.3, 0.8), (9, 10, 11), 1, 5)
+    builds = [lambda dense, axes=axes: real_block(axes, dense) for axes in seen]
+    npoints, (hx, hy, ht), xs, ys = operators._kohn_grid((1.0, 1.3, 0.8), (9, 10, 11))
+    theta = operators._kohn_t_modes(npoints[2], ht)[1]
+    builds.append(lambda dense: operators._kohn_block(xs, ys, hx, hy, theta, dense=dense))
+    assert len(builds) == 9
+    for build in builds:
+        dense, sparse = build(True), build(False).toarray()
+        assert np.array_equal(dense, sparse)
+        assert np.abs(sparse - sparse.T).max() == 0.0
 
 
 CLAMPED_BLOCK_CASES = [
