@@ -203,12 +203,11 @@ def _pairwise_report(couple, xs: np.ndarray) -> MembershipReport:
         return MembershipReport(g_ok, "pairwise", -np.inf, None, 0, n_skipped, g_ok)
 
     u = couple.lam - xs
-    try:
-        ef, eg = couple.power_exponents()
-    except InputError:  # a tabulated couple has no power form: raw quotients and ratio
+    if couple.family == TABULATED:  # no power form: raw quotients and ratio
         df, dg = (fs[i] - fs[j]) / dx, (gs[i] - gs[j]) / dx
         w = fs**2 / (gs * u)
     else:  # f^2 / (g u) as one power of u, with no intermediate to overflow or underflow
+        ef, eg = couple.power_exponents()
         df, dg = _power_quotients((ef, eg), u, i, j)
         w = u ** (2 * ef - eg - 1)
     t1 = df**2

@@ -1,12 +1,17 @@
 """Spectrum factories: exact box spectra and finite-difference operators.
 
-Each builder returns a sparse symmetric matrix on a tensor grid of interior
-points with homogeneous Dirichlet truncation, though no command computes a
-spectrum from a builder's matrix: the Laplacian's is written in closed form,
-the clamped plate's comes from its reflection-parity blocks and the Kohn
-Laplacian's from its t-Fourier blocks, each block dense or sparse (see
-below).  The builders serve the tests, the demos and the benchmark's
-reference checks:
+``box_spectrum`` enumerates the exact Dirichlet Laplacian spectrum of a box.
+Each of FD_PROBLEMS is declared once, as a row of ``_FD``, and
+``fd_spectrum`` alone runs the row: it checks the power, the grid
+(``_validate_grid``) and the count, checks the residual bound of the row's
+producer against its ||A||_inf, raises the values to the power and labels
+them.  The clamped plate is already the l = 2 problem: it takes only the
+power 1 and is labelled l = 2.  A power of the Laplacian realizes
+Navier-type, not clamped, conditions, and is labelled so.  No producer
+builds a whole operator.  The builders, which serve the tests, the demos and
+the benchmark's reference checks, return sparse symmetric matrices on a
+tensor grid of interior points with homogeneous Dirichlet truncation, and
+``operator_power_spectrum`` raises a built operator's eigenvalues to a power:
 
 * ``fd_laplacian``      second-order central stencil for -Laplace;
 * ``fd_clamped_plate``  13-point biharmonic stencil with boundary value 0 and
@@ -16,42 +21,29 @@ reference checks:
                         X^T X + Y^T Y of exactly skew-symmetric central
                         difference fields (n = 1 only).
 
-``box_spectrum`` enumerates the exact Dirichlet Laplacian spectrum of a box,
-and ``operator_power_spectrum`` raises the computed eigenvalues of a built
-operator to an integer power (the matrix power shares eigenvectors).  Note
-that powering the Dirichlet Laplacian realizes Navier-type, not clamped,
-conditions.
-``fd_spectrum`` gives the spectrum of each of FD_PROBLEMS with the labels
-of its CSV: grid sizes, stencil, and ``spectrum-type: navier-power`` for a
-power of the Laplacian.
-
 ``fd_laplacian`` is a Kronecker sum of 1-D second differences, whose
-eigenpairs are sine modes, so ``laplacian_power_spectrum`` writes the
-spectrum of its l-th power in closed form: the same sort of per-axis sums
-that ``box_spectrum`` makes, with the residual of every sine mode it uses
-checked.  No matrix is built and no eigensolver runs.
+eigenpairs are sine modes, so ``_laplacian_closed_form`` writes its spectrum
+as the per-axis sums that ``box_spectrum`` makes, with the residual of every
+sine mode it uses checked: no matrix is built and no eigensolver runs.
 
 The 1-D stencils of ``fd_clamped_plate`` (fourth difference, second
 difference, identity) are symmetric and persymmetric, so the plate commutes
-with the reversal of each axis, and ``clamped_block_spectrum`` writes its
+with the reversal of each axis, and ``_clamped_parity_blocks`` writes its
 spectrum from the 2^d blocks of its even and odd vectors, each the Kronecker
 sum of stencils folded to half an axis from their diagonals.
 ``_dense_route`` alone picks each block's build and solver: a dense array
 for ``dense_symmetric_eig`` on the dense route (a 30 x 30 plate is four
 dense blocks of 225 points), a sparse matrix for ``smallest_eigs``
 otherwise, with the lower bound (sum of the axes' smallest sine modes)^2 of
-its spectrum for ARPACK's shift.  The block residuals plus a bound on the
-fold's rounding are checked against ||A||_inf; no whole operator is built.
+its spectrum for ARPACK's shift.
 
 The t derivative of ``kohn_fd`` acts on t alone and its central difference
-has closed-form eigenvectors, so ``kohn_block_spectrum`` writes the Kohn
+has closed-form eigenvectors, so ``_kohn_fourier_blocks`` writes the Kohn
 spectrum from Nt exact blocks of size Nx Ny, half of them solved (a block
 at -theta has the spectrum of the one at theta).  Each block is built and
 solved as a clamped one is; the theta = 0 block of an odd Nt is a sum of
 squared sine modes, written in closed form with the Laplacian's sine-mode
-certificate.  The residuals of the blocks and of the t-modes bound the
-residual of the 3-D pairs, checked against ||L||_inf.  The 3-D operator is
-not built.
+certificate.
 
 Every matrix here, a builder's or a block's, is a sum of Kronecker products
 of 1-D band triplets (``_band``, ``_fold``) that ``_assemble`` alone turns
@@ -73,6 +65,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -101,9 +94,10 @@ MAX_GRID_POINTS = 2**15
 _LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max)
 # floats per chunk of sine modes whose residuals are checked at once
 _MODE_CHUNK = 2**16
-LAPLACIAN_STENCIL = "dirichlet-laplacian"
-CLAMPED_STENCIL = "clamped-plate"
-KOHN_STENCIL = "kohn-heisenberg"
+EUCLIDEAN = "euclidean-polyharmonic"
+HEISENBERG = "heisenberg-kohn"
+PROBLEMS = (EUCLIDEAN, HEISENBERG)
+MAX_PREFIX_LEN = 10**5
 
 
 @dataclass(eq=False)
@@ -172,17 +166,24 @@ def _raise_to(values: np.ndarray, l: int) -> np.ndarray:
     return powered
 
 
-def _validate_grid(sides, grids, min_pts: int, order: int = 2):
+def _validate_grid(sides, grids, problem: str):
+    """(sides, grid sizes, steps) of a grid of the FD_PROBLEMS ``problem``,
+    whose row gives the fewest interior points per axis, the order of its
+    stencil (``_box_sides``) and, for a Heisenberg box, the number of axes.
+    One grid size is taken for every side."""
+    row = _FD[problem]
     grids = tuple(int(g) for g in np.atleast_1d(grids))
-    if any(g < min_pts for g in grids):
-        raise InputError(f"need at least {min_pts} interior points per axis, got {grids}")
+    if any(g < row.min_pts for g in grids):
+        raise InputError(f"need at least {row.min_pts} interior points per axis, got {grids}")
     if math.prod(grids) > MAX_GRID_POINTS:  # refused before the builders allocate
         raise InputError(f"{math.prod(grids)} interior points exceed the cap of {MAX_GRID_POINTS}")
-    sides = _box_sides(sides, max(grids, default=1), order)
+    sides = _box_sides(sides, max(grids, default=1), row.order)
     if len(grids) == 1 and len(sides) > 1:
         grids = grids * len(sides)
     if len(sides) != len(grids):
         raise InputError(f"got {len(sides)} sides but {len(grids)} grid sizes")
+    if row.n is not None and len(grids) != 2 * row.n + 1:
+        raise InputError(f"n = {row.n} needs a {2 * row.n + 1}-axis grid (x, y, t), got {len(grids)} axes")
     h = tuple(s / (g + 1) for s, g in zip(sides, grids))
     return sides, grids, h
 
@@ -227,14 +228,12 @@ def box_spectrum(sides, count: int) -> SpectrumPrefix:
         M *= 2
 
 
-def _check_power(l) -> None:
+def _check_power(l, problem: str) -> None:
+    """l is a positive integer, and 1 if the row of ``problem`` fixes the l
+    of its spectrum (only the clamped plate's does)."""
     if not (isinstance(l, (int, np.integer)) and l >= 1):
         raise InputError(f"l must be a positive integer, got {l}")
-
-
-def _check_plate_power(l) -> None:
-    """The clamped plate is already the l = 2 problem: it takes only l = 1."""
-    if l != 1:
+    if _FD[problem].l is not None and l != 1:
         raise InputError("the clamped operator is already the l = 2 problem; "
                          "powers apply to laplacian and kohn spectra")
 
@@ -296,27 +295,22 @@ def _sine_sums(axes, count: int):
     return vals, residual
 
 
-def laplacian_power_spectrum(sides, grids, l: int, count: int) -> tuple[SpectrumPrefix, tuple]:
-    """First ``count`` eigenvalues of fd_laplacian(sides, grids)^l in closed
-    form, as (SpectrumPrefix, grid sizes with one per side).
+def _laplacian_closed_form(sides, grids, h, count: int):
+    """The ``count`` smallest eigenvalues of fd_laplacian(sides, grids) in
+    closed form, their residual bound and ||A||_inf.
 
     Axis j, with n_j interior points and step h_j, has the modes
     mu_{j,p} = (4 / h_j^2) sin^2(p pi / (2 (n_j + 1))), p = 1..n_j, and the
     spectrum is every sum of one mode per axis: enumerated in full, so no
     eigenvalue is skipped.  The certificate: for unit vectors u_j,
     ||A (x)u_j - (sum_j mu_j) (x)u_j|| <= sum_j r_{j,p_j}, the residuals of
-    the 1-D sine pairs, so ConvergenceError is raised (by the eigensolvers'
-    residual check) unless sum_j of the largest r_j over the modes the
-    written values use is within RESIDUAL_REL_TOL * ||A||_inf.
+    the 1-D sine pairs, so the bound is sum_j of the largest r_j over the
+    modes the written values use.
     """
-    _check_power(l)
-    sides, grids, h = _validate_grid(sides, grids, min_pts=2)
-    _check_count(count, math.prod(grids))
     modes = [_sine_modes(n) for n in grids]
     vals, residual = _sine_sums([(m / hj**2, m, hj) for m, hj in zip(modes, h)], count)
     # ||A||_inf: the rows of tridiag(-1, 2, -1) sum to 4 in absolute value, 3 at n = 2
-    _check_residuals(np.array([residual]), sum((2.0 + min(n - 1, 2)) / hj**2 for n, hj in zip(grids, h)))
-    return SpectrumPrefix(_raise_to(vals, l), n=len(grids), l=int(l), problem=EUCLIDEAN), grids
+    return vals, residual, sum((2.0 + min(n - 1, 2)) / hj**2 for n, hj in zip(grids, h))
 
 
 def _second_difference(n: int, h: float) -> tuple:
@@ -330,8 +324,6 @@ def _clamped_fourth_difference(n: int, h: float) -> tuple:
     values of the off-diagonals at distance 1 and 2): boundary value zero
     and the ghost point mirroring the first interior point (zero normal
     derivative), which folds into the corners of the diagonal."""
-    if n < 4:
-        raise InputError(f"clamped stencil needs at least 4 interior points, got {n}")
     main = np.full(n, 6.0 / h**4)
     main[0] = main[-1] = 7.0 / h**4
     return main, (-4.0 / h**4, 1.0 / h**4)
@@ -394,10 +386,10 @@ def _assemble(terms, dim: int, dense: bool):
 def fd_laplacian(sides, grids) -> DiscreteOperator:
     """Central-difference Dirichlet Laplacian (sign convention -Laplace): the
     Kronecker sum of the axes' second differences."""
-    sides, grids, h = _validate_grid(sides, grids, min_pts=2)
+    sides, grids, h = _validate_grid(sides, grids, "laplacian")
     second = [_band(n, *_second_difference(n, hj)) for n, hj in zip(grids, h)]
     terms = [_axis_term(second, (a,)) for a in range(len(grids))]
-    return DiscreteOperator(_assemble(terms, math.prod(grids), dense=False), grids, LAPLACIAN_STENCIL)
+    return DiscreteOperator(_assemble(terms, math.prod(grids), dense=False), grids, _FD["laplacian"].stencil)
 
 
 @_out_of_memory_refused("building the clamped plate")
@@ -406,11 +398,12 @@ def fd_clamped_plate(sides, grids) -> DiscreteOperator:
     per-axis fourth differences with ghost mirroring plus twice the mixed
     products of the per-axis second differences, the terms of its parity
     blocks (``_plate_terms``) on the unfolded stencils.  ``fd_spectrum``
-    solves its parity blocks instead (``clamped_block_spectrum``)."""
-    sides, grids, h = _validate_grid(sides, grids, min_pts=4, order=4)
+    solves its parity blocks instead (``_clamped_parity_blocks``)."""
+    sides, grids, h = _validate_grid(sides, grids, "clamped")
     bands = [(_clamped_fourth_difference(n, hj), _second_difference(n, hj)) for n, hj in zip(grids, h)]
     axes = [(*_band(n, *b4), _band(n, *b2)[1]) for n, (b4, b2) in zip(grids, bands)]
-    return DiscreteOperator(_assemble(_plate_terms(axes), math.prod(grids), dense=False), grids, CLAMPED_STENCIL)
+    matrix = _assemble(_plate_terms(axes), math.prod(grids), dense=False)
+    return DiscreteOperator(matrix, grids, _FD["clamped"].stencil)
 
 
 def _block_smallest(build, dim: int, need: int, floor: float = 0.0):
@@ -505,11 +498,10 @@ def _plate_inf_norm(fourth, second) -> float:
 
 
 @_out_of_memory_refused("the clamped plate's parity blocks")
-def clamped_block_spectrum(sides, grids, l: int, count: int) -> tuple[SpectrumPrefix, tuple]:
-    """First ``count`` eigenvalues of fd_clamped_plate(sides, grids) from its
-    exact reflection-parity blocks, as (SpectrumPrefix labeled l = 2, grid
-    sizes).  The plate is already the l = 2 problem, so ``l`` must be 1.  The
-    whole operator is not built.
+def _clamped_parity_blocks(sides, grids, h, count: int):
+    """The ``count`` smallest eigenvalues of fd_clamped_plate(sides, grids)
+    from its exact reflection-parity blocks, their residual bound and
+    ||A||_inf.  The whole operator is not built.
 
     Each 1-D stencil of A = sum_a D4_a + 2 sum_(a < b) D2_a D2_b (the clamped
     fourth difference, the second difference and the identity) is symmetric
@@ -532,15 +524,10 @@ def clamped_block_spectrum(sides, grids, l: int, count: int) -> tuple[SpectrumPr
     terms of |Q|^T |A| |Q|, whose 2-norm is at most ||A||_inf; the computed
     block B' is within (T + 4) eps ||A||_inf of Q^T A Q in 2-norm.  So a
     block pair (lambda, u) of residual r gives the pair (lambda, Q u) of A a
-    residual of at most r + (T + 4) eps ||A||_inf, and ConvergenceError is
-    raised unless the largest block residual plus that bound is within
-    RESIDUAL_REL_TOL * ||A||_inf, computed from the stencils
+    residual of at most r + (T + 4) eps ||A||_inf: the bound is the largest
+    block residual plus that, and ||A||_inf is computed from the stencils
     (``_plate_inf_norm``).
     """
-    sides, grids, h = _validate_grid(sides, grids, min_pts=4, order=4)
-    _check_power(l)
-    _check_plate_power(l)
-    _check_count(count, math.prod(grids))
     fourth = [_clamped_fourth_difference(n, hj) for n, hj in zip(grids, h)]
     second = [_second_difference(n, hj) for n, hj in zip(grids, h)]
     folds = [
@@ -555,19 +542,13 @@ def clamped_block_spectrum(sides, grids, l: int, count: int) -> tuple[SpectrumPr
     vals, worst = _merge_blocks(blocks, count)
     terms = len(grids) * (len(grids) + 1) // 2
     norm = _plate_inf_norm(fourth, second)
-    _check_residuals(np.array([worst + (terms + 4) * np.finfo(float).eps * norm]), norm)
-    return SpectrumPrefix(vals, n=len(grids), l=2, problem=EUCLIDEAN), grids
+    return vals, worst + (terms + 4) * np.finfo(float).eps * norm, norm
 
 
-def _kohn_grid(sides, grids):
-    """Grid sizes (Nx, Ny, Nt), steps and x, y coordinates of an n = 1
-    Heisenberg box centered at the origin."""
-    sides, grids, h = _validate_grid(sides, grids, min_pts=4)
-    if len(grids) != 3:
-        raise InputError(f"n = 1 needs a 3-axis grid (x, y, t), got {len(grids)} axes")
-    xs = -sides[0] / 2.0 + h[0] * np.arange(1, grids[0] + 1)
-    ys = -sides[1] / 2.0 + h[1] * np.arange(1, grids[1] + 1)
-    return grids, h, xs, ys
+def _kohn_xy(sides, grids, h):
+    """The x and y coordinates of the grid points of a Heisenberg box
+    centered at the origin."""
+    return tuple(-side / 2.0 + step * np.arange(1, n + 1) for side, n, step in zip(sides[:2], grids, h))
 
 
 @_out_of_memory_refused("building the Kohn Laplacian")
@@ -583,7 +564,8 @@ def kohn_fd(n: int = 1, sides=(1.0, 1.0, 1.0), grids=(12, 12, 12)) -> KohnOperat
     """
     if n != 1:
         raise InputError("only the n = 1 Heisenberg group is supported at desk scale")
-    grids, h, xs, ys = _kohn_grid(sides, grids)
+    sides, grids, h = _validate_grid(sides, grids, "kohn")
+    xs, ys = _kohn_xy(sides, grids, h)
     dim = math.prod(grids)
     dx, dy, dt = (_band(size, 0.0, (1.0 / (2.0 * step),), skew=True) for size, step in zip(grids, h))
     ix, iy, it = ((size, None) for size in grids)  # the identities
@@ -592,7 +574,7 @@ def kohn_fd(n: int = 1, sides=(1.0, 1.0, 1.0), grids=(12, 12, 12)) -> KohnOperat
     L = (X.T @ X + Y.T @ Y).tocsr()
     L = (0.5 * (L + L.T)).tocsr()  # exact bitwise symmetry of the Gram sum
     t_field = _assemble([_kron_triplets([ix, iy, dt])], dim, False)
-    return KohnOperator(L, grids, KOHN_STENCIL, x_field=X, y_field=Y, t_field=t_field)
+    return KohnOperator(L, grids, _FD["kohn"].stencil, x_field=X, y_field=Y, t_field=t_field)
 
 
 def _kohn_t_modes(nt: int, ht: float) -> np.ndarray:
@@ -644,10 +626,10 @@ def _kohn_inf_norm(xs, ys, nt: int, h) -> float:
 
 
 @_out_of_memory_refused("the Kohn Laplacian's t-Fourier blocks")
-def kohn_block_spectrum(sides, grids, l: int, count: int) -> tuple[SpectrumPrefix, tuple]:
-    """First ``count`` eigenvalues of kohn_fd(1, sides, grids).matrix^l from
-    its exact t-Fourier blocks, as (SpectrumPrefix, grid sizes).  The 3-D
-    operator is not built.
+def _kohn_fourier_blocks(sides, grids, h, count: int):
+    """The ``count`` smallest eigenvalues of kohn_fd(1, sides, grids).matrix
+    from its exact t-Fourier blocks, their residual bound and ||L||_inf.
+    The 3-D operator is not built.
 
     L = X^T X + Y^T Y with X = Dx + Dt My and Y = Dy - Dt Mx, and Dt acts on t
     alone, so L maps u (x) v_p to L_p u (x) v_p for the eigenvectors v_p of
@@ -665,14 +647,12 @@ def kohn_block_spectrum(sides, grids, l: int, count: int) -> tuple[SpectrumPrefi
     eigenvalue is skipped.  The certificate: with D_t v = i theta v + e,
     ||L (u (x) v) - lambda u (x) v|| <= ||A_theta w - lambda w|| + ||e|| K
     with K = ymax / hx + xmax / hy + (xmax^2 + ymax^2) / (2 ht) (the norms of
-    the D_t and D_t^2 coefficients of L times |theta| + ||D_t|| <= 2 / ht);
-    ConvergenceError is raised unless the largest block residual plus the
-    largest t-mode residual times K is within RESIDUAL_REL_TOL * ||L||_inf.
+    the D_t and D_t^2 coefficients of L times |theta| + ||D_t|| <= 2 / ht):
+    the bound is the largest block residual plus the largest t-mode
+    residual times K.
     """
-    _check_power(l)
-    grids, (hx, hy, ht), xs, ys = _kohn_grid(sides, grids)
+    (hx, hy, ht), (xs, ys) = h, _kohn_xy(sides, grids, h)
     nt, dim = grids[2], grids[0] * grids[1]
-    _check_count(count, dim * nt)
     theta = _kohn_t_modes(nt, ht)
     blocks = []
     for p in range((nt + 1) // 2):
@@ -695,77 +675,80 @@ def kohn_block_spectrum(sides, grids, l: int, count: int) -> tuple[SpectrumPrefi
     mode_residual = _sine_mode_residual(nt, 2.0 - 2.0 * ht * theta, np.arange(nt)) / (2 * ht)
     xmax, ymax = float(np.abs(xs).max()), float(np.abs(ys).max())
     spread = ymax / hx + xmax / hy + (xmax**2 + ymax**2) / (2 * ht)
-    _check_residuals(np.array([block_residual + mode_residual * spread]), _kohn_inf_norm(xs, ys, nt, (hx, hy, ht)))
-    return SpectrumPrefix(_raise_to(vals, l), n=1, l=int(l), problem=HEISENBERG), grids
+    return vals, block_residual + mode_residual * spread, _kohn_inf_norm(xs, ys, nt, h)
 
 
-def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> SpectrumPrefix:
-    """First ``count`` eigenvalues of op^l: eigenvalues of op are computed
-    once and raised to the l-th power (the matrix power shares eigenvectors).
-
-    The operator is solved as one ``_block_smallest`` block, whose solver
-    ``_dense_route`` alone picks; either way every eigenpair's residual is
-    checked, and ConvergenceError is raised rather than an unchecked value
-    returned.
-
-    No command calls it: ``fd_spectrum`` writes the Laplacian's powers in
-    closed form, and takes the clamped plate from its parity blocks and the
-    Kohn Laplacian from its t-Fourier blocks.  It serves a demo, the tests
-    that check those routes against a built operator, and the benchmark's
-    tracer, which times it.  For a Dirichlet Laplacian base it realizes
-    Navier-type conditions, not clamped ones.  The clamped plate is already
-    the l = 2 problem: it takes only l = 1 and is labeled l = 2.
-    """
-    _check_power(l)
-    if op.stencil == KOHN_STENCIL:
-        raise InputError("the Kohn spectrum comes from kohn_block_spectrum, which labels it")
-    clamped = op.stencil == CLAMPED_STENCIL
-    if clamped:
-        _check_plate_power(l)
-    _check_count(count, op.dim)
-    vals = _raise_to(_block_smallest(lambda dense: op.matrix, op.dim, count)[0], l)
-    return SpectrumPrefix(vals, n=len(op.npoints), l=2 if clamped else int(l), problem=EUCLIDEAN)
+# problem: the stencil label of its CSV, the fewest interior points per axis
+# and the order of its stencil, the problem, n and l its spectrum is labelled
+# with (n None: the number of axes, any number; l None: the power asked for,
+# while a fixed l admits only the power 1), and its producer
+# (sides, grids, h, count) -> (values, residual bound, ||A||_inf)
+_Problem = namedtuple("_Problem", "stencil min_pts order problem n l produce")
+_FD = {
+    "laplacian": _Problem("dirichlet-laplacian", 2, 2, EUCLIDEAN, None, None, _laplacian_closed_form),
+    "clamped": _Problem("clamped-plate", 4, 4, EUCLIDEAN, None, 2, _clamped_parity_blocks),
+    "kohn": _Problem("kohn-heisenberg", 4, 2, HEISENBERG, 1, None, _kohn_fourier_blocks),
+}
+FD_PROBLEMS = tuple(_FD)
 
 
-FD_PROBLEMS = ("laplacian", "clamped", "kohn")
+def _labelled(problem: str, grids, values: np.ndarray, l: int) -> SpectrumPrefix:
+    """values^l as the spectrum of the l-th power of ``problem`` on ``grids``."""
+    row = _FD[problem]
+    return SpectrumPrefix(_raise_to(values, l), n=row.n or len(grids), l=row.l or l, problem=row.problem)
 
 
 def fd_spectrum(problem: str, sides, grids, l: int, count: int) -> tuple[SpectrumPrefix, dict]:
     """First ``count`` eigenvalues of the l-th power of an FD_PROBLEMS
     operator, and the labels of its spectrum: the grid sizes, the stencil
-    and, for a power of the Laplacian, its Navier-type conditions.
-
-    The Laplacian comes in closed form, the clamped plate from its
-    reflection-parity blocks and the Kohn Laplacian from its t-Fourier
-    blocks, so no whole operator is built and no builder runs.  The clamped
-    plate takes only l = 1 (it is the l = 2 problem).
+    and, for a power of the Laplacian, its Navier-type conditions.  The row
+    of ``problem`` in ``_FD`` says how to check the power and the grid and
+    how to label the values; its producer computes them, and
+    ConvergenceError is raised unless their residual bound is within
+    RESIDUAL_REL_TOL * ||A||_inf.  No whole operator is built and no builder
+    runs.
     """
-    if problem == "laplacian":
-        prefix, npoints = laplacian_power_spectrum(sides, grids, l, count)
-        stencil = LAPLACIAN_STENCIL
-    elif problem == "kohn":
-        prefix, npoints = kohn_block_spectrum(sides, grids, l, count)
-        stencil = KOHN_STENCIL
-    elif problem == "clamped":
-        prefix, npoints = clamped_block_spectrum(sides, grids, l, count)
-        stencil = CLAMPED_STENCIL
-    else:
+    if problem not in _FD:
         raise InputError(f"unknown fd problem {problem!r} ({'|'.join(FD_PROBLEMS)})")
-    labels = {"grid": ",".join(str(g) for g in npoints), "stencil": stencil}
+    row = _FD[problem]
+    _check_power(l, problem)
+    sides, grids, h = _validate_grid(sides, grids, problem)
+    _check_count(count, math.prod(grids))
+    values, residual, norm = row.produce(sides, grids, h, count)
+    _check_residuals(np.array([residual]), norm)
+    labels = {"grid": ",".join(str(g) for g in grids), "stencil": row.stencil}
     if problem == "laplacian" and l > 1:
         labels["spectrum-type"] = "navier-power"
-    return prefix, labels
+    return _labelled(problem, grids, values, l), labels
+
+
+def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> SpectrumPrefix:
+    """First ``count`` eigenvalues of op^l, op built by ``fd_laplacian`` or
+    ``fd_clamped_plate``: eigenvalues of op are computed once and raised to
+    the l-th power (the matrix power shares eigenvectors), and checked and
+    labelled by the row of its stencil.
+
+    The operator is solved as one ``_block_smallest`` block, whose solver
+    ``_dense_route`` alone picks; either way every eigenpair's residual is
+    checked, and ConvergenceError is raised rather than an unchecked value
+    returned.  No command calls it: it serves a demo, the tests that check
+    ``fd_spectrum`` against a built operator, and the benchmark's tracer,
+    which times it.
+    """
+    problem = next((name for name, row in _FD.items() if row.stencil == op.stencil), None)
+    if problem is None:
+        stencils = "|".join(row.stencil for row in _FD.values())
+        raise InputError(f"unknown stencil {op.stencil!r} ({stencils})")
+    _check_power(l, problem)
+    if problem == "kohn":
+        raise InputError("the Kohn spectrum comes from fd_spectrum, which labels it")
+    _check_count(count, op.dim)
+    return _labelled(problem, op.npoints, _block_smallest(lambda dense: op.matrix, op.dim, count)[0], l)
 
 
 # ---------------------------------------------------------------------------
 # spectrum prefixes and their CSV interface
 # ---------------------------------------------------------------------------
-
-EUCLIDEAN = "euclidean-polyharmonic"
-HEISENBERG = "heisenberg-kohn"
-PROBLEMS = (EUCLIDEAN, HEISENBERG)
-
-MAX_PREFIX_LEN = 10**5
 
 
 @dataclass(frozen=True)

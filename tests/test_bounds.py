@@ -21,7 +21,7 @@ from specgap.bounds import (
     verify_margins,
 )
 from specgap.couples import FunctionCouple
-from specgap.operators import box_spectrum, kohn_block_spectrum
+from specgap.operators import box_spectrum, fd_spectrum
 from specgap.errors import InputError
 
 PI2 = math.pi**2
@@ -463,7 +463,7 @@ def test_shared_margin_tables_equal_one_entry_tables(problem, l):
     if problem == EUCLIDEAN:
         prefix = euclid(box_spectrum((1.0, 1.37), 40).values ** l, 2, l=l)
     else:
-        prefix = kohn_block_spectrum((1.0, 1.0, 1.0), (6, 6, 6), l, 40)[0]
+        prefix = fd_spectrum("kohn", (1.0, 1.0, 1.0), (6, 6, 6), l, 40)[0]
     table = verify_margins(prefix)
     assert table.names == tuple(registry_names())
     for e, name in enumerate(table.names):

@@ -295,6 +295,8 @@ def test_necessary_tabulated_unsupported():
 class _PowerStub:
     """Power couple with unchecked exponents, for out-of-range diagnostics."""
 
+    family = "stub-power"  # not tabulated: the pairwise check takes its power form
+
     def __init__(self, lam, ef, eg):
         self.lam = lam
         self._e = (ef, eg)

@@ -6,7 +6,9 @@ eigenvalue call of a ``linalg`` module outside ``eigensolve.py`` but the two
 that return no eigenpairs to a caller; no call of ARPACK (``eigsh``) or
 SuperLU (``splu``) outside ``eigensolve.py``; no module-level import of
 scipy, which costs every command of the CLI its import time; and no import
-of scipy in ``operators.py`` but the sparse build of its one assembler.
+of scipy in ``operators.py`` but the sparse build of its one assembler; and
+no call of ``_validate_grid`` in ``operators.py`` but with a problem name,
+so each problem's grid rules are read from its one row.
 References from tests do not count: a helper that only a test calls is dead
 code.
 
@@ -26,6 +28,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from specgap.operators import FD_PROBLEMS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "specgap"
@@ -234,6 +238,29 @@ def _scipy_imports_by_function(tree: ast.Module):
 def test_operators_imports_scipy_only_in_its_assembler():
     sites = list(_scipy_imports_by_function(_tree(PACKAGE / "operators.py")))
     assert [function for _, function in sites] == [OPERATORS_SPARSE_SITE], sites
+
+
+def test_operators_validates_each_grid_by_its_problem_name():
+    """The fewest points, stencil order and axes of a grid come from its
+    problem's row of ``operators._FD``: every call of ``_validate_grid``
+    passes (sides, grids, problem), the problem an FD_PROBLEMS name or the
+    caller's ``problem``, and no keyword."""
+    calls = [
+        node
+        for node in ast.walk(_tree(PACKAGE / "operators.py"))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_validate_grid"
+    ]
+    stray = [
+        f"operators.py:{call.lineno} calls _validate_grid with {ast.unparse(call)}"
+        for call in calls
+        if call.keywords
+        or len(call.args) != 3
+        or not (
+            (isinstance(call.args[2], ast.Constant) and call.args[2].value in FD_PROBLEMS)
+            or (isinstance(call.args[2], ast.Name) and call.args[2].id == "problem")
+        )
+    ]
+    assert calls and not stray, stray
 
 
 def _loaded_modules(tmp_path, argv, watched) -> str:

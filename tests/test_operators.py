@@ -12,12 +12,10 @@ from specgap.eigensolve import RESIDUAL_REL_TOL, dense_symmetric_eig
 from specgap.errors import ConvergenceError, InputError
 from specgap.operators import (
     box_spectrum,
-    clamped_block_spectrum,
     fd_clamped_plate,
     fd_laplacian,
-    kohn_block_spectrum,
+    fd_spectrum,
     kohn_fd,
-    laplacian_power_spectrum,
     operator_power_spectrum,
     read_spectrum_csv,
     write_spectrum_csv,
@@ -194,9 +192,10 @@ def test_dense_and_sparse_builds_of_a_block_are_bitwise_equal_and_symmetric(monk
     seen = []
     real_block = operators._plate_block
     monkeypatch.setattr(operators, "_plate_block", lambda axes, dense: seen.append(axes) or real_block(axes, dense))
-    clamped_block_spectrum((1.0, 1.3, 0.8), (9, 10, 11), 1, 5)
+    fd_spectrum("clamped", (1.0, 1.3, 0.8), (9, 10, 11), 1, 5)
     builds = [lambda dense, axes=axes: real_block(axes, dense) for axes in seen]
-    npoints, (hx, hy, ht), xs, ys = operators._kohn_grid((1.0, 1.3, 0.8), (9, 10, 11))
+    sides, npoints, (hx, hy, ht) = operators._validate_grid((1.0, 1.3, 0.8), (9, 10, 11), "kohn")
+    xs, ys = operators._kohn_xy(sides, npoints, (hx, hy, ht))
     theta = operators._kohn_t_modes(npoints[2], ht)[1]
     builds.append(lambda dense: operators._kohn_block(xs, ys, hx, hy, theta, dense=dense))
     assert len(builds) == 9
@@ -225,13 +224,14 @@ CLAMPED_BLOCK_CASES = [
 def test_clamped_blocks_match_the_whole_operator(sides, grids, count):
     matrix = fd_clamped_plate(sides, grids).matrix.toarray()
     reference = np.linalg.eigvalsh(matrix)[:count]
-    prefix, npoints = clamped_block_spectrum(sides, grids, 1, count)
-    assert npoints == grids and (prefix.n, prefix.l, prefix.problem) == (len(grids), 2, EUCLIDEAN)
+    prefix, labels = fd_spectrum("clamped", sides, grids, 1, count)
+    assert labels == {"grid": ",".join(map(str, grids)), "stencil": "clamped-plate"}
+    assert (prefix.n, prefix.l, prefix.problem) == (len(grids), 2, EUCLIDEAN)
     assert np.all(np.abs(prefix.values - reference) <= 1e-13 * abs(matrix).sum(axis=1).max())
 
 
 def _plate_stencils(sides, grids):
-    sides, grids, h = operators._validate_grid(sides, grids, min_pts=4, order=4)
+    sides, grids, h = operators._validate_grid(sides, grids, "clamped")
     fourth = [operators._clamped_fourth_difference(n, hj) for n, hj in zip(grids, h)]
     return fourth, [operators._second_difference(n, hj) for n, hj in zip(grids, h)]
 
@@ -255,8 +255,8 @@ def test_clamped_blocks_take_each_route_with_a_floor_below_the_spectrum(monkeypa
     sides, grids = (1.0, 1.2), (46, 46)  # four blocks of 529, above DENSE_FALLBACK_DIM
     matrix = fd_clamped_plate(sides, grids).matrix.toarray()
     reference, scale = np.linalg.eigvalsh(matrix), abs(matrix).sum(axis=1).max()
-    arpack = clamped_block_spectrum(sides, grids, 1, 5)[0].values
-    dense = clamped_block_spectrum(sides, grids, 1, 600)[0].values  # above a quarter of each block
+    arpack = fd_spectrum("clamped", sides, grids, 1, 5)[0].values
+    dense = fd_spectrum("clamped", sides, grids, 1, 600)[0].values  # above a quarter of each block
     assert built == [False] * 4 + [True] * 4
     assert len(floors) == 4 and 0.0 < floors[0] <= reference[0] and len(set(floors)) == 1
     assert np.all(np.abs(arpack - reference[:5]) <= 1e-13 * scale)
@@ -274,20 +274,20 @@ def test_clamped_blocks_add_the_fold_rounding_to_the_residual(monkeypatch, margi
     monkeypatch.setattr(operators, "_block_smallest", lambda *args: (real(*args)[0], residual))
     if refused:
         with pytest.raises(ConvergenceError, match="eigenpair residual"):
-            clamped_block_spectrum(sides, grids, 1, 10)
+            fd_spectrum("clamped", sides, grids, 1, 10)
     else:
-        assert len(clamped_block_spectrum(sides, grids, 1, 10)[0].values) == 10
+        assert len(fd_spectrum("clamped", sides, grids, 1, 10)[0].values) == 10
 
 
 def test_clamped_blocks_check_powers_counts_and_grids():
     with pytest.raises(InputError, match="already the l = 2 problem"):
-        clamped_block_spectrum((1.0, 1.0), (6, 6), 2, 3)
+        fd_spectrum("clamped", (1.0, 1.0), (6, 6), 2, 3)
     with pytest.raises(InputError, match="l must be a positive integer"):
-        clamped_block_spectrum((1.0, 1.0), (6, 6), 0, 3)
+        fd_spectrum("clamped", (1.0, 1.0), (6, 6), 0, 3)
     with pytest.raises(InputError, match="count must satisfy 1 <= count <= 36"):
-        clamped_block_spectrum((1.0, 1.0), (6, 6), 1, 37)
+        fd_spectrum("clamped", (1.0, 1.0), (6, 6), 1, 37)
     with pytest.raises(InputError, match="at least 4 interior points"):
-        clamped_block_spectrum((1.0, 1.0), (3, 6), 1, 3)
+        fd_spectrum("clamped", (1.0, 1.0), (3, 6), 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +361,20 @@ def test_power_spectrum_squares_and_cubes():
 
 
 def test_power_spectrum_kohn_problem_tag():
-    prefix, npoints = kohn_block_spectrum((1.0, 1.0, 1.0), (5, 5, 5), 2, 4)
+    prefix, labels = fd_spectrum("kohn", (1.0, 1.0, 1.0), (5, 5, 5), 2, 4)
     assert prefix.problem == HEISENBERG and prefix.n == 1 and prefix.l == 2
-    assert npoints == (5, 5, 5)
+    assert labels == {"grid": "5,5,5", "stencil": "kohn-heisenberg"}
 
 
 def test_power_spectrum_refuses_the_kohn_operator():
-    with pytest.raises(InputError, match="kohn_block_spectrum"):
+    with pytest.raises(InputError, match="comes from fd_spectrum"):
         operator_power_spectrum(kohn_fd(1, (1.0, 1.0, 1.0), (5, 5, 5)), 1, 4)
+
+
+def test_power_spectrum_refuses_an_unknown_stencil():
+    op = operators.DiscreteOperator(fd_laplacian([1.0], [10]).matrix, (10,), "my-stencil")
+    with pytest.raises(InputError, match="unknown stencil 'my-stencil' .dirichlet-laplacian.clamped-plate.kohn-heisenberg"):
+        operator_power_spectrum(op, 1, 4)
 
 
 def test_power_spectrum_count_cap():
@@ -398,10 +404,10 @@ def _random_laplacian_case(seed):
     ids=[f"seed{seed}" for seed in range(12)] + ["1d-600-l3"],
 )
 def test_laplacian_closed_form_matches_operator_spectrum(sides, grids, l, count):
-    prefix, npoints = laplacian_power_spectrum(sides, grids, l, count)
+    prefix, labels = fd_spectrum("laplacian", sides, grids, l, count)
     op = fd_laplacian(sides, grids)
     reference = operator_power_spectrum(op, l, count)
-    assert npoints == grids
+    assert labels["grid"] == ",".join(map(str, grids))
     assert (prefix.n, prefix.l, prefix.problem) == (reference.n, reference.l, reference.problem)
     # 1e-12 relative, plus the reference's own error: a dense eigenvalue of A
     # is off by up to a few eps * ||A||, 1.7e-11 relative at the bottom of the
@@ -421,16 +427,16 @@ def test_laplacian_closed_form_refuses_a_perturbed_mode(monkeypatch):
 
     monkeypatch.setattr(operators, "_sine_modes", perturbed)
     with pytest.raises(ConvergenceError, match="eigenpair residual"):
-        laplacian_power_spectrum([1.0, 1.0], [10, 10], 1, 20)
+        fd_spectrum("laplacian", [1.0, 1.0], [10, 10], 1, 20)
     # a mode that no written value uses is not checked
-    assert laplacian_power_spectrum([1.0], [10], 1, 2)[0].values.size == 2
+    assert fd_spectrum("laplacian", [1.0], [10], 1, 2)[0].values.size == 2
 
 
 def test_laplacian_closed_form_checks_counts_like_the_operator():
     with pytest.raises(InputError, match="count must satisfy 1 <= count <= 10"):
-        laplacian_power_spectrum([1.0], [10], 1, 11)
+        fd_spectrum("laplacian", [1.0], [10], 1, 11)
     with pytest.raises(InputError, match="l must be a positive integer"):
-        laplacian_power_spectrum([1.0], [10], 0, 3)
+        fd_spectrum("laplacian", [1.0], [10], 0, 3)
 
 
 def test_sine_mode_residual_refuses_a_mutated_mode():
@@ -475,18 +481,18 @@ def _kohn_reference(sides, grids):
     "sides, grids, l, count", KOHN_BLOCK_CASES, ids=["x".join(map(str, c[1])) + f"-l{c[2]}-{c[3]}" for c in KOHN_BLOCK_CASES]
 )
 def test_kohn_blocks_match_the_3d_operator(sides, grids, l, count):
-    prefix, npoints = kohn_block_spectrum(sides, grids, l, count)
+    prefix, labels = fd_spectrum("kohn", sides, grids, l, count)
     reference = _kohn_reference(sides, grids)[:count] ** l
-    assert npoints == grids and (prefix.n, prefix.l, prefix.problem) == (1, l, HEISENBERG)
+    assert labels["grid"] == ",".join(map(str, grids)) and (prefix.n, prefix.l, prefix.problem) == (1, l, HEISENBERG)
     assert np.all(np.abs(prefix.values - reference) <= 1e-12 * reference)
     if grids[2] % 2 == 0:  # every block has a twin at -theta
-        full = kohn_block_spectrum(sides, grids, 1, math.prod(grids))[0].values
+        full = fd_spectrum("kohn", sides, grids, 1, math.prod(grids))[0].values
         assert np.array_equal(full[0::2], full[1::2])
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_kohn_blocks_write_the_zero_of_all_odd_grids_as_its_closed_form(n):
-    values = kohn_block_spectrum((1.0, 1.0, 1.0), (n, n, n), 1, 10)[0].values
+    values = fd_spectrum("kohn", (1.0, 1.0, 1.0), (n, n, n), 1, 10)[0].values
     # cos^2 of the float nearest pi/2 over h^2, about 1e-31: not a solver's
     # rounding, which is of either sign and near 1e-15
     assert 0.0 <= values[0] < 1e-24 * values[1]
@@ -496,7 +502,8 @@ def test_kohn_blocks_write_the_zero_of_all_odd_grids_as_its_closed_form(n):
 
 def test_kohn_inf_norm_is_the_operators():
     for sides, grids in (((1.0, 1.0, 1.0), (12, 12, 12)), ((2.0, 1.0, 1.5), (6, 9, 7)), ((1.0, 1.3, 0.7), (4, 7, 5))):
-        npoints, h, xs, ys = operators._kohn_grid(sides, grids)
+        sides, npoints, h = operators._validate_grid(sides, grids, "kohn")
+        xs, ys = operators._kohn_xy(sides, npoints, h)
         norm = abs(kohn_fd(1, sides, grids).matrix).sum(axis=1).max()
         assert abs(operators._kohn_inf_norm(xs, ys, npoints[2], h) - norm) <= 1e-13 * norm
 
@@ -509,8 +516,8 @@ def test_kohn_blocks_take_each_route(monkeypatch):
     monkeypatch.setattr(operators, "_kohn_block", lambda *a, dense: built.append(dense) or real_block(*a, dense=dense))
     sides, grids = (1.0, 1.0, 1.0), (24, 22, 4)  # two pairs of blocks of 528, above DENSE_FALLBACK_DIM
     reference = _kohn_reference(sides, grids)
-    arpack = kohn_block_spectrum(sides, grids, 1, 20)[0].values
-    dense = kohn_block_spectrum(sides, grids, 1, 200)[0].values  # 100 of 528 in each block
+    arpack = fd_spectrum("kohn", sides, grids, 1, 20)[0].values
+    dense = fd_spectrum("kohn", sides, grids, 1, 200)[0].values  # 100 of 528 in each block
     assert built == [False, False, True, True]
     assert np.all(np.abs(arpack - reference[:20]) <= 1e-12 * reference[:20])
     assert np.all(np.abs(dense - reference[:200]) <= 1e-12 * reference[:200])
@@ -556,7 +563,7 @@ def test_kohn_blocks_refuse_a_wrong_t_mode(monkeypatch, mutation):
 
     monkeypatch.setattr(operators, "_kohn_t_modes", wrong)
     with pytest.raises(ConvergenceError, match="eigenpair residual"):
-        kohn_block_spectrum((1.0, 1.0, 1.0), (8, 8, 8), 1, 20)
+        fd_spectrum("kohn", (1.0, 1.0, 1.0), (8, 8, 8), 1, 20)
 
 
 def test_kohn_blocks_refuse_a_wrong_middle_block(monkeypatch):
@@ -572,18 +579,18 @@ def test_kohn_blocks_refuse_a_wrong_middle_block(monkeypatch):
 
     monkeypatch.setattr(operators, "_sine_mode_residual", mutated)
     with pytest.raises(ConvergenceError, match="eigenpair residual"):
-        kohn_block_spectrum((1.0, 1.0, 1.0), (7, 7, 7), 1, 10)
+        fd_spectrum("kohn", (1.0, 1.0, 1.0), (7, 7, 7), 1, 10)
 
 
 def test_kohn_blocks_check_counts_and_grids():
     with pytest.raises(InputError, match="count must satisfy 1 <= count <= 216"):
-        kohn_block_spectrum((1.0, 1.0, 1.0), (6, 6, 6), 1, 217)
+        fd_spectrum("kohn", (1.0, 1.0, 1.0), (6, 6, 6), 1, 217)
     with pytest.raises(InputError, match="l must be a positive integer"):
-        kohn_block_spectrum((1.0, 1.0, 1.0), (6, 6, 6), 0, 3)
+        fd_spectrum("kohn", (1.0, 1.0, 1.0), (6, 6, 6), 0, 3)
     with pytest.raises(InputError, match="3-axis grid"):
-        kohn_block_spectrum((1.0, 1.0), (6, 6), 1, 3)
+        fd_spectrum("kohn", (1.0, 1.0), (6, 6), 1, 3)
     with pytest.raises(InputError, match="at least 4 interior points"):
-        kohn_block_spectrum((1.0, 1.0, 1.0), (3, 6, 6), 1, 3)
+        fd_spectrum("kohn", (1.0, 1.0, 1.0), (3, 6, 6), 1, 3)
 
 
 # ---------------------------------------------------------------------------
