@@ -10,7 +10,7 @@ then feeds the paper's polyharmonic couple inequality on a box spectrum.
 import numpy as np
 
 from specgap.bounds import check_general_poly
-from specgap.couples import FunctionCouple, certify_on_samples, check_membership, check_necessary_differentiable
+from specgap.couples import FunctionCouple, certify_on_samples, check_necessary_differentiable
 from specgap.operators import SpectrumPrefix, box_spectrum
 
 CERTIFIED = [
@@ -27,7 +27,7 @@ samples = lam * rng.uniform(0.01, 0.99, size=24)
 print("certified families on", len(samples), "random samples in (0, 10):")
 for family, params in CERTIFIED:
     couple = FunctionCouple(family, lam, params)
-    rep = check_membership(couple, samples)
+    rep = certify_on_samples(couple, samples)
     screen = check_necessary_differentiable(couple, samples)
     print(f"  {couple.describe():24s} pairwise worst {rep.worst:+.3e}  pass={rep.passed}"
           f"   screen worst margin {screen.worst:+.3e}")
@@ -40,7 +40,7 @@ print()
 # a tabulated couple that is NOT admissible: f decaying linearly, g constant
 xs = np.array([2.0, 5.0, 8.0])
 bad = FunctionCouple("tabulated", lam, (), (xs, lam - xs, np.ones_like(xs)))
-rep = check_membership(bad, xs)
+rep = certify_on_samples(bad, xs)
 print(f"tabulated f = lambda - x, g = 1:  pass={rep.passed}, worst pair value {rep.worst:.3f},")
 print(f"  witness pair {rep.witness}")
 print()
@@ -53,7 +53,8 @@ print("(delta beyond 2 is rejected at construction; the screen margin")
 print(" (2 delta - delta^2)/(lambda - x)^2 would turn negative)")
 print()
 
-# membership needs two distinct points; a single sample certifies vacuously
+# the condition quantifies over pairs x != y, so a single sample certifies
+# vacuously (couple check refuses a sample set without two distinct points)
 single = certify_on_samples(inside, [4.0])
 print("single-sample certificate (vacuous):", single.passed, "pairs checked:", single.n_checked)
 

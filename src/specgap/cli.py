@@ -357,7 +357,9 @@ def cmd_couple(args) -> int:
             raise SpecgapError(f"{m} samples exceed the cap of {couples.MAX_MEMBERSHIP_SAMPLES}")
         rng = np.random.default_rng(int(args.seed if args.seed is not None else 0))
         samples = lam * rng.uniform(1e-6, 1.0 - 1e-6, size=m)
-    report = couples.check_membership(couple, samples)
+    report = couples.certify_on_samples(couple, samples)
+    if np.ptp(samples) == 0:  # a certificate with no pair to check certifies nothing
+        raise SpecgapError("need at least 2 distinct sample points")
     row = {"spec": text, "lambda": lam, "n_samples": int(np.asarray(samples).size)}
     row.update(dataclasses.asdict(report))
     if couple.family != couples.TABULATED:

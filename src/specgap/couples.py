@@ -15,16 +15,20 @@ parametric power families are admissible for the parameter ranges of
 ``_POWER_FAMILIES``, which declares each family once; a tabulated couple is
 second class and can only ever be certified on the sample points it was given.
 
-Both checks here are numerical certificates on finite samples, not proofs:
-``check_membership`` evaluates the displayed condition pairwise (with the
-difference quotients of a power family in closed form, so that close pairs
-lose nothing to cancellation), and ``check_necessary_differentiable``
-screens smooth families with the weaker pointwise condition
-((ln f)')^2 <= -2/(lambda-x) * (ln g)'.
+Both checks here are numerical certificates on finite samples, not proofs,
+and both read their samples through one gate, ``_points``:
+``certify_on_samples`` evaluates the displayed condition pairwise (a power
+family's difference quotients in closed form, so that close pairs lose
+nothing to cancellation), and ``check_necessary_differentiable`` screens
+smooth families with the weaker pointwise condition
+((ln f)')^2 <= -2/(lambda-x) * (ln g)'.  Both are homogeneous for a power
+family, so they run exactly in the unit 2^m <= lambda < 2^(m+1) and scale
+back what they report (+-inf beyond the float range).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,20 +36,16 @@ import numpy as np
 
 from .errors import InputError
 
-CONST_POWER = "const-power"
-LINEAR_POWER = "linear-power"
-EQUAL_POWER = "equal-power"
-NEG_POWER = "neg-power"
 TABULATED = "tabulated"
 
 # family: parameter count, exponents (ef, eg) of f, g = (lambda-x)^(ef, eg),
 # admissible range and the range as its refusal states it
 _POWER_FAMILIES = {
-    CONST_POWER: (1, lambda a: (0.0, a), lambda a: a >= 0, "one parameter alpha >= 0"),
-    LINEAR_POWER: (1, lambda b: (1.0, b), lambda b: b >= 0.5, "one parameter beta >= 1/2"),
-    EQUAL_POWER: (1, lambda d: (d, d), lambda d: 0 < d <= 2, "one parameter 0 < delta <= 2"),
-    NEG_POWER: (2, lambda a, b: (a, b), lambda a, b: a < 0 and b >= 1 and a**2 <= b,
-                "(alpha, beta) with alpha < 0, beta >= 1, alpha^2 <= beta"),
+    "const-power": (1, lambda a: (0.0, a), lambda a: a >= 0, "one parameter alpha >= 0"),
+    "linear-power": (1, lambda b: (1.0, b), lambda b: b >= 0.5, "one parameter beta >= 1/2"),
+    "equal-power": (1, lambda d: (d, d), lambda d: 0 < d <= 2, "one parameter 0 < delta <= 2"),
+    "neg-power": (2, lambda a, b: (a, b), lambda a, b: a < 0 and b >= 1 and a**2 <= b,
+                  "(alpha, beta) with alpha < 0, beta >= 1, alpha^2 <= beta"),
 }  # fmt: skip
 
 FAMILIES = (*_POWER_FAMILIES, TABULATED)
@@ -58,9 +58,28 @@ PAIR_SKIP_REL = 1e-14
 # (e.g. the equal-power family at delta = 2) must not fail from round-off.
 COND_TOL_REL = 1e-12
 
-# check_membership holds a few float arrays per sample pair, about 8.4e6
-# pairs at this cap; more samples are refused before anything is allocated.
+# The pairwise certificate holds a few float arrays per pair, 8.4e6 pairs at
+# this cap (`couple check --samples 4096`: 1.0 GB peak RSS, 1.6-2.6 s on 2
+# CPUs); _points refuses more for every certificate, before any allocation.
 MAX_MEMBERSHIP_SAMPLES = 4096
+
+
+def _check_domain(lam: float, xs: np.ndarray) -> None:
+    """Refuse any point of ``xs`` outside (0, lam), NaN included."""
+    if not np.all((xs > 0) & (xs < lam)):
+        raise InputError(f"evaluation points must lie in (0, {lam}), got range [{xs.min()}, {xs.max()}]")
+
+
+def _lookup(table: tuple, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, g) of a (x, f, g) table at its own points ``xs``; no domain test."""
+    tx, tf, tg = table
+    idx = np.empty(xs.shape, dtype=int)
+    for pos, x in np.ndenumerate(xs):
+        hits = np.nonzero(np.isclose(tx, x, rtol=1e-12, atol=0.0))[0]
+        if hits.size == 0:
+            raise InputError(f"x = {x} is not a tabulated sample point")
+        idx[pos] = hits[0]
+    return tf[idx], tg[idx]
 
 
 def _validate_params(family: str, params: tuple) -> None:
@@ -99,8 +118,7 @@ class FunctionCouple:
             xs, fs, gs = (np.asarray(a, dtype=float).ravel() for a in self.table)
             if not (xs.size and xs.size == fs.size == gs.size):
                 raise InputError("table arrays must be nonempty and of equal length")
-            if np.any(xs <= 0) or np.any(xs >= self.lam):
-                raise InputError("table points must lie in (0, lambda)")
+            _check_domain(self.lam, xs)
             if np.any(fs <= 0) or np.any(gs <= 0):
                 raise InputError("tabulated f and g must be strictly positive")
             for a in (xs, fs, gs):
@@ -118,20 +136,9 @@ class FunctionCouple:
     def evaluate_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized (f(x), g(x)); raises on points outside (0, lambda)."""
         xs = np.asarray(xs, dtype=float)
-        if np.any(xs <= 0) or np.any(xs >= self.lam):
-            raise InputError(
-                f"evaluation points must lie in (0, {self.lam}), got range "
-                f"[{xs.min() if xs.size else 'nan'}, {xs.max() if xs.size else 'nan'}]"
-            )
+        _check_domain(self.lam, xs)
         if self.family == TABULATED:
-            tx, tf, tg = self.table
-            idx = np.empty(xs.shape, dtype=int)
-            for pos, x in np.ndenumerate(xs):
-                hits = np.nonzero(np.isclose(tx, x, rtol=1e-12, atol=0.0))[0]
-                if hits.size == 0:
-                    raise InputError(f"x = {x} is not a tabulated sample point")
-                idx[pos] = hits[0]
-            return tf[idx], tg[idx]
+            return _lookup(self.table, xs)
         ef, eg = self.power_exponents()
         u = self.lam - xs
         return u**ef, u**eg
@@ -148,8 +155,8 @@ class MembershipReport:
 
     ``worst`` is the largest pair value for the pairwise check (pass means
     every pair value is at or below its round-off tolerance) and the smallest
-    margin for the differentiable screen (pass means every margin is
-    nonnegative up to round-off).
+    margin for the screen (pass means every margin is nonnegative up to
+    round-off); -inf when no pair was checked, +-inf beyond the float range.
     """
 
     passed: bool
@@ -181,8 +188,43 @@ def _power_quotients(exponents: tuple, u: np.ndarray, i: np.ndarray, j: np.ndarr
     return -(v ** (e - 1.0)) * np.expm1(e * log_ratio) / r
 
 
+def _points(couple, samples) -> np.ndarray:
+    """The samples, flat: refused if none, above the cap or outside (0, lambda)."""
+    xs = np.asarray(samples, dtype=float).ravel()
+    if xs.size == 0:
+        raise InputError("empty sample set")
+    if xs.size > MAX_MEMBERSHIP_SAMPLES:
+        raise InputError(f"{xs.size} samples exceed the cap of {MAX_MEMBERSHIP_SAMPLES}")
+    _check_domain(couple.lam, xs)
+    return xs
+
+
+def _in_units(lam: float, xs: np.ndarray) -> tuple[int, np.ndarray]:
+    """(m, (lam - xs) / 2^m), exactly, for the unit 2^m <= lam < 2^(m+1)."""
+    m = math.frexp(lam)[1] - 1
+    return m, np.ldexp(lam - xs, -m)
+
+
+def _times_pow2(x: float, p: float) -> float:
+    """x * 2^p, exact for integer p, and +-inf where it overflows."""
+    try:
+        return math.ldexp(x * 2.0 ** (p % 1), math.floor(p))
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def _pairwise_report(couple, xs: np.ndarray) -> MembershipReport:
-    fs, gs = couple.evaluate_batch(xs)
+    """The pairwise certificate on gated points.  In the unit 2^m, g and the
+    pair value q are 2^(-m eg) and 2^(-m (2 ef - 2)) times their values at
+    x, and so is each tolerance; a table is read as given (m = 0)."""
+    tabulated = couple.family == TABULATED
+    if tabulated:  # the unit 1: no exponent scales anything
+        m, (ef, eg), u = 0, (0.0, 0.0), couple.lam - xs
+        fs, gs = _lookup(couple.table, xs)
+    else:
+        ef, eg = couple.power_exponents()
+        m, u = _in_units(couple.lam, xs)
+        fs, gs = u**ef, u**eg
     if np.any(fs <= 0) or np.any(gs <= 0):
         raise InputError("couple is not positive on the sample set")
 
@@ -194,81 +236,48 @@ def _pairwise_report(couple, xs: np.ndarray) -> MembershipReport:
     i, j, dx = i[keep], j[keep], dx[keep]
 
     # g must be nonincreasing; check on the sorted samples.
-    order = np.argsort(xs, kind="stable")
-    g_sorted = gs[order]
-    g_tol = COND_TOL_REL * (1.0 + float(np.max(np.abs(gs))))
+    g_sorted = gs[np.argsort(xs, kind="stable")]
+    g_tol = COND_TOL_REL * (_times_pow2(1.0, -m * eg) + float(np.max(np.abs(gs))))
     g_ok = bool(np.all(np.diff(g_sorted) <= g_tol))
 
     if i.size == 0:
         return MembershipReport(g_ok, "pairwise", -np.inf, None, 0, n_skipped, g_ok)
 
-    u = couple.lam - xs
-    if couple.family == TABULATED:  # no power form: raw quotients and ratio
+    if tabulated:  # no power form: raw quotients and ratio
         df, dg = (fs[i] - fs[j]) / dx, (gs[i] - gs[j]) / dx
         w = fs**2 / (gs * u)
     else:  # f^2 / (g u) as one power of u, with no intermediate to overflow or underflow
-        ef, eg = couple.power_exponents()
         df, dg = _power_quotients((ef, eg), u, i, j)
         w = u ** (2 * ef - eg - 1)
+    degree = m * (2 * ef - 2)
     t1 = df**2
     t2 = (w[i] + w[j]) * dg
     q = t1 + t2
-    tol = COND_TOL_REL * (1.0 + np.maximum(np.abs(t1), np.abs(t2)))
+    tol = COND_TOL_REL * (_times_pow2(1.0, -degree) + np.maximum(np.abs(t1), np.abs(t2)))
 
     violations = q - tol
-    worst_idx = int(np.argmax(q))
     pairs_ok = bool(np.all(violations <= 0))
-    passed = pairs_ok and g_ok
     witness = None
     if not pairs_ok:
         wv = int(np.argmax(violations))
         witness = (float(xs[i[wv]]), float(xs[j[wv]]))
-    return MembershipReport(
-        passed=passed,
-        check="pairwise",
-        worst=float(q[worst_idx]),
-        witness=witness,
-        n_checked=int(i.size),
-        n_skipped=n_skipped,
-        g_nonincreasing=g_ok,
-    )
-
-
-def check_membership(couple: FunctionCouple, samples) -> MembershipReport:
-    """Certify the pairwise admissibility condition on a finite sample set.
-
-    Requires at least two distinct samples in (0, lambda), and at most
-    MAX_MEMBERSHIP_SAMPLES of them.  Pairs closer than PAIR_SKIP_REL * lambda
-    are skipped.  The result is independent of sample order.
-    """
-    xs = np.asarray(samples, dtype=float).ravel()
-    if xs.size > MAX_MEMBERSHIP_SAMPLES:
-        raise InputError(f"{xs.size} samples exceed the cap of {MAX_MEMBERSHIP_SAMPLES}")
-    if xs.size < 2 or xs.min() == xs.max():  # np.unique would import numpy.ma
-        raise InputError("need at least 2 distinct sample points")
-    return _pairwise_report(couple, xs)
+    worst = _times_pow2(float(q.max()), degree)
+    return MembershipReport(pairs_ok and g_ok, "pairwise", worst, witness, int(i.size), n_skipped, g_ok)
 
 
 def certify_on_samples(couple: FunctionCouple, samples) -> MembershipReport:
-    """Like check_membership, but a sample set with no pair of distinct
-    points (a single point, or one point repeated) passes vacuously: the
-    pairwise condition quantifies over x != y only.
+    """Certify the pairwise admissibility condition on a finite sample set.
 
-    Downstream verifiers use this for k = 1 prefixes.
+    Pairs closer than PAIR_SKIP_REL * lambda are skipped, so a set with no
+    two distinct points passes vacuously: the condition quantifies over
+    x != y only.  The result is independent of sample order.
     """
-    xs = np.asarray(samples, dtype=float).ravel()
-    if xs.size == 0:
-        raise InputError("empty sample set")
-    return _pairwise_report(couple, xs)
+    return _pairwise_report(couple, _points(couple, samples))
 
 
 def admissible_weights(couple: FunctionCouple, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(f, g) at the eigenvalue prefix ``lam``, as weights of an inequality at
-    z = couple.lam.
-
-    Raises InputError unless the couple is certified admissible on ``lam``
-    (:func:`certify_on_samples`).
-    """
+    z = couple.lam; InputError unless :func:`certify_on_samples` passes."""
     report = certify_on_samples(couple, lam)
     if not report.passed:
         raise InputError(
@@ -283,31 +292,19 @@ def check_necessary_differentiable(couple, samples) -> MembershipReport:
     condition ((ln f)')^2 <= -2/(lambda-x) * (ln g)'.
 
     A failure proves non-membership; a pass is only a screen.  Tabulated
-    couples are rejected.
+    couples are rejected; the samples are read through ``_points``.
     """
     ef, eg = couple.power_exponents()
-    xs = np.asarray(samples, dtype=float).ravel()
-    if xs.size == 0:
-        raise InputError("empty sample set")
-    if np.any(xs <= 0) or np.any(xs >= couple.lam):
-        raise InputError("samples must lie in (0, lambda)")
-    u = couple.lam - xs
+    xs = _points(couple, samples)
+    m, u = _in_units(couple.lam, xs)  # both sides are 2^(2m) times their values at x
     lhs = (ef / u) ** 2
-    with np.errstate(over="ignore"):  # u**2 overflows only where the exact rhs underflows to 0
-        rhs = 2.0 * eg / u**2
+    rhs = 2.0 * eg / u**2
     margin = rhs - lhs
-    tol = COND_TOL_REL * (1.0 + np.abs(lhs) + np.abs(rhs))
-    ok = margin >= -tol
-    passed = bool(np.all(ok))
-    worst_idx = int(np.argmin(margin))
+    tol = COND_TOL_REL * (_times_pow2(1.0, 2 * m) + np.abs(lhs) + np.abs(rhs))
+    passed = bool(np.all(margin >= -tol))
+    worst = _times_pow2(float(margin.min()), -2 * m)
     witness = None if passed else (float(xs[int(np.argmin(margin + tol))]),)
-    return MembershipReport(
-        passed=passed,
-        check="differentiable",
-        worst=float(margin[worst_idx]),
-        witness=witness,
-        n_checked=int(xs.size),
-    )
+    return MembershipReport(passed, "differentiable", worst, witness, xs.size)
 
 
 @dataclass(frozen=True)

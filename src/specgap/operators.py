@@ -169,7 +169,7 @@ def _raise_to(values: np.ndarray, l: int) -> np.ndarray:
 def _validate_grid(sides, grids, problem: str):
     """(sides, grid sizes, steps) of a grid of the FD_PROBLEMS ``problem``,
     whose row gives the fewest interior points per axis, the order of its
-    stencil (``_box_sides``) and, for a Heisenberg box, the number of axes.
+    stencil (``_box_sides``) and, for a Heisenberg box, the 3 axes of n = 1.
     One grid size is taken for every side."""
     row = _FD[problem]
     grids = tuple(int(g) for g in np.atleast_1d(grids))
@@ -182,8 +182,8 @@ def _validate_grid(sides, grids, problem: str):
         grids = grids * len(sides)
     if len(sides) != len(grids):
         raise InputError(f"got {len(sides)} sides but {len(grids)} grid sizes")
-    if row.n is not None and len(grids) != 2 * row.n + 1:
-        raise InputError(f"n = {row.n} needs a {2 * row.n + 1}-axis grid (x, y, t), got {len(grids)} axes")
+    if row.problem == HEISENBERG and len(grids) != 3:
+        raise InputError(f"n = 1 needs a 3-axis grid (x, y, t), got {len(grids)} axes")
     h = tuple(s / (g + 1) for s, g in zip(sides, grids))
     return sides, grids, h
 
@@ -229,11 +229,11 @@ def box_spectrum(sides, count: int) -> SpectrumPrefix:
 
 
 def _check_power(l, problem: str) -> None:
-    """l is a positive integer, and 1 if the row of ``problem`` fixes the l
-    of its spectrum (only the clamped plate's does)."""
+    """l is a positive integer, and 1 for a row above order 2 (the clamped
+    plate, already labelled l = 2)."""
     if not (isinstance(l, (int, np.integer)) and l >= 1):
         raise InputError(f"l must be a positive integer, got {l}")
-    if _FD[problem].l is not None and l != 1:
+    if _FD[problem].order > 2 and l != 1:
         raise InputError("the clamped operator is already the l = 2 problem; "
                          "powers apply to laplacian and kohn spectra")
 
@@ -678,16 +678,15 @@ def _kohn_fourier_blocks(sides, grids, h, count: int):
     return vals, block_residual + mode_residual * spread, _kohn_inf_norm(xs, ys, nt, h)
 
 
-# problem: the stencil label of its CSV, the fewest interior points per axis
-# and the order of its stencil, the problem, n and l its spectrum is labelled
-# with (n None: the number of axes, any number; l None: the power asked for,
-# while a fixed l admits only the power 1), and its producer
-# (sides, grids, h, count) -> (values, residual bound, ||A||_inf)
-_Problem = namedtuple("_Problem", "stencil min_pts order problem n l produce")
+# problem: the stencil label of its CSV, the fewest interior points per axis,
+# the order 2m of its stencil (its power p is labelled l = m p), the problem
+# of its spectrum (n = 1 if Heisenberg, else the number of axes) and its
+# producer (sides, grids, h, count) -> (values, residual bound, ||A||_inf)
+_Problem = namedtuple("_Problem", "stencil min_pts order problem produce")
 _FD = {
-    "laplacian": _Problem("dirichlet-laplacian", 2, 2, EUCLIDEAN, None, None, _laplacian_closed_form),
-    "clamped": _Problem("clamped-plate", 4, 4, EUCLIDEAN, None, 2, _clamped_parity_blocks),
-    "kohn": _Problem("kohn-heisenberg", 4, 2, HEISENBERG, 1, None, _kohn_fourier_blocks),
+    "laplacian": _Problem("dirichlet-laplacian", 2, 2, EUCLIDEAN, _laplacian_closed_form),
+    "clamped": _Problem("clamped-plate", 4, 4, EUCLIDEAN, _clamped_parity_blocks),
+    "kohn": _Problem("kohn-heisenberg", 4, 2, HEISENBERG, _kohn_fourier_blocks),
 }
 FD_PROBLEMS = tuple(_FD)
 
@@ -695,7 +694,8 @@ FD_PROBLEMS = tuple(_FD)
 def _labelled(problem: str, grids, values: np.ndarray, l: int) -> SpectrumPrefix:
     """values^l as the spectrum of the l-th power of ``problem`` on ``grids``."""
     row = _FD[problem]
-    return SpectrumPrefix(_raise_to(values, l), n=row.n or len(grids), l=row.l or l, problem=row.problem)
+    n = 1 if row.problem == HEISENBERG else len(grids)
+    return SpectrumPrefix(_raise_to(values, l), n=n, l=row.order // 2 * l, problem=row.problem)
 
 
 def fd_spectrum(problem: str, sides, grids, l: int, count: int) -> tuple[SpectrumPrefix, dict]:
@@ -717,7 +717,7 @@ def fd_spectrum(problem: str, sides, grids, l: int, count: int) -> tuple[Spectru
     values, residual, norm = row.produce(sides, grids, h, count)
     _check_residuals(np.array([residual]), norm)
     labels = {"grid": ",".join(str(g) for g in grids), "stencil": row.stencil}
-    if problem == "laplacian" and l > 1:
+    if row.problem == EUCLIDEAN and l > 1:  # a power of the Laplacian: only order 2 takes one
         labels["spectrum-type"] = "navier-power"
     return _labelled(problem, grids, values, l), labels
 
@@ -740,7 +740,7 @@ def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> Spectru
         stencils = "|".join(row.stencil for row in _FD.values())
         raise InputError(f"unknown stencil {op.stencil!r} ({stencils})")
     _check_power(l, problem)
-    if problem == "kohn":
+    if _FD[problem].problem == HEISENBERG:
         raise InputError("the Kohn spectrum comes from fd_spectrum, which labels it")
     _check_count(count, op.dim)
     return _labelled(problem, op.npoints, _block_smallest(lambda dense: op.matrix, op.dim, count)[0], l)

@@ -511,6 +511,18 @@ def test_general_poly_matches_cim_squared_margin():
         assert via_couple == pytest.approx(via_registry, rel=1e-12)
 
 
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_general_poly_matches_cim_squared_margin_on_box_prefixes(l):
+    # two implementations of one inequality: the couple margin at z = lambda_(k+1)
+    # and the registry's equal-power (delta = 2) entry
+    values = box_spectrum((1.0, 1.3), 121).values ** l
+    for k in (5, 17, 40, 120):
+        prefix, z = euclid(values[:k], 2, l=l), float(values[k])
+        via_couple = check_general_poly(prefix, FunctionCouple("equal-power", z, (2.0,)))
+        via_registry = verify_margins(prefix, z, which=["cim-squared-poly"]).margin[0, 0]
+        assert via_couple == pytest.approx(via_registry, rel=1e-12), (k, via_couple, via_registry)
+
+
 def test_general_poly_k1_closed_form():
     lam1, z, n, l = 2.0, 5.0, 3, 2
     prefix = euclid([lam1], n, l=l)

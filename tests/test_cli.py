@@ -990,6 +990,31 @@ def test_couple_check_large_lambda_passes_without_warnings():
         assert json.loads(proc.stdout)["differentiable_screen"]["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "spec, nulls",
+    [("neg-power:-1,1@1e-170", (True, True)), ("linear-power:1@1e-200", (False, True)),
+     ("const-power:5@1e-100", (False, False))],
+)  # fmt: skip
+def test_couple_check_passes_power_couples_at_a_tiny_lambda(spec, nulls):
+    # checked in units of lambda, no step overflows or underflows; worst is
+    # lambda^(2 ef - 2) and the screen's margin lambda^-2 times a value of
+    # moderate size, written as null where that leaves the float range
+    argv = ["-m", "specgap", "couple", "check", "--spec", spec, "--samples", "4"]
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc
+    row = json.loads(proc.stdout)
+    assert row["passed"] is True and row["differentiable_screen"]["passed"] is True
+    assert (row["worst"] is None, row["differentiable_screen"]["worst_margin"] is None) == nulls
+
+
+@pytest.mark.parametrize("rows", ["0.5,1,0.5\n", "0.5,1,0.5\n0.5,1,0.5\n"], ids=["one-row", "repeated-row"])
+def test_couple_check_refuses_a_table_without_two_distinct_points(tmp_path, capsys, rows):
+    table = tmp_path / "one.csv"
+    table.write_text(rows)
+    code, out, err = run_cli(["couple", "check", "--spec", f"tabulated:{table}@3"], capsys)
+    assert code == 2 and out == "" and err == "specgap: need at least 2 distinct sample points\n"
+
+
 def test_couple_check_malformed_exit_2(capsys):
     code, _, _ = run_cli(["couple", "check", "--spec", "foo:@"], capsys)
     assert code == 2

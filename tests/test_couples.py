@@ -1,5 +1,9 @@
 """Couple evaluation and admissibility certification."""
 
+import math
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +13,6 @@ from specgap import couples
 from specgap.couples import (
     FunctionCouple,
     certify_on_samples,
-    check_membership,
     check_necessary_differentiable,
     parse_couple_spec,
 )
@@ -79,7 +82,7 @@ def test_parameter_ranges_enforced():
 
 def test_membership_const_power_passes():
     c = FunctionCouple("const-power", 1.0, (1.0,))
-    rep = check_membership(c, [0.2, 0.8])
+    rep = certify_on_samples(c, [0.2, 0.8])
     assert rep.passed
     # single pair: 0 + (1/(0.8*0.8) + 1/(0.2*0.2)) * (-1)
     assert rep.worst == pytest.approx(-26.5625, rel=1e-12)
@@ -89,7 +92,7 @@ def test_membership_power_family_at_a_tiny_lambda_passes():
     # f^2 and g (lambda - x) underflow to 0 near lambda = 1e-200; their ratio,
     # (lambda - x)^0 here, does not
     lam = 1e-200
-    rep = check_membership(FunctionCouple("linear-power", lam, (1.0,)), lam * np.array([0.1, 0.4, 0.7]))
+    rep = certify_on_samples(FunctionCouple("linear-power", lam, (1.0,)), lam * np.array([0.1, 0.4, 0.7]))
     assert rep.passed
     assert rep.worst == pytest.approx(-1.0, rel=1e-12)
 
@@ -97,7 +100,7 @@ def test_membership_power_family_at_a_tiny_lambda_passes():
 def test_membership_tabulated_fails_with_worst_pair_value_one():
     # f = lambda - x, g = 1: first term ((0.6)/(-0.6))^2 = 1, second term 0
     c = tabulated(1.0, [0.2, 0.8], [0.8, 0.2], [1.0, 1.0])
-    rep = check_membership(c, [0.2, 0.8])
+    rep = certify_on_samples(c, [0.2, 0.8])
     assert not rep.passed
     assert rep.worst == pytest.approx(1.0, rel=1e-12)
     assert rep.witness is not None
@@ -106,31 +109,88 @@ def test_membership_tabulated_fails_with_worst_pair_value_one():
 
 def test_membership_equal_power_delta_two_passes_at_equality():
     c = FunctionCouple("equal-power", 1.0, (2.0,))
-    rep = check_membership(c, [0.1, 0.5, 0.9])
+    rep = certify_on_samples(c, [0.1, 0.5, 0.9])
     assert rep.passed
     # delta = 2 attains equality: every pair value is zero up to round-off
     assert abs(rep.worst) <= 1e-12 * 10
 
 
-def test_membership_needs_two_distinct_samples():
-    c = FunctionCouple("const-power", 1.0, (1.0,))
-    with pytest.raises(InputError, match="need at least 2 distinct sample points"):
-        check_membership(c, [0.4])
-    with pytest.raises(InputError, match="need at least 2 distinct sample points"):
-        check_membership(c, [0.4, 0.4, 0.4])
-
-
 def test_membership_domain_error():
     c = FunctionCouple("const-power", 1.0, (1.0,))
     with pytest.raises(InputError, match="evaluation points must lie in"):
-        check_membership(c, [0.2, 1.2])
+        certify_on_samples(c, [0.2, 1.2])
 
 
 def test_membership_refuses_more_samples_than_the_cap():
     c = FunctionCouple("const-power", 1.0, (1.0,))
     xs = np.linspace(0.1, 0.9, couples.MAX_MEMBERSHIP_SAMPLES + 1)
     with pytest.raises(InputError, match="samples exceed the cap of 4096"):
-        check_membership(c, xs)
+        certify_on_samples(c, xs)
+
+
+# each certificate on 4097 points in (0, 5), as samples and as a prefix read
+# at z = 5; the child prints each refusal
+CAP_REFUSALS = """
+import numpy as np
+from specgap.bounds import check_general_poly
+from specgap.couples import FunctionCouple, certify_on_samples, check_necessary_differentiable
+from specgap.operators import SpectrumPrefix
+xs = np.linspace(1.0, 4.0, 4097)
+couple = FunctionCouple("equal-power", 5.0, (2.0,))
+calls = (lambda: certify_on_samples(couple, xs), lambda: check_necessary_differentiable(couple, xs),
+         lambda: check_general_poly(SpectrumPrefix(xs, n=2), couple))
+for call in calls:
+    try:
+        call()
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_every_certificate_refuses_more_samples_than_the_cap_before_allocating():
+    # 4097 points make 8.4e6 pairs, about 1 GB of pair arrays; the peak RSS
+    # is read in a parent process of its own, which starts small
+    code = (
+        "import resource, subprocess, sys\n"
+        "proc = subprocess.run([sys.executable, '-c', sys.argv[1]])\n"
+        "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, CAP_REFUSALS], capture_output=True, text=True, timeout=120)
+    *refusals, status = proc.stdout.splitlines()
+    returncode, rss_kb = status.split()
+    assert int(returncode) == 0 and refusals == ["4097 samples exceed the cap of 4096"] * 3, proc
+    assert int(rss_kb) / 1024.0 < 200.0, rss_kb
+
+
+def test_domain_test_refuses_nan_and_table_points_outside_lambda():
+    c = FunctionCouple("const-power", 1.0, (1.0,))
+    with pytest.raises(InputError, match=r"evaluation points must lie in \(0, 1.0\), got range \[nan, nan\]"):
+        certify_on_samples(c, [0.2, float("nan")])
+    with pytest.raises(InputError, match=r"evaluation points must lie in \(0, 1.0\), got range \[0.2, 1.5\]"):
+        tabulated(1.0, [0.2, 1.5], [1.0, 1.0], [1.0, 1.0])
+
+
+# four families, each off its boundary, so that no pair value is round-off
+SCALE_FAMILIES = [("const-power", (1.5,)), ("linear-power", (1.0,)), ("equal-power", (1.5,)), ("neg-power", (-1.0, 2.0))]
+
+
+@pytest.mark.parametrize("lam", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("family, params", SCALE_FAMILIES)
+def test_power_couples_are_certified_in_units_of_their_lambda(family, params, lam):
+    # the pair values and screen margins are homogeneous of degrees 2 ef - 2
+    # and -2 in lambda; a value beyond the float range reads +-inf, and no
+    # step warns (RuntimeWarnings are errors here)
+    s = np.array([0.05, 0.3, 0.55, 0.9])
+    ef = FunctionCouple(family, 1.0, params).power_exponents()[0]
+    for check, degree in ((certify_on_samples, 2 * ef - 2), (check_necessary_differentiable, -2)):
+        unit = check(FunctionCouple(family, 1.0, params), s)
+        rep = check(FunctionCouple(family, lam, params), lam * s)
+        assert rep.passed and unit.passed
+        try:
+            want = unit.worst * lam**degree  # 0 where lam**degree underflows
+        except OverflowError:
+            want = math.copysign(math.inf, unit.worst)
+        assert rep.worst == pytest.approx(want, rel=1e-9), (check, rep.worst, want)
 
 
 def test_certify_on_samples_single_point_vacuous():
@@ -148,14 +208,14 @@ def test_certify_on_samples_repeated_point_vacuous():
 
 def test_membership_close_pairs_skipped():
     c = FunctionCouple("equal-power", 1.0, (1.0,))
-    rep = check_membership(c, [0.3, 0.3 + 1e-16, 0.7])
+    rep = certify_on_samples(c, [0.3, 0.3 + 1e-16, 0.7])
     assert rep.n_skipped >= 1
     assert rep.passed
 
 
 def test_membership_g_must_be_nonincreasing():
     c = tabulated(1.0, [0.2, 0.8], [1.0, 1.0], [1.0, 2.0])
-    rep = check_membership(c, [0.2, 0.8])
+    rep = certify_on_samples(c, [0.2, 0.8])
     assert not rep.g_nonincreasing
     assert not rep.passed
 
@@ -163,8 +223,8 @@ def test_membership_g_must_be_nonincreasing():
 def test_membership_order_independent():
     c = FunctionCouple("neg-power", 2.0, (-1.0, 1.5))
     xs = np.array([0.3, 1.1, 0.9, 1.7, 0.05])
-    a = check_membership(c, xs)
-    b = check_membership(c, xs[::-1])
+    a = certify_on_samples(c, xs)
+    b = certify_on_samples(c, xs[::-1])
     assert a.passed == b.passed
     assert a.worst == b.worst
     assert a.n_checked == b.n_checked
@@ -177,9 +237,9 @@ def test_membership_scaling_invariance():
     u = lam - xs
     for cf, cg in [(3.7, 0.2), (100.0, 100.0)]:
         good = tabulated(lam, xs, cf * u**1.5, cg * u**1.5)
-        assert check_membership(good, xs).passed  # equal-power delta=1.5, scaled
+        assert certify_on_samples(good, xs).passed  # equal-power delta=1.5, scaled
         bad = tabulated(lam, xs, cf * u, cg * np.ones_like(u))
-        assert not check_membership(bad, xs).passed
+        assert not certify_on_samples(bad, xs).passed
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,7 +273,7 @@ def test_membership_certified_families_randomized():
         else:
             alpha = float(rng.uniform(-1.8, -0.05))
             params = (alpha, float(rng.uniform(max(1.0, alpha**2), 4.0)))
-        rep = check_membership(FunctionCouple(family, lam, params), xs)
+        rep = certify_on_samples(FunctionCouple(family, lam, params), xs)
         assert rep.passed, (family, params, lam, rep.worst, rep.witness)
 
 
@@ -241,7 +301,7 @@ def test_membership_boundary_families_pass_on_clustered_samples(family, params, 
     # difference quotients of close pairs refuse the first two
     xs = clustered_samples(lam)
     assert xs.size == couples.MAX_MEMBERSHIP_SAMPLES
-    rep = check_membership(FunctionCouple(family, lam, params), xs)
+    rep = certify_on_samples(FunctionCouple(family, lam, params), xs)
     assert rep.passed, (rep.worst, rep.witness)
     assert rep.n_skipped == 0
 
@@ -322,7 +382,7 @@ def test_necessary_failure_implies_membership_failure_nearby():
     assert not screen.passed
     x0 = screen.witness[0]
     cluster = np.array([x0, x0 + 1e-5, x0 + 2e-5])
-    rep = check_membership(stub, cluster)
+    rep = certify_on_samples(stub, cluster)
     assert not rep.passed
 
 

@@ -8,7 +8,9 @@ SuperLU (``splu``) outside ``eigensolve.py``; no module-level import of
 scipy, which costs every command of the CLI its import time; and no import
 of scipy in ``operators.py`` but the sparse build of its one assembler; and
 no call of ``_validate_grid`` in ``operators.py`` but with a problem name,
-so each problem's grid rules are read from its one row.
+so each problem's grid rules are read from its one row; and in
+``couples.py`` one points gate, the only reader of MAX_MEMBERSHIP_SAMPLES,
+and one domain test, the only text of the (0, lambda) refusal.
 References from tests do not count: a helper that only a test calls is dead
 code.
 
@@ -99,20 +101,26 @@ def _module_definitions(tree: ast.Module):
                 yield name, node
 
 
-def _linalg_eig_calls(tree: ast.Module):
-    """(line, innermost enclosing function) of each call of an eig* function
-    reached through a ``linalg`` module."""
+def _nodes_by_function(tree: ast.Module):
+    """(node, innermost enclosing function or None) of every node."""
     stack = [(tree, None)]
     while stack:
         node, function = stack.pop()
+        yield node, function
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        stack.extend((child, function) for child in ast.iter_child_nodes(node))
+
+
+def _linalg_eig_calls(tree: ast.Module):
+    """(line, innermost enclosing function) of each call of an eig* function
+    reached through a ``linalg`` module."""
+    for node, function in _nodes_by_function(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             owner = node.func.value
             owner_name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)
             if owner_name == "linalg" and node.func.attr.startswith("eig"):
                 yield node.lineno, function
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        stack.extend((child, function) for child in ast.iter_child_nodes(node))
 
 
 def _sparse_solver_calls(tree: ast.Module):
@@ -261,6 +269,28 @@ def test_operators_validates_each_grid_by_its_problem_name():
         )
     ]
     assert calls and not stray, stray
+
+
+# couples.py: the gate every certificate reads its samples through, and the
+# test of the (0, lambda) domain that the gate and evaluate_batch call
+COUPLES_POINTS_GATE = "_points"
+COUPLES_DOMAIN_TEST = "_check_domain"
+DOMAIN_REFUSAL = "lie in (0, "
+
+
+def test_couples_reads_its_cap_and_states_its_domain_once():
+    """Only the points gate reads the sample cap, and only the domain test
+    holds the text of the (0, lambda) refusal: a second reader of the cap or
+    a second statement of the refusal fails here."""
+    stray = []
+    for node, function in _nodes_by_function(_tree(PACKAGE / "couples.py")):
+        if isinstance(node, ast.Name) and node.id == "MAX_MEMBERSHIP_SAMPLES" and isinstance(node.ctx, ast.Load):
+            if function != COUPLES_POINTS_GATE:
+                stray.append(f"couples.py:{node.lineno} reads MAX_MEMBERSHIP_SAMPLES in {function}")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and DOMAIN_REFUSAL in node.value:
+            if function != COUPLES_DOMAIN_TEST:
+                stray.append(f"couples.py:{node.lineno} states the (0, lambda) refusal in {function}")
+    assert not stray, stray
 
 
 def _loaded_modules(tmp_path, argv, watched) -> str:
