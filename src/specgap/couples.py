@@ -58,10 +58,13 @@ PAIR_SKIP_REL = 1e-14
 # (e.g. the equal-power family at delta = 2) must not fail from round-off.
 COND_TOL_REL = 1e-12
 
-# The pairwise certificate holds a few float arrays per pair, 8.4e6 pairs at
-# this cap (`couple check --samples 4096`: 1.0 GB peak RSS, 1.6-2.6 s on 2
-# CPUs); _points refuses more for every certificate, before any allocation.
+# _points refuses more samples for every certificate, before any allocation:
+# 8.4e6 pairs at this cap (`couple check --samples 4096`: 86 MB peak RSS,
+# 1.0-1.2 s on 2 CPUs)
 MAX_MEMBERSHIP_SAMPLES = 4096
+# pairs the pairwise certificate evaluates at once, in blocks of whole rows
+# (at least one row): it holds a few float arrays of this length
+_PAIR_BLOCK = 2**18
 
 
 def _check_domain(lam: float, xs: np.ndarray) -> None:
@@ -228,41 +231,49 @@ def _pairwise_report(couple, xs: np.ndarray) -> MembershipReport:
     if np.any(fs <= 0) or np.any(gs <= 0):
         raise InputError("couple is not positive on the sample set")
 
-    index = np.arange(xs.size)
-    i, j = np.nonzero(index[:, None] < index)  # np.triu_indices(xs.size, 1), at a fifth of its cost
-    dx = xs[i] - xs[j]
-    keep = np.abs(dx) >= PAIR_SKIP_REL * couple.lam
-    n_skipped = int(np.count_nonzero(~keep))
-    i, j, dx = i[keep], j[keep], dx[keep]
-
     # g must be nonincreasing; check on the sorted samples.
     g_sorted = gs[np.argsort(xs, kind="stable")]
     g_tol = COND_TOL_REL * (_times_pow2(1.0, -m * eg) + float(np.max(np.abs(gs))))
     g_ok = bool(np.all(np.diff(g_sorted) <= g_tol))
 
-    if i.size == 0:
-        return MembershipReport(g_ok, "pairwise", -np.inf, None, 0, n_skipped, g_ok)
-
-    if tabulated:  # no power form: raw quotients and ratio
-        df, dg = (fs[i] - fs[j]) / dx, (gs[i] - gs[j]) / dx
-        w = fs**2 / (gs * u)
-    else:  # f^2 / (g u) as one power of u, with no intermediate to overflow or underflow
-        df, dg = _power_quotients((ef, eg), u, i, j)
-        w = u ** (2 * ef - eg - 1)
     degree = m * (2 * ef - 2)
-    t1 = df**2
-    t2 = (w[i] + w[j]) * dg
-    q = t1 + t2
-    tol = COND_TOL_REL * (_times_pow2(1.0, -degree) + np.maximum(np.abs(t1), np.abs(t2)))
+    # the largest pair value so far (NaN once any is), and per failing block
+    # of rows its first largest violation (or NaN) and that pair
+    index, high, fails, n_checked, n_skipped = np.arange(xs.size), None, [], 0, 0
+    rows = max(1, _PAIR_BLOCK // xs.size)
+    for start in range(0, xs.size, rows):
+        i, j = np.nonzero(index[start : start + rows, None] < index)  # np.triu_indices, at a fifth of its cost
+        if start:  # np.nonzero counts a later block's rows from 0
+            i += start
+        dx = xs[i] - xs[j]
+        keep = np.abs(dx) >= PAIR_SKIP_REL * couple.lam
+        n_skipped += int(np.count_nonzero(~keep))
+        i, j, dx = i[keep], j[keep], dx[keep]
+        if i.size == 0:
+            continue
+        if tabulated:  # no power form: raw quotients and ratio
+            df, dg = (fs[i] - fs[j]) / dx, (gs[i] - gs[j]) / dx
+            w = fs**2 / (gs * u)
+        else:  # f^2 / (g u) as one power of u, with no intermediate to overflow or underflow
+            df, dg = _power_quotients((ef, eg), u, i, j)
+            w = u ** (2 * ef - eg - 1)
+        t1 = df**2
+        t2 = (w[i] + w[j]) * dg
+        q = t1 + t2
+        tol = COND_TOL_REL * (_times_pow2(1.0, -degree) + np.maximum(np.abs(t1), np.abs(t2)))
+        violations = q - tol
+        if not np.all(violations <= 0):
+            wv = int(np.argmax(violations))
+            fails.append((violations[wv], (float(xs[i[wv]]), float(xs[j[wv]]))))
+        high = q.max() if high is None else np.maximum(high, q.max())
+        n_checked += i.size
 
-    violations = q - tol
-    pairs_ok = bool(np.all(violations <= 0))
-    witness = None
-    if not pairs_ok:
-        wv = int(np.argmax(violations))
-        witness = (float(xs[i[wv]]), float(xs[j[wv]]))
-    worst = _times_pow2(float(q.max()), degree)
-    return MembershipReport(pairs_ok and g_ok, "pairwise", worst, witness, int(i.size), n_skipped, g_ok)
+    if n_checked == 0:
+        return MembershipReport(g_ok, "pairwise", -np.inf, None, 0, n_skipped, g_ok)
+    # np.argmax over the blocks' own: the first largest violation (or NaN) of all pairs in row order
+    witness = fails[int(np.argmax([top for top, _ in fails]))][1] if fails else None
+    worst = _times_pow2(float(high), degree)
+    return MembershipReport(not fails and g_ok, "pairwise", worst, witness, n_checked, n_skipped, g_ok)
 
 
 def certify_on_samples(couple: FunctionCouple, samples) -> MembershipReport:

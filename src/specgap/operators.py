@@ -45,16 +45,19 @@ solved as a clamped one is; the theta = 0 block of an odd Nt is a sum of
 squared sine modes, written in closed form with the Laplacian's sine-mode
 certificate.
 
-Every matrix here, a builder's or a block's, is a sum of Kronecker products
-of 1-D band triplets (``_band``, ``_fold``) that ``_assemble`` alone turns
-into a matrix: entries at one place are summed once, in term order, so the
-dense and sparse builds of a block are bitwise equal, and symmetric terms
-give an exactly symmetric matrix.  Its sparse build is the module's one
-import of scipy.sparse, made when it runs: ``bound``, ``verify``, the
-Laplacian's closed form and the clamped and Kohn blocks below the crossover
-never build a sparse matrix and need not pay for it.  Running out of memory
-in a builder or in the blocks is ConvergenceError, like running out of
-memory in an eigensolver.
+Every matrix here, a builder's or a block's, is declared once, as a list of
+Kronecker terms, each a list of per-axis factors: 1-D band triplets
+(``_band``, ``_fold``) or the identity.  ``_assemble`` alone builds a
+matrix from its terms, and ``_abs_apply`` alone bounds its norm from the
+same terms without building anything: where no two terms cancel, ||A||_inf
+is the largest entry of (sum of |F_1| (x) ... (x) |F_d|) 1.  Entries at one
+place are summed once, in term order, so the dense and sparse builds of a
+block are bitwise equal, and symmetric terms give an exactly symmetric
+matrix.  The sparse build is the module's one import of scipy.sparse, made
+when it runs: ``bound``, ``verify``, the Laplacian's closed form and the
+clamped and Kohn blocks below the crossover never build a sparse matrix and
+need not pay for it.  Running out of memory in a builder or in the blocks
+is ConvergenceError, like running out of memory in an eigensolver.
 
 ``SpectrumPrefix``, the problem names and the spectrum CSV live here, below
 the bounds that read them, so ``spectrum fd`` never imports ``bounds``.
@@ -295,6 +298,13 @@ def _sine_sums(axes, count: int):
     return vals, residual
 
 
+def _laplacian_terms(grids, h):
+    """The Kronecker terms of fd_laplacian: per axis its second difference,
+    with the identity on every other axis."""
+    second = [_band(n, *_second_difference(n, hj)) for n, hj in zip(grids, h)]
+    return [[factor if b == a else (factor[0], None) for b, factor in enumerate(second)] for a in range(len(second))]
+
+
 def _laplacian_closed_form(sides, grids, h, count: int):
     """The ``count`` smallest eigenvalues of fd_laplacian(sides, grids) in
     closed form, their residual bound and ||A||_inf.
@@ -309,8 +319,8 @@ def _laplacian_closed_form(sides, grids, h, count: int):
     """
     modes = [_sine_modes(n) for n in grids]
     vals, residual = _sine_sums([(m / hj**2, m, hj) for m, hj in zip(modes, h)], count)
-    # ||A||_inf: the rows of tridiag(-1, 2, -1) sum to 4 in absolute value, 3 at n = 2
-    return vals, residual, sum((2.0 + min(n - 1, 2)) / hj**2 for n, hj in zip(grids, h))
+    # ||A||_inf: the terms meet only on the diagonal, where all are positive, so none cancels
+    return vals, residual, float(_abs_apply(_laplacian_terms(grids, h), 1.0).max())
 
 
 def _second_difference(n: int, h: float) -> tuple:
@@ -359,20 +369,15 @@ def _kron_triplets(factors):
     return rows, cols, values
 
 
-def _axis_term(factors, axes):
-    """Triplets of the Kronecker product of ``factors`` (size, triplets) on
-    the axes in ``axes`` and of the identity on the others."""
-    return _kron_triplets([(size, triplets if a in axes else None) for a, (size, triplets) in enumerate(factors)])
-
-
-def _assemble(terms, dim: int, dense: bool):
-    """The dim x dim sum of ``terms``, each (rows, cols, values), as a dense
-    array or a scipy CSR matrix: every matrix of this module is built here,
-    and only a sparse build imports scipy.sparse.  Entries at one place are
-    summed once, in term order, by np.bincount for either build, so the two
-    builds hold bitwise the same entries and exactly symmetric terms give an
-    exactly symmetric matrix."""
-    rows, cols, values = (np.concatenate(v) for v in zip(*terms))
+def _assemble(terms, dense: bool):
+    """The sum of ``terms``, each the Kronecker product of its factors
+    (``_kron_triplets``), as a dense array or a scipy CSR matrix: every
+    matrix of this module is built here, and only a sparse build imports
+    scipy.sparse.  Entries at one place are summed once, in term order, by
+    np.bincount for either build, so the two builds hold bitwise the same
+    entries and exactly symmetric terms give an exactly symmetric matrix."""
+    dim = math.prod(size for size, _ in terms[0])
+    rows, cols, values = (np.concatenate(v) for v in zip(*map(_kron_triplets, terms)))
     if dense:
         return np.bincount(rows * dim + cols, weights=values, minlength=dim * dim).reshape(dim, dim)
     import scipy.sparse as sp
@@ -382,14 +387,31 @@ def _assemble(terms, dim: int, dense: bool):
     return sp.csr_matrix((np.bincount(where, weights=values), key % dim, indptr), shape=(dim, dim))
 
 
+def _abs_apply(terms, v, transpose: bool = False) -> np.ndarray:
+    """The sum over ``terms`` of |F_1| (x) ... (x) |F_d| v, or of its
+    transpose, as a flat vector, for v on the grid (a scalar stands for the
+    constant vector): each factor acts along its own axis, and no matrix is
+    built.  Where no two terms cancel, max _abs_apply(terms, 1) is the
+    ||A||_inf of their sum A."""
+    total = 0.0
+    for term in terms:
+        w = np.broadcast_to(v, math.prod(size for size, _ in term)).reshape([size for size, _ in term])
+        for axis, (_, triplets) in enumerate(term):
+            if triplets is not None:
+                rows, cols, values = (triplets[1], triplets[0], triplets[2]) if transpose else triplets
+                along = np.abs(values).reshape([-1 if b == axis else 1 for b in range(len(term))])
+                source, w = w, np.zeros(w.shape)
+                np.add.at(w, (slice(None),) * axis + (rows,), along * np.take(source, cols, axis))
+        total = total + w.ravel()
+    return total
+
+
 @_out_of_memory_refused("building the finite-difference Laplacian")
 def fd_laplacian(sides, grids) -> DiscreteOperator:
     """Central-difference Dirichlet Laplacian (sign convention -Laplace): the
     Kronecker sum of the axes' second differences."""
     sides, grids, h = _validate_grid(sides, grids, "laplacian")
-    second = [_band(n, *_second_difference(n, hj)) for n, hj in zip(grids, h)]
-    terms = [_axis_term(second, (a,)) for a in range(len(grids))]
-    return DiscreteOperator(_assemble(terms, math.prod(grids), dense=False), grids, _FD["laplacian"].stencil)
+    return DiscreteOperator(_assemble(_laplacian_terms(grids, h), dense=False), grids, _FD["laplacian"].stencil)
 
 
 @_out_of_memory_refused("building the clamped plate")
@@ -402,8 +424,7 @@ def fd_clamped_plate(sides, grids) -> DiscreteOperator:
     sides, grids, h = _validate_grid(sides, grids, "clamped")
     bands = [(_clamped_fourth_difference(n, hj), _second_difference(n, hj)) for n, hj in zip(grids, h)]
     axes = [(*_band(n, *b4), _band(n, *b2)[1]) for n, (b4, b2) in zip(grids, bands)]
-    matrix = _assemble(_plate_terms(axes), math.prod(grids), dense=False)
-    return DiscreteOperator(matrix, grids, _FD["clamped"].stencil)
+    return DiscreteOperator(_assemble(_plate_terms(axes), dense=False), grids, _FD["clamped"].stencil)
 
 
 def _block_smallest(build, dim: int, need: int, floor: float = 0.0):
@@ -456,45 +477,20 @@ def _fold(bands, even: bool):
 def _plate_terms(axes):
     """The Kronecker terms of sum_a B4_a + 2 sum_(a < b) B2_a B2_b over the
     axes' pieces (size, B4, B2), each B acting on its own axis: B4_a, then
-    2 B2_a B2_b for each b > a, axis by axis."""
-    fourth, second = [(size, f4) for size, f4, _ in axes], [(size, f2) for size, _, f2 in axes]
+    2 B2_a B2_b for each b > a, axis by axis, the 2 taken into B2_a (exactly:
+    it scales by a power of two)."""
     terms = []
-    for a in range(len(axes)):
-        terms.append(_axis_term(fourth, (a,)))
+    for a, (_, f4, (rows, cols, values)) in enumerate(axes):
+        twice = (rows, cols, 2.0 * values)
+        terms.append([(size, f4 if c == a else None) for c, (size, _, _) in enumerate(axes)])
         for b in range(a + 1, len(axes)):
-            rows, cols, values = _axis_term(second, (a, b))
-            terms.append((rows, cols, 2.0 * values))
+            terms.append([(size, twice if c == a else f2 if c == b else None) for c, (size, _, f2) in enumerate(axes)])
     return terms
 
 
 def _plate_block(axes, dense: bool):
     """``_plate_terms`` of one parity pattern's folded pieces, assembled."""
-    return _assemble(_plate_terms(axes), math.prod(size for size, _, _ in axes), dense)
-
-
-def _row_abs_sums(bands) -> np.ndarray:
-    """The row sums of |A| for the banded matrix A of ``bands``."""
-    n, (rows, _, values) = _band(bands[0].size, *bands)
-    return np.bincount(rows, weights=np.abs(values), minlength=n)
-
-
-def _plate_inf_norm(fourth, second) -> float:
-    """||A||_inf of fd_clamped_plate's operator from the axes' stencil bands.
-
-    No two terms of A have entries of opposite sign at one place (both -4 at
-    distance 1 along an axis, positive elsewhere), so the row sums of |A|
-    are sum_a |D4_a| 1 + 2 sum_(a < b) |D2_a| 1 (x) |D2_b| 1 on the grid."""
-    ndim = len(fourth)
-
-    def on_axis(v, a):
-        return v.reshape([-1 if b == a else 1 for b in range(ndim)])
-
-    r4, r2 = [_row_abs_sums(b) for b in fourth], [_row_abs_sums(b) for b in second]
-    total = sum(on_axis(r4[a], a) for a in range(ndim))
-    total = total + sum(
-        2.0 * on_axis(r2[a], a) * on_axis(r2[b], b) for a in range(ndim) for b in range(a + 1, ndim)
-    )
-    return float(np.max(total))
+    return _assemble(_plate_terms(axes), dense)
 
 
 @_out_of_memory_refused("the clamped plate's parity blocks")
@@ -525,14 +521,11 @@ def _clamped_parity_blocks(sides, grids, h, count: int):
     block B' is within (T + 4) eps ||A||_inf of Q^T A Q in 2-norm.  So a
     block pair (lambda, u) of residual r gives the pair (lambda, Q u) of A a
     residual of at most r + (T + 4) eps ||A||_inf: the bound is the largest
-    block residual plus that, and ||A||_inf is computed from the stencils
-    (``_plate_inf_norm``).
+    block residual plus that, and ||A||_inf is read from the terms of A on
+    the unfolded stencils (``_abs_apply``).
     """
-    fourth = [_clamped_fourth_difference(n, hj) for n, hj in zip(grids, h)]
-    second = [_second_difference(n, hj) for n, hj in zip(grids, h)]
-    folds = [
-        {even: (*_fold(b4, even), _fold(b2, even)[1]) for even in (True, False)} for b4, b2 in zip(fourth, second)
-    ]
+    bands = [(_clamped_fourth_difference(n, hj), _second_difference(n, hj)) for n, hj in zip(grids, h)]
+    folds = [{even: (*_fold(b4, even), _fold(b2, even)[1]) for even in (True, False)} for b4, b2 in bands]
     floor = sum(4.0 * math.sin(math.pi / (2 * (n + 1))) ** 2 / hj**2 for n, hj in zip(grids, h)) ** 2
     blocks = []
     for parity in itertools.product((True, False), repeat=len(grids)):
@@ -540,9 +533,11 @@ def _clamped_parity_blocks(sides, grids, h, count: int):
         dim = math.prod(size for size, _, _ in axes)
         blocks.append(_block_smallest(lambda dense: _plate_block(axes, dense), dim, min(count, dim), floor))
     vals, worst = _merge_blocks(blocks, count)
-    terms = len(grids) * (len(grids) + 1) // 2
-    norm = _plate_inf_norm(fourth, second)
-    return vals, worst + (terms + 4) * np.finfo(float).eps * norm, norm
+    terms = _plate_terms([(*_band(n, *b4), _band(n, *b2)[1]) for n, (b4, b2) in zip(grids, bands)])
+    # no two terms have entries of opposite sign at one place (all negative
+    # at distance 1 along an axis, positive elsewhere), so none cancels
+    norm = float(_abs_apply(terms, 1.0).max())
+    return vals, worst + (len(terms) + 4) * np.finfo(float).eps * norm, norm
 
 
 def _kohn_xy(sides, grids, h):
@@ -551,29 +546,34 @@ def _kohn_xy(sides, grids, h):
     return tuple(-side / 2.0 + step * np.arange(1, n + 1) for side, n, step in zip(sides[:2], grids, h))
 
 
+def _kohn_fields(sides, grids, h):
+    """The Kronecker terms of the fields X = Dx + My Dt, Y = Dy - Mx Dt and
+    Dt of a Heisenberg box: D the exactly skew-symmetric central differences
+    and M = diag(coordinate / 2), one product per entry, so each exactly
+    skew."""
+    xs, ys = _kohn_xy(sides, grids, h)
+    dx, dy, dt = (_band(size, 0.0, (1.0 / (2.0 * step),), skew=True) for size, step in zip(grids, h))
+    ix, iy, it = ((size, None) for size in grids)  # the identities
+    x_field = [[dx, iy, it], [ix, _band(grids[1], ys / 2.0), dt]]
+    y_field = [[ix, dy, it], [_band(grids[0], -xs / 2.0), iy, dt]]
+    return x_field, y_field, [[ix, iy, dt]]
+
+
 @_out_of_memory_refused("building the Kohn Laplacian")
 def kohn_fd(n: int = 1, sides=(1.0, 1.0, 1.0), grids=(12, 12, 12)) -> KohnOperator:
     """Kohn Laplacian on a Heisenberg box (n = 1: coordinates (x, y, t),
     box centered at the origin).
 
-    The horizontal fields X = Dx + My Dt and Y = Dy - Mx Dt are Kronecker
-    products of exactly skew-symmetric central differences D and the
-    coordinates M = diag(coordinate / 2), one product per entry, so exactly
-    skew.  The operator is the Gram form X^T X + Y^T Y, symmetric PSD by
+    The horizontal fields X and Y (``_kohn_fields``) are exactly skew, and
+    the operator is the Gram form X^T X + Y^T Y, symmetric PSD by
     construction.
     """
     if n != 1:
         raise InputError("only the n = 1 Heisenberg group is supported at desk scale")
     sides, grids, h = _validate_grid(sides, grids, "kohn")
-    xs, ys = _kohn_xy(sides, grids, h)
-    dim = math.prod(grids)
-    dx, dy, dt = (_band(size, 0.0, (1.0 / (2.0 * step),), skew=True) for size, step in zip(grids, h))
-    ix, iy, it = ((size, None) for size in grids)  # the identities
-    X = _assemble([_kron_triplets([dx, iy, it]), _kron_triplets([ix, _band(grids[1], ys / 2.0), dt])], dim, False)
-    Y = _assemble([_kron_triplets([ix, dy, it]), _kron_triplets([_band(grids[0], -xs / 2.0), iy, dt])], dim, False)
+    X, Y, t_field = (_assemble(terms, dense=False) for terms in _kohn_fields(sides, grids, h))
     L = (X.T @ X + Y.T @ Y).tocsr()
     L = (0.5 * (L + L.T)).tocsr()  # exact bitwise symmetry of the Gram sum
-    t_field = _assemble([_kron_triplets([ix, iy, dt])], dim, False)
     return KohnOperator(L, grids, _FD["kohn"].stencil, x_field=X, y_field=Y, t_field=t_field)
 
 
@@ -595,34 +595,13 @@ def _kohn_block(xs, ys, hx: float, hy: float, theta: float, dense: bool):
     x_near, y_near = (a > 0).astype(float) + (a < nx - 1), (b > 0).astype(float) + (b < ny - 1)
     diagonal = x_near / (4 * hx**2) + y_near / (4 * hy**2) + theta**2 * (xs[a] ** 2 + ys[b] ** 2) / 4
     terms = [
-        _band(nx * ny, diagonal)[1],
-        _kron_triplets([_band(nx, 0.0, (0.0, 1 / (4 * hx**2))), (ny, None)]),
-        _kron_triplets([(nx, None), _band(ny, 0.0, (0.0, 1 / (4 * hy**2)))]),
-        _kron_triplets([_band(nx, 0.0, (1.0,)), _band(ny, theta * ys / (2 * hx))]),
-        _kron_triplets([_band(nx, -theta * xs / (2 * hy)), _band(ny, 0.0, (1.0,))]),
+        [_band(nx * ny, diagonal)],
+        [_band(nx, 0.0, (0.0, 1 / (4 * hx**2))), (ny, None)],
+        [(nx, None), _band(ny, 0.0, (0.0, 1 / (4 * hy**2)))],
+        [_band(nx, 0.0, (1.0,)), _band(ny, theta * ys / (2 * hx))],
+        [_band(nx, -theta * xs / (2 * hy)), _band(ny, 0.0, (1.0,))],
     ]
-    return _assemble(terms, nx * ny, dense)
-
-
-def _kohn_inf_norm(xs, ys, nt: int, h) -> float:
-    """||L||_inf of kohn_fd's operator L = X^T X + Y^T Y without building it.
-
-    No two paths of |X| or |Y| cancel, so the row sums of |L| are those of
-    |X| |X| 1 + |Y| |Y| 1, where |X| = Tx (x) I (x) I + I (x) |My| (x) Tt
-    with T = tridiag(1, 0, 1) / (2 h) and M = diag(coordinate / 2)."""
-    hx, hy, ht = h
-
-    def near(v, step):  # tridiag(1, 0, 1) v / (2 step)
-        out = np.zeros_like(v)
-        out[1:] += v[:-1]
-        out[:-1] += v[1:]
-        return out / (2 * step)
-
-    cx, cy, ct = (near(np.ones(size), step) for size, step in ((xs.size, hx), (ys.size, hy), (nt, ht)))
-    x, y = np.abs(xs)[:, None, None], np.abs(ys)[None, :, None]
-    x_part = near(cx, hx)[:, None, None] + cx[:, None, None] * y * ct + y**2 / 4 * near(ct, ht)
-    y_part = near(cy, hy)[None, :, None] + cy[None, :, None] * x * ct + x**2 / 4 * near(ct, ht)
-    return float((x_part + y_part).max())
+    return _assemble(terms, dense)
 
 
 @_out_of_memory_refused("the Kohn Laplacian's t-Fourier blocks")
@@ -649,7 +628,8 @@ def _kohn_fourier_blocks(sides, grids, h, count: int):
     with K = ymax / hx + xmax / hy + (xmax^2 + ymax^2) / (2 ht) (the norms of
     the D_t and D_t^2 coefficients of L times |theta| + ||D_t|| <= 2 / ht):
     the bound is the largest block residual plus the largest t-mode
-    residual times K.
+    residual times K.  ||L||_inf is read from the terms of X and Y
+    (``_kohn_fields``, ``_abs_apply``).
     """
     (hx, hy, ht), (xs, ys) = h, _kohn_xy(sides, grids, h)
     nt, dim = grids[2], grids[0] * grids[1]
@@ -675,7 +655,11 @@ def _kohn_fourier_blocks(sides, grids, h, count: int):
     mode_residual = _sine_mode_residual(nt, 2.0 - 2.0 * ht * theta, np.arange(nt)) / (2 * ht)
     xmax, ymax = float(np.abs(xs).max()), float(np.abs(ys).max())
     spread = ymax / hx + xmax / hy + (xmax**2 + ymax**2) / (2 * ht)
-    return vals, block_residual + mode_residual * spread, _kohn_inf_norm(xs, ys, nt, h)
+    # ||L||_inf: no two paths of |X| or |Y| cancel, so the row sums of |L|
+    # are those of |X|^T |X| 1 + |Y|^T |Y| 1
+    x_field, y_field, _ = _kohn_fields(sides, grids, h)
+    norm = sum(_abs_apply(field, _abs_apply(field, 1.0), transpose=True) for field in (x_field, y_field))
+    return vals, block_residual + mode_residual * spread, float(norm.max())
 
 
 # problem: the stencil label of its CSV, the fewest interior points per axis,

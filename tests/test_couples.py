@@ -220,6 +220,29 @@ def test_membership_g_must_be_nonincreasing():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("pair_block", [1, 120, 500])
+def test_pairwise_report_does_not_depend_on_its_row_blocks(monkeypatch, pair_block):
+    """The pairs are evaluated in blocks of whole rows (1, 3 and 12 rows of
+    40 points here, one block by default): the report, worst value, witness
+    (the first largest violation in row order, a NaN before any number) and
+    the counts of checked and skipped pairs, is the one-block report."""
+    rng = np.random.default_rng(7)
+    xs = np.round(rng.uniform(0.01, 0.99, 40), 2)  # repeated points: skipped pairs
+    ux = np.unique(xs)
+    fs, gs = rng.uniform(0.1, 3.0, ux.size), np.sort(rng.uniform(0.1, 3.0, ux.size))[::-1]
+    infinite = fs.copy()
+    infinite[[5, 20]] = np.inf  # inf - inf: NaN pair values
+    power = FunctionCouple("neg-power", 1.0, (-1.0, 1.0))
+    candidates = [power, tabulated(1.0, ux, fs, gs), tabulated(1.0, ux, infinite, gs)]
+    with np.errstate(invalid="ignore"):
+        whole = [certify_on_samples(c, xs) for c in candidates]
+        monkeypatch.setattr(couples, "_PAIR_BLOCK", pair_block)
+        blocked = [certify_on_samples(c, xs) for c in candidates]
+    assert whole[0].passed and whole[1].witness is not None and math.isnan(whole[2].worst)
+    assert all(r.n_skipped > 0 for r in whole)
+    assert [repr(r) for r in blocked] == [repr(r) for r in whole]
+
+
 def test_membership_order_independent():
     c = FunctionCouple("neg-power", 2.0, (-1.0, 1.5))
     xs = np.array([0.3, 1.1, 0.9, 1.7, 0.05])

@@ -8,7 +8,9 @@ SuperLU (``splu``) outside ``eigensolve.py``; no module-level import of
 scipy, which costs every command of the CLI its import time; and no import
 of scipy in ``operators.py`` but the sparse build of its one assembler; and
 no call of ``_validate_grid`` in ``operators.py`` but with a problem name,
-so each problem's grid rules are read from its one row; and in
+so each problem's grid rules are read from its one row; every producer of
+``operators._FD`` takes its ||A||_inf from ``_abs_apply``, so no norm is
+written by hand beside the terms it bounds; and in
 ``couples.py`` one points gate, the only reader of MAX_MEMBERSHIP_SAMPLES,
 and one domain test, the only text of the (0, lambda) refusal.
 References from tests do not count: a helper that only a test calls is dead
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from specgap.operators import FD_PROBLEMS
+from specgap.operators import _FD, FD_PROBLEMS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "specgap"
@@ -269,6 +271,23 @@ def test_operators_validates_each_grid_by_its_problem_name():
         )
     ]
     assert calls and not stray, stray
+
+
+def test_each_fd_producer_takes_its_norm_from_abs_apply():
+    """A producer's ||A||_inf comes from the Kronecker terms its matrix is
+    assembled from: every producer named in ``operators._FD`` calls
+    ``_abs_apply``, so a stencil is never written a second time as a
+    hand-derived row sum."""
+    producers = {row.produce.__name__ for row in _FD.values()}
+    calls_abs_apply = {
+        node.name: any(
+            isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_abs_apply" for call in ast.walk(node)
+        )
+        for node in ast.walk(_tree(PACKAGE / "operators.py"))
+        if isinstance(node, ast.FunctionDef) and node.name in producers
+    }
+    assert len(producers) == len(FD_PROBLEMS), producers
+    assert calls_abs_apply == dict.fromkeys(producers, True), calls_abs_apply
 
 
 # couples.py: the gate every certificate reads its samples through, and the

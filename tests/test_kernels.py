@@ -1,5 +1,6 @@
 """The all-k bound kernels: brute force on the original G and H, agreement
-with the per-k view, work counts and memory."""
+with the per-k view, work counts and memory; and the memory of the pairwise
+couple certificate at its sample cap."""
 
 import math
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgap import bounds, operators
+from specgap import bounds, couples, operators
 from specgap.bounds import EUCLIDEAN, HEISENBERG, REGISTRY, SpectrumPrefix, compute_bound
 
 # a geometric grid 64 times as dense as a 512-per-decade scan
@@ -148,5 +149,13 @@ def test_bound_memory_at_max_prefix_len(ineq, tmp_path):
     with open(tmp_path / "big.csv", "w") as fh:
         operators.write_spectrum_csv(fh, values, {"problem": EUCLIDEAN, "n": 2, "l": 2})
     returncode, rss_mb = _peak_rss_mb(["bound", "--ineq", ineq, "--eigs", "big.csv", "--n", "2"], tmp_path)
+    assert returncode == 0
+    assert rss_mb < 300.0, rss_mb
+
+
+def test_couple_check_memory_at_the_sample_cap(tmp_path):
+    # 8.4e6 pairs, evaluated in row blocks of couples._PAIR_BLOCK pairs
+    argv = ["couple", "check", "--spec", "equal-power:2@5", "--samples", str(couples.MAX_MEMBERSHIP_SAMPLES)]
+    returncode, rss_mb = _peak_rss_mb(argv, tmp_path)
     assert returncode == 0
     assert rss_mb < 300.0, rss_mb

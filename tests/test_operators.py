@@ -171,7 +171,7 @@ def test_clamped_needs_four_points():
 def test_fold_is_the_parity_block_of_the_stencil(n, stencil, even):
     make = operators._clamped_fourth_difference if stencil == "fourth" else operators._second_difference
     bands = make(n, 0.3)
-    A = operators._assemble([operators._band(n, *bands)[1]], n, dense=True)
+    A = operators._assemble([[operators._band(n, *bands)]], dense=True)
     eye, m = np.eye(n), n // 2
     basis = [(eye[j] + (1.0 if even else -1.0) * eye[n - 1 - j]) / math.sqrt(2.0) for j in range(m)]
     if even and n % 2:
@@ -230,16 +230,29 @@ def test_clamped_blocks_match_the_whole_operator(sides, grids, count):
     assert np.all(np.abs(prefix.values - reference) <= 1e-13 * abs(matrix).sum(axis=1).max())
 
 
-def _plate_stencils(sides, grids):
-    sides, grids, h = operators._validate_grid(sides, grids, "clamped")
-    fourth = [operators._clamped_fourth_difference(n, hj) for n, hj in zip(grids, h)]
-    return fourth, [operators._second_difference(n, hj) for n, hj in zip(grids, h)]
+# each problem's builder and grids of 1 to 3 axes, 2 points on an axis among them
+INF_NORM_CASES = {
+    "laplacian": (fd_laplacian, [((1.0,), (2,)), ((1.3,), (9,)), ((1.0, 1.4), (7, 2)), ((1.0, 1.2, 0.9), (4, 5, 6))]),
+    "clamped": (
+        fd_clamped_plate,
+        [((1.0,), (9,)), ((1.0, 1.4), (7, 6)), ((1.0, 1.2, 0.9), (4, 5, 6)), ((2.0, 1.0), (4, 4))],
+    ),
+    "kohn": (
+        lambda sides, grids: kohn_fd(1, sides, grids),
+        [((1.0, 1.0, 1.0), (12, 12, 12)), ((2.0, 1.0, 1.5), (6, 9, 7)), ((1.0, 1.3, 0.7), (4, 7, 5))],
+    ),
+}
 
 
-def test_plate_inf_norm_is_the_operators():
-    for sides, grids in (((1.0,), (9,)), ((1.0, 1.4), (7, 6)), ((1.0, 1.2, 0.9), (4, 5, 6)), ((2.0, 1.0), (4, 4))):
-        norm = abs(fd_clamped_plate(sides, grids).matrix).sum(axis=1).max()
-        assert abs(operators._plate_inf_norm(*_plate_stencils(sides, grids)) - norm) <= 1e-13 * norm
+@pytest.mark.parametrize("problem", operators.FD_PROBLEMS)
+def test_inf_norm_is_the_builders(problem):
+    """The ||A||_inf that each producer takes from its terms is the largest
+    row sum of |A| for the operator its builder assembles."""
+    build, cases = INF_NORM_CASES[problem]
+    for sides, grids in cases:
+        norm = abs(build(sides, grids).matrix).sum(axis=1).max()
+        produced = operators._FD[problem].produce(*operators._validate_grid(sides, grids, problem), 1)[2]
+        assert abs(produced - norm) <= 1e-13 * norm, (grids, produced, norm)
 
 
 def test_clamped_blocks_take_each_route_with_a_floor_below_the_spectrum(monkeypatch):
@@ -498,14 +511,6 @@ def test_kohn_blocks_write_the_zero_of_all_odd_grids_as_its_closed_form(n):
     assert 0.0 <= values[0] < 1e-24 * values[1]
     reference = _kohn_reference((1.0, 1.0, 1.0), (n, n, n))[:10]
     assert np.all(np.abs(values[1:] - reference[1:]) <= 1e-12 * reference[1:])
-
-
-def test_kohn_inf_norm_is_the_operators():
-    for sides, grids in (((1.0, 1.0, 1.0), (12, 12, 12)), ((2.0, 1.0, 1.5), (6, 9, 7)), ((1.0, 1.3, 0.7), (4, 7, 5))):
-        sides, npoints, h = operators._validate_grid(sides, grids, "kohn")
-        xs, ys = operators._kohn_xy(sides, npoints, h)
-        norm = abs(kohn_fd(1, sides, grids).matrix).sum(axis=1).max()
-        assert abs(operators._kohn_inf_norm(xs, ys, npoints[2], h) - norm) <= 1e-13 * norm
 
 
 def test_kohn_blocks_take_each_route(monkeypatch):
