@@ -4,6 +4,7 @@ import builtins
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -1137,3 +1138,64 @@ def test_repeat_run_byte_identical(tmp_path):
     a = subprocess.run(argv, capture_output=True)
     b = subprocess.run(argv, capture_output=True)
     assert a.returncode == 0 and a.stdout == b.stdout
+
+
+# ---------------------------------------------------------------------------
+# idle BLAS workers (src/specgap/__main__.py sets OPENBLAS_THREAD_TIMEOUT)
+# ---------------------------------------------------------------------------
+
+BLAS_TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
+CLAMPED_30 = ["spectrum", "fd", "--problem", "clamped", "--dims", "1,1", "--grid", "30,30", "--count", "20"]
+KOHN_12 = ["spectrum", "fd", "--problem", "kohn", "--dims", "1,1,1", "--grid", "12,12,12", "--count", "30"]
+
+
+def _env_without_blas_timeout(**extra):
+    """This process's environment with no OPENBLAS_THREAD_TIMEOUT of its own,
+    so the child reads only the one under test."""
+    env = {k: v for k, v in os.environ.items() if k != BLAS_TIMEOUT}
+    env.update(extra)
+    return env
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="an idle BLAS worker spins only on a second core")
+def test_cli_process_leaves_no_idle_blas_worker_spinning(tmp_path):
+    # with OpenBLAS's own timeout the clamped plate's process burns about 1.6 x its wall in CPU
+    code = (
+        "import resource, subprocess, sys, time\n"
+        "start = time.perf_counter()\n"
+        "proc = subprocess.run([sys.executable, '-m', 'specgap', *sys.argv[1:]], stdout=subprocess.DEVNULL)\n"
+        "wall = time.perf_counter() - start\n"
+        "usage = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+        "print(proc.returncode, wall, usage.ru_utime + usage.ru_stime)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, *CLAMPED_30], cwd=tmp_path, env=_env_without_blas_timeout(),
+                         capture_output=True, text=True, check=True, timeout=120)  # fmt: skip
+    returncode, wall, cpu = out.stdout.split()
+    assert int(returncode) == 0
+    assert float(cpu) <= 1.2 * float(wall) + 0.05, (cpu, wall)
+
+
+@pytest.mark.parametrize("argv", [CLAMPED_30, KOHN_12], ids=["clamped-30", "kohn-12"])
+def test_blas_timeout_changes_no_output_byte(tmp_path, argv):
+    def run(env):
+        return subprocess.run([sys.executable, "-m", "specgap", *argv], cwd=tmp_path, env=env, capture_output=True,
+                              timeout=120)  # fmt: skip
+
+    ours, openblas_own = run(_env_without_blas_timeout()), run(_env_without_blas_timeout(**{BLAS_TIMEOUT: "28"}))
+    assert ours.returncode == 0 and ours.stderr == b"", ours.stderr[-500:]
+    assert (ours.returncode, ours.stdout, ours.stderr) == (
+        openblas_own.returncode, openblas_own.stdout, openblas_own.stderr
+    )
+
+
+@pytest.mark.parametrize(
+    "module, caller, seen",
+    [("specgap.__main__", "28", "28"), ("specgap.__main__", None, "4"), ("specgap.operators", None, None)],
+    ids=["caller-wins", "cli-default", "library-untouched"],
+)
+def test_blas_timeout_is_a_default_of_the_cli_alone(tmp_path, module, caller, seen):
+    env = _env_without_blas_timeout(**({BLAS_TIMEOUT: caller} if caller else {}))
+    code = f"import os, {module}; print(os.environ.get({BLAS_TIMEOUT!r}))"
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+                         check=True, timeout=60)  # fmt: skip
+    assert out.stdout == f"{seen}\n"

@@ -10,7 +10,9 @@ of scipy in ``operators.py`` but the sparse build of its one assembler; and
 no call of ``_validate_grid`` in ``operators.py`` but with a problem name,
 so each problem's grid rules are read from its one row; every producer of
 ``operators._FD`` takes its ||A||_inf from ``_abs_apply``, so no norm is
-written by hand beside the terms it bounds; and in
+written by hand beside the terms it bounds; ``__main__.py`` sets its
+OPENBLAS_THREAD_TIMEOUT default before it imports the package or numpy,
+and the installed script runs it; and in
 ``couples.py`` one points gate, the only reader of MAX_MEMBERSHIP_SAMPLES,
 and one domain test, the only text of the (0, lambda) refusal.
 References from tests do not count: a helper that only a test calls is dead
@@ -288,6 +290,38 @@ def test_each_fd_producer_takes_its_norm_from_abs_apply():
     }
     assert len(producers) == len(FD_PROBLEMS), producers
     assert calls_abs_apply == dict.fromkeys(producers, True), calls_abs_apply
+
+
+def _sets_blas_timeout(stmt: ast.stmt) -> bool:
+    """Whether ``stmt`` is ``os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", ...)``."""
+    call = stmt.value if isinstance(stmt, ast.Expr) else None
+    return (
+        isinstance(call, ast.Call)
+        and ast.unparse(call.func) == "os.environ.setdefault"
+        and bool(call.args)
+        and isinstance(call.args[0], ast.Constant)
+        and call.args[0].value == "OPENBLAS_THREAD_TIMEOUT"
+    )
+
+
+def _imports_package_or_numpy(stmt: ast.stmt) -> bool:
+    if isinstance(stmt, ast.ImportFrom):
+        return stmt.level > 0 or stmt.module.split(".")[0] in ("specgap", "numpy", "scipy")
+    if isinstance(stmt, ast.Import):
+        return any(alias.name.split(".")[0] in ("specgap", "numpy", "scipy") for alias in stmt.names)
+    return False
+
+
+def test_cli_sets_the_blas_timeout_before_numpy_loads():
+    """OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, when numpy loads it: the
+    CLI's default is set in ``__main__.py`` before the module imports ``.cli``
+    (which imports numpy), and the installed script runs that module too."""
+    body = _tree(PACKAGE / "__main__.py").body
+    sets = [i for i, stmt in enumerate(body) if _sets_blas_timeout(stmt)]
+    imports = [i for i, stmt in enumerate(body) if _imports_package_or_numpy(stmt)]
+    assert len(sets) == 1 and imports and sets[0] < min(imports), (sets, imports)
+    section = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n")[1].split("\n[")[0]
+    assert section.split() == ["specgap", "=", '"specgap.__main__:main"'], section
 
 
 # couples.py: the gate every certificate reads its samples through, and the
