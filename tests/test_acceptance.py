@@ -292,12 +292,14 @@ def test_acceptance_09_kohn_structure(tmp_path):
         [sys.executable, "-m", "specgap", "spectrum", "fd", "--problem", "kohn",
          "--dims", "1,1,1", "--grid", "12,12,12", "--count", "30", "--out", str(csv)],
         capture_output=True,
+        timeout=120,
     )
     assert gen.returncode == 0, gen.stderr
     ver = subprocess.run(
         [sys.executable, "-m", "specgap", "verify", "spectrum", "--eigs", str(csv),
          "--n", "1", "--l", "1", "--problem", "heisenberg-kohn", "--which", "kohn-yang-l1"],
         capture_output=True,
+        timeout=120,
     )
     assert ver.returncode == 0, ver.stdout.decode() + ver.stderr.decode()
     summary = json.loads(ver.stdout.decode().strip().splitlines()[-1])
@@ -311,7 +313,7 @@ def test_acceptance_10_determinism(tmp_path):
     t0 = time.time()
 
     def run(argv):
-        res = subprocess.run([sys.executable, "-m", "specgap", *argv], capture_output=True)
+        res = subprocess.run([sys.executable, "-m", "specgap", *argv], capture_output=True, timeout=120)
         assert res.returncode == 0, res.stderr.decode()
         return res.stdout
 

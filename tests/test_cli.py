@@ -1135,8 +1135,8 @@ def test_config_value_of_a_repeatable_flag(tmp_path, capsys, value, flags):
 def test_repeat_run_byte_identical(tmp_path):
     argv = [sys.executable, "-m", "specgap", "verify", "abstract", "--trials", "6",
             "--dim", "6", "--nops", "2", "--couple", "equal-power:2", "--seed", "11"]
-    a = subprocess.run(argv, capture_output=True)
-    b = subprocess.run(argv, capture_output=True)
+    a = subprocess.run(argv, capture_output=True, timeout=120)
+    b = subprocess.run(argv, capture_output=True, timeout=120)
     assert a.returncode == 0 and a.stdout == b.stdout
 
 
@@ -1199,3 +1199,72 @@ def test_blas_timeout_is_a_default_of_the_cli_alone(tmp_path, module, caller, se
     out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
                          check=True, timeout=60)  # fmt: skip
     assert out.stdout == f"{seen}\n"
+
+
+# ---------------------------------------------------------------------------
+# the process entry (src/specgap/__main__.py flushes, then skips teardown)
+# ---------------------------------------------------------------------------
+
+BOX_4 = ["spectrum", "box", "--dims", "1,1", "--count", "4"]
+
+
+def _specgap_process(argv, timeout=120, **kwargs):
+    """``python -m specgap`` with buffered stdout (no PYTHONUNBUFFERED), so
+    a stream left unflushed at exit loses bytes."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "specgap", *argv], env=env, timeout=timeout, **kwargs)
+
+
+def _in_process_out(argv, path) -> bytes:
+    assert cli.main([*argv, "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+def test_cli_process_reports_a_closed_pipe_as_the_interpreter_does():
+    # buffered, the flush fails and the interpreter reports it once, with exit
+    # code 120 (unbuffered, the write itself would fail inside cli.main)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _specgap_process(BOX_4, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120, proc.stderr
+    assert b"BrokenPipeError" in proc.stderr and b"Traceback" not in proc.stderr, proc.stderr
+
+
+def test_cli_process_with_stdout_closed_writes_its_out_file(tmp_path):
+    out = tmp_path / "f.csv"
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m specgap "$@" >&-', sys.executable, *BOX_4, "--out", str(out)],
+                          capture_output=True, timeout=120)  # fmt: skip
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.read_bytes() == _in_process_out(BOX_4, tmp_path / "in_process.csv")
+
+
+def test_no_process_outlives_the_cli():
+    # a pool worker left running holds the captured pipes open, so this times out
+    proc = _specgap_process(["verify", "abstract", "--trials", "40", "--dim", "6", "--nops", "2", "--workers", "2",
+                             "--seed", "3"], capture_output=True, timeout=60)  # fmt: skip
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout.splitlines()[-1])["trials"] == 40
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        CLAMPED_30,
+        KOHN_12,
+        ["bound", "--ineq", "all", "--eigs", "box.csv", "--n", "2"],
+        ["verify", "spectrum", "--eigs", "box.csv", "--n", "2"],
+        ["verify", "abstract", "--trials", "6", "--dim", "6", "--nops", "2", "--seed", "11"],
+    ],
+    ids=["fd-clamped-30", "fd-kohn-12", "bound", "verify-spectrum", "verify-abstract"],
+)
+def test_cli_process_writes_the_bytes_of_cli_main(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "box.csv").write_text("# n: 2\n" + "".join(f"{v}\n" for v in (2, 5, 5, 8, 10, 10, 13, 13, 17)))
+    to_stdout = _specgap_process(argv, capture_output=True)
+    to_file = _specgap_process([*argv, "--out", "f.out"], capture_output=True)
+    assert (to_stdout.returncode, to_stdout.stderr, to_file.returncode, to_file.stderr) == (0, b"", 0, b"")
+    assert to_file.stdout == b""
+    assert to_stdout.stdout == (tmp_path / "f.out").read_bytes() == _in_process_out(argv, tmp_path / "in_process.out")

@@ -12,7 +12,8 @@ so each problem's grid rules are read from its one row; every producer of
 ``operators._FD`` takes its ||A||_inf from ``_abs_apply``, so no norm is
 written by hand beside the terms it bounds; ``__main__.py`` sets its
 OPENBLAS_THREAD_TIMEOUT default before it imports the package or numpy,
-and the installed script runs it; and in
+and the installed script runs it; ``os._exit`` is called once, in
+``__main__.main`` after its flushes, and never by ``cli.main``; and in
 ``couples.py`` one points gate, the only reader of MAX_MEMBERSHIP_SAMPLES,
 and one domain test, the only text of the (0, lambda) refusal.
 References from tests do not count: a helper that only a test calls is dead
@@ -322,6 +323,22 @@ def test_cli_sets_the_blas_timeout_before_numpy_loads():
     assert len(sets) == 1 and imports and sets[0] < min(imports), (sets, imports)
     section = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n")[1].split("\n[")[0]
     assert section.split() == ["specgap", "=", '"specgap.__main__:main"'], section
+
+
+def test_only_the_cli_entry_skips_teardown_and_only_after_flushing():
+    """``os._exit`` skips the flush of every buffered stream: its one call in
+    src/specgap is in ``__main__.main``, after that function's flushes, so
+    ``cli.main`` still returns to library callers and the tracer."""
+    exits, flushes = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node, function in _nodes_by_function(_tree(path)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "_exit":
+                    exits.append((path.name, function, node.lineno))
+                elif node.func.attr == "flush" and (path.name, function) == ("__main__.py", "main"):
+                    flushes.append(node.lineno)
+    assert [(name, function) for name, function, _ in exits] == [("__main__.py", "main")], exits
+    assert flushes and max(flushes) < exits[0][2], (flushes, exits)
 
 
 # couples.py: the gate every certificate reads its samples through, and the
