@@ -188,7 +188,7 @@ def _prefix_from_args(args, values: np.ndarray, meta: dict, default_problem=None
         l = int(l)
     except ValueError:
         raise SpecgapError(f"spectrum metadata '# l: {l}' is not an integer") from None
-    problem = args.problem or default_problem or meta.get("problem") or operators.EUCLIDEAN
+    problem = args.problem or meta.get("problem") or default_problem or operators.EUCLIDEAN
     return operators.SpectrumPrefix(values, n=n, l=l, problem=problem)
 
 

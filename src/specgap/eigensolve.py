@@ -7,12 +7,13 @@ shift-invert mode.  ``smallest_eigs`` takes ARPACK for m of the dim
 eigenpairs when dim >= DENSE_FALLBACK_DIM and m <= dim / ARPACK_DIM_PER_PAIR,
 or when dim exceeds DENSE_DIM_CAP; the dense route otherwise
 (``_dense_route``).  Both limits come from a measured sweep of the two
-routes (README, "Eigensolver").  ``_dense_route`` alone picks the build and
-the solver of each block of ``operators`` (a clamped parity block or a Kohn
-t-Fourier block): a numpy array for ``dense_symmetric_eig`` on the dense
-route, a sparse matrix for ``smallest_eigs`` otherwise; a whole built
-operator, sparse either way, is sent to the same solvers.  The dense route
-is the reference the test suite checks the ARPACK route against.
+routes (README, "Eigensolver").  It takes every m up to dim at or below
+DENSE_DIM_CAP, where the dense route holds every m above dim/10, and at
+most dim/4 above it.  ``operators._block_smallest`` reads ``_dense_route``
+to pick the build and the solver of each block (a clamped parity block or
+a Kohn t-Fourier block): a numpy array for ``dense_symmetric_eig`` on the
+dense route, a sparse matrix for ``smallest_eigs`` otherwise.  The dense
+route is the reference the test suite checks the ARPACK route against.
 
 Each route checks the eigenpairs it computes: it raises ConvergenceError
 unless every residual ||A v - w v|| is within RESIDUAL_REL_TOL * ||A||_inf, so
@@ -264,15 +265,16 @@ def _lanczos_smallest(A, m: int, floor: float = 0.0) -> EigResult:
 
 def _dense_route(dim: int, m: int) -> bool:
     """Whether the m smallest of dim eigenpairs take the dense route: the
-    measured crossover of ``smallest_eigs``, which also holds every m above
-    dim/4 up to DENSE_DIM_CAP.  It alone picks an ``operators`` block's build
-    and solver: a dense array for ``dense_symmetric_eig`` when True, a sparse
-    matrix for ``smallest_eigs`` (which refuses m above dim/4) when False."""
+    measured crossover of ``smallest_eigs``, which holds every m above
+    dim/10 up to DENSE_DIM_CAP.  ``operators._block_smallest`` reads it to
+    build a block as a dense array for ``dense_symmetric_eig`` when True,
+    and as a sparse matrix for ``smallest_eigs`` when False."""
     return dim <= DENSE_DIM_CAP and (dim < DENSE_FALLBACK_DIM or m * ARPACK_DIM_PER_PAIR > dim)
 
 
 def smallest_eigs(op, m: int, floor: float = 0.0) -> EigResult:
-    """The m smallest eigenpairs of a symmetric PSD operator, 1 <= m <= dim/4.
+    """The m smallest eigenpairs of a symmetric PSD operator: 1 <= m <= dim
+    up to DENSE_DIM_CAP, 1 <= m <= dim/4 above it.
 
     ``op`` may be a DiscreteOperator (its ``matrix`` is used), a scipy sparse
     matrix, or a dense array.  The route follows the measured crossover: the
@@ -288,8 +290,9 @@ def smallest_eigs(op, m: int, floor: float = 0.0) -> EigResult:
     """
     M = getattr(op, "matrix", op)
     dim = M.shape[0]
-    if not 1 <= m <= dim // 4:
-        raise InputError(f"need 1 <= m <= dim/4 = {dim // 4}, got m = {m}")
+    top, bound = (dim, "dim") if dim <= DENSE_DIM_CAP else (dim // 4, "dim/4")
+    if not 1 <= m <= top:
+        raise InputError(f"need 1 <= m <= {bound} = {top}, got m = {m}")
     if _dense_route(dim, m):
         return _dense_smallest(M, m)
     return _lanczos_smallest(M.tocsr() if _issparse(M) else M, m, floor)

@@ -30,12 +30,12 @@ The 1-D stencils of ``fd_clamped_plate`` (fourth difference, second
 difference, identity) are symmetric and persymmetric, so the plate commutes
 with the reversal of each axis, and ``_clamped_parity_blocks`` writes its
 spectrum from the 2^d blocks of its even and odd vectors, each the Kronecker
-sum of stencils folded to half an axis from their diagonals.
-``_dense_route`` alone picks each block's build and solver: a dense array
-for ``dense_symmetric_eig`` on the dense route (a 30 x 30 plate is four
-dense blocks of 225 points), a sparse matrix for ``smallest_eigs``
-otherwise, with the lower bound (sum of the axes' smallest sine modes)^2 of
-its spectrum for ARPACK's shift.
+sum of stencils folded to half an axis from their diagonals.  A block is
+handed over as its Kronecker terms, and ``_block_smallest`` alone turns it
+into a matrix and solves it: ``_dense_route`` picks a dense array for
+``dense_symmetric_eig`` (a 30 x 30 plate is four dense blocks of 225
+points) or a sparse matrix for ``smallest_eigs``, with the lower bound (sum
+of the axes' smallest sine modes)^2 of its spectrum for ARPACK's shift.
 
 The t derivative of ``kohn_fd`` acts on t alone and its central difference
 has closed-form eigenvectors, so ``_kohn_fourier_blocks`` writes the Kohn
@@ -427,15 +427,20 @@ def fd_clamped_plate(sides, grids) -> DiscreteOperator:
     return DiscreteOperator(_assemble(_plate_terms(axes), dense=False), grids, _FD["clamped"].stencil)
 
 
-def _block_smallest(build, dim: int, need: int, floor: float = 0.0):
-    """The ``need`` smallest eigenvalues of a symmetric block of size ``dim``
-    and their largest residual.  ``_dense_route(dim, need)`` alone picks the
-    block's build and solver: on the dense route ``build(True)`` makes it a
-    numpy array for ``dense_symmetric_eig``, otherwise ``build(False)`` a
-    scipy sparse matrix for ``smallest_eigs`` (with the block's proven
-    spectral ``floor``), which refuses more than a quarter of the block."""
+def _block_smallest(terms, count: int, floor: float = 0.0):
+    """The smallest min(count, dim) eigenvalues of the symmetric block of
+    size dim that ``terms`` declare, and their largest residual: the one
+    place where a block becomes a matrix.  ``_dense_route`` picks its build
+    (``_assemble``) and solver: a numpy array for ``dense_symmetric_eig``,
+    or a scipy sparse matrix for ``smallest_eigs`` with the block's proven
+    spectral ``floor``.  ``smallest_eigs`` would take the dense route too;
+    the dense route calls ``dense_symmetric_eig`` here because the
+    benchmark pins this module's binding of it (``REQUIRED_SITES`` in
+    ``bench/selftest.py``), and the import would otherwise be unused."""
+    dim = math.prod(size for size, _ in terms[0])
+    need = min(count, dim)
     dense = _dense_route(dim, need)
-    block = build(dense)
+    block = _assemble(terms, dense)
     found = dense_symmetric_eig(block) if dense else smallest_eigs(block, need, floor=floor)
     return found.eigenvalues[:need], float(found.residuals[:need].max())
 
@@ -488,11 +493,6 @@ def _plate_terms(axes):
     return terms
 
 
-def _plate_block(axes, dense: bool):
-    """``_plate_terms`` of one parity pattern's folded pieces, assembled."""
-    return _assemble(_plate_terms(axes), dense)
-
-
 @_out_of_memory_refused("the clamped plate's parity blocks")
 def _clamped_parity_blocks(sides, grids, h, count: int):
     """The ``count`` smallest eigenvalues of fd_clamped_plate(sides, grids)
@@ -503,11 +503,11 @@ def _clamped_parity_blocks(sides, grids, h, count: int):
     fourth difference, the second difference and the identity) is symmetric
     and persymmetric, so A commutes with the reversal of every axis: it is
     the direct sum of 2^d blocks, one per parity pattern, each the same
-    Kronecker sum of the axes' folded stencils (``_fold``).  Each block
-    gives its smallest min(count, size) values through ``_block_smallest``
-    (``_dense_route`` alone picks its build and solver), and
-    ``_merge_blocks`` merges them.  Every block is enumerated and each route
-    certifies its values complete, so no eigenvalue is skipped.
+    Kronecker sum of the axes' folded stencils (``_fold``).  Each block's
+    terms (``_plate_terms``) go to ``_block_smallest``, which gives its
+    smallest min(count, size) values, and ``_merge_blocks`` merges them.
+    Every block is enumerated and each route certifies its values complete,
+    so no eigenvalue is skipped.
 
     A = L^2 + C with L = sum_a D2_a, the FD Laplacian, and C >= 0 (twice
     1 / h^4 at the two end points of each axis), and L maps each parity
@@ -529,9 +529,7 @@ def _clamped_parity_blocks(sides, grids, h, count: int):
     floor = sum(4.0 * math.sin(math.pi / (2 * (n + 1))) ** 2 / hj**2 for n, hj in zip(grids, h)) ** 2
     blocks = []
     for parity in itertools.product((True, False), repeat=len(grids)):
-        axes = [fold[even] for fold, even in zip(folds, parity)]
-        dim = math.prod(size for size, _, _ in axes)
-        blocks.append(_block_smallest(lambda dense: _plate_block(axes, dense), dim, min(count, dim), floor))
+        blocks.append(_block_smallest(_plate_terms([fold[even] for fold, even in zip(folds, parity)]), count, floor))
     vals, worst = _merge_blocks(blocks, count)
     terms = _plate_terms([(*_band(n, *b4), _band(n, *b2)[1]) for n, (b4, b2) in zip(grids, bands)])
     # no two terms have entries of opposite sign at one place (all negative
@@ -584,24 +582,23 @@ def _kohn_t_modes(nt: int, ht: float) -> np.ndarray:
     return np.sin((nt + 1 - 2 * np.arange(1, nt + 1)) * (np.pi / (2 * (nt + 1)))) / ht
 
 
-def _kohn_block(xs, ys, hx: float, hy: float, theta: float, dense: bool):
+def _kohn_block(xs, ys, hx: float, hy: float, theta: float):
     """A_theta = (Tx (x) I + theta I (x) My)^2 + (I (x) Ty - theta Mx (x) I)^2,
     with T = tridiag(1, 0, 1) / (2 h) and M = diag(coordinate / 2): a 9-point
-    stencil on the (x, y) grid, as a dense array or a scipy CSR matrix: one
+    stencil on the (x, y) grid, as its Kronecker terms (``_assemble``): one
     term on the diagonal, where T^2 counts a point's neighbours, and four
-    Kronecker terms, T^2 at distance 2 and the cross terms at distance 1."""
+    terms, T^2 at distance 2 and the cross terms at distance 1."""
     nx, ny = xs.size, ys.size
     a, b = np.divmod(np.arange(nx * ny), ny)
     x_near, y_near = (a > 0).astype(float) + (a < nx - 1), (b > 0).astype(float) + (b < ny - 1)
     diagonal = x_near / (4 * hx**2) + y_near / (4 * hy**2) + theta**2 * (xs[a] ** 2 + ys[b] ** 2) / 4
-    terms = [
+    return [
         [_band(nx * ny, diagonal)],
         [_band(nx, 0.0, (0.0, 1 / (4 * hx**2))), (ny, None)],
         [(nx, None), _band(ny, 0.0, (0.0, 1 / (4 * hy**2)))],
         [_band(nx, 0.0, (1.0,)), _band(ny, theta * ys / (2 * hx))],
         [_band(nx, -theta * xs / (2 * hy)), _band(ny, 0.0, (1.0,))],
     ]
-    return _assemble(terms, dense)
 
 
 @_out_of_memory_refused("the Kohn Laplacian's t-Fourier blocks")
@@ -618,10 +615,10 @@ def _kohn_fourier_blocks(sides, grids, h, count: int):
     is L_{Nt+1-p} (theta = -theta_p) by the conjugate diagonal: only the
     first ceil(Nt/2) blocks are solved, and each value of a pair counts twice.
 
-    Each block gives its smallest min(count, Nx Ny) values (ceil(count/2) for
-    a pair) through ``_block_smallest`` (``_dense_route`` alone picks its
-    build and solver), and ``_merge_blocks`` merges them; the theta = 0 block
-    of an odd Nt is written in closed form (``_sine_sums``).  Every block is
+    Each block's terms (``_kohn_block``) go to ``_block_smallest``, which
+    gives its smallest min(count, Nx Ny) values (ceil(count/2) for a pair),
+    and ``_merge_blocks`` merges them; the theta = 0 block of an odd Nt is
+    written in closed form (``_sine_sums``), for any count.  Every block is
     enumerated and each route certifies its values complete, so no
     eigenvalue is skipped.  The certificate: with D_t v = i theta v + e,
     ||L (u (x) v) - lambda u (x) v|| <= ||A_theta w - lambda w|| + ||e|| K
@@ -632,12 +629,12 @@ def _kohn_fourier_blocks(sides, grids, h, count: int):
     (``_kohn_fields``, ``_abs_apply``).
     """
     (hx, hy, ht), (xs, ys) = h, _kohn_xy(sides, grids, h)
-    nt, dim = grids[2], grids[0] * grids[1]
+    nt = grids[2]
     theta = _kohn_t_modes(nt, ht)
     blocks = []
     for p in range((nt + 1) // 2):
         pair = 2 * p + 1 < nt  # block nt - 1 - p, at -theta_p, has the same spectrum
-        need = min(dim, -(-count // 2) if pair else count)
+        need = -(-count // 2) if pair else count
         if theta[p] == 0.0:
             # A_0 = Tx^2 (x) I + I (x) Ty^2, and T = tridiag(1, 0, 1) / (2 h) has the
             # second difference's sine vectors, with eigenvalues c_p = cos(p pi / (n + 1)) / h.
@@ -647,8 +644,7 @@ def _kohn_fourier_blocks(sides, grids, h, count: int):
             cos = [np.cos(np.arange(1, g.size + 1) * (np.pi / (g.size + 1))) for g in (xs, ys)]
             vals, residual = _sine_sums([((c / h) ** 2, 2.0 - 2.0 * c, h) for c, h in zip(cos, (hx, hy))], need)
         else:
-            build = lambda dense: _kohn_block(xs, ys, hx, hy, theta[p], dense=dense)  # noqa: E731
-            vals, residual = _block_smallest(build, dim, need)
+            vals, residual = _block_smallest(_kohn_block(xs, ys, hx, hy, theta[p]), need)
         blocks.append((np.repeat(vals, 2) if pair else vals, residual))
     vals, block_residual = _merge_blocks(blocks, count)
     # (D_t v - i theta v)(j) = i^(j+1) ((tridiag(1, 0, 1) w)(j) / (2 ht) - theta w(j)) for v(j) = i^j w(j)
@@ -712,12 +708,11 @@ def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> Spectru
     the l-th power (the matrix power shares eigenvectors), and checked and
     labelled by the row of its stencil.
 
-    The operator is solved as one ``_block_smallest`` block, whose solver
-    ``_dense_route`` alone picks; either way every eigenpair's residual is
-    checked, and ConvergenceError is raised rather than an unchecked value
-    returned.  No command calls it: it serves a demo, the tests that check
-    ``fd_spectrum`` against a built operator, and the benchmark's tracer,
-    which times it.
+    The operator is solved by one ``smallest_eigs`` call, which picks the
+    route; either way every eigenpair's residual is checked, and
+    ConvergenceError is raised rather than an unchecked value returned.  No
+    command calls it: it serves a demo, the tests that check ``fd_spectrum``
+    against a built operator, and the benchmark's tracer, which times it.
     """
     problem = next((name for name, row in _FD.items() if row.stencil == op.stencil), None)
     if problem is None:
@@ -727,7 +722,7 @@ def operator_power_spectrum(op: DiscreteOperator, l: int, count: int) -> Spectru
     if _FD[problem].problem == HEISENBERG:
         raise InputError("the Kohn spectrum comes from fd_spectrum, which labels it")
     _check_count(count, op.dim)
-    return _labelled(problem, op.npoints, _block_smallest(lambda dense: op.matrix, op.dim, count)[0], l)
+    return _labelled(problem, op.npoints, smallest_eigs(op, count).eigenvalues, l)
 
 
 # ---------------------------------------------------------------------------

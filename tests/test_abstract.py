@@ -172,9 +172,15 @@ def test_corollary_2x2():
 
 
 def test_corollary_rejects_z_beyond_next_eigenvalue():
-    A, B, _ = two_by_two()
+    A, B, T = two_by_two()
     with pytest.raises(InputError):
         verify_corollary(A, (B,), 1, const_couple(2.5))
+    # and a k with no lambda_(k+1) above it
+    for k in (0, 2):
+        with pytest.raises(InputError, match=f"need 1 <= k < d = 2, got k = {k}"):
+            verify_corollary(A, (B,), k, const_couple(2.0))
+        with pytest.raises(InputError, match=f"need 1 <= k < d = 2, got k = {k}"):
+            verify_theorem(OperatorTriple(A, (B,), (T,)), k, const_couple(2.0))
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.5])
@@ -274,6 +280,12 @@ def test_moment_refuses_inaccurate_eigenpairs(monkeypatch):
 def test_moment_rejects_bad_exponents():
     with pytest.raises(InputError):
         moment_inequality_check(np.eye(2), np.array([1.0, 0.0]), 3, 2)
+    # and a Q or u it cannot read
+    for Q, u in ((np.ones((2, 3)), [1.0, 0.0]), (np.eye(2), [1.0, 0.0, 0.0])):
+        with pytest.raises(InputError, match="Q must be square and conformable with u"):
+            moment_inequality_check(Q, np.array(u), 1, 2)
+    with pytest.raises(InputError, match="u must be nonzero"):
+        moment_inequality_check(np.eye(2), np.zeros(2), 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +313,19 @@ def test_random_instance_symmetry_residuals():
             assert np.abs(T + T.conj().T).max() == 0.0
 
 
+@pytest.mark.parametrize(
+    "d, n, ensemble, refusal",
+    [
+        (1, 2, "dense-gaussian", "need d >= 2 and n >= 1, got d=1, n=2"),
+        (4, 0, "dense-gaussian", "need d >= 2 and n >= 1, got d=4, n=0"),
+        (4, 2, "gaussian", "unknown ensemble 'gaussian'"),
+    ],
+)
+def test_random_instance_refuses_bad_sizes_and_ensembles(d, n, ensemble, refusal):
+    with pytest.raises(InputError, match=refusal):
+        random_instance(d, n, seed=0, ensemble=ensemble)
+
+
 def test_random_instance_positive_spectrum():
     t = random_instance(12, 3, seed=9)
     assert np.linalg.eigvalsh(t.A)[0] > 0
@@ -310,3 +335,12 @@ def test_operator_triple_rejects_non_hermitian():
     A = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(InputError):
         OperatorTriple(A, (np.eye(2, dtype=complex),), (np.zeros((2, 2), dtype=complex),))
+    # and operators of the wrong shape or number
+    A, B, T = two_by_two()
+    with pytest.raises(InputError, match=r"A must be square, got \(2, 3\)"):
+        OperatorTriple(np.ones((2, 3)), (B,), (T,))
+    for Bs, Ts in (((), ()), ((B, B), (T,))):
+        with pytest.raises(InputError, match=r"need equally many \(at least one\) B and T operators"):
+            OperatorTriple(A, Bs, Ts)
+    with pytest.raises(InputError, match="operator pair 1 has wrong shape"):
+        OperatorTriple(A, (B, np.eye(3)), (T, T))

@@ -11,6 +11,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_bench_selftest_passes():
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "bench/selftest.py"], cwd=ROOT, capture_output=True, text=True
+        [sys.executable, "-m", "pytest", "-q", "bench/selftest.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

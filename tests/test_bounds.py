@@ -1,5 +1,6 @@
 """Bound registry, solver kernels, constants, margins, orderings."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -51,6 +52,10 @@ def test_prefix_rejects_bad_input():
         SpectrumPrefix(np.array([1.0]), n=0)
     with pytest.raises(InputError, match="unknown problem 'nope'"):
         SpectrumPrefix(np.array([1.0]), n=2, problem="nope")
+    with pytest.raises(InputError, match="l must be a positive integer, got 0"):
+        SpectrumPrefix(np.array([1.0]), n=2, l=0)
+    with pytest.raises(InputError, match=f"prefix longer than {bounds.MAX_PREFIX_LEN} entries"):
+        SpectrumPrefix(np.ones(bounds.MAX_PREFIX_LEN + 1), n=2)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +414,22 @@ def test_chain_generic():
 def test_chain_requires_l1_euclidean():
     with pytest.raises(InputError, match="chain comparison is defined for the l=1"):
         chain_compare(euclid([1.0], 2, l=2), 1)
+    # and a k outside the prefix, which compute_bound refuses
+    for k in (0, 2):
+        with pytest.raises(InputError, match=f"k must satisfy 1 <= k <= 1, got {k}"):
+            chain_compare(euclid([1.0], 2), k)
+
+
+def test_chain_reports_each_pair_out_of_order(monkeypatch):
+    # no registry spectrum breaks the order, so the bounds are replaced
+    real = bounds.compute_bound
+    order = dict(zip(CHAIN, [4.0, 3.0, 3.0, 2.0]))
+    monkeypatch.setattr(
+        bounds, "compute_bound", lambda name, prefix, k: dataclasses.replace(real(name, prefix, k), value=order[name])
+    )
+    rep = chain_compare(euclid([1.0], 2), 1)
+    assert not rep.ordered
+    assert rep.violations == [(CHAIN[0], CHAIN[1], 4.0, 3.0), (CHAIN[2], CHAIN[3], 3.0, 2.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +469,8 @@ def test_margins_skip_inapplicable_with_notice():
 def test_margin_candidate_below_prefix_rejected():
     with pytest.raises(InputError, match="is below lambda_k"):
         verify_margins(euclid([1.0, 2.0], 2), 1.5)
+    with pytest.raises(InputError, match="need at least two eigenvalues to verify anything"):
+        verify_margins(euclid([1.0], 2))
 
 
 def _same_bits(a, b):

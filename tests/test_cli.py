@@ -233,6 +233,16 @@ def test_spectrum_box_refuses_count_above_prefix_cap(capsys):
     assert out == "" and err == "specgap: count must satisfy 1 <= count <= 100000, got 10000000000\n"
 
 
+@pytest.mark.parametrize(
+    "dims, grid, refusal",
+    [("1,x", "8,8", "bad numeric list '1,x'"), ("1,1", "8,y", "bad integer list '8,y'")],
+    ids=["dims", "grid"],
+)
+def test_spectrum_refuses_a_list_it_cannot_parse(capsys, dims, grid, refusal):
+    argv = ["spectrum", "fd", "--problem", "laplacian", "--dims", dims, "--grid", grid, "--count", "3"]
+    assert run_cli(argv, capsys) == (2, "", f"specgap: {refusal}\n")
+
+
 @pytest.mark.parametrize("kind", ["box", "fd"])
 @pytest.mark.parametrize("side", ["nan", "inf"])
 def test_spectrum_refuses_box_sides_that_are_not_finite(kind, side):
@@ -551,6 +561,16 @@ def test_bound_kohn_odd_uses_problem_of_descriptor(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["valid"] is True
+
+
+def test_bound_keeps_the_problem_of_a_labelled_csv(tmp_path, capsys):
+    # the CSV's label outranks the descriptor's problem, so a Euclidean entry
+    # is refused on a Kohn spectrum instead of evaluated on it
+    out = str(tmp_path / "k.csv")
+    argv = ["spectrum", "fd", "--problem", "kohn", "--dims", "1,1,1", "--grid", "6,6,6", "--count", "10", "--out", out]
+    assert run_cli(argv, capsys)[0] == 0
+    code, stdout, err = run_cli(["bound", "--ineq", "ppw-laplacian", "--eigs", out, "--n", "1"], capsys)
+    assert_one_line_usage_error(code, stdout, err, "ppw-laplacian does not apply to problem='heisenberg-kohn', l=1")
 
 
 def test_bound_all_lists_applicable(tmp_path, capsys):
@@ -1021,12 +1041,30 @@ def test_couple_check_malformed_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "rows, refusal",
+    [
+        (None, "cannot read couple table"),
+        ("0.5,one,0.5\n", "bad couple table"),
+        ("0.5,1\n1.5,1\n", "needs rows x,f,g"),
+    ],
+    ids=["missing", "not-numeric", "two-columns"],
+)
+def test_couple_check_refuses_a_table_it_cannot_read(tmp_path, capsys, rows, refusal):
+    table = tmp_path / "t.csv"
+    if rows is not None:
+        table.write_text(rows)
+    assert_one_line_usage_error(*run_cli(["couple", "check", "--spec", f"tabulated:{table}@3"], capsys), refusal)
+
+
 def test_couple_check_refuses_too_many_samples(capsys):
     # refused before the ~5 * 10^13 sample pairs are allocated
     argv = ["couple", "check", "--spec", "equal-power:2@5", "--samples", "10000000"]
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == "" and err == "specgap: 10000000 samples exceed the cap of 4096\n"
+    argv = ["couple", "check", "--spec", "equal-power:2@5", "--samples", "1"]
+    assert run_cli(argv, capsys) == (2, "", "specgap: need at least 2 samples\n")
 
 
 @pytest.mark.parametrize(
@@ -1096,6 +1134,9 @@ def test_config_bad_value_is_one_line_without_usage(tmp_path, capsys):
     assert code == 2
     assert out == "" and "usage:" not in err
     assert err == "specgap: config key 'count': argument --count: invalid int value: 'x'\n"
+    cfg.write_text(json.dumps([{"count": 3}]))
+    code, out, err = run_cli(["--config", str(cfg), "spectrum", "box", "--dims", "1"], capsys)
+    assert (code, out, err) == (2, "", "specgap: config must be a JSON object mirroring the flags\n")
 
 
 def test_config_not_utf8_exit_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specgap import couples
+from specgap.bounds import SpectrumPrefix, check_general_poly
 from specgap.couples import (
     FunctionCouple,
     certify_on_samples,
@@ -126,6 +127,15 @@ def test_membership_refuses_more_samples_than_the_cap():
     xs = np.linspace(0.1, 0.9, couples.MAX_MEMBERSHIP_SAMPLES + 1)
     with pytest.raises(InputError, match="samples exceed the cap of 4096"):
         certify_on_samples(c, xs)
+    with pytest.raises(InputError, match="empty sample set"):
+        certify_on_samples(c, [])
+
+
+def test_membership_refuses_a_couple_that_underflows_to_zero():
+    # g = (1 - x)^400 is 0 in floating point at x = 0.999: the pair values
+    # would divide by it
+    with pytest.raises(InputError, match="couple is not positive on the sample set"):
+        certify_on_samples(FunctionCouple("const-power", 1.0, (400.0,)), [0.5, 0.999])
 
 
 # each certificate on 4097 points in (0, 5), as samples and as a prefix read
@@ -445,6 +455,8 @@ MALFORMED_SPECS = {
     "const-power:0@nan": "lambda must be positive",
     "": "empty couple spec",
     "nofamily": "needs 'family:params'",
+    "tabulated:@1": "tabulated spec needs a table path",
+    "equal-power:two@1": "bad parameters in couple spec",
 }
 
 
@@ -496,6 +508,33 @@ def test_power_parameters_are_refused_with_the_family_range(entry, family, text)
     else:
         message = _refusal(FunctionCouple, family, 2, params)
     assert message == f"{family} needs {_NEEDS[family]}, got {params}"
+
+
+def test_function_couple_checks_its_table():
+    xs, fs, gs = [0.2, 0.8], [0.8, 0.2], [1.0, 1.0]
+    assert _refusal(FunctionCouple, "tabulated", 1.0) == "tabulated couple requires a table of (x, f, g)"
+    assert _refusal(FunctionCouple, "const-power", 1.0, (1.0,), (xs, fs, gs)) == (
+        "only the tabulated family carries a table"
+    )
+    for table in (([], [], []), (xs, fs, [1.0])):
+        assert _refusal(tabulated, 1.0, *table) == "table arrays must be nonempty and of equal length"
+    for bad in ([0.8, 0.0], [0.8, -1.0]):
+        assert _refusal(tabulated, 1.0, xs, bad, gs) == "tabulated f and g must be strictly positive"
+        assert _refusal(tabulated, 1.0, xs, fs, bad) == "tabulated f and g must be strictly positive"
+
+
+def test_admissible_weights_refuses_a_couple_that_fails_on_the_prefix():
+    # a tabulated couple is a legal weight only where its certificate passes:
+    # admissible_weights is the runtime check of check_general_poly and
+    # verify_theorem
+    couple = tabulated(1.0, [0.2, 0.8], [0.8, 0.2], [1.0, 1.0])
+    refusal = r"couple tabulated\[2 pts\]@1 fails admissibility on the eigenvalue prefix \(worst pair value 1 at "
+    with pytest.raises(InputError, match=refusal):
+        couples.admissible_weights(couple, np.array([0.2, 0.8]))
+    with pytest.raises(InputError, match=refusal):
+        check_general_poly(SpectrumPrefix([0.2, 0.8], n=2), couple)
+    f, g = couples.admissible_weights(FunctionCouple("equal-power", 1.0, (2.0,)), np.array([0.2, 0.8]))
+    np.testing.assert_allclose((f, g), [[0.64, 0.04], [0.64, 0.04]], rtol=1e-15)
 
 
 def test_couples_outside_the_power_families_are_refused():

@@ -75,6 +75,11 @@ def test_dense_invariants():
 def test_dense_rejects_asymmetric():
     with pytest.raises(InputError):
         dense_symmetric_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # and matrices that are not square or are empty
+    with pytest.raises(InputError, match=r"need a square matrix, got shape \(2, 3\)"):
+        dense_symmetric_eig(np.ones((2, 3)))
+    with pytest.raises(InputError, match="need a nonempty matrix"):
+        dense_symmetric_eig(np.zeros((0, 0)))
 
 
 def test_dense_dimension_cap():
@@ -107,9 +112,18 @@ def test_lanczos_m1_diag_dominant_vs_dense():
 
 
 def test_smallest_eigs_m_cap():
+    # dim 16 <= DENSE_DIM_CAP: the dense route holds every m up to dim, above
+    # dim/4 too, and gives the first m pairs of the full decomposition
     op = fd_laplacian([1.0], [16])
-    with pytest.raises(InputError):
-        smallest_eigs(op, 5)  # dim 16, cap is 4
+    matrix = op.matrix.toarray()
+    reference, scale = np.linalg.eigvalsh(matrix), abs(matrix).sum(axis=1).max()
+    for m in (5, 16):
+        res = smallest_eigs(op, m)
+        assert res.method == "dense-fallback" and res.eigenvalues.size == m
+        assert np.all(np.abs(res.eigenvalues - reference[:m]) <= 4 * np.finfo(float).eps * scale)
+    for m in (0, 17):
+        with pytest.raises(InputError, match=f"need 1 <= m <= dim = 16, got m = {m}"):
+            smallest_eigs(op, m)
 
 
 def test_smallest_eigs_rejects_asymmetric():
@@ -276,6 +290,29 @@ def test_inertia_count_matches_dense_spectrum():
     gaps = np.flatnonzero(np.diff(dense) > 1e-6)  # sigma between distinct eigenvalues
     for sigma in [-1.0, 16.0, 16.5, *(0.5 * (dense[gaps] + dense[gaps + 1])), dense[-1] + 1.0]:
         assert eigensolve._eigenvalues_below(op.matrix, sigma) == np.count_nonzero(dense < sigma)
+
+
+def _singular_pivot(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def _off_diagonal_pivots(*args, **kwargs):
+    return SimpleNamespace(perm_r=np.array([1, 0]), perm_c=np.array([0, 1]))
+
+
+@pytest.mark.parametrize("splu", [_singular_pivot, _off_diagonal_pivots], ids=["singular-pivot", "perm-r-not-perm-c"])
+def test_no_inertia_count_is_answered_densely_below_the_cap_and_refused_above(monkeypatch, splu):
+    # SuperLU cannot show the count: the dense route answers up to the cap,
+    # and above it the ARPACK pairs are refused
+    op = fd_laplacian([1.0, 1.0], [40, 40])  # dim 1600, ARPACK for 30 pairs
+    monkeypatch.setattr("scipy.sparse.linalg.splu", splu)
+    assert eigensolve._eigenvalues_below(op.matrix, 1.0) is None
+    res = smallest_eigs(op, 30)
+    assert res.method == "dense-fallback"
+    assert np.array_equal(res.eigenvalues, dense_symmetric_eig(op.matrix).eigenvalues[:30])
+    monkeypatch.setattr(eigensolve, "DENSE_DIM_CAP", 1000)
+    with pytest.raises(ConvergenceError, match="inertia count of A - sigma I did not confirm"):
+        smallest_eigs(op, 30)
 
 
 def _superlu_out_of_memory(*args, **kwargs):

@@ -8,7 +8,10 @@ SuperLU (``splu``) outside ``eigensolve.py``; no module-level import of
 scipy, which costs every command of the CLI its import time; and no import
 of scipy in ``operators.py`` but the sparse build of its one assembler; and
 no call of ``_validate_grid`` in ``operators.py`` but with a problem name,
-so each problem's grid rules are read from its one row; every producer of
+so each problem's grid rules are read from its one row; in
+``operators.py`` a ``dense`` parameter on ``_assemble`` alone, and every
+call of ``_assemble`` but ``_block_smallest``'s passing ``dense=False``, so
+one function decides how a block is stored; every producer of
 ``operators._FD`` takes its ||A||_inf from ``_abs_apply``, so no norm is
 written by hand beside the terms it bounds; ``__main__.py`` sets its
 OPENBLAS_THREAD_TIMEOUT default before it imports the package or numpy,
@@ -50,6 +53,8 @@ SPARSE_SOLVERS = {"eigsh", "splu"}
 # operators.py builds every matrix through one assembler, whose sparse build
 # is the module's one import of scipy.sparse
 OPERATORS_SPARSE_SITE = "_assemble"
+# and the one function that picks each block's build and solver
+OPERATORS_ROUTE_SITE = "_block_smallest"
 SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
 
@@ -251,6 +256,26 @@ def _scipy_imports_by_function(tree: ast.Module):
 def test_operators_imports_scipy_only_in_its_assembler():
     sites = list(_scipy_imports_by_function(_tree(PACKAGE / "operators.py")))
     assert [function for _, function in sites] == [OPERATORS_SPARSE_SITE], sites
+
+
+def test_operators_picks_a_build_only_in_block_smallest():
+    """A block is handed to the solver as its Kronecker terms: in
+    operators.py only ``_assemble`` takes a parameter named ``dense``, and
+    every call of ``_assemble`` outside ``OPERATORS_ROUTE_SITE`` passes
+    (terms, dense=False), so the dense/sparse choice is made in one place."""
+    calls, stray = [], []
+    for node, function in _nodes_by_function(_tree(PACKAGE / "operators.py")):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            name = getattr(node, "name", "lambda")
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if name != "_assemble" and any(param.arg == "dense" for param in params):
+                stray.append(f"operators.py:{node.lineno} {name} takes a parameter named dense")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_assemble":
+            calls.append(function)
+            keywords = [(k.arg, k.value.value if isinstance(k.value, ast.Constant) else None) for k in node.keywords]
+            if function != OPERATORS_ROUTE_SITE and not (len(node.args) == 1 and keywords == [("dense", False)]):
+                stray.append(f"operators.py:{node.lineno} calls {ast.unparse(node)} in {function}")
+    assert OPERATORS_ROUTE_SITE in calls and not stray, stray
 
 
 def test_operators_validates_each_grid_by_its_problem_name():

@@ -129,6 +129,21 @@ def test_newton_work_on_the_unit_square():
                     assert 0 < compute_bound(name, prefix, int(k)).iterations <= 12, (name, l, k)
 
 
+def test_convex_roots_double_a_cap_below_the_root():
+    # every root of wucao-poly at l = 2 lies above 2 lambda_k, where caps far
+    # below it start: each row doubles its cap until H > 0, and Newton then
+    # falls to the root that the default caps reach from above
+    full = operators.box_spectrum((1.0, 1.37), 60).values
+    prefix, ks = SpectrumPrefix(full**2, n=2, l=2), np.arange(1, 61)
+    desc = REGISTRY["wucao-poly"]
+    value, iterations, _, valid = bounds._bound_table(desc, prefix, ks)
+    low_value, low_iterations, _, low_valid = bounds._bound_table(desc, prefix, ks, caps=np.full(ks.size, 1e-3))
+    assert valid.all() and np.all(value > 2.0 * full * (1.0 + bounds.LOWER_END_REL))
+    assert np.array_equal(low_valid, valid)
+    np.testing.assert_allclose(low_value, value, rtol=1e-12, atol=0.0)
+    assert np.all(low_iterations >= iterations) and low_iterations.sum() > iterations.sum()
+
+
 def _peak_rss_mb(argv, cwd):
     """Peak RSS of ``python -m specgap argv``, read in a parent process of its own."""
     code = (
@@ -137,7 +152,7 @@ def _peak_rss_mb(argv, cwd):
         "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code, *argv], cwd=cwd, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *argv], cwd=cwd, capture_output=True, text=True, check=True, timeout=300
     )
     returncode, rss_kb = out.stdout.split()
     return int(returncode), int(rss_kb) / 1024.0

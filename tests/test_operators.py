@@ -190,17 +190,15 @@ def test_dense_and_sparse_builds_of_a_block_are_bitwise_equal_and_symmetric(monk
     does not depend on how it is stored, and its symmetric terms make it
     exactly symmetric."""
     seen = []
-    real_block = operators._plate_block
-    monkeypatch.setattr(operators, "_plate_block", lambda axes, dense: seen.append(axes) or real_block(axes, dense))
+    real_assemble = operators._assemble
+    monkeypatch.setattr(operators, "_assemble", lambda terms, dense: seen.append(terms) or real_assemble(terms, dense))
     fd_spectrum("clamped", (1.0, 1.3, 0.8), (9, 10, 11), 1, 5)
-    builds = [lambda dense, axes=axes: real_block(axes, dense) for axes in seen]
     sides, npoints, (hx, hy, ht) = operators._validate_grid((1.0, 1.3, 0.8), (9, 10, 11), "kohn")
     xs, ys = operators._kohn_xy(sides, npoints, (hx, hy, ht))
-    theta = operators._kohn_t_modes(npoints[2], ht)[1]
-    builds.append(lambda dense: operators._kohn_block(xs, ys, hx, hy, theta, dense=dense))
-    assert len(builds) == 9
-    for build in builds:
-        dense, sparse = build(True), build(False).toarray()
+    seen.append(operators._kohn_block(xs, ys, hx, hy, operators._kohn_t_modes(npoints[2], ht)[1]))
+    assert len(seen) == 9
+    for terms in seen:
+        dense, sparse = real_assemble(terms, dense=True), real_assemble(terms, dense=False).toarray()
         assert np.array_equal(dense, sparse)
         assert np.abs(sparse - sparse.T).max() == 0.0
 
@@ -259,15 +257,15 @@ def test_clamped_blocks_take_each_route_with_a_floor_below_the_spectrum(monkeypa
     """Blocks below the dense/ARPACK crossover are built dense, blocks above
     it sparse; ARPACK's floor lies below the spectrum, and both routes agree
     with the whole operator."""
-    built, floors = [], []
-    real_block, real_smallest = operators._plate_block, operators.smallest_eigs
-    monkeypatch.setattr(operators, "_plate_block", lambda axes, dense: built.append(dense) or real_block(axes, dense))
-    monkeypatch.setattr(
-        operators, "smallest_eigs", lambda block, m, floor: floors.append(floor) or real_smallest(block, m, floor=floor)
-    )
     sides, grids = (1.0, 1.2), (46, 46)  # four blocks of 529, above DENSE_FALLBACK_DIM
     matrix = fd_clamped_plate(sides, grids).matrix.toarray()
     reference, scale = np.linalg.eigvalsh(matrix), abs(matrix).sum(axis=1).max()
+    built, floors = [], []
+    real_assemble, real_smallest = operators._assemble, operators.smallest_eigs
+    monkeypatch.setattr(operators, "_assemble", lambda terms, dense: built.append(dense) or real_assemble(terms, dense))
+    monkeypatch.setattr(
+        operators, "smallest_eigs", lambda block, m, floor: floors.append(floor) or real_smallest(block, m, floor=floor)
+    )
     arpack = fd_spectrum("clamped", sides, grids, 1, 5)[0].values
     dense = fd_spectrum("clamped", sides, grids, 1, 600)[0].values  # above a quarter of each block
     assert built == [False] * 4 + [True] * 4
@@ -301,6 +299,10 @@ def test_clamped_blocks_check_powers_counts_and_grids():
         fd_spectrum("clamped", (1.0, 1.0), (6, 6), 1, 37)
     with pytest.raises(InputError, match="at least 4 interior points"):
         fd_spectrum("clamped", (1.0, 1.0), (3, 6), 1, 3)
+    with pytest.raises(InputError, match="got 2 sides but 3 grid sizes"):
+        fd_spectrum("clamped", (1.0, 1.0), (6, 6, 6), 1, 3)
+    with pytest.raises(InputError, match=r"unknown fd problem 'plate' \(laplacian\|clamped\|kohn\)"):
+        fd_spectrum("plate", (1.0, 1.0), (6, 6), 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +518,11 @@ def test_kohn_blocks_write_the_zero_of_all_odd_grids_as_its_closed_form(n):
 def test_kohn_blocks_take_each_route(monkeypatch):
     """Blocks below the dense/ARPACK crossover are built dense, blocks above
     it sparse, and both routes agree with the dense 3-D reference."""
-    built = []
-    real_block = operators._kohn_block
-    monkeypatch.setattr(operators, "_kohn_block", lambda *a, dense: built.append(dense) or real_block(*a, dense=dense))
     sides, grids = (1.0, 1.0, 1.0), (24, 22, 4)  # two pairs of blocks of 528, above DENSE_FALLBACK_DIM
     reference = _kohn_reference(sides, grids)
+    built = []
+    real_assemble = operators._assemble
+    monkeypatch.setattr(operators, "_assemble", lambda terms, dense: built.append(dense) or real_assemble(terms, dense))
     arpack = fd_spectrum("kohn", sides, grids, 1, 20)[0].values
     dense = fd_spectrum("kohn", sides, grids, 1, 200)[0].values  # 100 of 528 in each block
     assert built == [False, False, True, True]
@@ -612,6 +614,8 @@ def test_spectrum_csv_roundtrip_17_digits():
     back, meta = read_spectrum_csv(io.StringIO(text))
     assert np.array_equal(back, values)  # 17 significant digits round-trip
     assert meta["n"] == "2"
+    blank = read_spectrum_csv(io.StringIO("\n" + text.replace("\n", "\n  \n")))  # blank lines are skipped
+    assert np.array_equal(blank[0], values) and blank[1] == meta
 
 
 def test_spectrum_csv_rejects_garbage():
