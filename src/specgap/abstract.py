@@ -61,8 +61,8 @@ class OperatorTriple:
     """A finite-dimensional instance (A, {B_p}, {T_p}).
 
     A and every B_p Hermitian, every T_p anti-self-adjoint, all d x d.  The
-    spectral data used by the verifiers is computed once, from residual-checked
-    eigenpairs of A, and cached.
+    verifiers' spectral data is computed once from residual-checked eigenpairs
+    of A, for every family in one pass over the (n, d, d) stacks, and cached.
     """
 
     A: np.ndarray
@@ -90,30 +90,21 @@ class OperatorTriple:
     def d(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def n(self) -> int:
-        return len(self.Bs)
-
     @cached_property
     def spectral(self) -> "SpectralData":
         eig = dense_symmetric_eig(self.A)
-        U = eig.eigenvectors
-        n, d = self.n, self.d
-        tb = np.empty((n, d))
-        ab = np.empty((n, d))
-        tn = np.empty((n, d))
-        for p, (B, T) in enumerate(zip(self.Bs, self.Ts)):
-            TU = T @ U
-            BU = B @ U
-            tb[p] = np.real(np.sum(np.conj(U) * (commutator(T, B) @ U), axis=0))
-            ab[p] = np.real(np.sum(np.conj(BU) * (commutator(self.A, B) @ U), axis=0))
-            tn[p] = np.sum(np.abs(TU) ** 2, axis=0)
+        U, A, B, T = eig.eigenvectors, self.A, np.array(self.Bs), np.array(self.Ts)
+        BU = B @ U
+        tb = np.real(np.sum(np.conj(U) * ((T @ B - B @ T) @ U), axis=1))
+        ab = np.real(np.sum(np.conj(BU) * ((A @ B - B @ A) @ U), axis=1))
+        tn = np.sum(np.abs(T @ U) ** 2, axis=1)
         return SpectralData(eig.eigenvalues, tb, ab, tn)
 
 
 @dataclass(eq=False)
 class SpectralData:
-    """Per-(p, i) inner products entering the inequality, in A's eigenbasis.
+    """Per-(p, i) inner products entering the inequality, in A's eigenbasis,
+    as (n, d) arrays formed for every family p at once from the stacked B_p, T_p.
 
     tb[p, i] = <[T_p,B_p] u_i, u_i>, ab[p, i] = <[A,B_p] u_i, B_p u_i>,
     tn[p, i] = ||T_p u_i||^2.  All real up to round-off by symmetry.

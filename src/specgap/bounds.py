@@ -75,6 +75,10 @@ recipe:
 
 The Kohn ones rest on c1(n, 1) = c2(n, 2) = 0: the double sum defining both
 constants is empty for l <= 2.
+
+Every bound scales with the spectrum, bound(s lambda) = s bound(lambda),
+except kohn-odd-l, kohn-yang-odd-l and niuzhang-odd at odd l >= 3, whose
+c1(n, l) terms add two powers of lambda a factor lambda^(2/l) apart.
 """
 
 from __future__ import annotations

@@ -495,5 +495,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+if __name__ == "__main__":  # numpy has loaded by now, too late for __main__.py's BLAS setting
+    print("specgap: run `python -m specgap` or the installed `specgap` script", file=sys.stderr)
+    sys.exit(EXIT_USAGE)

@@ -13,6 +13,7 @@ from specgap.abstract import (
     verify_theorem,
 )
 from specgap.couples import FunctionCouple
+from specgap.eigensolve import dense_symmetric_eig
 from specgap.errors import ConvergenceError, InputError
 
 
@@ -120,8 +121,7 @@ def test_theorem_matches_unweighted_two_sided_form():
         lhs = 0.0
         quad = 0.0
         second = 0.0
-        for p in range(triple.n):
-            Tp, Bp = triple.Ts[p], triple.Bs[p]
+        for Tp, Bp in zip(triple.Ts, triple.Bs):
             TB = Tp @ Bp - Bp @ Tp
             AB = triple.A @ Bp - Bp @ triple.A
             for i in range(k):
@@ -154,6 +154,50 @@ def test_commuting_diagnostic_ensemble_degenerates_to_zero():
         assert rep.passed
         assert rep.quad_coeff == pytest.approx(0.0, abs=1e-12)
         assert rep.lhs == pytest.approx(0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# spectral data: every family in one stacked pass
+# ---------------------------------------------------------------------------
+
+
+def _per_family_spectral(triple, U):
+    """tb, ab and tn in the eigenbasis U by their definition, one family p
+    at a time, each from its own commutators [T_p, B_p] and [A, B_p]."""
+    rows = []
+    for B, T in zip(triple.Bs, triple.Ts):
+        BU = B @ U
+        rows.append((
+            np.real(np.sum(np.conj(U) * (commutator(T, B) @ U), axis=0)),
+            np.real(np.sum(np.conj(BU) * (commutator(triple.A, B) @ U), axis=0)),
+            np.sum(np.abs(T @ U) ** 2, axis=0),
+        ))  # fmt: skip
+    return [np.array(column) for column in zip(*rows)]
+
+
+SPECTRAL_CASES = [
+    (2, 1, "dense-gaussian"),
+    (8, 3, "dense-gaussian"),
+    (12, 1, "dense-gaussian"),
+    (16, 4, "sparse"),
+    (3, 6, "sparse"),
+    (5, 2, "commuting-diagnostic"),
+]
+
+
+@pytest.mark.parametrize("d, n, ensemble", SPECTRAL_CASES)
+def test_stacked_spectral_data_matches_the_per_family_definition(d, n, ensemble):
+    eps = np.finfo(float).eps
+    for seed in (1, 26):
+        triple = random_instance(d, n, seed=seed, ensemble=ensemble)
+        sd, U = triple.spectral, dense_symmetric_eig(triple.A).eigenvectors
+        for name, got, want in zip(("tb", "ab", "tn"), (sd.tb, sd.ab, sd.tn), _per_family_spectral(triple, U)):
+            assert got.shape == want.shape == (n, d), name
+            assert np.all(np.abs(got - want) <= 4 * eps * np.abs(want).max()), name
+        # <[A,B_p] u_i, B_p u_i> = sum_j (lambda_j - lambda_i) |<u_j, B_p u_i>|^2
+        coeffs = np.abs(U.conj().T @ np.array(triple.Bs) @ U) ** 2  # [p, j, i]
+        identity = np.sum((sd.lam[:, None] - sd.lam[None, :]) * coeffs, axis=1)
+        assert np.all(np.abs(sd.ab - identity) <= 1e-12 * np.abs(sd.ab).max())
 
 
 # ---------------------------------------------------------------------------

@@ -620,6 +620,36 @@ def test_kohn_odd_l_is_inhomogeneous():
     assert abs(b2.value - scale * b1.value) > 1e-6 * scale * b1.value
 
 
+@pytest.mark.parametrize("size, seed", [(12, 26), (60, 27)])
+def test_every_margin_bound_scales_with_the_spectrum_but_the_odd_l_c1_entries(size, seed):
+    """bound(s lambda) = s bound(lambda) at every k, for the powers of 4
+    s = 4^5 and 4^-7 (exact in binary), on every applicable (problem, n, l)
+    of the registry; the three c1(n, l) entries at odd l >= 3 miss it by
+    more than half their value."""
+    vals = np.sort(np.random.default_rng(seed).uniform(1.0, 30.0, size))
+    cases = [(EUCLIDEAN, 2, l) for l in (1, 2, 3, 4)] + [(EUCLIDEAN, 3, l) for l in (1, 2)]
+    cases += [(HEISENBERG, n, l) for n in (1, 2) for l in range(1, 8)]
+    inhomogeneous = set()
+    for problem, n, l in cases:
+        base = verify_margins(SpectrumPrefix(vals, n=n, l=l, problem=problem))
+        for scale in (4.0**5, 4.0**-7):
+            scaled = verify_margins(SpectrumPrefix(scale * vals, n=n, l=l, problem=problem))
+            for e, name in enumerate(base.names):
+                desc = REGISTRY[name]
+                if not (desc.extracts_bound and desc.applicable(problem, l)):
+                    continue
+                assert np.array_equal(scaled.valid[:, e], base.valid[:, e]), (name, l, scale)
+                ok = base.valid[:, e]
+                rel = np.abs(scaled.bound[ok, e] / (scale * base.bound[ok, e]) - 1.0)
+                if name in HOMOGENEOUS:
+                    assert rel.max() <= 1e-13, (name, n, l, scale)
+                else:
+                    assert l % 2 == 1 and l >= 3 and rel.max() > 0.5, (name, n, l, scale)
+                    inhomogeneous.add((name, l))
+    odd_c1 = ("kohn-odd-l", "kohn-yang-odd-l", "niuzhang-odd")
+    assert inhomogeneous == {(name, l) for name in odd_c1 for l in (3, 5, 7)}
+
+
 def test_sharper_than_spot_checks():
     rng = np.random.default_rng(99)
     for _ in range(40):

@@ -1309,3 +1309,17 @@ def test_cli_process_writes_the_bytes_of_cli_main(tmp_path, monkeypatch, argv):
     assert (to_stdout.returncode, to_stdout.stderr, to_file.returncode, to_file.stderr) == (0, b"", 0, b"")
     assert to_file.stdout == b""
     assert to_stdout.stdout == (tmp_path / "f.out").read_bytes() == _in_process_out(argv, tmp_path / "in_process.out")
+
+
+def test_cli_module_refuses_to_run_as_a_second_entry():
+    # by the time `python -m specgap.cli` runs its module numpy has loaded, too
+    # late for __main__.py's OPENBLAS_THREAD_TIMEOUT default
+    proc = subprocess.run([sys.executable, "-m", "specgap.cli", "spectrum", "box", "--dims", "1", "--count", "2"],
+                          capture_output=True, text=True, timeout=120)  # fmt: skip
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "specgap: run `python -m specgap` or the installed `specgap` script\n"
+
+
+def test_json_line_refuses_a_value_it_cannot_serialize():
+    with pytest.raises(TypeError, match="cannot serialize <class 'object'>"):
+        cli.json_line({"x": object()})

@@ -20,7 +20,8 @@ and the installed script runs it; ``os._exit`` is called once, in
 ``couples.py`` one points gate, the only reader of MAX_MEMBERSHIP_SAMPLES,
 and one domain test, the only text of the (0, lambda) refusal.
 References from tests do not count: a helper that only a test calls is dead
-code.
+code.  In tests/, every subprocess call that waits for its child passes
+``timeout=``, and none starts a ``Popen``, so a hung child fails its test.
 
 Also run, each in a process of its own: ``spectrum fd --problem laplacian``,
 and ``--problem clamped`` and ``--problem kohn`` below the dense/ARPACK
@@ -386,6 +387,44 @@ def test_couples_reads_its_cap_and_states_its_domain_once():
             if function != COUPLES_DOMAIN_TEST:
                 stray.append(f"couples.py:{node.lineno} states the (0, lambda) refusal in {function}")
     assert not stray, stray
+
+
+# the subprocess functions that wait for their child, and so take a timeout;
+# Popen takes none, so a test that waits on a child uses one of these
+WAITING_SUBPROCESS_CALLS = {"run", "call", "check_call", "check_output"}
+
+
+def _subprocess_calls(tree: ast.Module):
+    """(name, call node) of every call of a subprocess function in ``tree``,
+    through the module (under any alias) or a name imported from it."""
+    modules = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names
+               if a.name == "subprocess"}  # fmt: skip
+    imported = {a.asname or a.name: a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                and n.module == "subprocess" for a in n.names}  # fmt: skip
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in modules:
+            yield func.attr, node
+        elif isinstance(func, ast.Name) and func.id in imported:
+            yield imported[func.id], node
+
+
+def test_every_test_subprocess_has_a_timeout():
+    """A hung child fails its test instead of hanging the suite: every
+    waiting subprocess call in tests/ passes ``timeout=``, and no test starts
+    a ``Popen``."""
+    calls, stray = 0, []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for name, node in _subprocess_calls(_tree(path)):
+            if name == "Popen":
+                stray.append(f"{path.name}:{node.lineno} starts a Popen, which takes no timeout")
+            elif name in WAITING_SUBPROCESS_CALLS:
+                calls += 1
+                if not any(keyword.arg == "timeout" for keyword in node.keywords):
+                    stray.append(f"{path.name}:{node.lineno} calls subprocess.{name} without timeout=")
+    assert calls and not stray, stray
 
 
 def _loaded_modules(tmp_path, argv, watched) -> str:

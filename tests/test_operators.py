@@ -1,7 +1,9 @@
 """Box spectra, finite-difference operators, Kohn structure, CSV round trip."""
 
+import importlib.util
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +26,58 @@ from specgap.operators import (
 PI2 = math.pi**2
 
 
+def _bench_reference():
+    """bench/reference.py, which assembles its matrices without specgap."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REF = _bench_reference()
+
+
 def fd1d_eigenvalues(side, N):
     h = side / (N + 1)
     j = np.arange(1, N + 1)
     return np.sort((4.0 / h**2) * np.sin(j * np.pi * h / (2.0 * side)) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# fd_spectrum against matrices assembled without specgap
+# ---------------------------------------------------------------------------
+
+INDEPENDENT_CASES = [
+    ("clamped", (1.0,), (9,), 1, REF.clamped_plate_matrix),
+    ("clamped", (1.0, 1.2), (7, 8), 1, REF.clamped_plate_matrix),
+    ("clamped", (1.0, 1.0), (10, 10), 1, REF.clamped_plate_matrix),
+    ("clamped", (1.0, 1.1, 0.9), (5, 6, 4), 1, REF.clamped_plate_matrix),
+    ("laplacian", (1.0, 1.3), (7, 9), 2, None),
+    ("laplacian", (1.0, 0.8, 1.2), (4, 5, 3), 2, None),
+    ("kohn", (1.0, 1.0, 1.0), (4, 5, 6), 1, REF.kohn_matrix),
+    ("kohn", (1.2, 0.9, 1.5), (6, 5, 7), 1, REF.kohn_matrix),
+    ("kohn", (1.0, 1.0, 1.0), (8, 8, 4), 1, REF.kohn_matrix),
+    ("kohn", (1.0, 1.3, 0.7), (5, 4, 5), 1, REF.kohn_matrix),
+]
+
+
+@pytest.mark.parametrize(
+    "problem, sides, grids, l, matrix",
+    INDEPENDENT_CASES,
+    ids=[f"{c[0]}-" + "x".join(map(str, c[2])) for c in INDEPENDENT_CASES],
+)
+def test_fd_spectrum_matches_independently_assembled_matrices(problem, sides, grids, l, matrix):
+    # the whole spectrum; the Kohn grids leave out all-odd ones, whose exact
+    # zero is written as its closed form
+    count = math.prod(grids)
+    values = fd_spectrum(problem, sides, grids, l, count)[0].values
+    if matrix is None:
+        reference = REF.fd_laplacian_spectrum(sides, grids, count) ** l
+    else:
+        reference = REF.smallest_eigenvalues(matrix(sides, grids), count)
+    assert values.shape == reference.shape
+    assert np.all(np.abs(values - reference) <= 1e-10 * np.abs(reference)), np.max(np.abs(values / reference - 1))
 
 
 # ---------------------------------------------------------------------------
