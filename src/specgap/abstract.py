@@ -155,10 +155,11 @@ def _evaluate(sd: SpectralData, k: int, couple, left: np.ndarray, factor: float)
         raise InputError(f"z must lie in (lambda_k, lambda_(k+1)], got {z}")
 
     f, g = _couples.admissible_weights(couple, lam[:k])
-    lhs = float(np.sum(f[None, :] * left[:, :k])) ** 2
-    quad = float(np.sum(g[None, :] * sd.ab[:, :k]))
-    quad_scale = float(np.sum(np.abs(g[None, :] * sd.ab[:, :k])))
-    second = float(np.sum((f**2 / (g * (z - lam[:k])))[None, :] * sd.tn[:, :k]))
+    lhs = float((f * left[:, :k]).sum()) ** 2
+    weighted = g * sd.ab[:, :k]
+    quad = float(weighted.sum())
+    quad_scale = float(np.abs(weighted).sum())
+    second = float((f**2 / (g * (z - lam[:k])) * sd.tn[:, :k]).sum())
     rhs = factor * quad * second
     passed = lhs <= rhs + 1e-9 * (1.0 + abs(rhs)) and quad >= -1e-9 * (1.0 + quad_scale)
     return TheoremReport(k, lhs, rhs, quad, gap, passed, z, lhs - rhs)

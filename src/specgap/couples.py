@@ -28,6 +28,7 @@ back what they report (+-inf beyond the float range).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -65,11 +66,14 @@ MAX_MEMBERSHIP_SAMPLES = 4096
 # pairs the pairwise certificate evaluates at once, in blocks of whole rows
 # (at least one row): it holds a few float arrays of this length
 _PAIR_BLOCK = 2**18
+# sets of at most this many points, in one block, read their pairs from a
+# table kept per size: 0.7 MB for all 64 sizes
+_PAIR_TABLE_MAX = 64
 
 
 def _check_domain(lam: float, xs: np.ndarray) -> None:
     """Refuse any point of ``xs`` outside (0, lam), NaN included."""
-    if not np.all((xs > 0) & (xs < lam)):
+    if not ((xs > 0) & (xs < lam)).all():
         raise InputError(f"evaluation points must lie in (0, {lam}), got range [{xs.min()}, {xs.max()}]")
 
 
@@ -140,16 +144,22 @@ class FunctionCouple:
         """Vectorized (f(x), g(x)); raises on points outside (0, lambda)."""
         xs = np.asarray(xs, dtype=float)
         _check_domain(self.lam, xs)
-        if self.family == TABULATED:
-            return _lookup(self.table, xs)
-        ef, eg = self.power_exponents()
-        u = self.lam - xs
-        return u**ef, u**eg
+        return _weights(self, xs)
 
     def describe(self) -> str:
         if self.family == TABULATED:
             return f"{TABULATED}[{self.table[0].size} pts]@{self.lam:g}"
         return f"{self.family}:{','.join(f'{p:g}' for p in self.params)}@{self.lam:g}"
+
+
+def _weights(couple: FunctionCouple, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, g) at points ``xs`` already inside (0, lambda): a table's lookup,
+    or u^ef, u^eg of u = lambda - x."""
+    if couple.family == TABULATED:
+        return _lookup(couple.table, xs)
+    ef, eg = couple.power_exponents()
+    u = couple.lam - xs
+    return u**ef, u**eg
 
 
 @dataclass(frozen=True)
@@ -216,6 +226,27 @@ def _times_pow2(x: float, p: float) -> float:
         return math.copysign(math.inf, x)
 
 
+@functools.cache
+def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j), i < j, of n points in row-major order, read-only and made
+    once per n."""
+    i, j = np.triu_indices(n, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+def _row_blocks(n: int, rows: int):
+    """The (i, j), i < j, of n points in blocks of ``rows`` whole rows, in
+    row-major order."""
+    index = np.arange(n)
+    for start in range(0, n, rows):
+        i, j = np.nonzero(index[start : start + rows, None] < index)  # np.triu_indices, at a fifth of its cost
+        if start:  # np.nonzero counts a later block's rows from 0
+            i += start
+        yield i, j
+
+
 def _pairwise_report(couple, xs: np.ndarray) -> MembershipReport:
     """The pairwise certificate on gated points.  In the unit 2^m, g and the
     pair value q are 2^(-m eg) and 2^(-m (2 ef - 2)) times their values at
@@ -228,23 +259,21 @@ def _pairwise_report(couple, xs: np.ndarray) -> MembershipReport:
         ef, eg = couple.power_exponents()
         m, u = _in_units(couple.lam, xs)
         fs, gs = u**ef, u**eg
-    if np.any(fs <= 0) or np.any(gs <= 0):
+    if (fs <= 0).any() or (gs <= 0).any():
         raise InputError("couple is not positive on the sample set")
 
     # g must be nonincreasing; check on the sorted samples.
     g_sorted = gs[np.argsort(xs, kind="stable")]
     g_tol = COND_TOL_REL * (_times_pow2(1.0, -m * eg) + float(np.max(np.abs(gs))))
-    g_ok = bool(np.all(np.diff(g_sorted) <= g_tol))
+    g_ok = bool((g_sorted[1:] - g_sorted[:-1] <= g_tol).all())
 
     degree = m * (2 * ef - 2)
     # the largest pair value so far (NaN once any is), and per failing block
     # of rows its first largest violation (or NaN) and that pair
-    index, high, fails, n_checked, n_skipped = np.arange(xs.size), None, [], 0, 0
+    high, fails, n_checked, n_skipped = None, [], 0, 0
     rows = max(1, _PAIR_BLOCK // xs.size)
-    for start in range(0, xs.size, rows):
-        i, j = np.nonzero(index[start : start + rows, None] < index)  # np.triu_indices, at a fifth of its cost
-        if start:  # np.nonzero counts a later block's rows from 0
-            i += start
+    one_table = rows >= xs.size and xs.size <= _PAIR_TABLE_MAX
+    for i, j in [_pair_table(xs.size)] if one_table else _row_blocks(xs.size, rows):
         dx = xs[i] - xs[j]
         keep = np.abs(dx) >= PAIR_SKIP_REL * couple.lam
         n_skipped += int(np.count_nonzero(~keep))
@@ -262,7 +291,7 @@ def _pairwise_report(couple, xs: np.ndarray) -> MembershipReport:
         q = t1 + t2
         tol = COND_TOL_REL * (_times_pow2(1.0, -degree) + np.maximum(np.abs(t1), np.abs(t2)))
         violations = q - tol
-        if not np.all(violations <= 0):
+        if not (violations <= 0).all():
             wv = int(np.argmax(violations))
             fails.append((violations[wv], (float(xs[i[wv]]), float(xs[j[wv]]))))
         high = q.max() if high is None else np.maximum(high, q.max())
@@ -288,14 +317,17 @@ def certify_on_samples(couple: FunctionCouple, samples) -> MembershipReport:
 
 def admissible_weights(couple: FunctionCouple, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(f, g) at the eigenvalue prefix ``lam``, as weights of an inequality at
-    z = couple.lam; InputError unless :func:`certify_on_samples` passes."""
-    report = certify_on_samples(couple, lam)
+    z = couple.lam; InputError unless :func:`certify_on_samples` passes.  The
+    certificate's gate is the only domain test: the weights are those of
+    ``couple.evaluate_batch(lam)``, bit for bit."""
+    xs = np.asarray(lam, dtype=float)
+    report = certify_on_samples(couple, xs)
     if not report.passed:
         raise InputError(
             f"couple {couple.describe()} fails admissibility on the eigenvalue prefix "
             f"(worst pair value {report.worst:g} at {report.witness})"
         )
-    return couple.evaluate_batch(lam)
+    return _weights(couple, xs)
 
 
 def check_necessary_differentiable(couple, samples) -> MembershipReport:

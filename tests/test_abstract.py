@@ -1,8 +1,12 @@
 """Commutator inequality verification on finite-dimensional instances."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
+from specgap import cli, couples
 from specgap.abstract import (
     OperatorTriple,
     admissible_ks,
@@ -198,6 +202,88 @@ def test_stacked_spectral_data_matches_the_per_family_definition(d, n, ensemble)
         coeffs = np.abs(U.conj().T @ np.array(triple.Bs) @ U) ** 2  # [p, j, i]
         identity = np.sum((sd.lam[:, None] - sd.lam[None, :]) * coeffs, axis=1)
         assert np.all(np.abs(sd.ab - identity) <= 1e-12 * np.abs(sd.ab).max())
+
+
+# ---------------------------------------------------------------------------
+# theorem sums against a loop over (p, i)
+# ---------------------------------------------------------------------------
+
+SUM_CASES = [
+    (2, 1, "dense-gaussian"),
+    (8, 3, "dense-gaussian"),
+    (12, 2, "sparse"),
+    (16, 4, "sparse"),
+    (5, 2, "commuting-diagnostic"),
+    (9, 1, "commuting-diagnostic"),
+]
+
+
+def _looped_sides(A, Bs, Ts, k, couple, corollary):
+    """(lhs, rhs, quad_coeff) and the sum of absolute terms of each, by a
+    plain loop over (p, i) on the checked eigenpairs of A, with f and g
+    written out as powers of z - lambda_i.  The theorem's left terms are
+    f <[T_p,B_p] u_i, u_i> and its factor 4; the corollary's are
+    f <[A,B_p] u_i, B_p u_i> and its factor 1."""
+    eig = dense_symmetric_eig(A)
+    ef, eg = couple.power_exponents()
+    z = couple.lam
+    left = quad = second = left_abs = quad_abs = second_abs = 0.0
+    for B, T in zip(Bs, Ts):
+        for i in range(k):
+            u, lam_i = eig.eigenvectors[:, i], float(eig.eigenvalues[i])
+            f, g = (z - lam_i) ** ef, (z - lam_i) ** eg
+            ab = np.real(np.vdot(B @ u, (A @ B - B @ A) @ u))
+            term = f * (ab if corollary else np.real(np.vdot(u, (T @ B - B @ T) @ u)))
+            weighted = g * ab
+            tail = f**2 / (g * (z - lam_i)) * np.linalg.norm(T @ u) ** 2
+            left, quad, second = left + term, quad + weighted, second + tail
+            left_abs, quad_abs, second_abs = left_abs + abs(term), quad_abs + abs(weighted), second_abs + tail
+    factor = 1.0 if corollary else 4.0
+    sides = (left**2, factor * quad * second, quad)
+    scales = (left_abs**2, factor * quad_abs * second_abs, quad_abs)
+    return sides, scales
+
+
+@pytest.mark.parametrize("d, n, ensemble", SUM_CASES)
+def test_theorem_and_corollary_sums_match_a_loop_over_families_and_eigenpairs(d, n, ensemble):
+    # each side within 1e-12 of the same expression in the absolute values of
+    # its terms: relative where the side is not itself a cancellation (lhs
+    # and quad_coeff are 0 up to round-off on the commuting diagnostic)
+    triple = random_instance(d, n, seed=2027 + d, ensemble=ensemble)
+    lam = triple.spectral.lam
+    commutators = tuple(triple.A @ B - B @ triple.A for B in triple.Bs)
+    checked = 0
+    for k in admissible_ks(triple):
+        for family, params in (("equal-power", (2.0,)), ("neg-power", (-1.0, 1.0)), ("const-power", (0.5,))):
+            couple = FunctionCouple(family, float(lam[k]), params)
+            theorem = verify_theorem(triple, k, couple), triple.Ts, False
+            corollary = verify_corollary(triple.A, triple.Bs, k, couple), commutators, True
+            for report, Ts, is_corollary in (theorem, corollary):
+                sides, scales = _looped_sides(triple.A, triple.Bs, Ts, k, couple, is_corollary)
+                got = (report.lhs, report.rhs, report.quad_coeff)
+                for name, value, want, scale in zip(("lhs", "rhs", "quad_coeff"), got, sides, scales):
+                    assert abs(value - want) <= 1e-12 * scale, (name, k, family, value, want)
+                checked += 1
+    assert checked >= 6
+
+
+def test_verify_abstract_certifies_each_row_once(monkeypatch, capsys):
+    # one certificate per written row, the runtime guard of each couple, on
+    # the prefix lambda_1..lambda_k of the row: C(k, 2) pairs, none skipped
+    reports, real_certify = [], couples.certify_on_samples
+
+    def counting_certify(couple, samples):
+        reports.append(real_certify(couple, samples))
+        return reports[-1]
+
+    monkeypatch.setattr(couples, "certify_on_samples", counting_certify)
+    argv = ["verify", "abstract", "--trials", "6", "--dim", "6", "--nops", "2", "--seed", "27",
+            "--couple", "equal-power:2", "--couple", "neg-power:-1,1"]  # fmt: skip
+    assert cli.main(argv) == 0
+    *rows, summary = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert len(rows) == summary["checks"] == len(reports) > 6
+    assert sum(r.n_checked for r in reports) == sum(math.comb(row["k"], 2) for row in rows)
+    assert sum(r.n_skipped for r in reports) == 0 and all(r.passed for r in reports)
 
 
 # ---------------------------------------------------------------------------

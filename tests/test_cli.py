@@ -870,14 +870,22 @@ def test_verify_abstract_workers_capped_at_cpu_count(monkeypatch, capsys):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
+    # a huge --workers is capped, not refused: a pool of at most the CPU
+    # count cannot exhaust the machine, and the bytes are those of one worker
     argv = ["verify", "abstract", "--trials", "3", "--dim", "4", "--nops", "1", "--seed", "2"]
-    _, serial, _ = run_cli(argv, capsys)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    _, serial, _ = run_cli(argv + ["--workers", "1"], capsys)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    code, pooled, _ = run_cli(argv + ["--workers", "3"], capsys)
-    assert code == 0
-    assert pools == [2]
-    assert pooled == serial
+    cpus = os.cpu_count() or 1
+    code, pooled, _ = run_cli(argv + ["--workers", "100000"], capsys)
+    assert code == 0 and pooled == serial
+    assert pools == ([cpus] if cpus > 1 else [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    for workers in ("3", "100000"):
+        pools.clear()
+        code, pooled, _ = run_cli(argv + ["--workers", workers], capsys)
+        assert code == 0
+        assert pools == [2]
+        assert pooled == serial
 
 
 def test_verify_abstract_streams_trials_in_bounded_memory():

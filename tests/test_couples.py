@@ -230,27 +230,80 @@ def test_membership_g_must_be_nonincreasing():
     assert not rep.passed
 
 
-@pytest.mark.parametrize("pair_block", [1, 120, 500])
-def test_pairwise_report_does_not_depend_on_its_row_blocks(monkeypatch, pair_block):
-    """The pairs are evaluated in blocks of whole rows (1, 3 and 12 rows of
-    40 points here, one block by default): the report, worst value, witness
-    (the first largest violation in row order, a NaN before any number) and
-    the counts of checked and skipped pairs, is the one-block report."""
+def _block_candidates(n: int):
+    """n seeded samples in (0, 1), repeated points among them once n is past
+    about 10 (skipped pairs), and three couples: a power family, a table
+    that fails, and a table with infinite f (inf - inf: NaN pair values)."""
     rng = np.random.default_rng(7)
-    xs = np.round(rng.uniform(0.01, 0.99, 40), 2)  # repeated points: skipped pairs
+    xs = np.round(rng.uniform(0.01, 0.99, n), 2)
     ux = np.unique(xs)
     fs, gs = rng.uniform(0.1, 3.0, ux.size), np.sort(rng.uniform(0.1, 3.0, ux.size))[::-1]
     infinite = fs.copy()
-    infinite[[5, 20]] = np.inf  # inf - inf: NaN pair values
+    infinite[[0, ux.size // 2]] = np.inf
     power = FunctionCouple("neg-power", 1.0, (-1.0, 1.0))
-    candidates = [power, tabulated(1.0, ux, fs, gs), tabulated(1.0, ux, infinite, gs)]
+    return xs, [power, tabulated(1.0, ux, fs, gs), tabulated(1.0, ux, infinite, gs)]
+
+
+def _record_tables(monkeypatch) -> list:
+    """The n of each read of the cached pair table, in call order."""
+    tables, real_table = [], couples._pair_table
+    monkeypatch.setattr(couples, "_pair_table", lambda size: tables.append(size) or real_table(size))
+    return tables
+
+
+@pytest.mark.parametrize("pair_block", [1, 120, 500])
+def test_pairwise_report_does_not_depend_on_its_row_blocks(monkeypatch, pair_block):
+    """The pairs are evaluated in blocks of whole rows (1, 3 and 12 rows of
+    40 points here, one block from the cached table by default): the report,
+    worst value, witness (the first largest violation in row order, a NaN
+    before any number) and the counts of checked and skipped pairs, is the
+    one-block report."""
+    xs, candidates = _block_candidates(40)
+    tables = _record_tables(monkeypatch)
     with np.errstate(invalid="ignore"):
         whole = [certify_on_samples(c, xs) for c in candidates]
         monkeypatch.setattr(couples, "_PAIR_BLOCK", pair_block)
         blocked = [certify_on_samples(c, xs) for c in candidates]
+    assert tables == [40] * 3
     assert whole[0].passed and whole[1].witness is not None and math.isnan(whole[2].worst)
     assert all(r.n_skipped > 0 for r in whole)
     assert [repr(r) for r in blocked] == [repr(r) for r in whole]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 65, 512, 513])
+def test_pair_table_and_row_blocks_give_one_report(monkeypatch, n):
+    """A set of at most _PAIR_TABLE_MAX = 64 points whose rows one
+    _PAIR_BLOCK holds whole reads its pairs from the cached table, any other
+    set from blocks of whole rows (one block up to 512 points by default).
+    Blocks of 1 row, of n - 1 rows (one pair short of the one-block limit)
+    and the one block at the limit give the report of the default block."""
+    assert couples._PAIR_TABLE_MAX == 64 and couples._PAIR_BLOCK == 2**18
+    xs, candidates = _block_candidates(n)
+    tables = _record_tables(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        whole = [certify_on_samples(c, xs) for c in candidates]
+        assert tables == ([n] * 3 if n <= 64 else [])
+        for block in (1, n * n - 1, n * n):
+            monkeypatch.setattr(couples, "_PAIR_BLOCK", block)
+            tables.clear()
+            blocked = [certify_on_samples(c, xs) for c in candidates]
+            assert tables == ([n] * 3 if n <= 64 and max(1, block // n) >= n else []), block
+            assert [repr(r) for r in blocked] == [repr(r) for r in whole], block
+
+
+def test_pair_table_is_read_only_row_major_and_made_once_per_n():
+    i, j = couples._pair_table(7)
+    assert couples._pair_table(7)[0] is i
+    blocks = list(couples._row_blocks(7, 2))
+    for got, want in zip((i, j), np.triu_indices(7, 1)):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip((i, j), (np.concatenate(part) for part in zip(*blocks))):
+        np.testing.assert_array_equal(got, want)
+    with pytest.raises(ValueError, match="read-only"):
+        i[0] = 3
+    with pytest.raises(ValueError, match="read-only"):
+        j += 1
+    np.testing.assert_array_equal(j, np.triu_indices(7, 1)[1])
 
 
 def test_membership_order_independent():
@@ -535,6 +588,38 @@ def test_admissible_weights_refuses_a_couple_that_fails_on_the_prefix():
         check_general_poly(SpectrumPrefix([0.2, 0.8], n=2), couple)
     f, g = couples.admissible_weights(FunctionCouple("equal-power", 1.0, (2.0,)), np.array([0.2, 0.8]))
     np.testing.assert_allclose((f, g), [[0.64, 0.04], [0.64, 0.04]], rtol=1e-15)
+
+
+# every power family, inside and on the boundary of its parameter range
+WEIGHT_FAMILIES = [*SCALE_FAMILIES, ("const-power", (0.0,)), ("linear-power", (0.5,)), ("equal-power", (2.0,)),
+                   ("neg-power", (-2.0, 4.0))]  # fmt: skip
+
+
+@pytest.mark.parametrize("family, params", WEIGHT_FAMILIES)
+def test_admissible_weights_are_those_of_evaluate_batch_bit_for_bit(family, params):
+    rng = np.random.default_rng(2027)
+    for lam in (1e-3, 1.0, 37.5, 1e4):
+        couple = FunctionCouple(family, lam, params)
+        for size in (1, 2, 9, 64):
+            xs = np.sort(lam * rng.uniform(1e-4, 1.0 - 1e-4, size))
+            got, want = couples.admissible_weights(couple, xs), couple.evaluate_batch(xs)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape == (size,)
+                assert a.tobytes() == b.tobytes(), (family, params, lam, size)
+
+
+def test_admissible_weights_refuses_with_the_texts_of_its_certificate():
+    c = FunctionCouple("const-power", 1.0, (1.0,))
+    outside = "evaluation points must lie in (0, 1.0), got range [0.2, 1.2]"
+    over = np.linspace(0.1, 0.9, couples.MAX_MEMBERSHIP_SAMPLES + 1)
+    for samples, refusal in (([0.2, 1.2], outside), (over, "4097 samples exceed the cap of 4096"),
+                             ([], "empty sample set")):  # fmt: skip
+        assert _refusal(couples.admissible_weights, c, np.array(samples)) == refusal
+        assert _refusal(certify_on_samples, c, samples) == refusal
+    failing = tabulated(1.0, [0.2, 0.8], [0.8, 0.2], [1.0, 1.0])
+    assert _refusal(couples.admissible_weights, failing, np.array([0.2, 0.8])) == (
+        "couple tabulated[2 pts]@1 fails admissibility on the eigenvalue prefix (worst pair value 1 at (0.2, 0.8))"
+    )
 
 
 def test_couples_outside_the_power_families_are_refused():

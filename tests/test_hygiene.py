@@ -16,9 +16,11 @@ one function decides how a block is stored; every producer of
 written by hand beside the terms it bounds; ``__main__.py`` sets its
 OPENBLAS_THREAD_TIMEOUT default before it imports the package or numpy,
 and the installed script runs it; ``os._exit`` is called once, in
-``__main__.main`` after its flushes, and never by ``cli.main``; and in
+``__main__.main`` after its flushes, and never by ``cli.main``; in
 ``couples.py`` one points gate, the only reader of MAX_MEMBERSHIP_SAMPLES,
-and one domain test, the only text of the (0, lambda) refusal.
+and one domain test, the only text of the (0, lambda) refusal; and
+``admissible_weights`` certifies through ``certify_on_samples``, the
+binding the benchmark's tracer wraps.
 References from tests do not count: a helper that only a test calls is dead
 code.  In tests/, every subprocess call that waits for its child passes
 ``timeout=``, and none starts a ``Popen``, so a hung child fails its test.
@@ -387,6 +389,56 @@ def test_couples_reads_its_cap_and_states_its_domain_once():
             if function != COUPLES_DOMAIN_TEST:
                 stray.append(f"couples.py:{node.lineno} states the (0, lambda) refusal in {function}")
     assert not stray, stray
+
+
+# couples.py: the runtime guard of every weight is the certificate, called
+# by the module-level name that the benchmark's tracer wraps (a site of
+# bench/selftest.py's REQUIRED_SITES)
+COUPLES_WEIGHTS = "admissible_weights"
+COUPLES_CERTIFICATE = "certify_on_samples"
+
+
+def _required_sites() -> list:
+    """REQUIRED_SITES of bench/selftest.py, read without importing it."""
+    for node in _tree(ROOT / "bench" / "selftest.py").body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "REQUIRED_SITES" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/selftest.py defines no REQUIRED_SITES")
+
+
+def _module_calls(function: ast.FunctionDef, defined: dict) -> set:
+    """Module-level functions that ``function`` calls by bare name, and those
+    they call in turn."""
+    found, stack = set(), [function]
+    while stack:
+        for node in ast.walk(stack.pop()):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in defined:
+                if node.func.id not in found:
+                    found.add(node.func.id)
+                    stack.append(defined[node.func.id])
+    return found
+
+
+def test_admissible_weights_certifies_through_the_traced_binding():
+    """``admissible_weights`` calls ``certify_on_samples`` once, by its bare
+    module-level name, which no parameter or local of its own shadows, reads
+    the report's ``passed``, and calls no function of the certificate's own
+    (``_points``, ``_pairwise_report`` and what they call) itself: a
+    refactor can neither skip the certificate nor hide it from the trace."""
+    assert ("specgap.couples", COUPLES_CERTIFICATE) in _required_sites()
+    tree = _tree(PACKAGE / "couples.py")
+    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    weights = defined[COUPLES_WEIGHTS]
+    calls = [node.func for node in ast.walk(weights) if isinstance(node, ast.Call)]
+    direct = [func.id for func in calls if isinstance(func, ast.Name)]
+    assert direct.count(COUPLES_CERTIFICATE) == 1, direct
+    arguments = weights.args
+    local = {a.arg for a in [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs]}
+    local |= {n.id for n in ast.walk(weights) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    assert COUPLES_CERTIFICATE not in local, local
+    inlined = (_module_calls(defined[COUPLES_CERTIFICATE], defined) - {COUPLES_CERTIFICATE}) & set(direct)
+    assert not inlined, f"{COUPLES_WEIGHTS} calls {sorted(inlined)} of the certificate itself"
+    assert any(isinstance(node, ast.Attribute) and node.attr == "passed" for node in ast.walk(weights))
 
 
 # the subprocess functions that wait for their child, and so take a timeout;
