@@ -47,13 +47,18 @@ def commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y - Y @ X
 
 
-def _require_hermitian(M: np.ndarray, name: str, skew: bool = False) -> None:
-    """Refuse M, called ``name``, unless it is Hermitian (anti-self-adjoint
-    if ``skew``) within HERMITICITY_TOL * max|M|."""
-    defect = float(np.abs(M + M.conj().T).max()) if skew else hermitian_defect(M)
-    if defect > HERMITICITY_TOL * max(float(np.abs(M).max()), 1e-300):
-        kind = "anti-self-adjoint" if skew else "Hermitian"
-        raise InputError(f"{name} is not {kind} within 1e-13 * max|{name[0]}|")
+def _defective(M: np.ndarray, skew: bool = False):
+    """Whether M, or each matrix of an (n, d, d) stack, fails to be Hermitian
+    (anti-self-adjoint if ``skew``) within HERMITICITY_TOL * its own max|M|."""
+    defect = hermitian_defect(M, skew)
+    return defect > HERMITICITY_TOL * np.maximum(np.abs(M).max(axis=(-2, -1)), 1e-300)
+
+
+def _require_hermitian(M: np.ndarray, name: str) -> None:
+    """Refuse M, called ``name``, unless it is Hermitian within
+    HERMITICITY_TOL * max|M|."""
+    if _defective(M):
+        raise InputError(f"{name} is not Hermitian within 1e-13 * max|{name[0]}|")
 
 
 @dataclass(eq=False)
@@ -61,8 +66,10 @@ class OperatorTriple:
     """A finite-dimensional instance (A, {B_p}, {T_p}).
 
     A and every B_p Hermitian, every T_p anti-self-adjoint, all d x d.  The
-    verifiers' spectral data is computed once from residual-checked eigenpairs
-    of A, for every family in one pass over the (n, d, d) stacks, and cached.
+    B_p and the T_p are checked as two (n, d, d) stacks, one defect pass
+    each, and ``Bs`` and ``Ts`` are the stacks' matrices.  The verifiers'
+    spectral data is computed once from residual-checked eigenpairs of A,
+    for every family in one pass over the same stacks, and cached.
     """
 
     A: np.ndarray
@@ -71,20 +78,30 @@ class OperatorTriple:
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=complex)
-        Bs = tuple(np.asarray(B, dtype=complex) for B in self.Bs)
-        Ts = tuple(np.asarray(T, dtype=complex) for T in self.Ts)
+        Bs = [np.asarray(B, dtype=complex) for B in self.Bs]
+        Ts = [np.asarray(T, dtype=complex) for T in self.Ts]
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise InputError(f"A must be square, got {A.shape}")
         if len(Bs) != len(Ts) or not Bs:
             raise InputError("need equally many (at least one) B and T operators")
         d = A.shape[0]
         _require_hermitian(A, "A")
-        for p, (B, T) in enumerate(zip(Bs, Ts)):
-            if B.shape != (d, d) or T.shape != (d, d):
-                raise InputError(f"operator pair {p} has wrong shape")
-            _require_hermitian(B, f"B[{p}]")
-            _require_hermitian(T, f"T[{p}]", skew=True)
-        self.A, self.Bs, self.Ts = A, Bs, Ts
+        # the pairs before the first of the wrong shape are stacked; a defect
+        # among them is refused first, as a loop over the pairs would
+        wrong = (p for p, (B, T) in enumerate(zip(Bs, Ts)) if B.shape != (d, d) or T.shape != (d, d))
+        shaped = next(wrong, len(Bs))
+        B, T = (np.array(Ms[:shaped], dtype=complex).reshape(shaped, d, d) for Ms in (Bs, Ts))
+        b_bad, t_bad = _defective(B), _defective(T, skew=True)
+        bad = b_bad | t_bad
+        if bad.any():
+            p = int(bad.argmax())
+            if b_bad[p]:
+                raise InputError(f"B[{p}] is not Hermitian within 1e-13 * max|B|")
+            raise InputError(f"T[{p}] is not anti-self-adjoint within 1e-13 * max|T|")
+        if shaped < len(Bs):
+            raise InputError(f"operator pair {shaped} has wrong shape")
+        self.A, self.Bs, self.Ts = A, tuple(B), tuple(T)
+        self._stacks = B, T
 
     @property
     def d(self) -> int:
@@ -93,7 +110,7 @@ class OperatorTriple:
     @cached_property
     def spectral(self) -> "SpectralData":
         eig = dense_symmetric_eig(self.A)
-        U, A, B, T = eig.eigenvectors, self.A, np.array(self.Bs), np.array(self.Ts)
+        U, A, (B, T) = eig.eigenvectors, self.A, self._stacks
         BU = B @ U
         tb = np.real(np.sum(np.conj(U) * ((T @ B - B @ T) @ U), axis=1))
         ab = np.real(np.sum(np.conj(BU) * ((A @ B - B @ A) @ U), axis=1))
@@ -129,15 +146,6 @@ class TheoremReport:
     z: float
     slack: float = 0.0
     identity_residual: Optional[float] = None
-
-    def as_dict(self) -> dict:
-        """The fields in order, ``passed`` written as "pass", and no
-        identity_residual where there is none.  Read from the instance dict:
-        ``dataclasses.asdict`` deep-copies each value, at ten times the cost."""
-        out = {"pass" if key == "passed" else key: value for key, value in vars(self).items()}
-        if self.identity_residual is None:
-            del out["identity_residual"]
-        return out
 
 
 def _evaluate(sd: SpectralData, k: int, couple, left: np.ndarray, factor: float) -> TheoremReport:

@@ -16,7 +16,9 @@ The front end parses flags and prints rows; the library decides what each
 result is and is called.  ``spectrum fd`` writes the spectrum and labels of
 ``operators.fd_spectrum`` (how each problem is solved is told there), and
 ``bound`` and ``couple check`` write their result dataclasses field by
-field.  ``spectrum box`` refuses the flags of ``spectrum fd``.  Each row of
+field; ``verify abstract`` writes each row from one template over the
+``TheoremReport`` fields, the bytes ``json_line`` would write for them.
+``spectrum box`` refuses the flags of ``spectrum fd``.  Each row of
 ``verify abstract`` binds its couple at lambda_{k+1}, the z = couple.lam the
 library reads it at, so that command refuses a couple's own ``@lambda`` and a
 tabulated couple; ``couple check`` refuses a table without ``@lambda``, and
@@ -213,20 +215,45 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _abstract_trial_worker(payload) -> list[dict]:
+def _abstract_trial_worker(payload) -> list[tuple]:
+    """(trial, couple text, TheoremReport) of each row of one trial; the
+    couple text is its JSON string, the couple's head then lambda_(k+1)."""
     from . import abstract
-    (t, seed, dim, nops, ensemble, specs, min_gap) = payload
+    (t, seed, dim, nops, ensemble, couple_heads, min_gap) = payload
     triple = abstract.random_instance(dim, nops, seed + t, ensemble)
     lam = triple.spectral.lam
-    rows: list[dict] = []
+    rows: list[tuple] = []
     for k in abstract.admissible_ks(triple, min_gap):
-        for spec in specs:
-            couple = spec.bind(float(lam[k]))
-            rep = abstract.verify_theorem(triple, k, couple)
-            row = {"trial": t, "couple": couple.describe()}
-            row.update(rep.as_dict())
-            rows.append(row)
+        z = float(lam[k])
+        tail = format(z, "g") + '"'
+        for spec, head in couple_heads:
+            rows.append((t, head + tail, abstract.verify_theorem(triple, k, spec.bind(z))))
     return rows
+
+
+def _couple_heads(specs) -> tuple:
+    """(spec, head) of each couple of ``verify abstract``: the head is the
+    JSON string of the couple's ``describe()`` up to its lambda, which a row
+    appends as describe() writes it, format(lambda, "g"), a text with no
+    character that JSON escapes."""
+    return tuple((spec, json.dumps(spec.bind(1.0).describe()).rpartition("@")[0] + "@") for spec in specs)
+
+
+def _finite(x: float) -> str:
+    """A float as ``json_line`` writes it: 17 significant digits, or null."""
+    return format(x, ".17g") if math.isfinite(x) else "null"
+
+
+def _abstract_row(trial: int, couple_text: str, rep) -> str:
+    """One ``verify abstract`` line from one template over the TheoremReport
+    fields that ``verify_theorem`` sets: the bytes ``json_line`` writes for
+    {"trial": trial, "couple": couple.describe()} followed by the fields in
+    order, ``passed`` as "pass"."""
+    return (
+        f'{{"trial":{trial},"couple":{couple_text},"k":{rep.k},"lhs":{_finite(rep.lhs)},'
+        f'"rhs":{_finite(rep.rhs)},"quad_coeff":{_finite(rep.quad_coeff)},"gap":{_finite(rep.gap)},'
+        f'"pass":{"true" if rep.passed else "false"},"z":{_finite(rep.z)},"slack":{_finite(rep.slack)}}}\n'
+    )
 
 
 def _trial_rows(payload: tuple, trials: int, workers: int):
@@ -267,7 +294,7 @@ def cmd_verify_abstract(args) -> int:
         if spec.family == couples.TABULATED:  # no table holds lambda_1..lambda_k below lambda_(k+1) for two k
             raise SpecgapError(f"couple {text!r} is tabulated: verify abstract binds each couple at lambda_(k+1)")
 
-    trial_rows = _trial_rows((seed, dim, nops, ensemble, specs, min_gap), trials, workers)
+    trial_rows = _trial_rows((seed, dim, nops, ensemble, _couple_heads(specs), min_gap), trials, workers)
 
     # workers is an execution knob, not part of the mathematical run: output
     # is identical for any worker count, so it is not echoed in the summary
@@ -285,11 +312,11 @@ def cmd_verify_abstract(args) -> int:
     worst = -math.inf
     with _output(args.out) as out:
         for rows in trial_rows:
-            for row in rows:
+            for trial, couple_text, rep in rows:
                 checks += 1
-                passes += bool(row["pass"])
-                worst = max(worst, row["slack"] / (1.0 + abs(row["rhs"])))
-                out.write(json_line(row) + "\n")
+                passes += rep.passed
+                worst = max(worst, rep.slack / (1.0 + abs(rep.rhs)))
+                out.write(_abstract_row(trial, couple_text, rep))
         summary = {
             "summary": True,
             "trials": trials,

@@ -78,14 +78,28 @@ def _check_domain(lam: float, xs: np.ndarray) -> None:
 
 
 def _lookup(table: tuple, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f, g) of a (x, f, g) table at its own points ``xs``; no domain test."""
+    """(f, g) of a (x, f, g) table at its own points ``xs``; no domain test.
+
+    The point of x is the table's lowest-index tx with |tx - x| <= 1e-12 |x|
+    (``np.isclose`` with rtol 1e-12, atol 0).  Those tx are a run of the
+    table sorted by x, found by ``np.searchsorted`` within 2e-12 |x| of x and
+    tested exactly, one position of the widest run at a time."""
     tx, tf, tg = table
-    idx = np.empty(xs.shape, dtype=int)
-    for pos, x in np.ndenumerate(xs):
-        hits = np.nonzero(np.isclose(tx, x, rtol=1e-12, atol=0.0))[0]
-        if hits.size == 0:
-            raise InputError(f"x = {x} is not a tabulated sample point")
-        idx[pos] = hits[0]
+    x = xs.ravel()
+    order = tx.argsort(kind="stable")
+    sorted_x = tx[order]
+    tol = 1e-12 * abs(x)
+    lo = sorted_x.searchsorted(x - 2 * tol, "left")
+    hi = sorted_x.searchsorted(x + 2 * tol, "right")
+    idx = np.full(x.shape, tx.size)
+    for step in range(int((hi - lo).max(initial=0))):
+        at = np.minimum(lo + step, tx.size - 1)
+        hit = (lo + step < hi) & (abs(sorted_x[at] - x) <= tol)
+        idx = np.where(hit, np.minimum(idx, order[at]), idx)
+    missing = np.flatnonzero(idx == tx.size)
+    if missing.size:
+        raise InputError(f"x = {x[missing[0]]} is not a tabulated sample point")
+    idx = idx.reshape(xs.shape)
     return tf[idx], tg[idx]
 
 
@@ -193,12 +207,23 @@ def _power_quotients(exponents: tuple, u: np.ndarray, i: np.ndarray, j: np.ndarr
     ulps at any separation; the raw quotient loses eps * h / |x_i - x_j| to
     cancellation.  Pairs that PAIR_SKIP_REL keeps have u_i != u_j, so r != 0.
     """
-    e = np.array(exponents)[:, None]
+    e, e_less_one = _exponent_column(*exponents)
     ui, uj = u[i], u[j]
     small, v = np.minimum(ui, uj), np.maximum(ui, uj)
     r = (small - v) / v
     log_ratio = np.where(r > -0.5, np.log1p(r), np.log(small / v))
-    return -(v ** (e - 1.0)) * np.expm1(e * log_ratio) / r
+    return -(v**e_less_one) * np.expm1(e * log_ratio) / r
+
+
+@functools.lru_cache(maxsize=64)
+def _exponent_column(ef: float, eg: float) -> tuple[np.ndarray, np.ndarray]:
+    """The column (ef, eg) of ``_power_quotients`` and the column less one,
+    read-only and kept for the 64 exponent pairs used last."""
+    e = np.array([ef, eg])[:, None]
+    columns = e, e - 1.0
+    for column in columns:
+        column.setflags(write=False)
+    return columns
 
 
 def _points(couple, samples) -> np.ndarray:
@@ -263,8 +288,8 @@ def _pairwise_report(couple, xs: np.ndarray) -> MembershipReport:
         raise InputError("couple is not positive on the sample set")
 
     # g must be nonincreasing; check on the sorted samples.
-    g_sorted = gs[np.argsort(xs, kind="stable")]
-    g_tol = COND_TOL_REL * (_times_pow2(1.0, -m * eg) + float(np.max(np.abs(gs))))
+    g_sorted = gs[xs.argsort(kind="stable")]
+    g_tol = COND_TOL_REL * (_times_pow2(1.0, -m * eg) + float(abs(gs).max()))
     g_ok = bool((g_sorted[1:] - g_sorted[:-1] <= g_tol).all())
 
     degree = m * (2 * ef - 2)
@@ -275,9 +300,10 @@ def _pairwise_report(couple, xs: np.ndarray) -> MembershipReport:
     one_table = rows >= xs.size and xs.size <= _PAIR_TABLE_MAX
     for i, j in [_pair_table(xs.size)] if one_table else _row_blocks(xs.size, rows):
         dx = xs[i] - xs[j]
-        keep = np.abs(dx) >= PAIR_SKIP_REL * couple.lam
-        n_skipped += int(np.count_nonzero(~keep))
-        i, j, dx = i[keep], j[keep], dx[keep]
+        keep = abs(dx) >= PAIR_SKIP_REL * couple.lam
+        if not keep.all():  # masked copies only when a pair is skipped
+            n_skipped += int(np.count_nonzero(~keep))
+            i, j, dx = i[keep], j[keep], dx[keep]
         if i.size == 0:
             continue
         if tabulated:  # no power form: raw quotients and ratio
@@ -289,12 +315,15 @@ def _pairwise_report(couple, xs: np.ndarray) -> MembershipReport:
         t1 = df**2
         t2 = (w[i] + w[j]) * dg
         q = t1 + t2
-        tol = COND_TOL_REL * (_times_pow2(1.0, -degree) + np.maximum(np.abs(t1), np.abs(t2)))
-        violations = q - tol
-        if not (violations <= 0).all():
-            wv = int(np.argmax(violations))
+        tol = COND_TOL_REL * (_times_pow2(1.0, -degree) + np.maximum(abs(t1), abs(t2)))
+        top = q.max()
+        # a pair fails where q - tol > 0 or is NaN: where q > tol, q is NaN,
+        # or q = tol = +inf, which q <= tol alone would pass
+        if not ((q <= tol).all() and top < np.inf):
+            violations = q - tol
+            wv = int(violations.argmax())
             fails.append((violations[wv], (float(xs[i[wv]]), float(xs[j[wv]]))))
-        high = q.max() if high is None else np.maximum(high, q.max())
+        high = top if high is None else np.maximum(high, top)
         n_checked += i.size
 
     if n_checked == 0:

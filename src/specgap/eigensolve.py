@@ -29,8 +29,11 @@ clamped and Kohn blocks the same residual check.
 
 Every Hermitian check and every eigendecomposition of the package goes
 through this module: ``hermitian_defect`` measures max |M - M^H| of a dense
-or sparse matrix (the solvers refuse a defect above SYMMETRY_DEFECT_REL *
-max|M|; ``abstract`` applies its own tolerance to the same measure), and
+or sparse matrix, or max |M + M^H| for an anti-self-adjoint one, and per
+matrix of a dense stack (the solvers refuse a defect above
+SYMMETRY_DEFECT_REL * max|M|; ``abstract`` applies its own tolerance to the
+same measure, and checks the stacked B_p and T_p of a triple in one call
+each), and
 ``dense_symmetric_eig`` is the only Hermitian eigendecomposition.  The two
 other eigenvalue calls are not decompositions whose pairs are used: a shift
 in ``abstract.random_instance`` and the roots of a (non-Hermitian) companion
@@ -88,12 +91,17 @@ def _issparse(M) -> bool:
     return sparse is not None and sparse.issparse(M)
 
 
-def hermitian_defect(M) -> float:
-    """max |M - M^H| over the entries of a nonempty square matrix, dense or
-    scipy sparse."""
-    if M.shape[0] == 0:
+def hermitian_defect(M, skew: bool = False):
+    """max |M - M^H| (|M + M^H| if ``skew``) over the entries of a nonempty
+    square matrix, dense or scipy sparse, as a float; of a dense (n, d, d)
+    stack, one maximum per matrix, as an array of n."""
+    if M.shape[-1] == 0:
         raise InputError("need a nonempty matrix")
-    return float(abs(M - M.conj().T).max())
+    if M.ndim == 3:
+        MH = M.conj().swapaxes(1, 2)
+        return abs(M + MH if skew else M - MH).max(axis=(1, 2))
+    MH = M.conj().T
+    return float(abs(M + MH if skew else M - MH).max())
 
 
 def _require_symmetric(M) -> None:

@@ -1,5 +1,6 @@
 """Commutator inequality verification on finite-dimensional instances."""
 
+import itertools
 import json
 import math
 
@@ -474,3 +475,83 @@ def test_operator_triple_rejects_non_hermitian():
             OperatorTriple(A, Bs, Ts)
     with pytest.raises(InputError, match="operator pair 1 has wrong shape"):
         OperatorTriple(A, (B, np.eye(3)), (T, T))
+
+
+def _looped_refusal(A, Bs, Ts):
+    """The refusal of a loop over the matrices one at a time, each within
+    1e-13 * its own max|M|, or None: the oracle of the stacked checks."""
+    A = np.asarray(A, dtype=complex)
+    Bs = [np.asarray(B, dtype=complex) for B in Bs]
+    Ts = [np.asarray(T, dtype=complex) for T in Ts]
+
+    def defective(M, sign):
+        return np.abs(M - sign * M.conj().T).max() > 1e-13 * max(np.abs(M).max(), 1e-300)
+
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        return f"A must be square, got {A.shape}"
+    if len(Bs) != len(Ts) or not Bs:
+        return "need equally many (at least one) B and T operators"
+    if defective(A, 1):
+        return "A is not Hermitian within 1e-13 * max|A|"
+    for p, (B, T) in enumerate(zip(Bs, Ts)):
+        if B.shape != A.shape or T.shape != A.shape:
+            return f"operator pair {p} has wrong shape"
+        if defective(B, 1):
+            return f"B[{p}] is not Hermitian within 1e-13 * max|B|"
+        if defective(T, -1):
+            return f"T[{p}] is not anti-self-adjoint within 1e-13 * max|T|"
+    return None
+
+
+def test_stacked_checks_refuse_as_the_loop_over_matrices():
+    # every A and every one to three pairs drawn from good, non-Hermitian B,
+    # non-skew T and wrong-shaped operators, each also with one T too few:
+    # the first refusal in the order A square, count, A Hermitian, then per
+    # pair its shape, B[p] and T[p]
+    good = random_instance(4, 1, seed=12)
+    A, B, T = good.A, good.Bs[0], good.Ts[0]
+    tilted = np.zeros((4, 4), dtype=complex)
+    tilted[0, 1] = 1e-3
+    wrong = np.eye(3, dtype=complex)
+    As = [A, A + tilted, np.ones((4, 5))]
+    pairs = [(B, T), (B + tilted, T), (B, T + tilted), (B + tilted, T + tilted), (wrong, T), (B, wrong),
+             (wrong, T + tilted)]  # fmt: skip
+    cases = [(a, list(ps)) for a in As for n in (1, 2, 3) for ps in itertools.product(pairs, repeat=n)]
+    cases += [(A, [(B, T), (B, T)][:n]) for n in (0, 2)]
+    refused = set()
+    for a, ps in cases:
+        for Bs, Ts in ([[b for b, _ in ps], [t for _, t in ps]], [[b for b, _ in ps], [t for _, t in ps[1:]]]):
+            want = _looped_refusal(a, Bs, Ts)
+            if want is None:
+                triple = OperatorTriple(a, tuple(Bs), tuple(Ts))
+                assert isinstance(triple.Bs, tuple) and isinstance(triple.Ts, tuple)
+                for got, given in zip(triple.Bs + triple.Ts, Bs + Ts):
+                    assert np.array_equal(got, given)
+                continue
+            with pytest.raises(InputError) as raised:
+                OperatorTriple(a, tuple(Bs), tuple(Ts))
+            assert str(raised.value) == want, (len(ps), want)
+            refused.add(want.split(" is not")[0].split(" has wrong")[0])
+    pairs_refused = {f"{name}[{p}]" for name in "BT" for p in range(3)} | {f"operator pair {p}" for p in range(3)}
+    assert refused == {"A must be square, got (4, 5)", "A", *pairs_refused,
+                       "need equally many (at least one) B and T operators"}  # fmt: skip
+
+
+@pytest.mark.parametrize("family", ["B", "T"])
+def test_stacked_checks_scale_each_matrix_by_its_own_max(family):
+    # B[1] (or T[1]) of max 3e-6 with a defect near 1e-15 is refused beside a
+    # B[0] of max 3e6: its defect exceeds 1e-13 * its own max, not 1e-13 *
+    # the stack's
+    symmetric = np.array([[2.0, 1.0, 3.0], [1.0, 0.0, -1.0], [3.0, -1.0, 1.0]])
+    skew = np.array([[0.0, 1.0, 3.0], [-1.0, 0.0, -1.0], [-3.0, 1.0, 0.0]])
+    base, sign = (symmetric, 1) if family == "B" else (skew, -1)
+    big, small = (scale * base.astype(complex) for scale in (1e6, 1e-6))
+    small[0, 2] += 1e-15
+    defect = np.abs(small - sign * small.conj().T).max()
+    assert 1e-13 * np.abs(small).max() < defect < 1e-13 * np.abs(big).max()
+    zero = np.zeros((3, 3), dtype=complex)
+    Bs, Ts = ((big, small), (zero, zero)) if family == "B" else ((zero, zero), (big, small))
+    kind = "Hermitian" if family == "B" else "anti-self-adjoint"
+    with pytest.raises(InputError) as raised:
+        OperatorTriple(np.diag([1.0, 2.0, 3.0]), Bs, Ts)
+    assert str(raised.value) == f"{family}[1] is not {kind} within 1e-13 * max|{family}|"

@@ -1,6 +1,7 @@
 """Command line behaviour: formats, exit codes, config, determinism."""
 
 import builtins
+import dataclasses
 import io
 import json
 import math
@@ -775,6 +776,48 @@ def test_verify_abstract_row_format(capsys):
     for row in rows:
         assert list(row) == ABSTRACT_ROW_KEYS
         assert row["couple"].endswith("@" + format(row["z"], "g")), row
+
+
+def _abstract_dict_line(trial, couple, rep) -> str:
+    """A verify abstract row as json_line writes its dict, the trial, the
+    couple's describe() and the report's fields in order, passed as "pass"
+    and no identity_residual where there is none: the oracle of the row
+    template."""
+    row = {"trial": trial, "couple": couple.describe()}
+    for key, value in vars(rep).items():
+        if not (key == "identity_residual" and value is None):
+            row["pass" if key == "passed" else key] = value
+    return cli.json_line(row) + "\n"
+
+
+def test_verify_abstract_rows_are_the_json_lines_of_their_dicts():
+    # every row the worker returns, for couples whose parameters :g writes
+    # as 0.5 and 1e-07, and reports with values that are not finite and a
+    # failed check, in the keys of the TheoremReport fields
+    from specgap.abstract import TheoremReport
+
+    texts = ["const-power:0.5", "neg-power:-1e-7,1", "linear-power:0.5", "equal-power:2"]
+    specs = [couples.parse_couple_spec(text) for text in texts]
+    heads = cli._couple_heads(specs)
+    keys = ["trial", "couple", *("pass" if f.name == "passed" else f.name for f in dataclasses.fields(TheoremReport))]
+    rows = [row for t in range(4) for row in cli._abstract_trial_worker((t, 11, 6, 2, "dense-gaussian", heads, 1e-6))]
+    assert len(rows) > 4 * len(texts)
+    spec_of = {head: spec for spec, head in heads}
+    for trial, couple_text, rep in rows:
+        couple = spec_of[couple_text.rpartition("@")[0] + "@"].bind(rep.z)
+        line = cli._abstract_row(trial, couple_text, rep)
+        assert line == _abstract_dict_line(trial, couple, rep)
+        # every field but identity_residual, which verify_theorem leaves None
+        assert list(json.loads(line)) + ["identity_residual"] == keys
+    couple = specs[1].bind(1e-7)
+    text = json.dumps(couple.describe())
+    assert text == '"neg-power:-1e-07,1@1e-07"'
+    for values in ((math.inf, math.nan, -math.inf, 0.5, False), (1e308 * 10, 1e-320, 0.1, math.nan, True)):
+        lhs, rhs, quad, gap, passed = values
+        rep = TheoremReport(3, lhs, rhs, quad, gap, passed, 1e-7, lhs - rhs)
+        line = cli._abstract_row(7, text, rep)
+        assert line == _abstract_dict_line(7, couple, rep)
+        assert "null" in line and f'"pass":{str(passed).lower()}' in line
 
 
 def test_verify_abstract_refuses_a_couple_lambda(monkeypatch, capsys, tmp_path):

@@ -64,6 +64,65 @@ def test_tabulated_lookup():
         c.evaluate_batch([0.5])
 
 
+def _scanned_lookup(table, xs):
+    """The table lookup as one np.isclose scan of the table per point, the
+    first match kept: the oracle of the sorted lookup."""
+    tx, tf, tg = table
+    idx = np.empty(xs.shape, dtype=int)
+    for pos, x in np.ndenumerate(xs):
+        hits = np.nonzero(np.isclose(tx, x, rtol=1e-12, atol=0.0))[0]
+        if hits.size == 0:
+            raise InputError(f"x = {x} is not a tabulated sample point")
+        idx[pos] = hits[0]
+    return tf[idx], tg[idx]
+
+
+def _near_duplicate_table():
+    """x in (0, 1) with exact repeats and neighbours 0.5e-12, 0.99e-12,
+    1.01e-12 and 3e-12 relative to them, in shuffled order; f numbers the
+    rows, so equal f means the same row."""
+    rng = np.random.default_rng(31)
+    base = rng.uniform(0.05, 0.95, 40)
+    xs = np.concatenate([base, base[:10], base[:30] * (1 + 0.5e-12), base[5:15] * (1 - 0.99e-12),
+                         base[10:20] * (1 + 1.01e-12), base[20:25] * (1 - 3e-12)])  # fmt: skip
+    xs = xs[rng.permutation(xs.size)]
+    return xs, np.arange(1.0, xs.size + 1), np.ones(xs.size), base
+
+
+def test_sorted_lookup_matches_the_scan_on_near_duplicate_points():
+    xs, fs, gs, base = _near_duplicate_table()
+    table = (xs, fs, gs)
+    # up to four rows within 1e-12 of a query: the lowest index wins
+    queries = np.concatenate([xs, base * (1 + 0.9e-12), base * (1 - 0.9e-12)])
+    assert queries.size == 185
+    for shape in ((185,), (5, 37)):
+        points = queries.reshape(shape)
+        got, want = couples._lookup(table, points), _scanned_lookup(table, points)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape == shape
+            np.testing.assert_array_equal(a, b)
+
+
+def test_sorted_lookup_refuses_the_first_missing_point_in_c_order():
+    xs, fs, gs, base = _near_duplicate_table()
+    points = np.array([[base[3], base[3] * (1 + 5e-12)], [base[7] * (1 - 5e-12), base[1]]])
+    with pytest.raises(InputError) as scanned:
+        _scanned_lookup((xs, fs, gs), points)
+    with pytest.raises(InputError) as looked_up:
+        couples._lookup((xs, fs, gs), points)
+    assert str(looked_up.value) == str(scanned.value) == f"x = {points[0, 1]} is not a tabulated sample point"
+
+
+def test_sorted_lookup_matches_the_scan_on_a_4096_row_table():
+    rng = np.random.default_rng(4096)
+    xs = rng.uniform(1e-6, 10.0, 4096)
+    xs[::97] = xs[1::97]  # exact repeats: the lower row wins
+    table = (xs, np.arange(1.0, 4097), rng.uniform(0.5, 2.0, 4096))
+    points = xs[rng.permutation(4096)]
+    for a, b in zip(couples._lookup(table, points), _scanned_lookup(table, points)):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_parameter_ranges_enforced():
     with pytest.raises(InputError):
         FunctionCouple("const-power", 1.0, (-0.5,))
@@ -228,6 +287,16 @@ def test_membership_g_must_be_nonincreasing():
     rep = certify_on_samples(c, [0.2, 0.8])
     assert not rep.g_nonincreasing
     assert not rep.passed
+
+
+def test_membership_fails_a_pair_whose_value_and_tolerance_are_infinite():
+    # df^2 overflows to +inf while (w_i + w_j) dg is 0: q = tol = +inf, and
+    # q - tol is NaN, a failing pair; q <= tol alone would pass it
+    c = tabulated(1.0, [0.2, 0.4], [1e154, 1.0], [1.0, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = certify_on_samples(c, [0.2, 0.4])
+    assert rep.g_nonincreasing and rep.n_checked == 1
+    assert not rep.passed and rep.worst == np.inf and rep.witness == (0.2, 0.4)
 
 
 def _block_candidates(n: int):

@@ -82,6 +82,27 @@ def test_dense_rejects_asymmetric():
         dense_symmetric_eig(np.zeros((0, 0)))
 
 
+def test_hermitian_defect_of_a_stack_is_the_defect_of_each_matrix():
+    # one maximum per matrix of an (n, d, d) stack, Hermitian or (skew)
+    # anti-self-adjoint, bitwise those of the matrices one at a time, with
+    # the matrices' own scales kept apart (1e6 beside 1e-6)
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
+    stack *= np.array([1e6, 1.0, 1e-6, 3.0])[:, None, None]
+    stack[3] = stack[3] + stack[3].conj().T  # Hermitian: defect 0, skew defect 2 max|M|
+    for skew in (False, True):
+        defects = eigensolve.hermitian_defect(stack, skew)
+        assert defects.shape == (4,)
+        for p, M in enumerate(stack):
+            want = np.abs(M + M.conj().T if skew else M - M.conj().T).max()
+            assert defects[p] == eigensolve.hermitian_defect(M, skew) == want
+            assert eigensolve.hermitian_defect(sp.csr_matrix(M), skew) == want
+    assert eigensolve.hermitian_defect(stack)[3] == 0.0
+    assert eigensolve.hermitian_defect(stack[:0]).shape == (0,)
+    with pytest.raises(InputError, match="need a nonempty matrix"):
+        eigensolve.hermitian_defect(np.zeros((2, 0, 0)), skew=True)
+
+
 def test_dense_dimension_cap():
     big = sp.identity(4097, format="csr")
     with pytest.raises(InputError):

@@ -20,7 +20,9 @@ and the installed script runs it; ``os._exit`` is called once, in
 ``couples.py`` one points gate, the only reader of MAX_MEMBERSHIP_SAMPLES,
 and one domain test, the only text of the (0, lambda) refusal; and
 ``admissible_weights`` certifies through ``certify_on_samples``, the
-binding the benchmark's tracer wraps.
+binding the benchmark's tracer wraps; and ``abstract.py`` takes every
+Hermitian and anti-self-adjoint defect from ``eigensolve.hermitian_defect``,
+computing none itself.
 References from tests do not count: a helper that only a test calls is dead
 code.  In tests/, every subprocess call that waits for its child passes
 ``timeout=``, and none starts a ``Popen``, so a hung child fails its test.
@@ -439,6 +441,46 @@ def test_admissible_weights_certifies_through_the_traced_binding():
     inlined = (_module_calls(defined[COUPLES_CERTIFICATE], defined) - {COUPLES_CERTIFICATE}) & set(direct)
     assert not inlined, f"{COUPLES_WEIGHTS} calls {sorted(inlined)} of the certificate itself"
     assert any(isinstance(node, ast.Attribute) and node.attr == "passed" for node in ast.walk(weights))
+
+
+# abstract.py: a Hermitian or skew defect is an abs (or norm) of M - M^H or
+# M + M^H; eigensolve measures it, for one matrix or a stack
+DEFECT_SOURCE = "hermitian_defect"
+MAGNITUDE_CALLS = {"abs", "absolute", "fabs", "norm"}
+
+
+def _called_name(call: ast.Call):
+    return call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+
+
+def _adjoint_of(node: ast.AST, other: ast.AST) -> bool:
+    """Whether ``node`` conjugates an expression of the names of ``other``:
+    M.conj().T, np.conj(M).swapaxes(1, 2) or M.H beside M."""
+    text = ast.unparse(node)
+    names = {n.id for n in ast.walk(other) if isinstance(n, ast.Name)}
+    return ("conj" in text or text.endswith(".H")) and bool(names) and names <= {
+        n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+    }
+
+
+def test_abstract_takes_every_hermitian_defect_from_eigensolve():
+    """No magnitude of M - M^H or M + M^H is computed in ``abstract.py``:
+    its checks call ``hermitian_defect``, so what the package calls a defect
+    is measured in one place for a matrix and for a stack, and only the
+    tolerance is abstract's own.  A symmetrization, (M + M^H) / 2, is no
+    defect and passes."""
+    tree = _tree(PACKAGE / "abstract.py")
+    stray = []
+    for node, function in _nodes_by_function(tree):
+        if not (isinstance(node, ast.Call) and _called_name(node) in MAGNITUDE_CALLS):
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.BinOp) and isinstance(inner.op, (ast.Add, ast.Sub)):
+                if _adjoint_of(inner.right, inner.left) or _adjoint_of(inner.left, inner.right):
+                    stray.append(f"abstract.py:{inner.lineno} in {function}: {ast.unparse(inner)}")
+    assert not stray, stray
+    called = {_called_name(node) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert DEFECT_SOURCE in called
 
 
 # the subprocess functions that wait for their child, and so take a timeout;
