@@ -349,8 +349,10 @@ def cmd_verify_spectrum(args) -> int:
         "which": which,
     }
     with _output(args.out) as out:
-        columns = (table.margin.tolist(), table.bound.tolist(), table.valid.tolist(), flagged.tolist())
-        for k, z, *cells in zip(table.ks.tolist(), table.z.tolist(), *columns):
+        # Python values for one prefix length's entries at a time: lists of the
+        # whole table would set the command's peak memory
+        for k, z, *cells in zip(table.ks.tolist(), table.z.tolist(), table.margin, table.bound, table.valid, flagged):
+            cells = [cell.tolist() for cell in cells]
             for name, notes, margin, bound, valid, violation in zip(table.names, table.notes, *cells):
                 row = {"k": k, "candidate": z, "name": name, "margin": margin, "bound": bound,
                        "valid": valid, "note": notes[valid], "violation": violation}

@@ -23,7 +23,9 @@ nothing to cancellation), and ``check_necessary_differentiable`` screens
 smooth families with the weaker pointwise condition
 ((ln f)')^2 <= -2/(lambda-x) * (ln g)'.  Both are homogeneous for a power
 family, so they run exactly in the unit 2^m <= lambda < 2^(m+1) and scale
-back what they report (+-inf beyond the float range).
+back what they report (+-inf beyond the float range).  The weights f and g
+themselves come only from ``admissible_weights``, after the pairwise
+certificate has passed on the points they are asked at.
 """
 
 from __future__ import annotations
@@ -131,8 +133,9 @@ class FunctionCouple:
     def __post_init__(self):
         if not 0 < self.lam < np.inf:
             raise InputError(f"lambda must be positive and finite, got {self.lam}")
-        _validate_params(self.family, tuple(float(p) for p in self.params))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        params = tuple(float(p) for p in self.params)
+        _validate_params(self.family, params)
+        object.__setattr__(self, "params", params)
         if self.family == TABULATED:
             if self.table is None:
                 raise InputError("tabulated couple requires a table of (x, f, g)")
@@ -153,12 +156,6 @@ class FunctionCouple:
         if self.family not in _POWER_FAMILIES:
             raise InputError(f"family {self.family!r} has no power form")
         return _POWER_FAMILIES[self.family][1](*self.params)
-
-    def evaluate_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (f(x), g(x)); raises on points outside (0, lambda)."""
-        xs = np.asarray(xs, dtype=float)
-        _check_domain(self.lam, xs)
-        return _weights(self, xs)
 
     def describe(self) -> str:
         if self.family == TABULATED:
@@ -207,23 +204,12 @@ def _power_quotients(exponents: tuple, u: np.ndarray, i: np.ndarray, j: np.ndarr
     ulps at any separation; the raw quotient loses eps * h / |x_i - x_j| to
     cancellation.  Pairs that PAIR_SKIP_REL keeps have u_i != u_j, so r != 0.
     """
-    e, e_less_one = _exponent_column(*exponents)
+    e = np.array(exponents)[:, None]
     ui, uj = u[i], u[j]
     small, v = np.minimum(ui, uj), np.maximum(ui, uj)
     r = (small - v) / v
     log_ratio = np.where(r > -0.5, np.log1p(r), np.log(small / v))
-    return -(v**e_less_one) * np.expm1(e * log_ratio) / r
-
-
-@functools.lru_cache(maxsize=64)
-def _exponent_column(ef: float, eg: float) -> tuple[np.ndarray, np.ndarray]:
-    """The column (ef, eg) of ``_power_quotients`` and the column less one,
-    read-only and kept for the 64 exponent pairs used last."""
-    e = np.array([ef, eg])[:, None]
-    columns = e, e - 1.0
-    for column in columns:
-        column.setflags(write=False)
-    return columns
+    return -(v ** (e - 1.0)) * np.expm1(e * log_ratio) / r
 
 
 def _points(couple, samples) -> np.ndarray:
@@ -286,6 +272,9 @@ def _pairwise_report(couple, xs: np.ndarray) -> MembershipReport:
         fs, gs = u**ef, u**eg
     if (fs <= 0).any() or (gs <= 0).any():
         raise InputError("couple is not positive on the sample set")
+    # each point's weight f^2 / (g u); a power family's as one power of u,
+    # with no intermediate to overflow or underflow
+    w = fs**2 / (gs * u) if tabulated else u ** (2 * ef - eg - 1)
 
     # g must be nonincreasing; check on the sorted samples.
     g_sorted = gs[xs.argsort(kind="stable")]
@@ -306,23 +295,18 @@ def _pairwise_report(couple, xs: np.ndarray) -> MembershipReport:
             i, j, dx = i[keep], j[keep], dx[keep]
         if i.size == 0:
             continue
-        if tabulated:  # no power form: raw quotients and ratio
+        if tabulated:  # no power form: raw quotients
             df, dg = (fs[i] - fs[j]) / dx, (gs[i] - gs[j]) / dx
-            w = fs**2 / (gs * u)
-        else:  # f^2 / (g u) as one power of u, with no intermediate to overflow or underflow
+        else:
             df, dg = _power_quotients((ef, eg), u, i, j)
-            w = u ** (2 * ef - eg - 1)
         t1 = df**2
         t2 = (w[i] + w[j]) * dg
         q = t1 + t2
-        tol = COND_TOL_REL * (_times_pow2(1.0, -degree) + np.maximum(abs(t1), abs(t2)))
-        top = q.max()
-        # a pair fails where q - tol > 0 or is NaN: where q > tol, q is NaN,
-        # or q = tol = +inf, which q <= tol alone would pass
-        if not ((q <= tol).all() and top < np.inf):
-            violations = q - tol
-            wv = int(violations.argmax())
+        violations = q - COND_TOL_REL * (_times_pow2(1.0, -degree) + np.maximum(abs(t1), abs(t2)))
+        wv = violations.argmax()
+        if not violations[wv] <= 0:  # a pair fails where q - tol > 0 or is NaN
             fails.append((violations[wv], (float(xs[i[wv]]), float(xs[j[wv]]))))
+        top = q.max()
         high = top if high is None else np.maximum(high, top)
         n_checked += i.size
 
@@ -347,8 +331,9 @@ def certify_on_samples(couple: FunctionCouple, samples) -> MembershipReport:
 def admissible_weights(couple: FunctionCouple, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(f, g) at the eigenvalue prefix ``lam``, as weights of an inequality at
     z = couple.lam; InputError unless :func:`certify_on_samples` passes.  The
-    certificate's gate is the only domain test: the weights are those of
-    ``couple.evaluate_batch(lam)``, bit for bit."""
+    certificate's gate is the only domain test, and this is the package's one
+    source of weights: a table's values at its points, or (lambda - x)^ef and
+    (lambda - x)^eg of a power family."""
     xs = np.asarray(lam, dtype=float)
     report = certify_on_samples(couple, xs)
     if not report.passed:

@@ -706,6 +706,41 @@ def test_verify_spectrum_row_format(tmp_path, capsys):
     assert code == 1
 
 
+def test_verify_spectrum_converts_one_prefix_length_at_a_time(tmp_path, capsys, monkeypatch):
+    """The margin table becomes Python values one prefix length at a time:
+    from the return of verify_margins to the end of the command, the traced
+    peak stays below half of what the table's whole-table lists take."""
+    import tracemalloc
+
+    from specgap import bounds
+
+    eigs = tmp_path / "box.csv"
+    run_cli(["spectrum", "box", "--dims", "1,1.3", "--count", "1000", "--out", str(eigs)], capsys)
+    real, seen = bounds.verify_margins, {}
+
+    def verify_margins(*args, **kwargs):
+        seen["table"] = real(*args, **kwargs)
+        seen["base"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return seen["table"]
+
+    monkeypatch.setattr(bounds, "verify_margins", verify_margins)
+    argv = ["verify", "spectrum", "--eigs", str(eigs), "--n", "2", "--l", "1", "--out", str(tmp_path / "rows")]
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1] - seen["base"]
+        table = seen["table"]
+        flagged = table.violations(1e-3)
+        before = tracemalloc.get_traced_memory()[0]
+        lists = [column.tolist() for column in (table.margin, table.bound, table.valid, flagged)]
+        whole = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 1) and len(lists[0]) == 999
+    assert peak < whole / 2, (peak, whole)
+
+
 @pytest.mark.parametrize("slack", ["nan", "inf", "-1"])
 def test_verify_spectrum_refuses_slack_that_switches_the_check_off(tmp_path, capsys, slack):
     eigs = tmp_path / "jump.csv"

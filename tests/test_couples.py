@@ -25,43 +25,55 @@ def tabulated(lam, xs, fs, gs):
 
 
 # ---------------------------------------------------------------------------
-# evaluate
+# evaluate: admissible_weights is the one source of f and g
 # ---------------------------------------------------------------------------
+
+
+def weights(couple, xs):
+    return couples.admissible_weights(couple, np.array(xs, dtype=float))
+
+
+def closed_form(couple, xs):
+    """(lambda - x)^ef and (lambda - x)^eg of a power couple, in the test."""
+    ef, eg = couple.power_exponents()
+    u = couple.lam - np.asarray(xs, dtype=float)
+    return u**ef, u**eg
 
 
 def test_evaluate_const_power_alpha_zero():
     c = FunctionCouple("const-power", 10.0, (0.0,))
-    (f,), (g,) = c.evaluate_batch([3.0])
+    (f,), (g,) = weights(c, [3.0])
     assert (f, g) == (1.0, 1.0)
 
 
 def test_evaluate_equal_power():
     c = FunctionCouple("equal-power", 10.0, (2.0,))
-    (f,), (g,) = c.evaluate_batch([4.0])
+    (f,), (g,) = weights(c, [4.0])
     assert (f, g) == (36.0, 36.0)
 
 
 def test_evaluate_linear_power_half():
     c = FunctionCouple("linear-power", 1.0, (0.5,))
-    (f,), (g,) = c.evaluate_batch([0.75])
+    (f,), (g,) = weights(c, [0.75])
     assert f == pytest.approx(0.25, rel=1e-15)
     assert g == pytest.approx(0.5, rel=1e-15)
+    assert (f, g) == tuple(float(h[0]) for h in closed_form(c, [0.75]))
 
 
 def test_evaluate_domain_error():
     c = FunctionCouple("equal-power", 1.0, (1.0,))
     with pytest.raises(InputError, match="evaluation points must lie in"):
-        c.evaluate_batch([1.5])
+        weights(c, [1.5])
     with pytest.raises(InputError, match="evaluation points must lie in"):
-        c.evaluate_batch([0.0])
+        weights(c, [0.0])
 
 
 def test_tabulated_lookup():
     c = tabulated(1.0, [0.2, 0.8], [0.8, 0.2], [1.0, 1.0])
-    (f,), (g,) = c.evaluate_batch([0.2])
+    (f,), (g,) = weights(c, [0.2])
     assert (f, g) == (0.8, 1.0)
     with pytest.raises(InputError, match="is not a tabulated sample point"):
-        c.evaluate_batch([0.5])
+        weights(c, [0.5])
 
 
 def _scanned_lookup(table, xs):
@@ -375,6 +387,147 @@ def test_pair_table_is_read_only_row_major_and_made_once_per_n():
     np.testing.assert_array_equal(j, np.triu_indices(7, 1)[1])
 
 
+def _nan_max(a, b):
+    """The larger of a and b, NaN if either is (as np.maximum)."""
+    return a if a != a or a >= b else b
+
+
+def _definition(xs, lam, f, g, w, t):
+    """The pairwise certificate by its definition, over the pairs i < j in
+    row-major order: a pair at x_i, x_j closer than PAIR_SKIP_REL * lambda
+    is skipped, any other has the value q = df^2 + (w_i + w_j) dg, the
+    difference quotients of f and g taken over the abscissae t, and fails
+    where q - tol > 0 or is NaN, tol = COND_TOL_REL (1 + max(|df^2|,
+    |(w_i + w_j) dg|)).  The witness is the pair of the first largest
+    violation (the first NaN before any number), worst the largest q (NaN if
+    any is) and g must be nonincreasing in x up to COND_TOL_REL (1 + max g).
+    Per point f, g, w = f^2 / (g (lambda - x)) and t are floats or Decimals.
+    Returns the report and the largest |term| of the worst pair."""
+    rel = type(f[0])(couples.COND_TOL_REL)
+    high, scale, top, witness, checked, skipped = None, 0.0, None, None, 0, 0
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            if not abs(xs[i] - xs[j]) >= couples.PAIR_SKIP_REL * lam:
+                skipped += 1
+                continue
+            dt = t[i] - t[j]
+            df, dg = (f[i] - f[j]) / dt, (g[i] - g[j]) / dt
+            t1, t2 = df * df, (w[i] + w[j]) * dg
+            q = t1 + t2
+            violation = q - rel * (1 + _nan_max(abs(t1), abs(t2)))
+            if high is None or q != q or (high == high and q > high):
+                high, scale = q, _nan_max(abs(t1), abs(t2))
+            if not violation <= 0 and (top is None or (top == top and (violation != violation or violation > top))):
+                top, witness = violation, (float(xs[i]), float(xs[j]))
+            checked += 1
+    order = sorted(range(len(xs)), key=lambda k: xs[k])
+    g_max = g[0] * 0
+    for gk in g:
+        g_max = _nan_max(g_max, abs(gk))
+    g_ok = all(g[b] - g[a] <= rel * (1 + g_max) for a, b in zip(order, order[1:]))
+    if not checked:
+        return couples.MembershipReport(g_ok, "pairwise", -np.inf, None, 0, skipped, g_ok), 0.0
+    passed = witness is None and g_ok
+    return couples.MembershipReport(passed, "pairwise", float(high), witness, checked, skipped, g_ok), float(scale)
+
+
+def _certificate_cases():
+    """Seeded sample sets in (0, 1), in no order, with repeated points and
+    points 1e-15 apart (skipped pairs), of 2 to 90 points."""
+    rng = np.random.default_rng(30)
+    cases = []
+    for n in (2, 9, 40, 90):
+        xs = rng.uniform(0.01, 0.99, n)
+        xs[n // 2] = xs[0]
+        if n > 2:
+            xs[1] = xs[-1] + 1e-15
+        cases.append(xs)
+    return cases
+
+
+def _table_candidates(xs):
+    """Tables on the distinct points of xs: one from equal-power:1.5 that
+    passes, one of random values that fails, and ones with an infinite f, an
+    infinite g, a NaN f and a NaN g."""
+    rng = np.random.default_rng(xs.size)
+    tx = np.unique(xs)
+    u = 1.0 - tx
+    fs, gs = rng.uniform(0.1, 3.0, tx.size), np.sort(rng.uniform(0.1, 3.0, tx.size))[::-1]
+    tables = [(u**1.5, u**1.5), (fs, gs)]
+    for column, value in ((0, np.inf), (1, np.inf), (0, np.nan), (1, np.nan)):
+        bad = [fs.copy(), gs.copy()]
+        bad[column][[0, tx.size // 2]] = value
+        tables.append(tuple(bad))
+    return [tabulated(1.0, tx, f, g) for f, g in tables]
+
+
+@pytest.mark.parametrize("pair_block", [couples._PAIR_BLOCK, 1], ids=["default-blocks", "one-row-blocks"])
+def test_certificate_of_a_table_is_its_pairwise_definition(monkeypatch, pair_block):
+    """On tables the definition, evaluated in floats pair by pair, gives the
+    certificate's report exactly, at the default block size (the pair table
+    up to 64 points, one row block above) and in blocks of one row."""
+    monkeypatch.setattr(couples, "_PAIR_BLOCK", pair_block)
+    verdicts = set()
+    for xs in _certificate_cases():
+        for couple in _table_candidates(xs):
+            f, g = (h.tolist() for h in _scanned_lookup(couple.table, xs))
+            x = xs.tolist()
+            w = [fk * fk / (gk * (1.0 - xk)) for fk, gk, xk in zip(f, g, x)]
+            want, _ = _definition(x, 1.0, f, g, w, x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = certify_on_samples(couple, xs)
+            assert repr(got) == repr(want), (xs.size, couple.table)
+            verdicts.add((got.passed, got.n_skipped > 0, math.isnan(got.worst)))
+    assert {(True, True, False), (False, True, False), (False, True, True)} <= verdicts
+
+
+def _decimal_definition(couple, xs):
+    """The definition on a power couple, in 40-digit decimal arithmetic on the
+    float points u = lambda - x: f, g = u^(ef, eg), w = u^(2 ef - eg - 1),
+    and the quotients over t = -u."""
+    import decimal
+
+    with decimal.localcontext(decimal.Context(prec=40)):
+        ef, eg = (decimal.Decimal(e) for e in couple.power_exponents())
+        u = [decimal.Decimal(v) for v in (couple.lam - xs).tolist()]
+        f, g, w = ([uk**e for uk in u] for e in (ef, eg, 2 * ef - eg - 1))
+        return _definition(xs.tolist(), couple.lam, f, g, w, [-uk for uk in u])
+
+
+# power couples inside their ranges, on and off the boundaries, and just
+# outside them: (ef, eg) of alpha < 0, beta < 1/2, delta > 2, delta < 0 and
+# alpha^2 > beta
+INSIDE = [("const-power", (0.0,)), ("const-power", (1.5,)), ("linear-power", (0.5,)), ("linear-power", (2.0,)),
+          ("equal-power", (2.0,)), ("equal-power", (0.7,)), ("neg-power", (-2.0, 4.0)), ("neg-power", (-1.0, 2.5))]
+OUTSIDE = [(0.0, -0.01), (1.0, 0.49), (2.01, 2.01), (-0.01, -0.01), (-3.0, 4.0)]  # fmt: skip
+
+
+@pytest.mark.parametrize("pair_block", [couples._PAIR_BLOCK, 1], ids=["default-blocks", "one-row-blocks"])
+def test_certificate_of_a_power_couple_is_its_pairwise_definition(monkeypatch, pair_block):
+    """On power couples inside and just outside their ranges, at lambda 1 and
+    37.5, the definition in exact-enough arithmetic gives the certificate's
+    verdict, witness and counts, and its worst value within 1e-12 of the
+    worst pair's largest term (q is a difference of its terms, which is 0
+    exactly for equal-power:2)."""
+    monkeypatch.setattr(couples, "_PAIR_BLOCK", pair_block)
+    verdicts = set()
+    for lam in (1.0, 37.5):
+        candidates = [FunctionCouple(family, lam, params) for family, params in INSIDE]
+        candidates += [_PowerStub(lam, ef, eg) for ef, eg in OUTSIDE]
+        for xs in _certificate_cases():
+            xs = lam * xs
+            for couple in candidates:
+                want, scale = _decimal_definition(couple, xs)
+                got = certify_on_samples(couple, xs)
+                case = (couple.describe(), lam, xs.size)
+                assert (got.passed, got.witness, got.n_checked, got.n_skipped, got.g_nonincreasing) == (
+                    want.passed, want.witness, want.n_checked, want.n_skipped, want.g_nonincreasing), case
+                error = 0.0 if got.worst == want.worst else abs(got.worst - want.worst)
+                assert error <= 1e-12 * max(abs(want.worst), scale), case
+                verdicts.add((got.passed, got.witness is None))
+    assert verdicts == {(True, True), (False, False)}
+
+
 def test_membership_order_independent():
     c = FunctionCouple("neg-power", 2.0, (-1.0, 1.5))
     xs = np.array([0.3, 1.1, 0.9, 1.7, 0.05])
@@ -519,11 +672,6 @@ class _PowerStub:
     def power_exponents(self):
         return self._e
 
-    def evaluate_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        u = self.lam - xs
-        return u ** self._e[0], u ** self._e[1]
-
     def describe(self):
         return f"stub-power:{self._e}"
 
@@ -665,13 +813,13 @@ WEIGHT_FAMILIES = [*SCALE_FAMILIES, ("const-power", (0.0,)), ("linear-power", (0
 
 
 @pytest.mark.parametrize("family, params", WEIGHT_FAMILIES)
-def test_admissible_weights_are_those_of_evaluate_batch_bit_for_bit(family, params):
+def test_admissible_weights_are_the_closed_forms_bit_for_bit(family, params):
     rng = np.random.default_rng(2027)
     for lam in (1e-3, 1.0, 37.5, 1e4):
         couple = FunctionCouple(family, lam, params)
         for size in (1, 2, 9, 64):
             xs = np.sort(lam * rng.uniform(1e-4, 1.0 - 1e-4, size))
-            got, want = couples.admissible_weights(couple, xs), couple.evaluate_batch(xs)
+            got, want = couples.admissible_weights(couple, xs), closed_form(couple, xs)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.shape == b.shape == (size,)
                 assert a.tobytes() == b.tobytes(), (family, params, lam, size)

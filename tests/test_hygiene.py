@@ -20,9 +20,10 @@ and the installed script runs it; ``os._exit`` is called once, in
 ``couples.py`` one points gate, the only reader of MAX_MEMBERSHIP_SAMPLES,
 and one domain test, the only text of the (0, lambda) refusal; and
 ``admissible_weights`` certifies through ``certify_on_samples``, the
-binding the benchmark's tracer wraps; and ``abstract.py`` takes every
-Hermitian and anti-self-adjoint defect from ``eigensolve.hermitian_defect``,
-computing none itself.
+binding the benchmark's tracer wraps, and is the one caller of
+``_weights``, so no weight leaves the module uncertified; and
+``abstract.py`` takes every Hermitian and anti-self-adjoint defect from
+``eigensolve.hermitian_defect``, computing none itself.
 References from tests do not count: a helper that only a test calls is dead
 code.  In tests/, every subprocess call that waits for its child passes
 ``timeout=``, and none starts a ``Popen``, so a hung child fails its test.
@@ -372,7 +373,8 @@ def test_only_the_cli_entry_skips_teardown_and_only_after_flushing():
 
 
 # couples.py: the gate every certificate reads its samples through, and the
-# test of the (0, lambda) domain that the gate and evaluate_batch call
+# test of the (0, lambda) domain that the gate and FunctionCouple's table
+# check call
 COUPLES_POINTS_GATE = "_points"
 COUPLES_DOMAIN_TEST = "_check_domain"
 DOMAIN_REFUSAL = "lie in (0, "
@@ -441,6 +443,26 @@ def test_admissible_weights_certifies_through_the_traced_binding():
     inlined = (_module_calls(defined[COUPLES_CERTIFICATE], defined) - {COUPLES_CERTIFICATE}) & set(direct)
     assert not inlined, f"{COUPLES_WEIGHTS} calls {sorted(inlined)} of the certificate itself"
     assert any(isinstance(node, ast.Attribute) and node.attr == "passed" for node in ast.walk(weights))
+
+
+# couples.py: the evaluation of f and g, which only the certified entry reads
+COUPLES_WEIGHT_SOURCE = "_weights"
+
+
+def test_weights_are_handed_out_only_after_the_certificate():
+    """Every reference to ``couples._weights`` in the package, bare or as an
+    attribute, is a call in ``admissible_weights``, which certifies first: no
+    other path hands out f and g that the certificate has not passed."""
+    found = []
+    for path in MODULES:
+        called = set()  # the callees seen so far: a call is visited before its callee
+        for node, function in _nodes_by_function(_tree(path)):
+            if isinstance(node, ast.Call):
+                called.add(node.func)
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                if (node.id if isinstance(node, ast.Name) else node.attr) == COUPLES_WEIGHT_SOURCE:
+                    found.append((path.name, function, node in called))
+    assert found == [("couples.py", COUPLES_WEIGHTS, True)], found
 
 
 # abstract.py: a Hermitian or skew defect is an abs (or norm) of M - M^H or
