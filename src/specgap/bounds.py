@@ -37,8 +37,8 @@ these kernels.  Four solver forms cover the bound entries:
 
 Certificate: an implicit root r is reported valid only if the original G - T
 or H changes sign across [r (1 - ROOT_TOL), r (1 + ROOT_TOL)].  Sums over the
-eigenvalues run in chunks of prefix lengths, so that no block holds more than
-CHUNK_FLOATS floats and memory stays bounded up to MAX_PREFIX_LEN.
+gaps z - lambda_i run in ``_gap_sums`` alone, in blocks of prefix lengths of at
+most CHUNK_FLOATS floats, so memory stays bounded up to MAX_PREFIX_LEN.
 
 One further entry is verify-only: it reports the slack of its inequality at a
 candidate z instead of a bound.  Each entry is declared once, as one row of
@@ -116,7 +116,6 @@ class BoundResult:
     valid: bool
 
 
-
 # ---------------------------------------------------------------------------
 # solver kernels: every prefix length at once
 # ---------------------------------------------------------------------------
@@ -140,16 +139,22 @@ class _Prefixes:
         return self.cum(self.lam**r)
 
 
-def _gaps(lam: np.ndarray, ks: np.ndarray, z: np.ndarray):
-    """Yield (rows, d) in chunks of at most CHUNK_FLOATS entries:
-    d[j, i] = z[rows][j] - lam[i] for i < ks[rows][j], and 0 beyond."""
-    step = min(CHUNK_ROWS, max(1, CHUNK_FLOATS // int(ks.max()))) if len(ks) else 1
-    for start in range(0, len(ks), step):
+def _gap_sums(lam: np.ndarray, ks: np.ndarray, z: np.ndarray, terms) -> np.ndarray:
+    """Row t: sum_{i<k} w_i phi_t(d_i), d_i = z_k - lambda_i, for every k and the
+    t-th pair (phi_t(d), w) that ``terms(d)`` yields (w None: unweighted), in
+    blocks d of at most CHUNK_ROWS rows and CHUNK_FLOATS entries, 0 past k.
+    A pair is summed before the next is asked for, so ``terms`` builds a later
+    phi in place of an earlier one: two block arrays freed per block would
+    make malloc hand them back to the system and fault them in again."""
+    step = min(CHUNK_ROWS, max(1, CHUNK_FLOATS // int(ks.max(initial=1))))
+    blocks = []
+    for start in range(0, max(len(ks), 1), step):
         rows = slice(start, start + step)
-        width = int(ks[rows].max())
+        width = int(ks[rows].max(initial=0))
         d = z[rows, None] - lam[:width]
         d[np.arange(width) >= ks[rows, None]] = 0.0
-        yield rows, d
+        blocks.append([phi.sum(axis=1) if w is None else phi @ w[:width] for phi, w in terms(d)])
+    return np.concatenate(blocks, axis=1)
 
 
 def _larger_root(a, b, c) -> np.ndarray:
@@ -169,13 +174,15 @@ def _larger_root(a, b, c) -> np.ndarray:
 def _G(lam, ks, z, w, slope: bool = False):
     """G(z) = sum_{i<k} w_i / (z - lambda_i) for z > lambda_k, and with
     ``slope`` also -G'(z) = sum_{i<k} w_i / (z - lambda_i)^2."""
-    G, Q = np.empty(len(ks)), np.empty(len(ks))
-    for rows, d in _gaps(lam, ks, z):
+
+    def terms(d):
         inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
-        G[rows] = inv @ w[: d.shape[1]]
-        if slope:
-            Q[rows] = (inv * inv) @ w[: d.shape[1]]
-    return (G, Q) if slope else G
+        yield inv, w
+        if slope:  # 1/d^2 in place of 1/d
+            yield np.multiply(inv, inv, out=inv), w
+
+    sums = _gap_sums(lam, ks, z, terms)
+    return sums if slope else sums[0]
 
 
 def _certify(f, lo, z):
@@ -224,31 +231,24 @@ class _Mixed(NamedTuple):
     wb: np.ndarray
 
 
-def _convex_H(form: _Mixed, lam, ks, z, slope: bool = False):
-    """The degree-1 H at z > lambda_k, and with ``slope`` also H'(z)."""
-    H, H1 = np.empty(len(ks)), np.empty(len(ks))
-    for rows, d in _gaps(lam, ks, z):
-        wa, wb = form.wa[: d.shape[1]], form.wb[: d.shape[1]]
+def _H(form: _Mixed, lam, ks, z, slope: bool = False):
+    """The original H of ``form`` at z >= lambda_k for every row; with ``slope`` also H' (degree 1)."""
+
+    def terms(d):
+        if form.degree == 2:
+            d2 = d * d
+            yield from ((d2, None), (d, form.wa), (d2, form.wb))
+            return
         s = np.sqrt(d)
-        A, B = s @ wa, s @ wb
-        g = np.sqrt(A * B)
-        H[rows] = d.sum(axis=1) - form.c * g
-        if slope:
-            half_inv = np.divide(0.5, s, out=np.zeros_like(s), where=s > 0.0)
-            H1[rows] = ks[rows] - form.c * ((half_inv @ wa) * B + A * (half_inv @ wb)) / (2.0 * g)
-    return (H, H1) if slope else H
+        yield from ((d, None), (s, form.wa), (s, form.wb))
+        if slope:  # 1/(2 sqrt(d)) in place of sqrt(d), 0 where sqrt(d) is 0
+            np.divide(0.5, s, out=s, where=s > 0.0)
+            yield from ((s, form.wa), (s, form.wb))
 
-
-def _H(form: _Mixed, lam, ks, z) -> np.ndarray:
-    """The original H of ``form`` at z >= lambda_k, for every row."""
-    if form.degree == 1:
-        return _convex_H(form, lam, ks, z)
-    H = np.empty(len(ks))
-    for rows, d in _gaps(lam, ks, z):
-        d2 = d * d
-        wa, wb = form.wa[: d.shape[1]], form.wb[: d.shape[1]]
-        H[rows] = d2.sum(axis=1) - form.c * np.sqrt((d @ wa) * (d2 @ wb))
-    return H
+    total, A, B, *dAB = _gap_sums(lam, ks, z, terms)
+    g = np.sqrt(A * B)
+    H = total - form.c * g
+    return (H, ks - form.c * (dAB[0] * B + A * dAB[1]) / (2.0 * g)) if slope else H
 
 
 def _convex_roots(p: _Prefixes, form: _Mixed, cap: np.ndarray):
@@ -260,19 +260,19 @@ def _convex_roots(p: _Prefixes, form: _Mixed, cap: np.ndarray):
     lo = p.last * (1.0 + LOWER_END_REL)
     z = np.maximum(cap, 2.0 * lo)
     iterations = np.zeros(len(ks), dtype=int)
-    H = _convex_H(form, lam, ks, z)
+    H = _H(form, lam, ks, z)
     for _ in range(MAX_CAP_DOUBLINGS):
         low = np.nonzero(H <= 0.0)[0]
         if not low.size:
             break
         z[low] *= 2.0
         iterations[low] += 1
-        H[low] = _convex_H(form, lam, ks[low], z[low])
+        H[low] = _H(form, lam, ks[low], z[low])
     capped = H > 0.0
     empty = np.zeros(len(ks), dtype=bool)
     active = np.nonzero(capped)[0]
     for _ in range(MAX_NEWTON):
-        H, H1 = _convex_H(form, lam, ks[active], z[active], slope=True)
+        H, H1 = _H(form, lam, ks[active], z[active], slope=True)
         za = z[active]
         above = H > 0.0
         gone = above & ((H1 <= 0.0) | (H + H1 * (lo[active] - za) > 0.0))
@@ -295,12 +295,12 @@ def _quartic_roots(p: _Prefixes, form: _Mixed):
     lambda_k, give the candidates; each is polished by Newton on P and kept
     only if H changes sign across it, largest candidate first."""
     lam, ks, last = p.lam, p.ks, p.last
-    m1, m2, a1, b1, b2 = (np.empty(len(ks)) for _ in range(5))
-    for rows, e in _gaps(lam, ks, last):  # e_i = lambda_k - lambda_i >= 0
-        wa, wb = form.wa[: e.shape[1]], form.wb[: e.shape[1]]
+
+    def moments(e):  # e_i = lambda_k - lambda_i >= 0
         e2 = e * e
-        m1[rows], m2[rows] = e.sum(axis=1), e2.sum(axis=1)
-        a1[rows], b1[rows], b2[rows] = e @ wa, e @ wb, e2 @ wb
+        return (e, None), (e2, None), (e, form.wa), (e, form.wb), (e2, form.wb)
+
+    m1, m2, a1, b1, b2 = _gap_sums(lam, ks, last, moments)
     k, a0, b0, c2 = p.k, p.cum(form.wa), p.cum(form.wb), form.c**2
     # S = k t^2 + 2 m1 t + m2,  X = a0 t + a1,  Y = b0 t^2 + 2 b1 t + b2
     coef = np.stack(

@@ -239,20 +239,15 @@ def _couple_heads(specs) -> tuple:
     return tuple((spec, json.dumps(spec.bind(1.0).describe()).rpartition("@")[0] + "@") for spec in specs)
 
 
-def _finite(x: float) -> str:
-    """A float as ``json_line`` writes it: 17 significant digits, or null."""
-    return format(x, ".17g") if math.isfinite(x) else "null"
-
-
 def _abstract_row(trial: int, couple_text: str, rep) -> str:
     """One ``verify abstract`` line from one template over the TheoremReport
     fields that ``verify_theorem`` sets: the bytes ``json_line`` writes for
     {"trial": trial, "couple": couple.describe()} followed by the fields in
     order, ``passed`` as "pass"."""
     return (
-        f'{{"trial":{trial},"couple":{couple_text},"k":{rep.k},"lhs":{_finite(rep.lhs)},'
-        f'"rhs":{_finite(rep.rhs)},"quad_coeff":{_finite(rep.quad_coeff)},"gap":{_finite(rep.gap)},'
-        f'"pass":{"true" if rep.passed else "false"},"z":{_finite(rep.z)},"slack":{_finite(rep.slack)}}}\n'
+        f'{{"trial":{trial},"couple":{couple_text},"k":{rep.k},"lhs":{_fmt_json(rep.lhs)},'
+        f'"rhs":{_fmt_json(rep.rhs)},"quad_coeff":{_fmt_json(rep.quad_coeff)},"gap":{_fmt_json(rep.gap)},'
+        f'"pass":{"true" if rep.passed else "false"},"z":{_fmt_json(rep.z)},"slack":{_fmt_json(rep.slack)}}}\n'
     )
 
 

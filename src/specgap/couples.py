@@ -143,8 +143,16 @@ class FunctionCouple:
             if not (xs.size and xs.size == fs.size == gs.size):
                 raise InputError("table arrays must be nonempty and of equal length")
             _check_domain(self.lam, xs)
+            bad = ~(np.isfinite(fs) & np.isfinite(gs))  # NaN would pass the positivity test
+            if bad.any():
+                i = bad.argmax()
+                raise InputError(f"tabulated f and g must be finite, got f = {fs[i]}, g = {gs[i]} at x = {xs[i]}")
             if np.any(fs <= 0) or np.any(gs <= 0):
                 raise InputError("tabulated f and g must be strictly positive")
+            lf, lg = _lookup((xs, fs, gs), xs)
+            shadowed = (lf != fs) | (lg != gs)  # rows the lookup never reads, with values of their own
+            if shadowed.any():
+                raise InputError(f"tabulated x = {xs[shadowed.argmax()]} has two rows with different f, g")
             for a in (xs, fs, gs):
                 a.setflags(write=False)
             object.__setattr__(self, "table", (xs, fs, gs))

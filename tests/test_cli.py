@@ -1122,6 +1122,44 @@ def test_couple_check_refuses_a_table_without_two_distinct_points(tmp_path, caps
     assert code == 2 and out == "" and err == "specgap: need at least 2 distinct sample points\n"
 
 
+@pytest.mark.parametrize(
+    "f, g", [("nan", "1"), ("inf", "1"), ("inf", "inf")], ids=["f-nan", "f-inf", "f-and-g-inf"]
+)
+def test_couple_check_refuses_a_table_with_a_non_finite_value(tmp_path, f, g):
+    # refused where the table is read, before any arithmetic can warn
+    table = tmp_path / "t.csv"
+    table.write_text(f"0.5,1,0.5\n0.2,{f},{g}\n0.7,0.5,0.25\n0.9,{f},1\n")
+    argv = ["-m", "specgap", "couple", "check", "--spec", f"tabulated:{table}@1"]
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=120)
+    want = f"specgap: tabulated f and g must be finite, got f = {f}, g = {float(g)} at x = 0.2\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want)
+
+
+def test_couple_check_refuses_rows_the_lookup_cannot_tell_apart(tmp_path, capsys):
+    # x = 0.1 twice, and 0.3 and 0.3 (1 + 5e-13): the lookup reads the first
+    # row of each, so a second with other values would be ignored
+    table = tmp_path / "t.csv"
+    cases = [
+        ("0.1,1,1\n0.1,2,1\n0.3,0.8,0.4\n", "0.1"),
+        ("0.1,1,1\n0.3,0.8,0.4\n0.30000000000015,0.8,0.5\n", "0.30000000000015"),
+    ]
+    for rows, x in cases:
+        table.write_text(rows)
+        code, out, err = run_cli(["couple", "check", "--spec", f"tabulated:{table}@1"], capsys)
+        assert (code, out, err) == (2, "", f"specgap: tabulated x = {x} has two rows with different f, g\n")
+
+
+def test_couple_check_takes_a_repeated_row_with_its_values(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text("0.1,1,1\n0.1,1,1\n0.3,0.8,0.4\n")
+    code, out, err = run_cli(["couple", "check", "--spec", f"tabulated:{table}@1"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (
+        f'{{"spec":"tabulated:{table}@1","lambda":1,"n_samples":3,"passed":true,"check":"pairwise",'
+        '"worst":-9.1904761904761934,"witness":null,"n_checked":2,"n_skipped":1,"g_nonincreasing":true}\n'
+    )
+
+
 def test_couple_check_malformed_exit_2(capsys):
     code, _, _ = run_cli(["couple", "check", "--spec", "foo:@"], capsys)
     assert code == 2

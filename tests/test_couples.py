@@ -135,6 +135,20 @@ def test_sorted_lookup_matches_the_scan_on_a_4096_row_table():
         np.testing.assert_array_equal(a, b)
 
 
+def test_tabulated_couple_refuses_rows_the_lookup_cannot_tell_apart():
+    # f numbers the rows: every repeat and every neighbour within 1e-12 has
+    # values of its own, which the lookup would never read
+    xs, fs, gs, base = _near_duplicate_table()
+    with pytest.raises(InputError, match="has two rows with different f, g"):
+        tabulated(1.0, xs, fs, gs)
+    # exact repeats with the same values, and neighbours 3e-12 apart with
+    # their own, are taken
+    xs = np.concatenate([base[:10], base[:10], base[:10] * (1 + 3e-12)])
+    fs = np.concatenate([np.arange(1.0, 11), np.arange(1.0, 11), np.arange(11.0, 21)])
+    couple = tabulated(1.0, xs, fs, np.ones(30))
+    assert np.array_equal(couples._lookup(couple.table, xs)[0], fs)
+
+
 def test_parameter_ranges_enforced():
     with pytest.raises(InputError):
         FunctionCouple("const-power", 1.0, (-0.5,))
@@ -314,15 +328,16 @@ def test_membership_fails_a_pair_whose_value_and_tolerance_are_infinite():
 def _block_candidates(n: int):
     """n seeded samples in (0, 1), repeated points among them once n is past
     about 10 (skipped pairs), and three couples: a power family, a table
-    that fails, and a table with infinite f (inf - inf: NaN pair values)."""
+    that fails, and a table with f = 1e200 at two points, whose squares
+    overflow (inf - inf: NaN pair values)."""
     rng = np.random.default_rng(7)
     xs = np.round(rng.uniform(0.01, 0.99, n), 2)
     ux = np.unique(xs)
     fs, gs = rng.uniform(0.1, 3.0, ux.size), np.sort(rng.uniform(0.1, 3.0, ux.size))[::-1]
-    infinite = fs.copy()
-    infinite[[0, ux.size // 2]] = np.inf
+    huge = fs.copy()
+    huge[[0, ux.size // 2]] = 1e200
     power = FunctionCouple("neg-power", 1.0, (-1.0, 1.0))
-    return xs, [power, tabulated(1.0, ux, fs, gs), tabulated(1.0, ux, infinite, gs)]
+    return xs, [power, tabulated(1.0, ux, fs, gs), tabulated(1.0, ux, huge, gs)]
 
 
 def _record_tables(monkeypatch) -> list:
@@ -341,7 +356,7 @@ def test_pairwise_report_does_not_depend_on_its_row_blocks(monkeypatch, pair_blo
     one-block report."""
     xs, candidates = _block_candidates(40)
     tables = _record_tables(monkeypatch)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         whole = [certify_on_samples(c, xs) for c in candidates]
         monkeypatch.setattr(couples, "_PAIR_BLOCK", pair_block)
         blocked = [certify_on_samples(c, xs) for c in candidates]
@@ -361,7 +376,7 @@ def test_pair_table_and_row_blocks_give_one_report(monkeypatch, n):
     assert couples._PAIR_TABLE_MAX == 64 and couples._PAIR_BLOCK == 2**18
     xs, candidates = _block_candidates(n)
     tables = _record_tables(monkeypatch)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         whole = [certify_on_samples(c, xs) for c in candidates]
         assert tables == ([n] * 3 if n <= 64 else [])
         for block in (1, n * n - 1, n * n):
@@ -447,18 +462,20 @@ def _certificate_cases():
 
 def _table_candidates(xs):
     """Tables on the distinct points of xs: one from equal-power:1.5 that
-    passes, one of random values that fails, and ones with an infinite f, an
-    infinite g, a NaN f and a NaN g."""
+    passes, one of random values that fails, and ones with f or g of 1e200
+    (overflow to inf and NaN pair values) or 1e-200 at two points.  Points
+    the lookup cannot tell apart (1e-15 apart) carry the values of the first,
+    the only ones the lookup reads."""
     rng = np.random.default_rng(xs.size)
     tx = np.unique(xs)
     u = 1.0 - tx
     fs, gs = rng.uniform(0.1, 3.0, tx.size), np.sort(rng.uniform(0.1, 3.0, tx.size))[::-1]
     tables = [(u**1.5, u**1.5), (fs, gs)]
-    for column, value in ((0, np.inf), (1, np.inf), (0, np.nan), (1, np.nan)):
+    for column, value in ((0, 1e200), (1, 1e200), (0, 1e-200), (1, 1e-200)):
         bad = [fs.copy(), gs.copy()]
         bad[column][[0, tx.size // 2]] = value
         tables.append(tuple(bad))
-    return [tabulated(1.0, tx, f, g) for f, g in tables]
+    return [tabulated(1.0, tx, *_scanned_lookup((tx, f, g), tx)) for f, g in tables]
 
 
 @pytest.mark.parametrize("pair_block", [couples._PAIR_BLOCK, 1], ids=["default-blocks", "one-row-blocks"])

@@ -23,7 +23,9 @@ and one domain test, the only text of the (0, lambda) refusal; and
 binding the benchmark's tracer wraps, and is the one caller of
 ``_weights``, so no weight leaves the module uncertified; and
 ``abstract.py`` takes every Hermitian and anti-self-adjoint defect from
-``eigensolve.hermitian_defect``, computing none itself.
+``eigensolve.hermitian_defect``, computing none itself; and in ``bounds.py``
+every matrix product and every read of CHUNK_ROWS and CHUNK_FLOATS lies in
+``_gap_sums``, the one loop over the prefix.
 References from tests do not count: a helper that only a test calls is dead
 code.  In tests/, every subprocess call that waits for its child passes
 ``timeout=``, and none starts a ``Popen``, so a hung child fails its test.
@@ -503,6 +505,34 @@ def test_abstract_takes_every_hermitian_defect_from_eigensolve():
     assert not stray, stray
     called = {_called_name(node) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert DEFECT_SOURCE in called
+
+
+# bounds.py: the one loop over the prefix, which alone forms and sums blocks
+BOUNDS_GAP_SUMS = "_gap_sums"
+BLOCK_NAMES = {"CHUNK_ROWS", "CHUNK_FLOATS"}
+PRODUCT_CALLS = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
+
+
+def test_bounds_sums_over_the_prefix_only_in_gap_sums():
+    """In ``bounds.py`` every matrix product (``@`` or a numpy product call)
+    and every read of CHUNK_ROWS and CHUNK_FLOATS lies in ``_gap_sums``, so no
+    kernel keeps a chunk loop of its own, and a bound on the rounding of
+    these sums has one place to go."""
+    stray, seen = [], set()
+    for node, function in _nodes_by_function(_tree(PACKAGE / "bounds.py")):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            found = "@"
+        elif isinstance(node, ast.Call) and _called_name(node) in PRODUCT_CALLS:
+            found = _called_name(node)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in BLOCK_NAMES:
+            found = node.id
+        else:
+            continue
+        seen.add(found)
+        if function != BOUNDS_GAP_SUMS:
+            stray.append(f"bounds.py:{node.lineno} in {function}: {found}")
+    assert not stray, stray
+    assert seen == {"@"} | BLOCK_NAMES, seen
 
 
 # the subprocess functions that wait for their child, and so take a timeout;

@@ -144,6 +144,53 @@ def test_convex_roots_double_a_cap_below_the_root():
     assert np.all(low_iterations >= iterations) and low_iterations.sum() > iterations.sum()
 
 
+# (CHUNK_ROWS, CHUNK_FLOATS): one row per block; one float (one row); at most
+# 50 floats (one row at k > 25); ragged blocks of 13 rows
+CHUNKINGS = [(1, 2**20), (3, 1), (7, 50), (13, 2**20)]
+
+
+@pytest.mark.parametrize("chunking", CHUNKINGS, ids=str)
+def test_margins_do_not_depend_on_the_gap_sum_blocks(monkeypatch, chunking):
+    # padding width moves the BLAS sums in the last bits, so not bit for bit
+    full = operators.box_spectrum((1.0, 1.37), 300).values
+    for problem, l in CASES:
+        prefix = SpectrumPrefix(full**l, n=2, l=l, problem=problem)
+        which = bounds.registry_names(problem, l)
+        want = bounds.verify_margins(prefix, which=which)
+        with monkeypatch.context() as m:
+            m.setattr(bounds, "CHUNK_ROWS", chunking[0])
+            m.setattr(bounds, "CHUNK_FLOATS", chunking[1])
+            got = bounds.verify_margins(prefix, which=which)
+        assert np.array_equal(got.valid, want.valid), (problem, l)
+        np.testing.assert_allclose(got.bound, want.bound, rtol=1e-13, atol=0.0, err_msg=f"{problem} l={l}")
+        squared = np.nonzero(want.squared)[0]
+        slack = np.abs(got.margin[:, squared] - want.margin[:, squared])
+        assert np.all(slack <= 1e-12 * want.z[:, None] ** 2), (problem, l, slack.max())
+
+
+@pytest.mark.parametrize("chunking", [(64, 2**20), *CHUNKINGS], ids=str)
+def test_gap_sums_are_the_per_row_sums(monkeypatch, chunking):
+    monkeypatch.setattr(bounds, "CHUNK_ROWS", chunking[0])
+    monkeypatch.setattr(bounds, "CHUNK_FLOATS", chunking[1])
+    lam = operators.box_spectrum((1.0, 1.37), 300).values
+    w = np.sqrt(lam)
+    ks = np.array([299, 1, 2, 150, 64, 65, 7, 298, 3, 100])  # in no order
+    z = lam[ks] * 1.01
+
+    def terms(d):
+        yield d, None
+        yield np.sqrt(d), w
+        yield d * d, w
+
+    got = bounds._gap_sums(lam, ks, z, terms)
+    assert got.shape == (3, ks.size)
+    for j, (k, zk) in enumerate(zip(ks, z)):
+        d = zk - lam[:k]
+        want = [math.fsum(d), math.fsum(np.sqrt(d) * w[:k]), math.fsum(d * d * w[:k])]
+        np.testing.assert_allclose(got[:, j], want, rtol=1e-13, atol=0.0, err_msg=f"k={k}")
+    assert bounds._gap_sums(lam, ks[:0], z[:0], terms).shape == (3, 0)
+
+
 def _peak_rss_mb(argv, cwd):
     """Peak RSS of ``python -m specgap argv``, read in a parent process of its own."""
     code = (
