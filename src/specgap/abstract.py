@@ -66,31 +66,30 @@ class OperatorTriple:
     """A finite-dimensional instance (A, {B_p}, {T_p}).
 
     A and every B_p Hermitian, every T_p anti-self-adjoint, all d x d.  The
-    B_p and the T_p are checked as two (n, d, d) stacks, one defect pass
-    each, and ``Bs`` and ``Ts`` are the stacks' matrices.  The verifiers'
-    spectral data is computed once from residual-checked eigenpairs of A,
-    for every family in one pass over the same stacks, and cached.
+    triple holds A and the two complex (n, d, d) stacks it checked, ``Bs``
+    and ``Ts``, one defect pass each.  It refuses, in this order: A not
+    square, unequal or zero counts of B and T, A not Hermitian, the first
+    pair of the wrong shape, the first p whose B_p (then T_p) fails.  The
+    verifiers' spectral data is computed once from residual-checked
+    eigenpairs of A, for every family in one pass over the stacks, and cached.
     """
 
     A: np.ndarray
-    Bs: tuple
-    Ts: tuple
+    Bs: np.ndarray
+    Ts: np.ndarray
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=complex)
-        Bs = [np.asarray(B, dtype=complex) for B in self.Bs]
-        Ts = [np.asarray(T, dtype=complex) for T in self.Ts]
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise InputError(f"A must be square, got {A.shape}")
-        if len(Bs) != len(Ts) or not Bs:
+        if len(self.Bs) != len(self.Ts) or not len(self.Bs):
             raise InputError("need equally many (at least one) B and T operators")
         d = A.shape[0]
         _require_hermitian(A, "A")
-        # the pairs before the first of the wrong shape are stacked; a defect
-        # among them is refused first, as a loop over the pairs would
-        wrong = (p for p, (B, T) in enumerate(zip(Bs, Ts)) if B.shape != (d, d) or T.shape != (d, d))
-        shaped = next(wrong, len(Bs))
-        B, T = (np.array(Ms[:shaped], dtype=complex).reshape(shaped, d, d) for Ms in (Bs, Ts))
+        for p, (B, T) in enumerate(zip(self.Bs, self.Ts)):
+            if np.shape(B) != (d, d) or np.shape(T) != (d, d):
+                raise InputError(f"operator pair {p} has wrong shape")
+        B, T = (np.array(Ms, dtype=complex) for Ms in (self.Bs, self.Ts))
         b_bad, t_bad = _defective(B), _defective(T, skew=True)
         bad = b_bad | t_bad
         if bad.any():
@@ -98,10 +97,7 @@ class OperatorTriple:
             if b_bad[p]:
                 raise InputError(f"B[{p}] is not Hermitian within 1e-13 * max|B|")
             raise InputError(f"T[{p}] is not anti-self-adjoint within 1e-13 * max|T|")
-        if shaped < len(Bs):
-            raise InputError(f"operator pair {shaped} has wrong shape")
-        self.A, self.Bs, self.Ts = A, tuple(B), tuple(T)
-        self._stacks = B, T
+        self.A, self.Bs, self.Ts = A, B, T
 
     @property
     def d(self) -> int:
@@ -110,7 +106,7 @@ class OperatorTriple:
     @cached_property
     def spectral(self) -> "SpectralData":
         eig = dense_symmetric_eig(self.A)
-        U, A, (B, T) = eig.eigenvectors, self.A, self._stacks
+        U, A, B, T = eig.eigenvectors, self.A, self.Bs, self.Ts
         BU = B @ U
         tb = np.real(np.sum(np.conj(U) * ((T @ B - B @ T) @ U), axis=1))
         ab = np.real(np.sum(np.conj(BU) * ((A @ B - B @ A) @ U), axis=1))
@@ -241,6 +237,8 @@ def random_instance(d: int, n: int, seed: int, ensemble: str = "dense-gaussian")
     """
     if not (d >= 2 and n >= 1):
         raise InputError(f"need d >= 2 and n >= 1, got d={d}, n={n}")
+    if seed < 0:  # SeedSequence takes no negative entropy
+        raise InputError(f"need seed >= 0, got seed={seed}")
     if d > DENSE_DIM_CAP:
         raise InputError(f"dimension {d} exceeds the dense cap {DENSE_DIM_CAP}")
     # no triple holds more entries than A, B and T at the dense cap
@@ -259,12 +257,12 @@ def random_instance(d: int, n: int, seed: int, ensemble: str = "dense-gaussian")
 
     if ensemble == "commuting-diagnostic":
         A = np.diag(np.sort(rng.uniform(0.5, 4.0, size=d))).astype(complex)
-        Bs = tuple(np.diag(rng.standard_normal(d)).astype(complex) for _ in range(n))
+        Bs = [np.diag(rng.standard_normal(d)).astype(complex) for _ in range(n)]
         Ts = []
         for _ in range(n):
             N = gaussian((d, d))
             Ts.append((N - N.conj().T) / 2.0)
-        return OperatorTriple(A, Bs, tuple(Ts))
+        return OperatorTriple(A, Bs, Ts)
 
     M = gaussian((d, d))
     if ensemble == "sparse":
@@ -283,7 +281,7 @@ def random_instance(d: int, n: int, seed: int, ensemble: str = "dense-gaussian")
             Nt = Nt * (rng.uniform(size=(d, d)) < 0.3)
         Bs.append((Mb + Mb.conj().T) / 2.0)
         Ts.append((Nt - Nt.conj().T) / 2.0)
-    return OperatorTriple(A, tuple(Bs), tuple(Ts))
+    return OperatorTriple(A, Bs, Ts)
 
 
 def admissible_ks(triple: OperatorTriple, min_gap_rel: float = 1e-6) -> list[int]:

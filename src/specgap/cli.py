@@ -138,6 +138,15 @@ def _finite_nonnegative(args, name: str, default: float) -> float:
     return value
 
 
+def _seed(args) -> int:
+    """--seed, 0 when unset; a negative seed is refused, as numpy's seeding
+    refuses it."""
+    seed = int(args.seed if args.seed is not None else 0)
+    if seed < 0:
+        raise SpecgapError(f"--seed must be >= 0, got {seed}")
+    return seed
+
+
 def _load_eigs(path: str) -> tuple[np.ndarray, dict]:
     try:
         with open(path) as fh:
@@ -272,14 +281,16 @@ def cmd_verify_abstract(args) -> int:
         raise SpecgapError(f"--trials must be at least 1, got {trials}")
     dim = int(_need(args, "dim"))
     nops = int(_need(args, "nops"))
-    seed = int(args.seed if args.seed is not None else 0)
+    seed = _seed(args)
     ensemble = args.ensemble or "dense-gaussian"
     if ensemble not in abstract.ENSEMBLES:
         raise SpecgapError(f"unknown --ensemble {ensemble!r} ({'|'.join(abstract.ENSEMBLES)})")
     workers = int(args.workers if args.workers is not None else 1)
     if workers < 1:
         raise SpecgapError(f"--workers must be at least 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1)
+    # the CPUs this process may run on, not the machine's count
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, cpus)
     min_gap = _finite_nonnegative(args, "min-gap", 1e-6)
     couple_texts = args.couple or ["equal-power:2"]
     specs = tuple(couples.parse_couple_spec(text) for text in couple_texts)
@@ -379,7 +390,7 @@ def cmd_couple(args) -> int:
             raise SpecgapError("need at least 2 samples")
         if m > couples.MAX_MEMBERSHIP_SAMPLES:  # refused before the draw allocates m floats
             raise SpecgapError(f"{m} samples exceed the cap of {couples.MAX_MEMBERSHIP_SAMPLES}")
-        rng = np.random.default_rng(int(args.seed if args.seed is not None else 0))
+        rng = np.random.default_rng(_seed(args))
         samples = lam * rng.uniform(1e-6, 1.0 - 1e-6, size=m)
     report = couples.certify_on_samples(couple, samples)
     if np.ptp(samples) == 0:  # a certificate with no pair to check certifies nothing
@@ -437,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_va.add_argument("--couple", action="append", help="couple spec (repeatable)")
     p_va.add_argument("--seed", type=int)
     p_va.add_argument("--ensemble", help="random matrix ensemble (default dense-gaussian)")
-    p_va.add_argument("--workers", type=int, help="worker processes, >= 1; capped at the CPU count")
+    p_va.add_argument("--workers", type=int, help="worker processes, >= 1; capped at the CPUs this process may use")
     p_va.add_argument("--min-gap", dest="min_gap", type=float)
     p_va.add_argument("--out")
     p_va.set_defaults(func=cmd_verify_abstract)

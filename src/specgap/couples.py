@@ -113,7 +113,8 @@ def _validate_params(family: str, params: tuple) -> None:
     if family not in _POWER_FAMILIES:
         raise InputError(f"unknown couple family {family!r}; known: {FAMILIES}")
     count, _, admissible, needs = _POWER_FAMILIES[family]
-    if len(params) != count or not admissible(*params):
+    # inf would pass a one-sided range test; NaN fails every one
+    if len(params) != count or not all(map(math.isfinite, params)) or not admissible(*params):
         raise InputError(f"{family} needs {needs}, got {params}")
 
 

@@ -427,9 +427,9 @@ def test_moment_rejects_bad_exponents():
 def test_random_instance_deterministic():
     a = random_instance(8, 3, seed=42)
     b = random_instance(8, 3, seed=42)
-    assert np.array_equal(a.A, b.A)
-    for x, y in zip(a.Bs + a.Ts, b.Bs + b.Ts):
-        assert np.array_equal(x, y)
+    for name in ("A", "Bs", "Ts"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.Bs.shape == a.Ts.shape == (3, 8, 8)
     c = random_instance(8, 3, seed=43)
     assert not np.array_equal(a.A, c.A)
 
@@ -457,6 +457,12 @@ def test_random_instance_refuses_bad_sizes_and_ensembles(d, n, ensemble, refusal
         random_instance(d, n, seed=0, ensemble=ensemble)
 
 
+def test_random_instance_refuses_a_negative_seed():
+    # numpy's SeedSequence would raise a bare ValueError
+    with pytest.raises(InputError, match="^need seed >= 0, got seed=-1$"):
+        random_instance(4, 2, seed=-1)
+
+
 def test_random_instance_positive_spectrum():
     t = random_instance(12, 3, seed=9)
     assert np.linalg.eigvalsh(t.A)[0] > 0
@@ -478,8 +484,9 @@ def test_operator_triple_rejects_non_hermitian():
 
 
 def _looped_refusal(A, Bs, Ts):
-    """The refusal of a loop over the matrices one at a time, each within
-    1e-13 * its own max|M|, or None: the oracle of the stacked checks."""
+    """The refusal of loops over the matrices one at a time, each defect
+    within 1e-13 * its own max|M|, or None: the oracle of the stacked checks.
+    Every pair's shape is checked before any pair's defects."""
     A = np.asarray(A, dtype=complex)
     Bs = [np.asarray(B, dtype=complex) for B in Bs]
     Ts = [np.asarray(T, dtype=complex) for T in Ts]
@@ -496,6 +503,7 @@ def _looped_refusal(A, Bs, Ts):
     for p, (B, T) in enumerate(zip(Bs, Ts)):
         if B.shape != A.shape or T.shape != A.shape:
             return f"operator pair {p} has wrong shape"
+    for p, (B, T) in enumerate(zip(Bs, Ts)):
         if defective(B, 1):
             return f"B[{p}] is not Hermitian within 1e-13 * max|B|"
         if defective(T, -1):
@@ -503,11 +511,11 @@ def _looped_refusal(A, Bs, Ts):
     return None
 
 
-def test_stacked_checks_refuse_as_the_loop_over_matrices():
+def test_stacked_checks_refuse_shapes_before_defects():
     # every A and every one to three pairs drawn from good, non-Hermitian B,
     # non-skew T and wrong-shaped operators, each also with one T too few:
-    # the first refusal in the order A square, count, A Hermitian, then per
-    # pair its shape, B[p] and T[p]
+    # the first refusal in the order A square, count, A Hermitian, the first
+    # pair of the wrong shape, then per pair B[p] and T[p]
     good = random_instance(4, 1, seed=12)
     A, B, T = good.A, good.Bs[0], good.Ts[0]
     tilted = np.zeros((4, 4), dtype=complex)
@@ -524,9 +532,9 @@ def test_stacked_checks_refuse_as_the_loop_over_matrices():
             want = _looped_refusal(a, Bs, Ts)
             if want is None:
                 triple = OperatorTriple(a, tuple(Bs), tuple(Ts))
-                assert isinstance(triple.Bs, tuple) and isinstance(triple.Ts, tuple)
-                for got, given in zip(triple.Bs + triple.Ts, Bs + Ts):
-                    assert np.array_equal(got, given)
+                for got, given in ((triple.Bs, Bs), (triple.Ts, Ts)):
+                    assert got.dtype == complex and got.shape == (len(ps), 4, 4)
+                    assert np.array_equal(got, np.array(given))
                 continue
             with pytest.raises(InputError) as raised:
                 OperatorTriple(a, tuple(Bs), tuple(Ts))
@@ -535,6 +543,9 @@ def test_stacked_checks_refuse_as_the_loop_over_matrices():
     pairs_refused = {f"{name}[{p}]" for name in "BT" for p in range(3)} | {f"operator pair {p}" for p in range(3)}
     assert refused == {"A must be square, got (4, 5)", "A", *pairs_refused,
                        "need equally many (at least one) B and T operators"}  # fmt: skip
+    # a defect in an earlier pair than a wrong shape: the shape is refused
+    with pytest.raises(InputError, match="^operator pair 1 has wrong shape$"):
+        OperatorTriple(A, (B + tilted, wrong), (T, T))
 
 
 @pytest.mark.parametrize("family", ["B", "T"])

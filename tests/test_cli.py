@@ -953,17 +953,40 @@ def test_verify_abstract_workers_capped_at_cpu_count(monkeypatch, capsys):
     argv = ["verify", "abstract", "--trials", "3", "--dim", "4", "--nops", "1", "--seed", "2"]
     _, serial, _ = run_cli(argv + ["--workers", "1"], capsys)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     code, pooled, _ = run_cli(argv + ["--workers", "100000"], capsys)
     assert code == 0 and pooled == serial
     assert pools == ([cpus] if cpus > 1 else [])
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    for workers in ("3", "100000"):
-        pools.clear()
-        code, pooled, _ = run_cli(argv + ["--workers", workers], capsys)
-        assert code == 0
-        assert pools == [2]
-        assert pooled == serial
+    # the cap is the CPUs this process may use, not the machine's count; the
+    # machine's count only where the platform cannot tell the first
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    for affinity in (True, False):
+        if not affinity:
+            monkeypatch.delattr(cli.os, "sched_getaffinity")
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        for workers in ("3", "100000"):
+            pools.clear()
+            code, pooled, _ = run_cli(argv + ["--workers", workers], capsys)
+            assert code == 0
+            assert pools == [2]
+            assert pooled == serial
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "abstract", "--trials", "2", "--dim", "4", "--nops", "1", "--seed", "-1", "--workers", "1"],
+        ["verify", "abstract", "--trials", "2", "--dim", "4", "--nops", "1", "--seed", "-1", "--workers", "2"],
+        ["verify", "abstract", "--trials", "3", "--dim", "4", "--nops", "1", "--seed", "-2"],
+        ["couple", "check", "--spec", "equal-power:2@10", "--seed", "-1"],
+    ],
+    ids=["abstract-workers-1", "abstract-workers-2", "abstract-seed-2", "couple-check"],
+)
+def test_a_negative_seed_exit_2(capsys, argv):
+    # numpy's seeding refuses it with a ValueError, in a worker too
+    seed = argv[argv.index("--seed") + 1]
+    assert_one_line_usage_error(*run_cli(argv, capsys), f"--seed must be >= 0, got {seed}")
 
 
 def test_verify_abstract_streams_trials_in_bounded_memory():
@@ -1160,6 +1183,20 @@ def test_couple_check_takes_a_repeated_row_with_its_values(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "spec, refusal",
+    [
+        ("const-power:inf", "const-power needs one parameter alpha >= 0, got (inf,)"),
+        ("linear-power:inf@3", "linear-power needs one parameter beta >= 1/2, got (inf,)"),
+    ],
+    ids=["const-power", "linear-power"],
+)
+def test_couple_check_refuses_a_non_finite_parameter(capsys, spec, refusal):
+    # inf passes the one-sided range test, and was refused only later as a
+    # couple that is not positive on the samples
+    assert run_cli(["couple", "check", "--spec", spec], capsys) == (2, "", f"specgap: {refusal}\n")
+
+
 def test_couple_check_malformed_exit_2(capsys):
     code, _, _ = run_cli(["couple", "check", "--spec", "foo:@"], capsys)
     assert code == 2
@@ -1200,6 +1237,46 @@ def test_couple_check_passes_admissible_boundary_couples(capsys, spec, samples):
     code, out, _ = run_cli(["couple", "check", "--spec", spec, "--samples", samples], capsys)
     row = json.loads(out)
     assert code == 0 and row["passed"] is True, row
+
+
+# ---------------------------------------------------------------------------
+# every numeric flag at the edges of its type
+# ---------------------------------------------------------------------------
+
+
+def test_every_numeric_flag_ends_in_an_exit_code(tmp_path, capsys):
+    # each numeric flag of each subcommand at -1, 0, NaN, +-inf and a value
+    # that overflows a float, the other flags at a small valid value: every
+    # run ends in exit 0, 1 or 2, or in argparse's exit 2, never in an
+    # exception.  --workers takes only values that start no process, and no
+    # value asks for large work.
+    eigs = str(tmp_path / "box.csv")
+    assert cli.main(["spectrum", "box", "--dims", "1,1.37", "--count", "12", "--out", eigs]) == 0
+    commands = [
+        (["spectrum", "box"], {"dims": "1,1", "count": "4"}),
+        (["spectrum", "fd", "--problem", "laplacian"], {"dims": "1,1", "grid": "6,6", "power": "1", "count": "3"}),
+        (["spectrum", "fd", "--problem", "clamped"], {"dims": "1,1", "grid": "6,6", "count": "3"}),
+        (["spectrum", "fd", "--problem", "kohn"], {"dims": "1,1,1", "grid": "4,4,4", "power": "1", "count": "3"}),
+        (["bound", "--ineq", "all", "--eigs", eigs], {"n": "2", "l": "1", "k": "4"}),
+        (["verify", "abstract"],
+         {"trials": "2", "dim": "4", "nops": "1", "seed": "3", "workers": "1", "min-gap": "1e-6"}),
+        (["verify", "spectrum", "--eigs", eigs], {"n": "2", "l": "1", "slack": "1e-3"}),
+        (["couple", "check", "--spec", "equal-power:2@10"], {"samples": "8", "seed": "0"}),
+    ]  # fmt: skip
+    runs = 0
+    for words, flags in commands:
+        for flag in flags:
+            values = ("-1", "0") if flag == "workers" else ("-1", "0", "nan", "inf", "-inf", "1e400")
+            for value in values:
+                argv = words + [f"--{name}={value if name == flag else base}" for name, base in flags.items()]
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse refused the value
+                    code = exc.code
+                capsys.readouterr()
+                assert code in (0, 1, 2), argv
+                runs += 1
+    assert runs == 158
 
 
 # ---------------------------------------------------------------------------

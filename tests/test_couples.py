@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,6 +160,94 @@ def test_parameter_ranges_enforced():
     with pytest.raises(InputError):
         FunctionCouple("neg-power", 1.0, (-2.0, 1.0))  # alpha^2 > beta
     FunctionCouple("neg-power", 1.0, (-1.0, 1.0))  # boundary case is legal
+
+
+# ---------------------------------------------------------------------------
+# the power ranges, exactly: one inequality in one ratio
+# ---------------------------------------------------------------------------
+
+# f, g = u^ef, u^eg as each family declares them (u = lambda - x)
+POWER_FORMS = {
+    "const-power": lambda a: (Fraction(0), a),
+    "linear-power": lambda b: (Fraction(1), b),
+    "equal-power": lambda d: (d, d),
+    "neg-power": lambda a, b: (a, b),
+}
+# ratios s in (0, 1): a uniform grid, and runs towards 0 and towards 1
+RATIO_GRID = (
+    [Fraction(j, 64) for j in range(1, 64)]
+    + [Fraction(1, 2**m) for m in range(7, 31)]
+    + [1 - Fraction(1, 2**m) for m in range(7, 41)]
+)
+
+
+def _Q(ef, eg, s):
+    """Q(r) = A(r)^2 - (1 + r^(2ef-eg-1)) B(r), A(r) = (1 - r^ef)/(1 - r),
+    B(r) = (1 - r^eg)/(1 - r), in exact rationals at r = s^m, with m the
+    least integer that makes every power of r an integer power of s.  At
+    two points whose distances to lambda are u and r u, the couple's
+    pairwise condition reads u^(2ef-2) Q(r) <= 0."""
+    m = math.lcm(ef.denominator, eg.denominator)
+
+    def power(e):  # r^e
+        return s ** int(e * m)
+
+    r = power(1)
+    A = (1 - power(ef)) / (1 - r)
+    B = (1 - power(eg)) / (1 - r)
+    return A**2 - (1 + power(2 * ef - eg - 1)) * B
+
+
+def _Q_on_the_grid(family, params):
+    params = tuple(Fraction(p) for p in params)
+    ef, eg = POWER_FORMS[family](*params)
+    return [_Q(ef, eg, s) for s in RATIO_GRID]
+
+
+@pytest.mark.parametrize("family, params", [("equal-power", (2,)), ("linear-power", (Fraction(1, 2),))],
+                         ids=["equal-power:2", "linear-power:1/2"])  # fmt: skip
+def test_power_range_boundaries_where_q_vanishes(family, params):
+    # the equality couples COND_TOL_REL exists for: Q is 0 for every ratio
+    assert FunctionCouple(family, 1.0, params).power_exponents() == POWER_FORMS[family](*params)
+    assert set(_Q_on_the_grid(family, params)) == {0}
+
+
+F = Fraction
+ADMITTED_POWERS = [
+    ("const-power", (0,)), ("const-power", (F(1, 16),)), ("const-power", (1,)), ("const-power", (4,)),
+    ("linear-power", (F(1, 2),)), ("linear-power", (F(9, 16),)), ("linear-power", (1,)), ("linear-power", (4,)),
+    ("equal-power", (2,)), ("equal-power", (F(31, 16),)), ("equal-power", (1,)), ("equal-power", (F(1, 16),)),
+    ("neg-power", (-1, 1)), ("neg-power", (F(-1, 16), 1)), ("neg-power", (-2, 4)), ("neg-power", (F(-1, 2), 2)),
+    ("neg-power", (F(-3, 2), F(9, 4))),
+]  # fmt: skip
+
+
+def _ids(cases):
+    return [f"{family}:{','.join(map(str, params))}" for family, params in cases]
+
+
+@pytest.mark.parametrize("family, params", ADMITTED_POWERS, ids=_ids(ADMITTED_POWERS))
+def test_power_ranges_keep_q_nonpositive_on_and_inside_their_boundaries(family, params):
+    # on each boundary of each range and just inside it: the parser admits
+    # the parameters, with the exponents of the test's forms, and Q <= 0
+    spec = parse_couple_spec(f"{family}:{','.join(str(float(p)) for p in params)}@1")
+    assert spec.bind(1.0).power_exponents() == POWER_FORMS[family](*params)
+    assert max(_Q_on_the_grid(family, params)) <= 0
+
+
+OUTSIDE_POWERS = [("const-power", (F(-1, 16),)), ("linear-power", (F(7, 16),)), ("equal-power", (F(33, 16),))]
+
+
+@pytest.mark.parametrize("family, params", OUTSIDE_POWERS, ids=_ids(OUTSIDE_POWERS))
+def test_power_ranges_are_sharp_at_alpha_0_beta_half_and_delta_2(family, params):
+    # just outside: Q(1-) = ef^2 - 2 eg > 0, so Q > 0 near r = 1, and the
+    # parser refuses the parameters.  The neg-power range alpha^2 <= beta is
+    # sufficient, not sharp, and is not tested here.
+    with pytest.raises(InputError, match=f"^{family} needs"):
+        parse_couple_spec(f"{family}:{float(params[0])}@1")
+    ef, eg = POWER_FORMS[family](*params)
+    assert ef**2 - 2 * eg > 0
+    assert max(_Q_on_the_grid(family, params)) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -777,6 +866,9 @@ REFUSED_PARAMS = [
     ("equal-power", "0"), ("equal-power", "2.5"), ("equal-power", "nan"),
     ("neg-power", "-1"), ("neg-power", "1,1"), ("neg-power", "-2,3"), ("neg-power", "-1,0.5"),
     ("neg-power", "-1,1,1"), ("neg-power", "nan,1"),
+    # and each family at an infinite value, which a one-sided range test takes
+    ("const-power", "inf"), ("linear-power", "inf"), ("equal-power", "-inf"), ("neg-power", "-1,inf"),
+    ("neg-power", "-inf,inf"),
 ]  # fmt: skip
 
 
