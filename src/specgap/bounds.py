@@ -58,23 +58,25 @@ polyharmonic family (any l), and the Kohn Laplacian on a Heisenberg box
 combinatorial constants c1(n, l) and c2(n, l) evaluated in exact rational
 arithmetic).
 
-Twelve l = 1 and l = 2 rows are general rows at that l, and share their
-recipe:
+Three inequalities hold for the Euclidean and the Kohn powers alike, over a
+weight W_i = a lambda_i^((l-1)/l) + c (lambda_i + lambda_i^((l-2)/l)):
 
-* ppw-laplacian, ppw-clamped-sharp          -- ppw-poly at l = 1, 2;
-* hp-laplacian, hook-chenqian-clamped       -- hp-poly at l = 1, 2;
-* hp-weak-clamped                           -- hp-weak-poly at l = 2;
-* chengyang-clamped                         -- wucao-poly at l = 2 (with its
-                                               own cap entries);
-* yang1-laplacian                           -- cim-yang-poly at l = 1;
-* kohn-yang-l1, niuzhang-l1                 -- kohn-yang-odd-l, niuzhang-odd
-                                               at l = 1;
-* kohn-yang-l2, niuzhang-l2, kohn-chengyang-l2
-                                            -- kohn-yang-even-l, niuzhang-even,
-                                               kohn-even-l at l = 2.
+* PPW (Niu-Zhang), closed, lambda_k + S(1/l) sum W / (n k)^2:
+  ppw-laplacian, ppw-clamped-sharp, ppw-poly, niuzhang-l1, -l2, -odd, -even;
+* Yang (Kohn-Yang), quadratic, sum d^2 <= sum w d, w = lambda^(1/l) W / n^2:
+  yang1-laplacian, cim-yang-poly, kohn-yang-l1, -l2, -odd-l, -even-l;
+* squared CIM (Kohn Cheng-Yang), degree 2 with (c, wa, wb) = (1/n,
+  lambda^(1/l), W): cim-squared-poly (verify-only; check_general_poly at
+  f = g = (z - x)^2), kohn-chengyang-l2, kohn-odd-l, kohn-even-l,
+  kohn-odd-l-homog.
 
-The Kohn ones rest on c1(n, 1) = c2(n, 2) = 0: the double sum defining both
-constants is empty for l <= 2.
+(a, c) is (4l(2l+n-2), 0) for the Euclidean problem; for the Kohn one
+(2l(n+l-1), c1(n, l)) at odd l, (2ln + 4(l-1) + c2(n, l), 0) at even l, and
+(2l(n+l-1) + c1(n, l), 0) homogenized (kohn-odd-l-homog).  Each inequality
+has one recipe per weight, which its rows share: Kohn parity lives in the
+weight, and c1(n, 1) = c2(n, 2) = 0 (the double sum defining both is empty
+for l <= 2).  hp-laplacian and hook-chenqian-clamped share hp-poly's recipe,
+hp-weak-clamped hp-weak-poly's and chengyang-clamped wucao-poly's.
 
 Every bound scales with the spectrum, bound(s lambda) = s bound(lambda),
 except kohn-odd-l, kohn-yang-odd-l and niuzhang-odd at odd l >= 3, whose
@@ -84,14 +86,14 @@ c1(n, l) terms add two powers of lambda a factor lambda^(2/l) apart.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import couples as _couples
 from .errors import InputError
 from .operators import EUCLIDEAN, HEISENBERG, MAX_PREFIX_LEN, SpectrumPrefix
 
@@ -355,14 +357,15 @@ def _quartic_roots(p: _Prefixes, form: _Mixed):
 
 def _c_inner_sum(n: int, m: int, even_from: int) -> Fraction:
     """sum over s <= m of 2^s binom(m, s) / (2n-1)^(ceil(s/2)), with an extra
-    factor n on odd s; the even part starts at s = even_from (0 or 2)."""
-    total = Fraction(0)
-    base = 2 * n - 1
-    for s in range(1, m + 1, 2):
-        total += Fraction(2**s * n * math.comb(m, s), base ** ((s + 1) // 2))
-    for s in range(even_from, m + 1, 2):
-        total += Fraction(2**s * math.comb(m, s), base ** (s // 2))
-    return total
+    factor n on odd s; the even part starts at s = even_from (0 or 2).  The
+    terms are summed as integers over the common denominator (2n-1)^ceil(m/2)."""
+    base, top = 2 * n - 1, (m + 1) // 2
+    numerator = sum(
+        2**s * math.comb(m, s) * (n if s % 2 else 1) * base ** (top - (s + 1) // 2)
+        for s in range(m + 1)
+        if s % 2 or s >= even_from
+    )
+    return Fraction(numerator, base**top)
 
 
 @lru_cache(maxsize=None)
@@ -370,16 +373,17 @@ def _kohn_c(n: int, l: int) -> float:
     """c1(n, l) for odd l, c2(n, l) for even l: the double sum over q, r >= 1
     with q + r < l of the inner sums at m = l - q - r, times 2 for odd l
     (even part from s = 2) and 4 for even l (from s = 0); c1(n, 3) = 4
-    exactly.  For l <= 2 the double sum is empty, so 0: the Kohn recipes then
-    give the l = 1 and l = 2 bounds."""
+    exactly.  Each m comes l - m - 1 times; a partial sum over increasing m
+    above the largest float is refused.  For l <= 2 the sum is empty, so 0."""
     if l == 3:
         return 4.0
     odd = l % 2 == 1
     total = Fraction(0)
-    for q in range(1, l - 1):
-        for r in range(1, l - q):
-            total += _c_inner_sum(n, l - q - r, even_from=2 if odd else 0)
-    return float((2 if odd else 4) * total)
+    for m in range(1, l - 1):
+        total += (2 if odd else 4) * (l - m - 1) * _c_inner_sum(n, m, even_from=2 if odd else 0)
+        if total > sys.float_info.max:
+            raise InputError(f"c{1 if odd else 2}({n}, {l}) exceeds the largest float; no Kohn bound at this n and l")
+    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +439,55 @@ class BoundDescriptor:
         return problem == self.problem and self.applies_l(l)
 
 
-# --- closed forms -----------------------------------------------------------
+# --- the three shared inequalities, each over a weight (module docstring) ---
+
+
+def _euclidean(n, l):
+    return 4.0 * l * (2 * l + n - 2), 0.0
+
+
+def _kohn(n, l):
+    if l % 2:
+        return 2.0 * l * (n + l - 1), _kohn_c(n, l)
+    return 2.0 * l * n + 4.0 * (l - 1) + _kohn_c(n, l), 0.0
+
+
+def _kohn_homogenized(n, l):
+    a, c1 = _kohn(n, l)
+    return a + c1, 0.0
+
+
+def _ppw(p, n, l, W):
+    return p.last + p.S(1.0 / l) * p.cum(W) / (n * n * p.k * p.k)
+
+
+def _yang(p, n, l, W):
+    """(B, C) of k z^2 - B z + C <= 0 from sum d^2 <= sum w d:  B = 2 S1 + sum w, C = S2 + sum w lam."""
+    w = p.lam ** (1.0 / l) * W / (n * n)
+    return 2.0 * p.S(1) + p.cum(w), p.S(2) + p.cum(w * p.lam)
+
+
+def _squared_cim(p, n, l, W):
+    return _Mixed(2, 1.0 / n, p.lam ** (1.0 / l), W)
+
+
+def _weighted(shape, weight, p, n, l):
+    """The recipe of ``shape`` over the weight W whose (a, c) is ``weight(n, l)``."""
+    a, c = weight(n, l)
+    lam = p.lam
+    return shape(p, n, l, a * lam ** ((l - 1.0) / l) + c * (lam + lam ** ((l - 2.0) / l)))
+
+
+_ppw_euclidean = partial(_weighted, _ppw, _euclidean)
+_ppw_kohn = partial(_weighted, _ppw, _kohn)
+_yang_euclidean = partial(_weighted, _yang, _euclidean)
+_yang_kohn = partial(_weighted, _yang, _kohn)
+_squared_cim_euclidean = partial(_weighted, _squared_cim, _euclidean)
+_squared_cim_kohn = partial(_weighted, _squared_cim, _kohn)
+_squared_cim_kohn_homogenized = partial(_weighted, _squared_cim, _kohn_homogenized)
+
+
+# --- the recipes of the ten other rows --------------------------------------
 
 
 def _yang2_laplacian(p, n, l):
@@ -444,50 +496,6 @@ def _yang2_laplacian(p, n, l):
 
 def _ppw_clamped(p, n, l):
     return p.last + 8.0 * (n + 2) * p.S(1) / (n * n * p.k)
-
-
-def _ppw_poly(p, n, l):
-    coef = 4.0 * l * (2 * l + n - 2) / (n * n * p.k * p.k)
-    return p.last + coef * p.S(1.0 / l) * p.S((l - 1.0) / l)
-
-
-def _niuzhang_odd(p, n, l):
-    c1 = _kohn_c(n, l)
-    bracket = 2.0 * l * (n + l - 1) * p.S((l - 1.0) / l) + c1 * (p.S(1) + p.S((l - 2.0) / l))
-    return p.last + p.S(1.0 / l) * bracket / (n * n * p.k * p.k)
-
-
-def _niuzhang_even(p, n, l):
-    c2 = _kohn_c(n, l)
-    bracket = (2.0 * l * n + 4.0 * (l - 1) + c2) * p.S((l - 1.0) / l)
-    return p.last + p.S(1.0 / l) * bracket / (n * n * p.k * p.k)
-
-
-# --- quadratic forms:  sum (z-lam)^2 <= sum w_i (z-lam_i)  ------------------
-# normal form k z^2 - B z + C <= 0 with B = 2 S1 + sum w_i,
-# C = S2 + sum w_i lam_i; for constant-C inequalities w_i = C_const * lam_i.
-
-
-def _quad_constant(p, C):
-    return (2.0 + C) * p.S(1), (1.0 + C) * p.S(2)
-
-
-def _cim_yang_poly(p, n, l):
-    return _quad_constant(p, 4.0 * l * (2 * l + n - 2) / (n * n))
-
-
-def _kohn_yang_odd(p, n, l):
-    c1 = _kohn_c(n, l)
-    lam = p.lam
-    w = (2.0 * l * (n + l - 1) * lam + c1 * (lam ** ((l + 1.0) / l) + lam ** ((l - 1.0) / l))) / (n * n)
-    return 2.0 * p.S(1) + p.cum(w), p.S(2) + p.cum(w * lam)
-
-
-def _kohn_yang_even(p, n, l):
-    return _quad_constant(p, (2.0 * l * n + 4.0 * (l - 1) + _kohn_c(n, l)) / (n * n))
-
-
-# --- monotone forms:  sum w_i / (z - lam_i) = target  -----------------------
 
 
 def _hileyeh_clamped(p, n, l):
@@ -502,77 +510,45 @@ def _hp_weak_poly(p, n, l):
     return p.lam**1.0, n * n * p.k / (4.0 * l * (2 * l + n - 2))
 
 
-# --- largest-root forms -----------------------------------------------------
-
-
 def _wucao_poly(p, n, l):
     return _Mixed(1, math.sqrt(4.0 * l * (n + 2 * l - 2)) / n, p.lam ** ((l - 1.0) / l), p.lam ** (1.0 / l))
 
 
-def _kohn_form(p, n, l, bracket):
-    """Kohn form: sum (z-lam)^2 <= (1/n) sqrt(sum (z-lam) lam^(1/l))
-    * sqrt(sum (z-lam)^2 bracket_i)."""
-    return _Mixed(2, 1.0 / n, p.lam ** (1.0 / l), bracket)
-
-
-def _kohn_odd(p, n, l):
-    lam, c1 = p.lam, _kohn_c(n, l)
-    bracket = 2.0 * l * (n + l - 1) * lam ** ((l - 1.0) / l) + c1 * (lam + lam ** ((l - 2.0) / l))
-    return _kohn_form(p, n, l, bracket)
-
-
-def _kohn_even(p, n, l):
-    return _kohn_form(p, n, l, (2.0 * l * n + 4.0 * (l - 1) + _kohn_c(n, l)) * p.lam ** ((l - 1.0) / l))
-
-
-def _kohn_odd_homog(p, n, l):
-    return _kohn_form(p, n, l, (2.0 * l * (n + l - 1) + _kohn_c(n, l)) * p.lam ** ((l - 1.0) / l))
-
-
-# --- verify-only forms ------------------------------------------------------
-
-
-def _cim_squared(p, n, l):
-    """The squared-weight polyharmonic inequality
-    sum (z-lam)^2 <= (2/n) sqrt(l(2l+n-2)) sqrt(sum (z-lam) lam^(1/l) * sum (z-lam)^2 lam^((l-1)/l)),
-    in the square-root normal form of check_general_poly with f = g = (z - x)^2."""
-    c = (2.0 / n) * math.sqrt(l * (2.0 * l + n - 2))
-    return _Mixed(2, c, p.lam ** (1.0 / l), p.lam ** ((l - 1.0) / l))
-
-
 # name, problem, form, l-rule, recipe, cap seeds of the degree-1 largest-root
-# entries.  A row at l = 1 or 2 that specialises a general-l row shares its
-# recipe (the Kohn ones through c1(n, 1) = c2(n, 2) = 0).
+# entries.  A row of one of the three shared inequalities names its recipe
+# over its problem's weight, so the l = 1 and l = 2 rows and the odd- and
+# even-l Kohn rows of one inequality share it; so does any other row at
+# l = 1 or 2 with the general-l row it specialises.
 _TABLE = [
-    ("ppw-laplacian", EUCLIDEAN, "closed", _l_is(1), _ppw_poly, ()),
+    ("ppw-laplacian", EUCLIDEAN, "closed", _l_is(1), _ppw_euclidean, ()),
     ("hp-laplacian", EUCLIDEAN, "monotone", _l_is(1), _hp_poly, ()),
-    ("yang1-laplacian", EUCLIDEAN, "quadratic", _l_is(1), _cim_yang_poly, ()),
+    ("yang1-laplacian", EUCLIDEAN, "quadratic", _l_is(1), _yang_euclidean, ()),
     ("yang2-laplacian", EUCLIDEAN, "closed", _l_is(1), _yang2_laplacian, ()),
     ("ppw-clamped", EUCLIDEAN, "closed", _l_is(2), _ppw_clamped, ()),
-    ("ppw-clamped-sharp", EUCLIDEAN, "closed", _l_is(2), _ppw_poly, ()),
+    ("ppw-clamped-sharp", EUCLIDEAN, "closed", _l_is(2), _ppw_euclidean, ()),
     ("hileyeh-clamped", EUCLIDEAN, "monotone", _l_is(2), _hileyeh_clamped, ()),
     ("hook-chenqian-clamped", EUCLIDEAN, "monotone", _l_is(2), _hp_poly, ()),
     ("hp-weak-clamped", EUCLIDEAN, "monotone", _l_is(2), _hp_weak_poly, ()),
     ("chengyang-clamped", EUCLIDEAN, "largest-root", _l_is(2), _wucao_poly,
      ("ppw-clamped", "ppw-clamped-sharp")),
-    ("ppw-poly", EUCLIDEAN, "closed", _any_l, _ppw_poly, ()),
+    ("ppw-poly", EUCLIDEAN, "closed", _any_l, _ppw_euclidean, ()),
     ("hp-poly", EUCLIDEAN, "monotone", _any_l, _hp_poly, ()),
     ("hp-weak-poly", EUCLIDEAN, "monotone", _any_l, _hp_weak_poly, ()),
     ("wucao-poly", EUCLIDEAN, "largest-root", _any_l, _wucao_poly, ("ppw-poly",)),
-    ("cim-yang-poly", EUCLIDEAN, "quadratic", _any_l, _cim_yang_poly, ()),
-    ("cim-squared-poly", EUCLIDEAN, "verify-only", _any_l, _cim_squared, ()),
-    ("kohn-yang-l1", HEISENBERG, "quadratic", _l_is(1), _kohn_yang_odd, ()),
-    ("kohn-chengyang-l2", HEISENBERG, "largest-root", _l_is(2), _kohn_even, ()),
-    ("kohn-yang-l2", HEISENBERG, "quadratic", _l_is(2), _kohn_yang_even, ()),
-    ("kohn-odd-l", HEISENBERG, "largest-root", _odd_ge3, _kohn_odd, ()),
-    ("kohn-even-l", HEISENBERG, "largest-root", _even_ge4, _kohn_even, ()),
-    ("kohn-odd-l-homog", HEISENBERG, "largest-root", _odd_ge3, _kohn_odd_homog, ()),
-    ("kohn-yang-odd-l", HEISENBERG, "quadratic", _odd_ge3, _kohn_yang_odd, ()),
-    ("kohn-yang-even-l", HEISENBERG, "quadratic", _even_ge4, _kohn_yang_even, ()),
-    ("niuzhang-l1", HEISENBERG, "closed", _l_is(1), _niuzhang_odd, ()),
-    ("niuzhang-l2", HEISENBERG, "closed", _l_is(2), _niuzhang_even, ()),
-    ("niuzhang-odd", HEISENBERG, "closed", _odd_ge3, _niuzhang_odd, ()),
-    ("niuzhang-even", HEISENBERG, "closed", _even_ge4, _niuzhang_even, ()),
+    ("cim-yang-poly", EUCLIDEAN, "quadratic", _any_l, _yang_euclidean, ()),
+    ("cim-squared-poly", EUCLIDEAN, "verify-only", _any_l, _squared_cim_euclidean, ()),
+    ("kohn-yang-l1", HEISENBERG, "quadratic", _l_is(1), _yang_kohn, ()),
+    ("kohn-chengyang-l2", HEISENBERG, "largest-root", _l_is(2), _squared_cim_kohn, ()),
+    ("kohn-yang-l2", HEISENBERG, "quadratic", _l_is(2), _yang_kohn, ()),
+    ("kohn-odd-l", HEISENBERG, "largest-root", _odd_ge3, _squared_cim_kohn, ()),
+    ("kohn-even-l", HEISENBERG, "largest-root", _even_ge4, _squared_cim_kohn, ()),
+    ("kohn-odd-l-homog", HEISENBERG, "largest-root", _odd_ge3, _squared_cim_kohn_homogenized, ()),
+    ("kohn-yang-odd-l", HEISENBERG, "quadratic", _odd_ge3, _yang_kohn, ()),
+    ("kohn-yang-even-l", HEISENBERG, "quadratic", _even_ge4, _yang_kohn, ()),
+    ("niuzhang-l1", HEISENBERG, "closed", _l_is(1), _ppw_kohn, ()),
+    ("niuzhang-l2", HEISENBERG, "closed", _l_is(2), _ppw_kohn, ()),
+    ("niuzhang-odd", HEISENBERG, "closed", _odd_ge3, _ppw_kohn, ()),
+    ("niuzhang-even", HEISENBERG, "closed", _even_ge4, _ppw_kohn, ()),
 ]
 
 REGISTRY: dict[str, BoundDescriptor] = {row[0]: BoundDescriptor(*row) for row in _TABLE}
@@ -774,12 +750,14 @@ def check_general_poly(prefix: SpectrumPrefix, couple) -> float:
 
     at z = couple.lam, for an admissible couple.
     """
+    from . import couples  # only here: bound and verify spectrum need no couple
+
     lam = prefix.values
     n, l = prefix.n, prefix.l
     z = couple.lam
     if not z > float(lam[-1]):
         raise InputError(f"next value {z} must exceed lambda_k = {lam[-1]}")
-    f, g = _couples.admissible_weights(couple, lam)
+    f, g = couples.admissible_weights(couple, lam)
     lhs = float(np.sum(f))
     rhs = (2.0 / n) * math.sqrt(l * (2.0 * l + n - 2)) * math.sqrt(
         float(np.sum(g * lam ** ((l - 1.0) / l)))

@@ -286,10 +286,14 @@ def test_quadratic_collapse_matches_closed_forms_k1():
 # ---------------------------------------------------------------------------
 
 
+def _yang_root(lam, w):
+    """Larger root of sum (z - lam_i)^2 = sum w_i (z - lam_i)."""
+    return max(np.roots([lam.size, -(2.0 * lam.sum() + w.sum()), (lam * lam).sum() + (w * lam).sum()]).real)
+
+
 def _yang_type_root(lam, C):
     """Larger root of sum (z - lam_i)^2 = C sum lam_i (z - lam_i)."""
-    k, s1, s2 = lam.size, lam.sum(), (lam * lam).sum()
-    return max(np.roots([k, -(2.0 + C) * s1, (1.0 + C) * s2]).real)
+    return _yang_root(lam, C * lam)
 
 
 # name -> (problem, l, value of the classical bound from (lam, n))
@@ -385,6 +389,129 @@ def test_specialised_implicit_rows_are_sign_changes_of_classical_forms(name):
         assert res.valid, (name, lam.size, n)
         z = res.value
         assert H(lam, n, z * (1.0 - 1e-9)) <= 0.0 < H(lam, n, z * (1.0 + 1e-9)), (name, lam.size, n)
+
+
+# ---------------------------------------------------------------------------
+# the general-l rows of the three shared inequalities against the paper's
+# formulas, written out
+# ---------------------------------------------------------------------------
+
+
+def _paper_c(n, l):
+    """c1(n, l) at odd l, 4 at l = 3; c2(n, l) at even l."""
+    return 4.0 if l == 3 else _oracle_c(n, l, "c1" if l % 2 else "c2")
+
+
+# name -> (problem, bound value from (lam, n, l)): PPW / Niu-Zhang closed forms and
+# the larger roots of the Yang-type quadratics
+GENERAL_L_VALUES = {
+    "ppw-poly": (
+        EUCLIDEAN,
+        lambda lam, n, l: lam[-1]
+        + 4.0 * l * (2 * l + n - 2) / (n * lam.size) ** 2 * (lam ** (1 / l)).sum() * (lam ** ((l - 1) / l)).sum(),
+    ),
+    "niuzhang-odd": (
+        HEISENBERG,
+        lambda lam, n, l: lam[-1]
+        + (lam ** (1 / l)).sum() / (n * lam.size) ** 2
+        * (2.0 * l * (n + l - 1) * (lam ** ((l - 1) / l)).sum() + _paper_c(n, l) * (lam + lam ** ((l - 2) / l)).sum()),
+    ),
+    "niuzhang-even": (
+        HEISENBERG,
+        lambda lam, n, l: lam[-1]
+        + (2.0 * l * n + 4.0 * (l - 1) + _paper_c(n, l)) / (n * lam.size) ** 2
+        * (lam ** (1 / l)).sum() * (lam ** ((l - 1) / l)).sum(),
+    ),
+    "cim-yang-poly": (EUCLIDEAN, lambda lam, n, l: _yang_type_root(lam, 4.0 * l * (2 * l + n - 2) / n**2)),
+    "kohn-yang-odd-l": (
+        HEISENBERG,
+        lambda lam, n, l: _yang_root(
+            lam, (2.0 * l * (n + l - 1) * lam + _paper_c(n, l) * (lam ** ((l + 1) / l) + lam ** ((l - 1) / l))) / n**2
+        ),
+    ),
+    "kohn-yang-even-l": (
+        HEISENBERG, lambda lam, n, l: _yang_type_root(lam, (2.0 * l * n + 4.0 * (l - 1) + _paper_c(n, l)) / n**2)
+    ),
+}  # fmt: skip
+
+
+# name -> weight b_i(lam, n, l) of the Kohn Cheng-Yang-type inequality
+#   sum (z - lam_i)^2 <= (1/n) sqrt(sum (z - lam_i) lam_i^(1/l) * sum (z - lam_i)^2 b_i)
+KOHN_CHENGYANG_WEIGHTS = {
+    "kohn-odd-l": lambda lam, n, l: 2.0 * l * (n + l - 1) * lam ** ((l - 1) / l)
+    + _paper_c(n, l) * (lam + lam ** ((l - 2) / l)),
+    "kohn-even-l": lambda lam, n, l: (2.0 * l * n + 4.0 * (l - 1) + _paper_c(n, l)) * lam ** ((l - 1) / l),
+    "kohn-odd-l-homog": lambda lam, n, l: (2.0 * l * (n + l - 1) + _paper_c(n, l)) * lam ** ((l - 1) / l),
+}
+
+
+def _applicable_at(names, ls=(3, 4, 5, 6)):
+    return [(name, l) for name in names for l in ls if REGISTRY[name].applies_l(l)]
+
+
+@pytest.mark.parametrize("name, l", _applicable_at(sorted(GENERAL_L_VALUES)))
+def test_general_l_closed_and_quadratic_rows_match_the_paper(name, l):
+    problem, oracle = GENERAL_L_VALUES[name]
+    for lam, n in _oracle_prefixes(problem, l):
+        res = compute_bound(name, SpectrumPrefix(lam, n=n, l=l, problem=problem))
+        assert res.valid
+        assert res.value == pytest.approx(oracle(lam, n, l), rel=1e-12), (name, l, lam.size, n)
+
+
+@pytest.mark.parametrize("name, l", _applicable_at(sorted(KOHN_CHENGYANG_WEIGHTS)))
+def test_general_l_kohn_largest_roots_are_the_roots_of_the_paper_form(name, l):
+    """The root is the sign change of the paper's form nearest it, found by
+    bisection to the last bit."""
+    for lam, n in _oracle_prefixes(HEISENBERG, l):
+        b = KOHN_CHENGYANG_WEIGHTS[name](lam, n, l)
+
+        def H(z):
+            d = z - lam
+            return (d * d).sum() - math.sqrt((d * lam ** (1 / l)).sum() * (d * d * b).sum()) / n
+
+        res = compute_bound(name, SpectrumPrefix(lam, n=n, l=l, problem=HEISENBERG))
+        assert res.valid, (name, l, lam.size, n)
+        lo, hi = max(res.value * (1.0 - 1e-6), lam[-1]), res.value * (1.0 + 1e-6)
+        assert H(lo) <= 0.0 < H(hi), (name, l, lam.size, n)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if H(mid) <= 0.0 else (lo, mid)
+        assert res.value == pytest.approx(hi, rel=1e-12), (name, l, lam.size, n)
+
+
+@pytest.mark.parametrize("l", [3, 4, 5, 6])
+def test_general_l_cim_squared_slack_matches_the_paper(l):
+    """slack = (2/n) sqrt(l(2l+n-2)) sqrt(sum d lam^(1/l) * sum d^2 lam^((l-1)/l))
+    - sum d^2, d = z - lam_i, to 1e-12 of sum d^2."""
+    for lam, n in _oracle_prefixes(EUCLIDEAN, l):
+        prefix = SpectrumPrefix(lam, n=n, l=l, problem=EUCLIDEAN)
+        for z in lam[-1] * np.array([1.0 + 1e-3, 1.5, 3.0]):
+            d = z - lam
+            lhs = (d * d).sum()
+            rhs = 2.0 / n * math.sqrt(l * (2 * l + n - 2)) * math.sqrt(
+                (d * lam ** (1 / l)).sum() * (d * d * lam ** ((l - 1) / l)).sum()
+            )
+            margin = verify_margins(prefix, z, which=["cim-squared-poly"]).margin[0, 0]
+            assert abs(margin - (rhs - lhs)) <= 1e-12 * lhs, (l, lam.size, n, z)
+
+
+# each shared inequality: its rows, one group per weight (Euclidean, Kohn, and the
+# homogenized odd-l Kohn weight)
+SHARED_INEQUALITY_ROWS = {
+    "ppw": (("ppw-laplacian", "ppw-clamped-sharp", "ppw-poly"),
+            ("niuzhang-l1", "niuzhang-l2", "niuzhang-odd", "niuzhang-even")),
+    "yang": (("yang1-laplacian", "cim-yang-poly"),
+             ("kohn-yang-l1", "kohn-yang-l2", "kohn-yang-odd-l", "kohn-yang-even-l")),
+    "chengyang": (("cim-squared-poly",), ("kohn-chengyang-l2", "kohn-odd-l", "kohn-even-l"), ("kohn-odd-l-homog",)),
+}  # fmt: skip
+
+
+def test_rows_of_one_inequality_share_one_recipe_per_weight_across_parity():
+    recipes = []
+    for groups in SHARED_INEQUALITY_ROWS.values():
+        for rows in groups:
+            recipes.append(REGISTRY[rows[0]].recipe)
+            assert all(REGISTRY[row].recipe is recipes[-1] for row in rows), rows
+    assert len({id(recipe) for recipe in recipes}) == 7
 
 
 # ---------------------------------------------------------------------------

@@ -597,6 +597,22 @@ def test_bound_inapplicable_exit_2(tmp_path, capsys):
     assert "does not apply" in err
 
 
+@pytest.mark.parametrize(
+    "command, l, constant",
+    [(["bound", "--ineq", "all"], 700, "c2(1, 700)"), (["verify", "spectrum"], 1000001, "c1(1, 1000001)")],
+)
+def test_kohn_constant_beyond_the_largest_float_is_refused_in_seconds(tmp_path, command, l, constant):
+    # c1(1, l) and c2(1, l) pass the largest float below l = 700, after about
+    # 640 of the l - 2 terms of their sum, whatever l is
+    eigs = tmp_path / "e.csv"
+    write_eigs(eigs, [1.0, 2.0, 3.0])
+    argv = [*command, "--eigs", str(eigs), "--problem", "heisenberg-kohn", "--n", "1", "--l", str(l)]
+    start = time.perf_counter()
+    proc = run_cli_limited(argv)
+    assert time.perf_counter() - start < 60
+    assert_one_line_usage_error(proc.returncode, proc.stdout, proc.stderr, f"{constant} exceeds the largest float")
+
+
 def test_bound_unknown_name_exit_2(tmp_path, capsys):
     eigs = tmp_path / "e.csv"
     write_eigs(eigs, [1.0])

@@ -25,7 +25,8 @@ binding the benchmark's tracer wraps, and is the one caller of
 ``abstract.py`` takes every Hermitian and anti-self-adjoint defect from
 ``eigensolve.hermitian_defect``, computing none itself; and in ``bounds.py``
 every matrix product and every read of CHUNK_ROWS and CHUNK_FLOATS lies in
-``_gap_sums``, the one loop over the prefix.
+``_gap_sums``, the one loop over the prefix, and ``_kohn_c`` is called by
+the Kohn weight alone.
 References from tests do not count: a helper that only a test calls is dead
 code.  In tests/, every subprocess call that waits for its child passes
 ``timeout=``, and none starts a ``Popen``, so a hung child fails its test.
@@ -35,10 +36,10 @@ and ``--problem clamped`` and ``--problem kohn`` below the dense/ARPACK
 crossover, load no scipy module at all; and each command loads only the
 modules it runs: ``spectrum fd`` none of ``bounds``, ``couples``,
 ``abstract``, ``numpy.ma`` or ``fractions``, ``bound`` and ``verify
-spectrum`` no ``abstract``, and ``verify abstract --workers 1`` and ``couple
-check`` no ``bounds`` or ``numpy.ma``; none of them loads the process pool
-of ``verify abstract --workers`` above 1, and ``import specgap`` loads no
-numpy."""
+spectrum`` no ``abstract`` or ``couples``, and ``verify abstract
+--workers 1`` and ``couple check`` no ``bounds`` or ``numpy.ma``; none of
+them loads the process pool of ``verify abstract --workers`` above 1, and
+``import specgap`` loads no numpy."""
 
 import ast
 import subprocess
@@ -535,6 +536,27 @@ def test_bounds_sums_over_the_prefix_only_in_gap_sums():
     assert seen == {"@"} | BLOCK_NAMES, seen
 
 
+# bounds.py: the one reader of the Kohn constants, whose parity picks c1 or c2
+BOUNDS_KOHN_CONSTANTS = "_kohn_c"
+BOUNDS_KOHN_WEIGHT = "_kohn"
+
+
+def test_kohn_constants_are_read_only_by_the_kohn_weight():
+    """Every reference to ``bounds._kohn_c`` in the package is a call in the
+    Kohn weight: a recipe that reads c1 or c2 itself would write a Kohn
+    bracket a second time beside the weight's."""
+    found = []
+    for path in MODULES:
+        called = set()  # the callees seen so far: a call is visited before its callee
+        for node, function in _nodes_by_function(_tree(path)):
+            if isinstance(node, ast.Call):
+                called.add(node.func)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Store):
+                if (node.id if isinstance(node, ast.Name) else node.attr) == BOUNDS_KOHN_CONSTANTS:
+                    found.append((path.name, function, node in called))
+    assert found and set(found) == {("bounds.py", BOUNDS_KOHN_WEIGHT, True)}, found
+
+
 # the subprocess functions that wait for their child, and so take a timeout;
 # Popen takes none, so a test that waits on a child uses one of these
 WAITING_SUBPROCESS_CALLS = {"run", "call", "check_call", "check_output"}
@@ -631,8 +653,10 @@ SPECTRUM_FD_SKIPS = ["specgap.bounds", "specgap.couples", "specgap.abstract", "c
          SPECTRUM_FD_SKIPS),
         (["spectrum", "fd", "--problem", "kohn", "--dims", "1,1,1", "--grid", "12,12,12", "--count", "30"],
          SPECTRUM_FD_SKIPS),
-        (["bound", "--ineq", "all", "--eigs", "box.csv", "--n", "2"], ["specgap.abstract", "multiprocessing"]),
-        (["verify", "spectrum", "--eigs", "box.csv", "--n", "2"], ["specgap.abstract", "multiprocessing"]),
+        (["bound", "--ineq", "all", "--eigs", "box.csv", "--n", "2"],
+         ["specgap.abstract", "specgap.couples", "multiprocessing"]),
+        (["verify", "spectrum", "--eigs", "box.csv", "--n", "2"],
+         ["specgap.abstract", "specgap.couples", "multiprocessing"]),
         (["verify", "abstract", "--trials", "3", "--dim", "5", "--nops", "2", "--workers", "1"],
          ["specgap.bounds", "multiprocessing", "numpy.ma"]),
         (["couple", "check", "--spec", "equal-power:2@5"], ["specgap.bounds", "multiprocessing", "numpy.ma"]),
